@@ -47,6 +47,7 @@ from .echelon import (
     inner_product_matrix,
     normalize_contradiction_row,
     propagate_zero_rows,
+    reformulated,
     validate_echelon,
 )
 from .generator import (
@@ -85,18 +86,15 @@ from .formats import (
     write_sdpa,
 )
 from .paper_instances import (
-    LIBRARY_PROFILES,
-    LibraryProfile,
     large_certificate,
     large_instance,
-    library_build,
     me_instance,
     motzkin_certificate,
     motzkin_monomial_groups,
     motzkin_prefix_length,
     motzkin_sos,
-    reformulated,
     three_by_three,
 )
+from .library import LIBRARY_PROFILES, LibraryProfile, library_build
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from pathlib import Path
 from .exact import rational
 from .echelon import asymptote_witness, frobenius_norm_squared
 from .certify import WeakCertificate, sieve_detect, verify_weak_infeasibility
-from .generator import DISJOINT_ONLY, OVERLAPPING_ALLOWED, GenConfig, generate
+from .generator import DISJOINT_ONLY, OVERLAPPING_ALLOWED, GenConfig, config_json, generate
 from .formats import (
     NativeBundle,
     NativeFormatError,
@@ -27,7 +27,7 @@ from .formats import (
     write_native,
     write_sdpa,
 )
-from . import paper_instances
+from . import library, paper_instances
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lib = sub.add_parser("library", help="build the paired clean/messy instance library")
     p_lib.add_argument("--root", required=True)
-    p_lib.add_argument("--profile", choices=sorted(paper_instances.LIBRARY_PROFILES), default="default")
+    p_lib.add_argument("--profile", choices=sorted(library.LIBRARY_PROFILES), default="default")
     p_lib.set_defaults(func=_cmd_library)
 
     p_paper = sub.add_parser("paper-instance", help="materialize a built-in reference instance")
@@ -140,7 +140,7 @@ def _cmd_generate(args) -> int:
     bundle = NativeBundle(
         instance=instance.raw,
         certificate=cert,
-        generation={"seed": cfg.seed, "config": paper_instances._config_json(cfg)},
+        generation={"seed": cfg.seed, "config": config_json(cfg)},
     )
     write_native(bundle, args.out)
     print(report.summary())
@@ -209,7 +209,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_library(args) -> int:
-    manifest = paper_instances.library_build(args.root, args.profile)
+    manifest = library.library_build(args.root, args.profile)
     print(f"built {manifest['count']} instances under {args.root}")
     return EXIT_PASS
 

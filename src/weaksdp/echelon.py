@@ -1,5 +1,6 @@
 """Semidefinite echelon form: block structures, validation, and the two
-executable certificate checks built on it.
+executable certificate checks built on it, plus the reformulation that maps a
+raw system to the clean system those checks read.
 
 An ordered sequence of symmetric matrices (M_1, ..., M_t) is in semidefinite
 echelon form with structure {P_1, ..., P_t} when the P_i are disjoint 1-based
@@ -21,11 +22,11 @@ certificate-style checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .exact import Matrix, SymMatrix, SymBuilder, inner, rational
+from .exact import Matrix, SymMatrix, SymBuilder, congruence, inner, rational
 from .linalg import is_positive_definite, psd_certify
 
 _ZERO = Fraction(0)
@@ -46,14 +47,18 @@ class Structure:
 
     n: int
     blocks: tuple[frozenset[int], ...]
+    # 1-based block number of every index in 1..n; len(blocks) + 1 when uncovered
+    _block_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(index_set(b, self.n) for b in self.blocks))
-        seen: set[int] = set()
-        for b in self.blocks:
-            if seen & b:
-                raise ValueError(f"blocks are not disjoint: {sorted(seen & b)} repeated")
-            seen |= b
+        block_of = dict.fromkeys(range(1, self.n + 1), len(self.blocks) + 1)
+        for number, b in enumerate(self.blocks, start=1):
+            repeated = sorted(i for i in b if block_of[i] < number)
+            if repeated:
+                raise ValueError(f"blocks are not disjoint: {repeated} repeated")
+            block_of.update(dict.fromkeys(b, number))
+        object.__setattr__(self, "_block_of", block_of)
 
     def prefix(self, count: int) -> frozenset[int]:
         """Union of the first `count` blocks."""
@@ -73,15 +78,16 @@ class Structure:
 def cell_region(structure: Structure, matrix_index: int, i: int, j: int) -> str:
     """Classify entry (i, j) of the matrix_index-th sequence member.
 
-    Returns "pivot" for the positive-diagonal block region, "arbitrary" for
-    rows/columns of earlier blocks, "zero" for positions that must vanish.
-    The same classification drives validation and block rendering.
+    Returns "pivot" for the P_i x P_i block (positive diagonal, zero
+    off-diagonal), "arbitrary" for rows/columns of earlier blocks, "zero" for
+    positions that must vanish. This is the one definition of the regions:
+    validation, generation and block rendering all classify cells through it.
     """
-    earlier = structure.prefix(matrix_index - 1)
-    block = structure.blocks[matrix_index - 1]
-    if i in earlier or j in earlier:
+    block_i = structure._block_of[i]
+    block_j = structure._block_of[j]
+    if block_i < matrix_index or block_j < matrix_index:
         return "arbitrary"
-    if i in block and j in block:
+    if block_i == block_j == matrix_index:
         return "pivot"
     return "zero"
 
@@ -92,11 +98,24 @@ class EchelonViolation:
     position: tuple[int, int]
     rule: str
 
+    def __str__(self) -> str:
+        return f"matrix {self.matrix_index} entry {self.position}: {self.rule}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Outcome of a check, truthy exactly when it passed.
+
+    `detail` describes the first violation found; `violation` is set when
+    that violation is an echelon entry.
+    """
+
     ok: bool
     violation: EchelonViolation | None = None
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def validate_echelon(matrices: Sequence[SymMatrix], structure: Structure) -> ValidationReport:
@@ -114,24 +133,24 @@ def validate_echelon(matrices: Sequence[SymMatrix], structure: Structure) -> Val
             raise ValueError("matrix order does not match structure order")
     n = structure.n
     for idx, mat in enumerate(matrices, start=1):
-        earlier = structure.prefix(idx - 1)
-        block = structure.blocks[idx - 1]
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                if i in earlier or j in earlier:
+                region = cell_region(structure, idx, i, j)
+                if region == "arbitrary":
                     continue
                 v = mat.at(i, j)
-                if i in block and j in block:
-                    if i == j:
-                        if not v > 0:
-                            return ValidationReport(False, EchelonViolation(
-                                idx, (i, j), "block diagonal entry must be positive"))
-                    elif v != 0:
-                        return ValidationReport(False, EchelonViolation(
-                            idx, (i, j), "block off-diagonal entry must be zero"))
-                elif v != 0:
-                    return ValidationReport(False, EchelonViolation(
-                        idx, (i, j), "entry outside block and earlier rows must be zero"))
+                if region == "pivot" and i == j:
+                    if v > 0:
+                        continue
+                    rule = "block diagonal entry must be positive"
+                elif v == 0:
+                    continue
+                elif region == "pivot":
+                    rule = "block off-diagonal entry must be zero"
+                else:
+                    rule = "entry outside block and earlier rows must be zero"
+                violation = EchelonViolation(idx, (i, j), rule)
+                return ValidationReport(False, violation, str(violation))
     return ValidationReport(True)
 
 
@@ -178,11 +197,8 @@ class EchelonSequence:
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
         report = validate_echelon(self.matrices, self.structure)
-        if not report.ok:
-            v = report.violation
-            raise ValueError(
-                f"matrix {v.matrix_index} entry {v.position}: {v.rule}"
-            )
+        if not report:
+            raise ValueError(report.detail)
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -214,28 +230,48 @@ class SdpInstance:
         return tuple(inner(mat, x) for mat in self.A)
 
 
+def reformulated_rows(raw: SdpInstance, g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
+    """Row i of the reformulated system, T^T (sum_j g_ij A_j) T, one row at a
+    time, so that a check can stop at the first row that differs."""
+    for i in range(1, raw.m + 1):
+        combo = SymMatrix.zeros(raw.n)
+        for j in range(1, raw.m + 1):
+            gij = g.at(i, j)
+            if gij != 0:
+                combo = combo.add(raw.A[j - 1].scale(gij))
+        yield congruence(combo, t)
+
+
+def reformulated(raw: SdpInstance, g: Matrix, t: Matrix) -> SdpInstance:
+    """Apply row operations G and congruence T: row i becomes T^T (sum_j g_ij A_j) T."""
+    return SdpInstance(raw.n, tuple(reformulated_rows(raw, g, t)), g.mul_vec(raw.b))
+
+
 def inner_product_matrix(inst: SdpInstance, xseq: Sequence[SymMatrix]) -> list[list[Fraction]]:
     """Table of A_i . X_j values, rows over constraints, columns over the sequence."""
     return [[inner(mat, x) for x in xseq] for mat in inst.A]
 
 
-def check_infeasibility_cert(inst: SdpInstance, k: int, structure: Structure) -> bool:
+def check_infeasibility_cert(inst: SdpInstance, k: int, structure: Structure) -> ValidationReport:
     """Does the (k+1)-prefix prove infeasibility?
 
-    True iff (A_1, ..., A_{k+1}) is in echelon form with the given (k+1)-block
-    structure, b_1 = ... = b_k = 0, and b_{k+1} < 0. Any negative value is
-    accepted for b_{k+1}; normalization to -1 is a presentation choice, not a
-    requirement of the argument.
+    Passes iff (A_1, ..., A_{k+1}) is in echelon form with the given (k+1)-block
+    structure, b_1 = ... = b_k = 0, and b_{k+1} < 0; otherwise the report
+    names the first echelon violation or the offending right-hand side. Any
+    negative value is accepted for b_{k+1}; normalization to -1 is a
+    presentation choice, not a requirement of the argument.
     """
     if k < 0 or k + 1 > inst.m:
         raise ValueError("need 0 <= k and k+1 constraints present")
     if len(structure.blocks) != k + 1 or structure.n != inst.n:
         raise ValueError("structure must have k+1 blocks over the instance order")
-    if not validate_echelon(inst.A[: k + 1], structure).ok:
-        return False
-    if any(inst.b[i] != 0 for i in range(k)):
-        return False
-    return inst.b[k] < 0
+    report = validate_echelon(inst.A[: k + 1], structure)
+    if report and (any(inst.b[i] != 0 for i in range(k)) or not inst.b[k] < 0):
+        return ValidationReport(False, detail=(
+            f"right-hand side prefix {tuple(map(str, inst.b[: k + 1]))} "
+            "is not (0, ..., 0, negative)"
+        ))
+    return report
 
 
 @dataclass(frozen=True)
@@ -292,24 +328,31 @@ def normalize_contradiction_row(inst: SdpInstance, k: int) -> SdpInstance:
     return SdpInstance(inst.n, tuple(matrices), tuple(rhs))
 
 
-def check_not_strong_cert(inst: SdpInstance, xseq: Sequence[SymMatrix], structure: Structure) -> bool:
+def check_not_strong_cert(
+    inst: SdpInstance, xseq: Sequence[SymMatrix], structure: Structure
+) -> ValidationReport:
     """Does (X_1, ..., X_{l+1}) prove the instance is not strongly infeasible?
 
-    True iff the sequence is in echelon form with the given structure,
+    Passes iff the sequence is in echelon form with the given structure,
     A_j . X_i = 0 exactly for every constraint j and i <= l, and
-    A_j . X_{l+1} = b_j exactly for every j.
+    A_j . X_{l+1} = b_j exactly for every j; otherwise the report names the
+    first echelon violation or the first mismatched A_r . X_j.
     """
     xseq = tuple(xseq)
     if len(xseq) < 2:
         raise ValueError("need at least two matrices (l >= 1)")
     if any(x.n != inst.n for x in xseq):
         raise ValueError("sequence order does not match instance order")
-    if not validate_echelon(xseq, structure).ok:
-        return False
-    for x in xseq[:-1]:
-        if any(v != 0 for v in inst.apply(x)):
-            return False
-    return inst.apply(xseq[-1]) == inst.b
+    report = validate_echelon(xseq, structure)
+    if not report:
+        return report
+    zeros = (_ZERO,) * inst.m
+    for j, x in enumerate(xseq, start=1):
+        want = inst.b if j == len(xseq) else zeros
+        for r, (got, expect) in enumerate(zip(inst.apply(x), want), start=1):
+            if got != expect:
+                return ValidationReport(False, detail=f"A_{r} . X_{j} = {got}, expected {expect}")
+    return report
 
 
 @dataclass(frozen=True)

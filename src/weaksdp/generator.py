@@ -29,12 +29,20 @@ Stage summary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from .exact import Matrix, SymMatrix, SymBuilder, congruence, inner, inner_general
-from .echelon import SdpInstance, Structure, check_infeasibility_cert, check_not_strong_cert
+from .exact import Matrix, SymMatrix, SymBuilder, inner, inner_general
+from .echelon import (
+    SdpInstance,
+    Structure,
+    cell_region,
+    check_infeasibility_cert,
+    check_not_strong_cert,
+    reformulated,
+)
 from .linalg import inverse, random_unimodular, solve_linear
 from .prng import SplitMix64, derive_seed
 
@@ -86,6 +94,11 @@ class GenConfig:
                 raise ValueError("n too small for the required nonempty blocks")
         if self.mess_budget is not None and self.mess_budget < 0:
             raise ValueError("mess budget must be >= 0")
+
+
+def config_json(cfg: GenConfig) -> dict:
+    """The configuration as plain JSON data, as recorded in bundles and manifests."""
+    return json.loads(json.dumps(asdict(cfg)))
 
 
 @dataclass(frozen=True)
@@ -243,14 +256,13 @@ def _draw_echelon(
     n = structure.n
     out = []
     for idx in range(1, count + 1):
-        earlier = structure.prefix(idx - 1)
-        block = structure.blocks[idx - 1]
         builder = SymBuilder(n)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                if i in earlier or j in earlier:
+                region = cell_region(structure, idx, i, j)
+                if region == "arbitrary":
                     builder.set(i, j, rng.randint(-entry_range, entry_range))
-                elif i == j and i in block:
+                elif region == "pivot" and i == j:
                     builder.set(i, i, rng.randint(1, entry_range))
         out.append(builder)
     return out
@@ -373,16 +385,7 @@ def messify(inst: WeakInstance, seed: int, budget: int, magnitude: int) -> WeakI
     rng = SplitMix64(seed)
     g = random_unimodular(clean.m, rng.next_u64(), budget, magnitude)
     t = random_unimodular(clean.n, rng.next_u64(), budget, magnitude)
-    messy_a = []
-    for i in range(1, clean.m + 1):
-        acc = SymMatrix.zeros(clean.n)
-        for j in range(1, clean.m + 1):
-            gij = g.at(i, j)
-            if gij != 0:
-                acc = acc.add(clean.A[j - 1].scale(gij))
-        messy_a.append(congruence(acc, t))
-    messy_b = g.mul_vec(clean.b)
-    messy = SdpInstance(clean.n, tuple(messy_a), messy_b)
+    messy = reformulated(clean, g, t)
     return replace(inst, provenance=Provenance(row_ops=g, congruence=t, messy=messy))
 
 

@@ -1,27 +1,18 @@
-"""Built-in reference instances and the library builder.
+"""Built-in reference instances.
 
 Each constructor returns exact data together with enough certificate material
-to re-verify it from scratch. `library_build` produces a clean/messy paired
-collection across four size categories, exporting every instance in the
-native, SDPA and CBF formats plus block renderings, with a manifest recording
-seeds, configurations and verification status.
+to re-verify it from scratch.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
-from .exact import Matrix, SymMatrix, SymBuilder, congruence, rational
-from .echelon import SdpInstance, Structure, cell_region, infer_structure
-from .certify import WeakCertificate, verify_weak_infeasibility
-from .generator import GenConfig, WeakInstance, generate
-from .formats import NativeBundle, render_blocks, write_cbf, write_native, write_sdpa
+from .exact import Matrix, SymMatrix, SymBuilder, rational
+from .echelon import SdpInstance, Structure, cell_region, infer_structure, reformulated
+from .certify import WeakCertificate
+from .generator import WeakInstance
 from .linalg import solve_linear
-from .prng import SplitMix64, derive_seed
 
 _ZERO = Fraction(0)
 
@@ -97,19 +88,6 @@ def large_instance() -> tuple[SdpInstance, Matrix, Matrix]:
     return raw, g, t
 
 
-def reformulated(raw: SdpInstance, g: Matrix, t: Matrix) -> SdpInstance:
-    """Apply row operations G and congruence T: row i becomes T^T (sum_j g_ij A_j) T."""
-    out = []
-    for i in range(1, raw.m + 1):
-        combo = SymMatrix.zeros(raw.n)
-        for j in range(1, raw.m + 1):
-            gij = g.at(i, j)
-            if gij != 0:
-                combo = combo.add(raw.A[j - 1].scale(gij))
-        out.append(congruence(combo, t))
-    return SdpInstance(raw.n, tuple(out), g.mul_vec(raw.b))
-
-
 def _echelon_member_solving(
     inst: SdpInstance,
     structure: Structure,
@@ -122,13 +100,14 @@ def _echelon_member_solving(
     cells. `pinned` fixes chosen cells to given values before solving."""
     n = inst.n
     pinned = pinned or {}
-    block = structure.blocks[index - 1]
-    cells = []
+    cells, diag_positions = [], []
     for r in range(1, n + 1):
         for s in range(r, n + 1):
             region = cell_region(structure, index, r, s)
-            if region == "arbitrary" or (r == s and r in block):
+            if region == "arbitrary" or (region == "pivot" and r == s):
                 if (r, s) not in pinned:
+                    if region == "pivot":
+                        diag_positions.append(len(cells))
                     cells.append((r, s))
             elif (r, s) in pinned:
                 raise ValueError(f"cell ({r},{s}) must be zero in member {index}")
@@ -148,7 +127,6 @@ def _echelon_member_solving(
     solution = solve_linear(system, tuple(adjusted))
     if solution is None:
         raise ValueError("no echelon member matches the requested image")
-    diag_positions = [idx for idx, (r, s) in enumerate(cells) if r == s and r in block]
 
     def assemble(values) -> SymMatrix:
         builder = SymBuilder(n)
@@ -327,115 +305,3 @@ def motzkin_certificate(include_cubics: bool = False) -> WeakCertificate:
         p_structure=p_structure,
         q_structure=q_structure,
     )
-
-
-# --- library ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LibraryProfile:
-    """Sizes and counts for one library build; categories are (label, n, m)."""
-
-    name: str
-    categories: tuple[tuple[str, int, int], ...]
-    pairs_per_category: int
-    base_seed: int
-    entry_range: int = 3
-    block_size_range: tuple[int, int] = (1, 2)
-    mess_magnitude: int = 2
-
-
-LIBRARY_PROFILES = {
-    "default": LibraryProfile(
-        name="default",
-        categories=(("miniature", 5, 4), ("small", 10, 8), ("medium", 20, 15), ("large", 40, 25)),
-        pairs_per_category=10,
-        base_seed=0x5EED_2026,
-    ),
-    "smoke": LibraryProfile(
-        name="smoke",
-        categories=(("miniature", 5, 4), ("small", 10, 8)),
-        pairs_per_category=2,
-        base_seed=0x5EED_2026,
-    ),
-}
-
-
-def _config_json(cfg: GenConfig) -> dict:
-    return json.loads(json.dumps(dataclasses.asdict(cfg)))
-
-
-def library_build(root, profile="default") -> dict:
-    """Generate, verify and export the paired clean/messy instance library.
-
-    Every instance is verified before anything is written; the manifest lists
-    per-instance seeds, configurations, file paths and verification status.
-    Rebuilding with the same profile reproduces every file byte for byte.
-    """
-    if isinstance(profile, str):
-        profile = LIBRARY_PROFILES[profile]
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for cat_index, (label, n, m) in enumerate(profile.categories, start=1):
-        cat_dir = root / label
-        cat_dir.mkdir(exist_ok=True)
-        image_dir = cat_dir / "images"
-        for pair_index in range(1, profile.pairs_per_category + 1):
-            rng = SplitMix64(derive_seed(profile.base_seed, cat_index * 1000 + pair_index))
-            k = rng.randint(1, min(3, m - 1, n - 1))
-            l = rng.randint(1, min(3, n - 1))
-            seed = rng.next_u64()
-            for kind in ("clean", "messy"):
-                cfg = GenConfig(
-                    n=n, m=m, k=k, l=l, seed=seed,
-                    entry_range=profile.entry_range,
-                    block_size_range=profile.block_size_range,
-                    mess_magnitude=profile.mess_magnitude,
-                    messy=(kind == "messy"),
-                )
-                instance = generate(cfg)
-                cert = WeakCertificate.from_instance(instance)
-                report = verify_weak_infeasibility(cert)
-                if not report.passed:
-                    raise RuntimeError(f"library instance failed verification:\n{report.summary()}")
-                name = f"{label}-{kind}-{pair_index:02d}"
-                bundle = NativeBundle(
-                    instance=instance.raw,
-                    certificate=cert,
-                    generation={"seed": seed, "config": _config_json(cfg)},
-                    label=name,
-                )
-                native_path = cat_dir / f"{name}.wsdp"
-                sdpa_path = cat_dir / f"{name}.dat-s"
-                cbf_path = cat_dir / f"{name}.cbf"
-                write_native(bundle, native_path)
-                write_sdpa(instance.raw, sdpa_path, label=name)
-                write_cbf(instance.raw, cbf_path, label=name)
-                images = render_blocks(
-                    instance.clean.A[: k + 1], instance.p_structure, image_dir, stem=f"{name}_A"
-                )
-                images += render_blocks(
-                    instance.xseq, instance.q_structure, image_dir, stem=f"{name}_X"
-                )
-                entries.append({
-                    "name": name,
-                    "category": label,
-                    "kind": kind,
-                    "n": n,
-                    "m": m,
-                    "k": k,
-                    "l": l,
-                    "seed": seed,
-                    "config": _config_json(cfg),
-                    "files": {
-                        "native": str(native_path.relative_to(root)),
-                        "sdpa": str(sdpa_path.relative_to(root)),
-                        "cbf": str(cbf_path.relative_to(root)),
-                        "images": [str(p.relative_to(root)) for p in images],
-                    },
-                    "verification": "pass",
-                })
-    manifest = {"profile": profile.name, "count": len(entries), "instances": entries}
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n", encoding="ascii")
-    return manifest

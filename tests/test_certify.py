@@ -1,4 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from weaksdp import (
     GenConfig,
@@ -6,6 +9,7 @@ from weaksdp import (
     SdpInstance,
     SymMatrix,
     WeakCertificate,
+    cell_region,
     check_infeasibility_cert,
     check_reformulation,
     generate,
@@ -90,6 +94,64 @@ class TestVerifyWeakInfeasibility:
         doc = json.loads(verify_weak_infeasibility(cert).to_json())
         assert doc["passed"] is True
         assert len(doc["checks"]) == 5
+
+
+def _tamper_raw_diagonal(cert):
+    """+1 on raw A_1 at (1, 1): (G, T) no longer maps raw to clean."""
+    n = cert.raw.n
+    matrices = (cert.raw.A[0].add(SymMatrix.unit(n, 1, 1)),) + cert.raw.A[1:]
+    return replace(cert, raw=SdpInstance(n, matrices, cert.raw.b))
+
+
+def _tamper_contradiction_rhs(cert):
+    """clean b_{k+1} = +1, with raw b moved along so that (G, T) still holds."""
+    b = list(cert.clean.b)
+    b[cert.k] = Fraction(1)
+    raw = SdpInstance(cert.raw.n, cert.raw.A, inverse(cert.row_ops).mul_vec(b))
+    return replace(cert, raw=raw, clean=SdpInstance(cert.clean.n, cert.clean.A, b))
+
+
+def _tamper_zero_cell(cert):
+    """A 1 in the first cell of X_1 that must be zero."""
+    n = cert.raw.n
+    i, j = next(
+        (i, j) for i in range(1, n + 1) for j in range(i, n + 1)
+        if cell_region(cert.q_structure, 1, i, j) == "zero"
+    )
+    return replace(cert, xseq=(cert.xseq[0].add(SymMatrix.unit(n, i, j)),) + cert.xseq[1:])
+
+
+def _tamper_pivot_diagonal(cert):
+    """The first pivot diagonal entry of X_2 set to zero."""
+    n = cert.raw.n
+    i = min(cert.q_structure.blocks[1])
+    x2 = cert.xseq[1]
+    x2 = x2.sub(SymMatrix.unit(n, i, i).scale(x2.at(i, i)))
+    return replace(cert, xseq=(cert.xseq[0], x2) + cert.xseq[2:])
+
+
+class TestReportDetails:
+    # the exact text of each failing sub-check, recorded from an earlier revision
+    @pytest.mark.parametrize("tamper, failures", [
+        (_tamper_raw_diagonal, {
+            "reformulation (G, T)": "reformulation identities fail or a matrix is singular",
+        }),
+        (_tamper_contradiction_rhs, {
+            "infeasibility prefix":
+                "right-hand side prefix ('0', '0', '1') is not (0, ..., 0, negative)",
+            "closeness certificate": "A_3 . X_3 = -1, expected 1",
+        }),
+        (_tamper_zero_cell, {
+            "closeness certificate":
+                "matrix 1 entry (1, 1): entry outside block and earlier rows must be zero",
+        }),
+        (_tamper_pivot_diagonal, {
+            "closeness certificate": "matrix 2 entry (2, 2): block diagonal entry must be positive",
+        }),
+    ])
+    def test_first_violation_of_each_failing_check(self, tamper, failures):
+        report = verify_weak_infeasibility(tamper(large_certificate()))
+        assert {c.name: c.detail for c in report.checks if not c.passed} == failures
 
 
 class TestSieveDetect:

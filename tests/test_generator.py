@@ -23,7 +23,8 @@ from weaksdp import (
     three_by_three,
     verify_weak_infeasibility,
 )
-from weaksdp.formats import NativeBundle, bundle_to_json
+from weaksdp.formats import NativeBundle, bundle_to_json, write_native
+import hashlib
 import json
 
 
@@ -220,6 +221,19 @@ class TestGenerate:
         doc2 = json.dumps(bundle_to_json(NativeBundle(instance=second.raw,
                                                       certificate=WeakCertificate.from_instance(second))))
         assert doc == doc2
+
+    # sha256 of the .wsdp bytes, recorded from an earlier revision: a refactor
+    # of the generator, the reformulation or the writer must leave them unchanged
+    @pytest.mark.parametrize("messy, digest", [
+        (False, "f3d16045094df489da680bc81f66e750e1546b6851036fb804bd3fa187f9b206"),
+        (True, "ad1ceffc546210de9b332531454e3cdd5fcd96c88e5e130e15d30f06e6fd3926"),
+    ])
+    def test_native_bytes_match_earlier_revision(self, tmp_path, messy, digest):
+        instance = generate(GenConfig(n=10, m=8, k=2, l=2, seed=7, messy=messy))
+        bundle = NativeBundle(instance=instance.raw, certificate=WeakCertificate.from_instance(instance))
+        path = tmp_path / "instance.wsdp"
+        write_native(bundle, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_outputs_verify(self):
         for seed in range(25):

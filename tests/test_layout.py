@@ -1,0 +1,59 @@
+"""Module boundaries: no package module reaches into a sibling's private names."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weaksdp"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _sibling(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "weaksdp"
+
+
+def private_imports(tree: ast.AST) -> list[str]:
+    """Underscore-prefixed names taken from sibling modules, by import or by
+    attribute access on an imported sibling module."""
+    found = []
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _sibling(node):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+                elif node.module is None or node.module == "weaksdp":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("weaksdp.") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append(f"line {node.lineno}: uses {node.value.id}.{node.attr}")
+    return found
+
+
+def test_detector_sees_both_forms():
+    tree = ast.parse(
+        "from .generator import _draw_echelon\n"
+        "from . import formats\n"
+        "formats._decimal_exact('1')\n"
+        "formats.read_native('x')\n"
+    )
+    assert private_imports(tree) == [
+        "line 1: imports _draw_echelon", "line 3: uses formats._decimal_exact",
+    ]
+
+
+def test_no_module_imports_a_private_sibling_name():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    offences = {
+        path.name: hits for path in modules
+        if (hits := private_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offences == {}
