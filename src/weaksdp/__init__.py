@@ -24,6 +24,7 @@ from .linalg import (
     is_positive_definite,
     psd_certify,
     random_unimodular,
+    schur_complement,
     solve_linear,
 )
 from .prng import SplitMix64, derive_seed

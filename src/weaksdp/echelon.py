@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Matrix, SymMatrix, SymBuilder, congruence, inner, rational
-from .linalg import is_positive_definite, psd_certify
+from .linalg import is_positive_definite, psd_certify, schur_complement
 
 _ZERO = Fraction(0)
 
@@ -383,9 +383,16 @@ def asymptote_witness(
     """Build an exact PSD matrix within `eps` of the affine constraint set.
 
     delta is the largest power of 1/2 whose diagonal padding on the uncovered
-    indices has squared norm at most eps^2; each gamma_i doubles from 1 until
-    the accumulated trailing principal block is exactly positive definite.
-    Both loops terminate, and every comparison is an exact rational one.
+    indices has squared norm at most eps^2. Levels run from i = l down to 1.
+    The trailing block S of the accumulated matrix (indices of P_{i+1}, ...,
+    P_{l+1} and the uncovered ones) is already positive definite: at the first
+    level it is the pivot diagonal of X_{l+1} plus the padding, later the
+    previous level proved it. On P_i and S, X_i is only its pivot diagonal
+    D_i, so the block over P_i and S is positive definite iff the Schur
+    complement of S onto P_i plus gamma_i D_i is. gamma_i doubles from 1 until
+    that |P_i|-sized test passes, which is the same least power of two as
+    testing the whole block. Every comparison is an exact rational one, and
+    the finished matrix is PSD-certified once more.
     """
     eps = rational(eps)
     if eps <= 0:
@@ -411,15 +418,17 @@ def asymptote_witness(
 
     current = xseq[-1].add(x_delta)
     gammas: list[Fraction] = []
-    trailing = set(rest) | set(structure.blocks[ell])
+    trailing = sorted(set(rest) | set(structure.blocks[ell]))
     for i in range(ell, 0, -1):
-        trailing |= structure.blocks[i - 1]
-        lead = sorted(trailing)
+        block = sorted(structure.blocks[i - 1])
+        complement = schur_complement(current, trailing, block)
+        pivots = xseq[i - 1].principal(block)
         gamma = Fraction(1)
-        while not is_positive_definite(current.add(xseq[i - 1].scale(gamma)).principal(lead)):
+        while not is_positive_definite(complement.add(pivots.scale(gamma))):
             gamma *= 2
         current = current.add(xseq[i - 1].scale(gamma))
         gammas.append(gamma)
+        trailing = sorted(trailing + block)
     gammas.reverse()
 
     verdict = psd_certify(current)

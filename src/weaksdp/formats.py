@@ -161,7 +161,10 @@ def read_sdpa(path) -> SdpInstance:
     nblocks = parse_int(blk_text.split()[0], no_blk, "block count")
     if nblocks != 1:
         raise SdpaFormatError(f"only single-block files are supported, got {nblocks}", no_blk)
-    n = abs(parse_int(size_text.split()[0], no_size, "block size"))
+    n = parse_int(size_text.split()[0], no_size, "block size")
+    if n < 1:
+        # a negative size is a diagonal (LP) block, which has no PSD reading
+        raise SdpaFormatError(f"block size must be a positive PSD order, got {n}", no_size)
     if m == 0:
         b: tuple[Fraction, ...] = ()
         body = numbered[3:]

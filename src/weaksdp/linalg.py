@@ -1,5 +1,5 @@
-"""Exact linear algebra: elimination, determinants, PSD certification, and
-random unimodular matrices.
+"""Exact linear algebra: elimination, Schur complements, determinants, PSD
+certification, and random unimodular matrices.
 
 The PSD decision here is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a
@@ -240,6 +240,36 @@ def is_positive_definite(a: SymMatrix) -> bool:
     """Exact positive-definiteness: PSD with all pivots strictly positive."""
     verdict = psd_certify(a)
     return verdict.is_psd and all(d > 0 for d in verdict.diag)
+
+
+def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]) -> SymMatrix:
+    """The complement A_KK - A_KE A_EE^{-1} A_EK of the `eliminate` block.
+
+    Symmetric Gaussian elimination of the `eliminate` indices (1-based, in the
+    given order) on the principal block over eliminate + keep; every pivot
+    must be positive, so success also proves A_EE positive definite. Raises
+    ValueError on a non-positive pivot. Row and column t of the result belong
+    to index keep[t].
+    """
+    order = list(eliminate) + list(keep)
+    size, first = len(order), len(eliminate)
+    # only the upper triangle (s >= r) of the working rows is kept current
+    w = [[a.at(r, s) for s in order] for r in order]
+    for p in range(first):
+        row_p = w[p]
+        d = row_p[p]
+        if not d > 0:
+            raise ValueError(f"non-positive pivot {d} at index {order[p]}")
+        for r in range(p + 1, size):
+            f = row_p[r] / d
+            if f != 0:
+                row_r = w[r]
+                for s in range(r, size):
+                    row_r[s] -= f * row_p[s]
+    return SymMatrix(
+        size - first,
+        tuple(w[r][s] for r in range(first, size) for s in range(r, size)),
+    )
 
 
 def random_unimodular(n: int, seed: int, ops_budget: int, magnitude_cap: int) -> Matrix:

@@ -96,3 +96,36 @@ def rational_grid(span=2, denominator=1):
     """Small deterministic grid of rational points for exact searches."""
     values = [Fraction(p, denominator) for p in range(-span * denominator, span * denominator + 1)]
     return list(product(values, values))
+
+
+def witness_by_full_doubling(inst, xseq, structure, eps):
+    """Reference asymptote witness: each gamma_i doubles from 1 until the whole
+    accumulated principal block over P_i, ..., P_{l+1} and the uncovered
+    indices is positive definite, with one full PSD test per doubling.
+
+    This is the direct form of the argument, with no Schur complement; the
+    package's `asymptote_witness` must return exactly the same witness."""
+    from weaksdp import AsymptoteWitness, SymMatrix, is_positive_definite
+
+    eps = Fraction(eps)
+    rest = sorted(structure.residual())
+    delta = Fraction(0)
+    x_delta = SymMatrix.zeros(inst.n)
+    if rest:
+        delta = Fraction(1)
+        while len(rest) * delta * delta > eps * eps:
+            delta /= 2
+        x_delta = SymMatrix.diag([delta if r in rest else 0 for r in range(1, inst.n + 1)])
+    current = xseq[-1].add(x_delta)
+    lead = set(rest) | set(structure.blocks[-1])
+    gammas = []
+    for i in range(len(xseq) - 1, 0, -1):
+        lead |= structure.blocks[i - 1]
+        gamma = Fraction(1)
+        while not is_positive_definite(current.add(xseq[i - 1].scale(gamma)).principal(lead)):
+            gamma *= 2
+        current = current.add(xseq[i - 1].scale(gamma))
+        gammas.append(gamma)
+    return AsymptoteWitness(
+        x_out=current, x_delta=x_delta, gammas=tuple(reversed(gammas)), delta=delta
+    )

@@ -4,6 +4,7 @@ import pytest
 
 from weaksdp import (
     EchelonSequence,
+    GenConfig,
     SdpInstance,
     Structure,
     SymBuilder,
@@ -13,8 +14,11 @@ from weaksdp import (
     check_not_strong_cert,
     check_strong_infeasibility_cert,
     frobenius_norm_squared,
+    generate,
     infer_structure,
+    large_certificate,
     me_instance,
+    motzkin_certificate,
     motzkin_prefix_length,
     motzkin_sos,
     propagate_zero_rows,
@@ -23,7 +27,7 @@ from weaksdp import (
 )
 from weaksdp.paper_instances import motzkin_monomial_groups
 
-from oracles import rational_grid, search_strong_infeasibility_multiplier
+from oracles import rational_grid, search_strong_infeasibility_multiplier, witness_by_full_doubling
 
 
 def sym(rows):
@@ -218,6 +222,48 @@ class TestAsymptoteWitness:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             asymptote_witness(ME_CLEAN, ME_X, blocks(2, {2}, set()), 0)
+
+
+CRITERION_7_TOLERANCES = (Fraction(1), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+
+# (n, l, overlap policy): l = 1..5, n up to 20, both policies, sized so the
+# full-doubling reference stays within a few seconds in total
+ORACLE_CONFIGS = (
+    (20, 1, "disjoint-only"),
+    (20, 1, "overlapping-allowed"),
+    (12, 2, "disjoint-only"),
+    (12, 2, "overlapping-allowed"),
+    (12, 3, "disjoint-only"),
+    (6, 3, "overlapping-allowed"),
+    (6, 4, "disjoint-only"),
+    (6, 4, "overlapping-allowed"),
+    (6, 5, "overlapping-allowed"),
+)
+
+
+def _assert_matches_full_doubling(inst, xseq, structure):
+    for eps in CRITERION_7_TOLERANCES:
+        assert asymptote_witness(inst, xseq, structure, eps) == witness_by_full_doubling(
+            inst, xseq, structure, eps
+        )
+
+
+@pytest.mark.parametrize("n, l, policy", ORACLE_CONFIGS)
+def test_witness_matches_full_doubling_on_generated(n, l, policy):
+    instance = generate(GenConfig(n=n, m=l + 3, k=1, l=l, seed=77 * l + n, entry_range=3,
+                                  structure_overlap_policy=policy))
+    _assert_matches_full_doubling(instance.clean, instance.xseq, instance.q_structure)
+
+
+@pytest.mark.parametrize("make_cert", [
+    lambda: me_instance()[1],
+    large_certificate,
+    motzkin_certificate,
+    lambda: motzkin_certificate(include_cubics=True),
+], ids=["me", "large", "motzkin", "motzkin-cubics"])
+def test_witness_matches_full_doubling_on_paper_certificates(make_cert):
+    cert = make_cert()
+    _assert_matches_full_doubling(cert.clean, cert.xseq, cert.q_structure)
 
 
 class TestNormalizeContradictionRow:

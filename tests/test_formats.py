@@ -115,6 +115,16 @@ class TestSdpa:
             read_sdpa(path)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("size", ["-3", "0"])
+    def test_non_positive_block_size_rejected(self, tmp_path, size):
+        # SDPA writes a diagonal (LP) block with a negative size; it must not
+        # be read as a dense PSD block of order |size|
+        path = tmp_path / "lp.dat-s"
+        path.write_text(f"* an LP block\n1\n1\n{size}\n1\n1 1 1 1 1\n")
+        with pytest.raises(SdpaFormatError) as err:
+            read_sdpa(path)
+        assert err.value.line == 4
+
     def test_lossy_flag_for_nonterminating_values(self, tmp_path):
         inst = SdpInstance(1, (SymMatrix.diag([Fraction(1, 3)]),), (0,))
         path = tmp_path / "lossy.dat-s"

@@ -8,9 +8,11 @@ from weaksdp import (
     SplitMix64,
     SymMatrix,
     determinant,
+    inverse,
     is_positive_definite,
     psd_certify,
     random_unimodular,
+    schur_complement,
     solve_linear,
 )
 
@@ -94,6 +96,51 @@ class TestPsdCertify:
     def test_positive_definite_distinguishes_singular(self):
         assert is_positive_definite(SymMatrix.from_rows([[2, 1], [1, 2]]))
         assert not is_positive_definite(SymMatrix.diag([1, 0]))
+
+
+class TestSchurComplement:
+    @staticmethod
+    def by_inverse(a: SymMatrix, eliminate, keep) -> SymMatrix:
+        """A_KK - A_KE inverse(A_EE) A_EK, formed with the general inverse."""
+        a_ke = a.submatrix(keep, eliminate)
+        product = a_ke @ inverse(a.submatrix(eliminate, eliminate)) @ a_ke.transpose()
+        return SymMatrix.from_rows((a.submatrix(keep, keep) - product).to_rows())
+
+    @given(st.lists(small_fractions, min_size=20, max_size=20),
+           st.permutations([1, 2, 3, 4, 5]), st.integers(1, 4))
+    @settings(max_examples=80)
+    def test_matches_inverse_formula(self, entries, order, split):
+        # B^T B + I is positive definite, so every elimination order succeeds
+        b = Matrix(4, 5, tuple(entries))
+        a = SymMatrix.from_rows((b.transpose() @ b + Matrix.identity(5)).to_rows())
+        eliminate, keep = order[:split], sorted(order[split:])
+        assert schur_complement(a, eliminate, keep) == self.by_inverse(a, eliminate, keep)
+
+    def test_non_integer_example(self):
+        a = SymMatrix.from_rows([
+            [Fraction(3, 2), Fraction(1, 3), Fraction(-1, 4)],
+            [Fraction(1, 3), Fraction(5, 7), Fraction(2, 5)],
+            [Fraction(-1, 4), Fraction(2, 5), Fraction(9, 4)],
+        ])
+        got = schur_complement(a, [1], [2, 3])
+        assert got == self.by_inverse(a, [1], [2, 3])
+        assert got.at(1, 1) == Fraction(5, 7) - Fraction(1, 9) / Fraction(3, 2)
+
+    @pytest.mark.parametrize("pivot", [0, -1, Fraction(-1, 3)])
+    def test_non_positive_pivot_rejected(self, pivot):
+        a = SymMatrix.from_rows([[2, 1, 0], [1, pivot, 1], [0, 1, 3]])
+        with pytest.raises(ValueError):
+            schur_complement(a, [2], [1, 3])
+
+    def test_pivot_turned_non_positive_by_elimination_rejected(self):
+        # the second pivot is 1 - 2 * 2 / 4 = 0 only after the first step
+        a = SymMatrix.from_rows([[4, 2, 0], [2, 1, 0], [0, 0, 1]])
+        with pytest.raises(ValueError):
+            schur_complement(a, [1, 2], [3])
+
+    def test_empty_elimination_is_principal_block(self):
+        a = SymMatrix.from_rows([[1, Fraction(1, 2), 3], [Fraction(1, 2), -2, 0], [3, 0, 5]])
+        assert schur_complement(a, [], [1, 3]) == a.principal([1, 3])
 
 
 class TestRandomUnimodular:
