@@ -38,7 +38,7 @@ EXIT_IO = 3
 def _rational_flag(text: str):
     try:
         return rational(text)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})") from exc
 
 

@@ -2,7 +2,10 @@
 
 All certification arithmetic in this package is exact: scalars are
 `fractions.Fraction` values (re-exported as `Rational`), matrices are dense
-tuples of them, and no floating point enters any verification path. Matrix
+tuples of them, and no floating point enters any verification path. The
+product and inner-product kernels compute on Python ints: each operand is
+written as integer numerators over one common denominator, and the result is
+turned back into `Fraction`s once, so storage and API stay `Fraction`. Matrix
 entries are addressed with 1-based indices via ``at(i, j)``, matching the
 1-based index sets used for block structures, so a single indexing convention
 runs through structures, matrices and emitted file formats.
@@ -15,7 +18,10 @@ produces the immutable result.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -23,35 +29,44 @@ Rational = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def rational(value) -> Fraction:
-    """Coerce ints, Fractions, and strings like ``-3/7`` or ``1.25`` to a Rational.
+    """Coerce ints, Fractions, and strings ``p`` or ``p/q`` like ``-3/7`` to a Rational.
 
-    Floats are rejected on purpose: binary rounding must never leak into the
-    exact pipeline silently.
+    Strings follow one strict ASCII grammar, ``-?[0-9]+(/[0-9]+)?`` with a
+    non-zero denominator; decimals, exponents, spaces and underscores are
+    rejected with ValueError. Floats and bools are rejected with TypeError:
+    binary rounding must never leak into the exact pipeline silently.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if match is None or match[2] and int(match[2]) == 0:
+            raise ValueError(f"not an exact rational p or p/q with q != 0: {value!r}")
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _int_values(entries: Sequence[Fraction]) -> list[int] | None:
-    """Return plain ints when every entry has denominator 1, else None.
+def _over_common_denominator(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator, the lcm of the entries'.
 
-    Integer data is the common case for generated instances; dropping to raw
-    int arithmetic makes the O(n^3) kernels an order of magnitude faster than
-    Fraction arithmetic while staying exact.
+    ``entries[i] == nums[i] / den`` for the returned ``(nums, den)``, so the
+    O(n^3) kernels run on plain ints and divide once at the end, exactly.
     """
-    out = []
-    for q in entries:
-        if q.denominator != 1:
-            return None
-        out.append(q.numerator)
-    return out
+    ratios = [q.as_integer_ratio() for q in entries]
+    den = lcm(*(d for _, d in ratios))
+    return [p * (den // d) for p, d in ratios], den
+
+
+def _int_product(a: list[int], b: list[int], n: int, k: int, m: int) -> list[int]:
+    """Row-major product of row-major integer matrices a (n x k) and b (k x m)."""
+    cols = [b[j::m] for j in range(m)]
+    return [sum(map(mul, a[i * k : (i + 1) * k], col)) for i in range(n) for col in cols]
 
 
 class Matrix:
@@ -110,29 +125,10 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         n, k, m = self.rows, self.cols, other.cols
-        a = _int_values(self._e)
-        b = _int_values(other._e)
-        if a is not None and b is not None:
-            flat = [0] * (n * m)
-            for i in range(n):
-                arow = a[i * k : (i + 1) * k]
-                base = i * m
-                for t in range(k):
-                    av = arow[t]
-                    if av:
-                        brow = b[t * m : (t + 1) * m]
-                        for j in range(m):
-                            flat[base + j] += av * brow[j]
-            return Matrix(n, m, tuple(Fraction(v) for v in flat))
-        flat_q = [_ZERO] * (n * m)
-        for i in range(n):
-            base = i * m
-            for t in range(k):
-                av = self._e[i * k + t]
-                if av:
-                    for j in range(m):
-                        flat_q[base + j] += av * other._e[t * m + j]
-        return Matrix(n, m, tuple(flat_q))
+        a, da = _over_common_denominator(self._e)
+        b, db = _over_common_denominator(other._e)
+        den = da * db
+        return Matrix(n, m, tuple(Fraction(v, den) for v in _int_product(a, b, n, k, m)))
 
     def mul_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
@@ -268,9 +264,7 @@ class SymMatrix:
         return all(v == 0 for v in self._u)
 
     def denominator_lcm(self) -> int:
-        from math import lcm
-
-        return lcm(1, *(v.denominator for v in self._u)) if self._u else 1
+        return _over_common_denominator(self._u)[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.n == other.n and self._u == other._u
@@ -338,25 +332,12 @@ def inner(a: SymMatrix, b: SymMatrix) -> Fraction:
     if a.n != b.n:
         raise ValueError("order mismatch")
     n = a.n
-    ai = _int_values(a._u)
-    bi = _int_values(b._u)
-    if ai is not None and bi is not None:
-        total = 0
-        pos = 0
-        for i in range(n):
-            total += ai[pos] * bi[pos]
-            for off in range(1, n - i):
-                total += 2 * ai[pos + off] * bi[pos + off]
-            pos += n - i
-        return Fraction(total)
-    total_q = _ZERO
-    pos = 0
-    for i in range(n):
-        total_q += a._u[pos] * b._u[pos]
-        for off in range(1, n - i):
-            total_q += 2 * a._u[pos + off] * b._u[pos + off]
-        pos += n - i
-    return total_q
+    ai, da = _over_common_denominator(a._u)
+    bi, db = _over_common_denominator(b._u)
+    # the upper triangle counts each off-diagonal entry once: double all, then
+    # take the diagonal back off once
+    diagonal = sum(ai[p] * bi[p] for p in (_upper_offset(n, i, i) for i in range(1, n + 1)))
+    return Fraction(2 * sum(map(mul, ai, bi)) - diagonal, da * db)
 
 
 def inner_general(m: Matrix, y: Matrix) -> Fraction:
@@ -374,10 +355,15 @@ def congruence(a: SymMatrix, t: Matrix) -> SymMatrix:
     """
     if not t.is_square() or t.rows != a.n:
         raise ValueError("transform must be square of the same order")
-    product = t.transpose() @ (a.to_matrix() @ t)
     n = a.n
-    # exact arithmetic: the result is symmetric identically, take the upper triangle
-    return SymMatrix(
-        n,
-        tuple(product._e[(i - 1) * n + (j - 1)] for i in range(1, n + 1) for j in range(i, n + 1)),
-    )
+    ai, da = _over_common_denominator(a.to_matrix()._e)
+    ti, dt = _over_common_denominator(t._e)
+    # T^T (A T) is symmetric identically: form A T, then only the upper
+    # triangle of the outer product, entry (i, j) = column i of T . column j of A T
+    at = _int_product(ai, ti, n, n, n)
+    at_cols = [at[j::n] for j in range(n)]
+    t_cols = [ti[i::n] for i in range(n)]
+    den = da * dt * dt
+    return SymMatrix(n, tuple(
+        Fraction(sum(map(mul, t_cols[i], at_cols[j])), den) for i in range(n) for j in range(i, n)
+    ))

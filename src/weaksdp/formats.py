@@ -11,6 +11,7 @@ here contains timestamps, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -139,8 +140,16 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+# covers every value `write_sdpa` emits: an optional minus, digits, optional decimals
+_SDPA_VALUE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+
+
 def read_sdpa(path) -> SdpInstance:
-    """Parse a single-block SDPA sparse file back into an instance."""
+    """Parse a single-block SDPA sparse file back into an instance.
+
+    Values must be plain decimals, ``-?[0-9]+(.[0-9]+)?``: no exponent, no
+    fraction, no sign other than a leading minus.
+    """
     raw_lines = Path(path).read_text(encoding="ascii").splitlines()
     numbered = [
         (no, line.strip())
@@ -155,6 +164,14 @@ def read_sdpa(path) -> SdpInstance:
             return int(text)
         except ValueError:
             raise SdpaFormatError(f"expected integer {what}, got {text!r}", line_no) from None
+
+    def parse_value(text: str, line_no: int) -> Fraction:
+        if _SDPA_VALUE.fullmatch(text) is None:
+            raise SdpaFormatError(f"malformed value {text!r}, expected a plain decimal", line_no)
+        try:
+            return Fraction(text)
+        except ValueError:  # more digits than int() converts
+            raise SdpaFormatError(f"value of {len(text)} characters is too long", line_no) from None
 
     (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = numbered[:3]
     m = parse_int(m_text, no_m, "constraint count")
@@ -175,10 +192,7 @@ def read_sdpa(path) -> SdpInstance:
         b_fields = b_text.split()
         if len(b_fields) != m:
             raise SdpaFormatError(f"expected {m} right-hand side values, got {len(b_fields)}", no_b)
-        try:
-            b = tuple(Fraction(f) for f in b_fields)
-        except ValueError:
-            raise SdpaFormatError("malformed right-hand side value", no_b) from None
+        b = tuple(parse_value(f, no_b) for f in b_fields)
         body = numbered[4:]
 
     grids = [[[Fraction(0)] * n for _ in range(n)] for _ in range(m)]
@@ -190,10 +204,7 @@ def read_sdpa(path) -> SdpInstance:
         blkno = parse_int(fields[1], line_no, "block number")
         i = parse_int(fields[2], line_no, "row")
         j = parse_int(fields[3], line_no, "column")
-        try:
-            value = Fraction(fields[4])
-        except ValueError:
-            raise SdpaFormatError(f"malformed value {fields[4]!r}", line_no) from None
+        value = parse_value(fields[4], line_no)
         if matno == 0:
             continue  # objective entries are irrelevant to the feasibility system
         if not (1 <= matno <= m):

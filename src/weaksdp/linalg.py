@@ -1,6 +1,9 @@
 """Exact linear algebra: elimination, Schur complements, determinants, PSD
 certification, and random unimodular matrices.
 
+`solve_linear`, `determinant` and `inverse` share one Gauss-Jordan reduction
+over `Fraction`s.
+
 The PSD decision here is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a
 negative verdict carries an explicit rational vector w with w^T A w < 0. Both
@@ -29,8 +32,40 @@ class LinearSolution:
     nullspace: tuple[tuple[Fraction, ...], ...]
 
 
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Reduce `rows` in place to reduced row echelon form on the first `ncols` columns.
+
+    Row operations act on whole rows, so columns beyond `ncols` (a right-hand
+    side, an identity block) are carried along. Returns the pivot columns and
+    the signed product of the pivots, the sign flipped once per row swap: for
+    a square matrix at full rank that product is its determinant.
+    """
+    pivot_cols: list[int] = []
+    product = _ONE
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            product = -product
+        # rows r.. are zero left of column c, so row operations start at c
+        pivot = rows[r]
+        pv = pivot[c]
+        product *= pv
+        pivot[c:] = [v / pv for v in pivot[c:]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != 0:
+                row[c:] = [v - f * w for v, w in zip(row[c:], pivot[c:])]
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols, product
+
+
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution | None:
-    """Solve A x = b exactly by Gauss-Jordan elimination.
+    """Solve A x = b exactly by Gauss-Jordan elimination of [A | b].
 
     Returns a particular solution plus a rational nullspace basis when the
     system is consistent, and None when it is infeasible.
@@ -39,24 +74,9 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution | None:
         raise ValueError("right-hand side length does not match row count")
     rows = [list(a.row(i)) + [Fraction(b[i - 1])] for i in range(1, a.rows + 1)]
     ncols = a.cols
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
+    pivot_cols, _ = _gauss_jordan(rows, ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivot_cols):]):
+        return None
     particular = [_ZERO] * ncols
     for row_idx, c in enumerate(pivot_cols):
         particular[c] = rows[row_idx][ncols]
@@ -72,45 +92,21 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution | None:
 
 
 def determinant(a: Matrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
+    """Exact determinant: the signed pivot product of Gauss-Jordan elimination."""
     if not a.is_square():
         raise ValueError("determinant requires a square matrix")
-    n = a.rows
-    rows = [list(a.row(i)) for i in range(1, n + 1)]
-    det = _ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det *= pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
-    return det
+    pivot_cols, product = _gauss_jordan([list(a.row(i)) for i in range(1, a.rows + 1)], a.cols)
+    return product if len(pivot_cols) == a.rows else _ZERO
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises ValueError on singular input."""
+    """Exact inverse by Gauss-Jordan elimination of [A | I]; raises ValueError on singular input."""
     if not a.is_square():
         raise ValueError("inverse requires a square matrix")
     n = a.rows
     rows = [list(a.row(i)) + [_ONE if j == i - 1 else _ZERO for j in range(n)] for i in range(1, n + 1)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-        pv = rows[c][c]
-        rows[c] = [v / pv for v in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
+    if len(_gauss_jordan(rows, n)[0]) < n:
+        raise ValueError("matrix is singular")
     return Matrix(n, n, tuple(rows[i][n + j] for i in range(n) for j in range(n)))
 
 

@@ -129,3 +129,51 @@ def witness_by_full_doubling(inst, xseq, structure, eps):
     return AsymptoteWitness(
         x_out=current, x_delta=x_delta, gammas=tuple(reversed(gammas)), delta=delta
     )
+
+
+def matmul_by_fractions(a, b):
+    """Reference product of two `Matrix` values, one `Fraction` multiply-add at
+    a time: the kernel loop the package ran before its integer-numerator path."""
+    from weaksdp import Matrix
+
+    n, k, m = a.rows, a.cols, b.cols
+    flat = [Fraction(0)] * (n * m)
+    for i in range(n):
+        for t in range(k):
+            av = a.at(i + 1, t + 1)
+            if av:
+                for j in range(m):
+                    flat[i * m + j] += av * b.at(t + 1, j + 1)
+    return Matrix(n, m, tuple(flat))
+
+
+def inner_by_fractions(a, b):
+    """Reference trace inner product of two `SymMatrix` values over the upper
+    triangle, off-diagonal terms doubled, in `Fraction` arithmetic."""
+    total = Fraction(0)
+    for i in range(1, a.n + 1):
+        total += a.at(i, i) * b.at(i, i)
+        for j in range(i + 1, a.n + 1):
+            total += 2 * a.at(i, j) * b.at(i, j)
+    return total
+
+
+def congruence_by_fractions(a, t):
+    """Reference T^T A T as a `SymMatrix`, built from `matmul_by_fractions`."""
+    from weaksdp import SymMatrix
+
+    product = matmul_by_fractions(t.transpose(), matmul_by_fractions(a.to_matrix(), t))
+    return SymMatrix.from_rows(product.to_rows())
+
+
+def determinant_by_cofactors(rows):
+    """Reference determinant by Laplace expansion along the first row; no
+    elimination, no pivoting, so row swaps and singularity need no special case."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        ((-1) ** j * Fraction(rows[0][j])
+         * determinant_by_cofactors([row[:j] + row[j + 1:] for row in rows[1:]])
+         for j in range(len(rows))),
+        Fraction(0),
+    )

@@ -125,6 +125,14 @@ def test_parse_error_is_io_error(tmp_path):
     assert main(["verify", str(bad)]) == 3
 
 
+def test_zero_denominator_is_parse_error(me_bundle, capsys):
+    doc = json.loads(me_bundle.read_text())
+    doc["instance"]["b"][0] = "1/0"
+    me_bundle.write_text(json.dumps(doc))
+    assert main(["verify", str(me_bundle)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_witness_requires_certificate(tmp_path):
     raw, _, _ = large_instance()
     path = tmp_path / "nocert.wsdp"

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import congruence_by_fractions, inner_by_fractions, matmul_by_fractions
 from weaksdp import (
     Matrix,
     SymBuilder,
@@ -22,6 +23,27 @@ small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 def sym(rows):
     return SymMatrix.from_rows(rows)
+
+
+def entry_lists(size):
+    """`size` entries, either all integers or with mixed denominators."""
+    return st.sampled_from([small_ints, small_fractions]).flatmap(
+        lambda entries: st.lists(entries, min_size=size, max_size=size)
+    )
+
+
+@st.composite
+def kernel_operands(draw):
+    """A product pair of shapes (n, k) x (k, m), plus two symmetric matrices
+    and a square transform of one order; every dimension may be 0."""
+    n, k, m, order = (draw(st.integers(0, 4)) for _ in range(4))
+    a = Matrix(n, k, tuple(Fraction(v) for v in draw(entry_lists(n * k))))
+    b = Matrix(k, m, tuple(Fraction(v) for v in draw(entry_lists(k * m))))
+    half = order * (order + 1) // 2
+    x = SymMatrix(order, tuple(Fraction(v) for v in draw(entry_lists(half))))
+    y = SymMatrix(order, tuple(Fraction(v) for v in draw(entry_lists(half))))
+    t = Matrix(order, order, tuple(Fraction(v) for v in draw(entry_lists(order * order))))
+    return a, b, x, y, t
 
 
 class TestRational:
@@ -43,6 +65,20 @@ class TestRational:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             rational(0.5)
+
+    def test_bools_rejected(self):
+        with pytest.raises(TypeError):
+            rational(True)
+
+    @pytest.mark.parametrize("text", ["1/0", "1e100000", "2.0", " 2_0 ", "+1", "1/-2", "\u0663", "7\n"])
+    def test_strings_outside_the_grammar_rejected(self, text):
+        with pytest.raises(ValueError):
+            rational(text)
+
+    @pytest.mark.parametrize("text, value", [("-0", 0), ("12", 12), ("-3/6", Fraction(-1, 2)),
+                                             ("1/02", Fraction(1, 2))])
+    def test_strings_in_the_grammar_accepted(self, text, value):
+        assert rational(text) == value
 
 
 class TestInner:
@@ -112,12 +148,22 @@ class TestMatrixBasics:
         with pytest.raises(IndexError):
             m.at(0, 1)
 
-    def test_matmul_int_and_fraction_paths_agree(self):
+    @given(kernel_operands())
+    @settings(max_examples=150)
+    def test_matmul_int_and_fraction_paths_agree(self, operands):
         a = Matrix.from_rows([[1, 2], [3, 4]])
         b = Matrix.from_rows([[5, 6], [7, 8]])
         c = Matrix.from_rows([[Fraction(1, 2), 2], [3, 4]])
         assert (a @ b).to_rows() == [[19, 22], [43, 50]]
         assert (c @ b).at(1, 1) == Fraction(5, 2) + 14
+        # the integer-numerator kernels against plain Fraction loops
+        a, b, x, y, t = operands
+        product = a @ b
+        assert product == matmul_by_fractions(a, b)
+        assert all(type(v) is Fraction for row in product.to_rows() for v in row)
+        assert inner(x, y) == inner_by_fractions(x, y)
+        assert type(inner(x, y)) is Fraction
+        assert congruence(x, t) == congruence_by_fractions(x, t)
 
     def test_inner_general_is_trace_of_product(self):
         m = Matrix.from_rows([[1, 2, 0], [0, 1, -1]])

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,6 +126,25 @@ class TestSdpa:
             read_sdpa(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("value", ["1/0", "1/3", "1e3", "1E-2", "+1", ".5", "1.", "inf",
+                                       "nan", "1_0", "0x10",
+                                       pytest.param("1" * 5000, id="5000-digits")])
+    @pytest.mark.parametrize("where", ["rhs", "entry"])
+    def test_value_outside_decimal_grammar_rejected(self, tmp_path, value, where):
+        rhs, entry = (value, "1") if where == "rhs" else ("1", value)
+        path = tmp_path / "bad.dat-s"
+        path.write_text(f"1\n1\n2\n{rhs}\n1 1 1 1 {entry}\n")
+        with pytest.raises(SdpaFormatError) as err:
+            read_sdpa(path)
+        assert err.value.line == (4 if where == "rhs" else 5)
+
+    def test_decimal_values_read_exactly(self, tmp_path):
+        path = tmp_path / "dec.dat-s"
+        path.write_text("1\n1\n2\n-0.125\n1 1 1 2 2.50\n")
+        inst = read_sdpa(path)
+        assert inst.b == (Fraction(-1, 8),)
+        assert inst.A[0].at(2, 1) == Fraction(5, 2)
+
     def test_lossy_flag_for_nonterminating_values(self, tmp_path):
         inst = SdpInstance(1, (SymMatrix.diag([Fraction(1, 3)]),), (0,))
         path = tmp_path / "lossy.dat-s"
@@ -198,6 +218,21 @@ class TestNative:
         with pytest.raises(NativeFormatError) as err:
             read_native(path)
         assert "line" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["1/0", "1e100000", "2.0", " 2_0 "])
+    @pytest.mark.parametrize("where", ["instance", "x_sequence"])
+    def test_number_outside_rational_grammar_rejected(self, tmp_path, text, where):
+        raw, cert = me_instance()
+        path = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert), path)
+        doc = json.loads(path.read_text())
+        if where == "instance":
+            doc["instance"]["b"][0] = text
+        else:
+            doc["certificate"]["x_sequence"][0][0][0] = text
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NativeFormatError):
+            read_native(path)
 
     def test_mismatched_certificate_rejected(self):
         raw, cert = me_instance()

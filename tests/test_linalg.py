@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import determinant_by_cofactors
 from weaksdp import (
     Matrix,
     SplitMix64,
@@ -17,6 +18,16 @@ from weaksdp import (
 )
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+
+
+@st.composite
+def square_matrices(draw, max_order=4):
+    """Square matrices of order 0..max_order; entries in {-1, 0, 1} half the
+    time, so singular matrices and zero leading pivots come up often."""
+    n = draw(st.integers(0, max_order))
+    entries = draw(st.sampled_from([st.integers(-1, 1), small_fractions]))
+    return Matrix(n, n, tuple(Fraction(v) for v in draw(st.lists(entries, min_size=n * n,
+                                                                       max_size=n * n))))
 
 
 def quad_form(a: SymMatrix, v) -> Fraction:
@@ -45,6 +56,59 @@ class TestSolveLinear:
         for basis_vec in sol.nullspace:
             combined = tuple(p + q for p, q in zip(sol.particular, basis_vec))
             assert a.mul_vec(combined) == tuple(Fraction(v) for v in rhs)
+
+
+    @given(st.lists(small_fractions, min_size=8, max_size=8),
+           st.lists(small_fractions, min_size=10, max_size=10),
+           st.lists(small_fractions, min_size=5, max_size=5))
+    @settings(max_examples=60)
+    def test_rank_deficient_consistent_system(self, left, right, x0):
+        # A = B C with B 4x2 and C 2x5 has rank at most 2, so at least three
+        # free columns; b = A x0 makes the system consistent
+        a = Matrix(4, 2, tuple(left)) @ Matrix(2, 5, tuple(right))
+        rhs = a.mul_vec(tuple(x0))
+        sol = solve_linear(a, rhs)
+        assert sol is not None
+        assert a.mul_vec(sol.particular) == rhs
+        assert len(sol.nullspace) >= 3
+        for basis_vec in sol.nullspace:
+            assert a.mul_vec(basis_vec) == (0, 0, 0, 0)
+
+
+class TestDeterminant:
+    @given(square_matrices())
+    @settings(max_examples=150)
+    def test_matches_cofactor_expansion(self, a):
+        assert determinant(a) == determinant_by_cofactors(a.to_rows())
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+        ([[0, 2, 1], [3, 0, 0], [0, 0, 5]], -30),
+        ([[0, 0, 0, 1], [0, 0, 2, 0], [0, 3, 0, 0], [4, 0, 0, 0]], 24),
+        ([[1, 2], [2, 4]], 0),
+        ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),
+        ([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 1, 0]], 0),
+    ])
+    def test_row_swaps_and_singular_cases(self, rows, expected):
+        assert determinant(Matrix.from_rows(rows)) == expected == determinant_by_cofactors(rows)
+
+
+class TestInverse:
+    @given(square_matrices())
+    @settings(max_examples=100)
+    def test_inverse_times_matrix_is_identity(self, a):
+        if determinant_by_cofactors(a.to_rows()) == 0:
+            with pytest.raises(ValueError):
+                inverse(a)
+            return
+        inv = inverse(a)
+        assert inv @ a == Matrix.identity(a.rows)
+        assert a @ inv == Matrix.identity(a.rows)
+
+    def test_fractional_example(self):
+        a = Matrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 4), Fraction(5, 7)]])
+        assert inverse(a) @ a == Matrix.identity(2)
 
 
 class TestPsdCertify:
