@@ -12,8 +12,10 @@ from .exact import (
     SymBuilder,
     SymMatrix,
     congruence,
+    congruences,
     inner,
     inner_general,
+    inners,
     rational,
 )
 from .linalg import (

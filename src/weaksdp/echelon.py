@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import Matrix, SymMatrix, SymBuilder, congruence, inner, rational
+from .exact import Matrix, SymMatrix, SymBuilder, congruences, inner, inners, rational
 from .linalg import is_positive_definite, psd_certify, schur_complement
 
 _ZERO = Fraction(0)
@@ -227,19 +227,13 @@ class SdpInstance:
 
     def apply(self, x: SymMatrix) -> tuple[Fraction, ...]:
         """The image (A_1 . X, ..., A_m . X)."""
-        return tuple(inner(mat, x) for mat in self.A)
+        return inners(self.A, x)
 
 
 def reformulated_rows(raw: SdpInstance, g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
     """Row i of the reformulated system, T^T (sum_j g_ij A_j) T, one row at a
     time, so that a check can stop at the first row that differs."""
-    for i in range(1, raw.m + 1):
-        combo = SymMatrix.zeros(raw.n)
-        for j in range(1, raw.m + 1):
-            gij = g.at(i, j)
-            if gij != 0:
-                combo = combo.add(raw.A[j - 1].scale(gij))
-        yield congruence(combo, t)
+    return congruences(raw.A, g, t)
 
 
 def reformulated(raw: SdpInstance, g: Matrix, t: Matrix) -> SdpInstance:
@@ -249,7 +243,8 @@ def reformulated(raw: SdpInstance, g: Matrix, t: Matrix) -> SdpInstance:
 
 def inner_product_matrix(inst: SdpInstance, xseq: Sequence[SymMatrix]) -> list[list[Fraction]]:
     """Table of A_i . X_j values, rows over constraints, columns over the sequence."""
-    return [[inner(mat, x) for x in xseq] for mat in inst.A]
+    columns = [inst.apply(x) for x in xseq]
+    return [[column[r] for column in columns] for r in range(inst.m)]
 
 
 def check_infeasibility_cert(inst: SdpInstance, k: int, structure: Structure) -> ValidationReport:
@@ -374,6 +369,22 @@ def frobenius_norm_squared(a: SymMatrix) -> Fraction:
     return inner(a, a)
 
 
+def _least_passing_power_of_two(passes) -> Fraction:
+    """The least 2^e, e >= 0, that `passes`, for a test monotone in e: gallop
+    e = 0, 1, 2, 4, ... to the first pass, then bisect down from it, so a
+    gamma of b bits costs O(log b) tests instead of b."""
+    failed, e = -1, 0
+    while not passes(Fraction(2**e)):
+        failed, e = e, max(1, 2 * e)
+    while e - failed > 1:
+        mid = (failed + e) // 2
+        if passes(Fraction(2**mid)):
+            e = mid
+        else:
+            failed = mid
+    return Fraction(2**e)
+
+
 def asymptote_witness(
     inst: SdpInstance,
     xseq: Sequence[SymMatrix],
@@ -389,10 +400,11 @@ def asymptote_witness(
     level it is the pivot diagonal of X_{l+1} plus the padding, later the
     previous level proved it. On P_i and S, X_i is only its pivot diagonal
     D_i, so the block over P_i and S is positive definite iff the Schur
-    complement of S onto P_i plus gamma_i D_i is. gamma_i doubles from 1 until
-    that |P_i|-sized test passes, which is the same least power of two as
-    testing the whole block. Every comparison is an exact rational one, and
-    the finished matrix is PSD-certified once more.
+    complement of S onto P_i plus gamma_i D_i is. gamma_i is the least power
+    of two for which that |P_i|-sized test passes, the same as for the whole
+    block; the test is monotone in gamma_i (D_i is positive), so the exponent
+    is found by galloping, then bisecting. Every comparison is an exact
+    rational one, and the finished matrix is PSD-certified once more.
     """
     eps = rational(eps)
     if eps <= 0:
@@ -423,9 +435,9 @@ def asymptote_witness(
         block = sorted(structure.blocks[i - 1])
         complement = schur_complement(current, trailing, block)
         pivots = xseq[i - 1].principal(block)
-        gamma = Fraction(1)
-        while not is_positive_definite(complement.add(pivots.scale(gamma))):
-            gamma *= 2
+        gamma = _least_passing_power_of_two(
+            lambda scale: is_positive_definite(complement.add(pivots.scale(scale)))
+        )
         current = current.add(xseq[i - 1].scale(gamma))
         gammas.append(gamma)
         trailing = sorted(trailing + block)
@@ -444,8 +456,5 @@ def check_strong_infeasibility_cert(inst: SdpInstance, y: Sequence) -> bool:
         raise ValueError("multiplier length does not match constraint count")
     if sum((yi * bi for yi, bi in zip(ys, inst.b)), _ZERO) != -1:
         return False
-    combo = SymMatrix.zeros(inst.n)
-    for yi, mat in zip(ys, inst.A):
-        if yi != 0:
-            combo = combo.add(mat.scale(yi))
+    combo = next(congruences(inst.A, Matrix(1, inst.m, tuple(ys)), Matrix.identity(inst.n)))
     return psd_certify(combo).is_psd

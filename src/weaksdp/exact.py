@@ -3,9 +3,16 @@
 All certification arithmetic in this package is exact: scalars are
 `fractions.Fraction` values (re-exported as `Rational`), matrices are dense
 tuples of them, and no floating point enters any verification path. The
-product and inner-product kernels compute on Python ints: each operand is
-written as integer numerators over one common denominator, and the result is
-turned back into `Fraction`s once, so storage and API stay `Fraction`. Matrix
+kernels compute on Python ints: each operand is written once as integer
+numerators over one common denominator, and each result entry is turned back
+into a `Fraction` once, so storage and API stay `Fraction`. Besides the
+matrix product there are two kernels. `inners(mats, x)` gives M . X for every
+M, converting X once (its off-diagonal entries doubled) and each M once;
+`inner` is its one-matrix case. `congruences(mats, g, t)` yields the rows
+T^T (sum_j g_ij M_j) T lazily, with the combination and the congruence both
+on ints; it is the one routine for "row-combine, then congruence" (the
+reformulation, the generator's projection and the alternative-system check,
+the last two with T = I), and `congruence` is its one-row case. Matrix
 entries are addressed with 1-based indices via ``at(i, j)``, matching the
 1-based index sets used for block structures, so a single indexing convention
 runs through structures, matrices and emitted file formats.
@@ -22,7 +29,7 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -324,20 +331,32 @@ class SymBuilder:
         return SymMatrix(self.n, tuple(upper))
 
 
+def inners(mats: Iterable[SymMatrix], x: SymMatrix) -> tuple[Fraction, ...]:
+    """Trace inner products M . X, one per M in `mats`, computed exactly.
+
+    X is converted to integer numerators once, its off-diagonal entries
+    doubled because the upper triangle holds each of them once; each M is
+    converted once.
+    """
+    n = x.n
+    diagonal = {_upper_offset(n, i, i) for i in range(1, n + 1)}
+    xi, dx = _over_common_denominator(x._u)
+    xi = [v if p in diagonal else 2 * v for p, v in enumerate(xi)]
+    products = []
+    for mat in mats:
+        if mat.n != n:
+            raise ValueError("order mismatch")
+        mi, dm = _over_common_denominator(mat._u)
+        products.append(Fraction(sum(map(mul, mi, xi)), dm * dx))
+    return tuple(products)
+
+
 def inner(a: SymMatrix, b: SymMatrix) -> Fraction:
     """Trace inner product of symmetric matrices: sum of entrywise products.
 
     Equals the trace of the ordinary matrix product, computed exactly.
     """
-    if a.n != b.n:
-        raise ValueError("order mismatch")
-    n = a.n
-    ai, da = _over_common_denominator(a._u)
-    bi, db = _over_common_denominator(b._u)
-    # the upper triangle counts each off-diagonal entry once: double all, then
-    # take the diagonal back off once
-    diagonal = sum(ai[p] * bi[p] for p in (_upper_offset(n, i, i) for i in range(1, n + 1)))
-    return Fraction(2 * sum(map(mul, ai, bi)) - diagonal, da * db)
+    return inners((a,), b)[0]
 
 
 def inner_general(m: Matrix, y: Matrix) -> Fraction:
@@ -347,23 +366,45 @@ def inner_general(m: Matrix, y: Matrix) -> Fraction:
     return sum((u * v for u, v in zip(m._e, y._e)), _ZERO)
 
 
-def congruence(a: SymMatrix, t: Matrix) -> SymMatrix:
-    """Congruence transform T^T A T, computed exactly.
+def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
+    """Row i = T^T (sum_j g_ij M_j) T for each row of G, yielded one at a time.
 
-    T must be square of the same order as A; invertibility is not checked here
-    (callers that need an invertible transform verify the determinant).
+    The stacked upper triangles of all M_j, G and T are each written once as
+    integer numerators over one common denominator; the row combination and
+    the congruence both run on ints, and each result entry becomes a Fraction
+    once. Rows are computed lazily, so a caller comparing them can stop at
+    the first that differs. T must be square of the order of the M_j;
+    invertibility is not checked here (callers that need an invertible
+    transform verify the determinant).
     """
-    if not t.is_square() or t.rows != a.n:
+    mats = tuple(mats)
+    n = t.rows
+    if not t.is_square() or any(mat.n != n for mat in mats):
         raise ValueError("transform must be square of the same order")
-    n = a.n
-    ai, da = _over_common_denominator(a.to_matrix()._e)
+    if g.cols != len(mats):
+        raise ValueError("coefficient count does not match matrix count")
+    k = len(mats)
+    half = n * (n + 1) // 2
+    stacked, dm = _over_common_denominator([v for mat in mats for v in mat._u])
+    across = [stacked[p::half] for p in range(half)]  # upper entry p of M_1..M_k
+    gi, dg = _over_common_denominator(g._e)
     ti, dt = _over_common_denominator(t._e)
-    # T^T (A T) is symmetric identically: form A T, then only the upper
-    # triangle of the outer product, entry (i, j) = column i of T . column j of A T
-    at = _int_product(ai, ti, n, n, n)
-    at_cols = [at[j::n] for j in range(n)]
+    full = [_upper_offset(n, min(r, c), max(r, c)) for r in range(1, n + 1) for c in range(1, n + 1)]
     t_cols = [ti[i::n] for i in range(n)]
-    den = da * dt * dt
-    return SymMatrix(n, tuple(
-        Fraction(sum(map(mul, t_cols[i], at_cols[j])), den) for i in range(n) for j in range(i, n)
-    ))
+    den = dm * dg * dt * dt
+    for row in range(g.rows):
+        coeffs = gi[row * k : (row + 1) * k]
+        combo = [sum(map(mul, coeffs, entry)) for entry in across]
+        # T^T (C T) is symmetric identically: form C T, then only the upper
+        # triangle of the outer product, entry (i, j) = column i of T . column j of C T
+        ct = _int_product([combo[p] for p in full], ti, n, n, n)
+        ct_cols = [ct[j::n] for j in range(n)]
+        yield SymMatrix(n, tuple(
+            Fraction(sum(map(mul, t_cols[i], ct_cols[j])), den) for i in range(n) for j in range(i, n)
+        ))
+
+
+def congruence(a: SymMatrix, t: Matrix) -> SymMatrix:
+    """Congruence transform T^T A T, computed exactly: the one-row case of
+    `congruences`."""
+    return next(congruences((a,), Matrix.identity(1), t))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .exact import Matrix, SymMatrix, rational
+from .exact import Matrix, SymBuilder, SymMatrix, rational
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
 
@@ -141,7 +141,7 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
 
 
 # covers every value `write_sdpa` emits: an optional minus, digits, optional decimals
-_SDPA_VALUE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+_SDPA_VALUE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
 
 
 def read_sdpa(path) -> SdpInstance:
@@ -166,12 +166,15 @@ def read_sdpa(path) -> SdpInstance:
             raise SdpaFormatError(f"expected integer {what}, got {text!r}", line_no) from None
 
     def parse_value(text: str, line_no: int) -> Fraction:
-        if _SDPA_VALUE.fullmatch(text) is None:
+        match = _SDPA_VALUE.fullmatch(text)
+        if match is None:
             raise SdpaFormatError(f"malformed value {text!r}, expected a plain decimal", line_no)
+        sign, whole, decimals = match.groups(default="")
         try:
-            return Fraction(text)
+            num = int(whole) * 10 ** len(decimals) + int(decimals or 0)
         except ValueError:  # more digits than int() converts
             raise SdpaFormatError(f"value of {len(text)} characters is too long", line_no) from None
+        return Fraction(-num if sign else num, 10 ** len(decimals))
 
     (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = numbered[:3]
     m = parse_int(m_text, no_m, "constraint count")
@@ -195,7 +198,7 @@ def read_sdpa(path) -> SdpInstance:
         b = tuple(parse_value(f, no_b) for f in b_fields)
         body = numbered[4:]
 
-    grids = [[[Fraction(0)] * n for _ in range(n)] for _ in range(m)]
+    builders = [SymBuilder(n) for _ in range(m)]
     for line_no, line in body:
         fields = line.split()
         if len(fields) != 5:
@@ -213,9 +216,8 @@ def read_sdpa(path) -> SdpInstance:
             raise SdpaFormatError(f"block number must be 1, got {blkno}", line_no)
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaFormatError(f"entry ({i},{j}) outside order {n}", line_no)
-        grids[matno - 1][i - 1][j - 1] = value
-        grids[matno - 1][j - 1][i - 1] = value
-    return SdpInstance(n, tuple(SymMatrix.from_rows(g) for g in grids), b)
+        builders[matno - 1].set(i, j, value)  # sets (i, j) and (j, i), the last line wins
+    return SdpInstance(n, tuple(builder.freeze() for builder in builders), b)
 
 
 def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
@@ -316,14 +318,37 @@ def write_native(bundle: NativeBundle, path) -> None:
     Path(path).write_text(json.dumps(bundle_to_json(bundle), indent=1) + "\n", encoding="ascii")
 
 
-def _parse_instance(doc: dict, where: str) -> SdpInstance:
+def _memo_rational():
+    """`rational` for one bundle, parsing each distinct string once.
+
+    Only `str` values are kept: JSON `true` and `1` hash alike, so a bool
+    must never find a cached entry.
+    """
+    parsed: dict[str, Fraction] = {}
+
+    def parse(value) -> Fraction:
+        if not isinstance(value, str):
+            return rational(value)
+        q = parsed.get(value)
+        if q is None:
+            q = parsed[value] = rational(value)
+        return q
+
+    return parse
+
+
+def _parse_instance(doc: dict, where: str, parse) -> SdpInstance:
     try:
         n = doc["n"]
-        b = tuple(rational(v) for v in doc["b"])
-        matrices = tuple(SymMatrix.from_rows(rows) for rows in doc["matrices"])
+        b = tuple(parse(v) for v in doc["b"])
+        matrices = tuple(SymMatrix.from_rows(_parsed_rows(rows, parse)) for rows in doc["matrices"])
         return SdpInstance(n, matrices, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise NativeFormatError(f"malformed instance in {where}: {exc}") from exc
+
+
+def _parsed_rows(rows, parse) -> list[list[Fraction]]:
+    return [[parse(v) for v in row] for row in rows]
 
 
 def read_native(path) -> NativeBundle:
@@ -334,19 +359,20 @@ def read_native(path) -> NativeBundle:
         raise NativeFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise NativeFormatError(f"unsupported schema {doc.get('schema') if isinstance(doc, dict) else None!r}, expected {SCHEMA!r}")
-    instance = _parse_instance(doc.get("instance", {}), "instance")
+    parse = _memo_rational()
+    instance = _parse_instance(doc.get("instance", {}), "instance", parse)
     cert_doc = doc.get("certificate")
     certificate = None
     if cert_doc is not None:
         try:
-            clean = _parse_instance(cert_doc["clean"], "certificate.clean")
+            clean = _parse_instance(cert_doc["clean"], "certificate.clean", parse)
             certificate = WeakCertificate(
                 raw=instance,
-                row_ops=Matrix.from_rows(cert_doc["row_ops"]),
-                transform=Matrix.from_rows(cert_doc["transform"]),
+                row_ops=Matrix.from_rows(_parsed_rows(cert_doc["row_ops"], parse)),
+                transform=Matrix.from_rows(_parsed_rows(cert_doc["transform"], parse)),
                 clean=clean,
                 k=cert_doc["k"],
-                xseq=tuple(SymMatrix.from_rows(rows) for rows in cert_doc["x_sequence"]),
+                xseq=tuple(SymMatrix.from_rows(_parsed_rows(rows, parse)) for rows in cert_doc["x_sequence"]),
                 p_structure=Structure(clean.n, tuple(frozenset(b) for b in cert_doc["p_blocks"])),
                 q_structure=Structure(clean.n, tuple(frozenset(b) for b in cert_doc["q_blocks"])),
             )

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from .exact import Matrix, SymMatrix, SymBuilder, inner, inner_general
+from .exact import Matrix, SymMatrix, SymBuilder, congruences, inner, inner_general, inners
 from .echelon import (
     SdpInstance,
     Structure,
@@ -314,13 +314,10 @@ def base_equations(
 
 
 def _clear_denominators(mat: SymMatrix) -> SymMatrix:
-    scale = mat.denominator_lcm()
-    mat = mat.scale(scale)
-    divisor = 0
-    for row in mat.to_rows():
-        for v in row:
-            divisor = gcd(divisor, v.numerator)
-    return mat.scale(Fraction(1, divisor)) if divisor > 1 else mat
+    """The positive multiple of a nonzero `mat` whose entries are coprime integers."""
+    den = mat.denominator_lcm()
+    numerators = [v.numerator * (den // v.denominator) for row in mat.to_rows() for v in row]
+    return mat.scale(Fraction(den, gcd(*numerators)))
 
 
 def extend_constraints(
@@ -339,10 +336,8 @@ def extend_constraints(
     n = cfg.n
     ell = len(xseq) - 1
     span = xseq[:ell]
-    gram = Matrix(
-        len(span), len(span),
-        tuple(inner(xs, xt) for xs in span for xt in span),
-    )
+    gram = Matrix(len(span), len(span), tuple(v for xs in span for v in inners(span, xs)))
+    identity = Matrix.identity(n)
     rng = SplitMix64(seed)
     extras: list[SymMatrix] = []
     b_extras: list[Fraction] = []
@@ -353,14 +348,12 @@ def extend_constraints(
                 for j in range(i, n + 1):
                     builder.set(i, j, rng.randint(-cfg.entry_range, cfg.entry_range))
             candidate = builder.freeze()
-            rhs = tuple(inner(xs, candidate) for xs in span)
-            solution = solve_linear(gram, rhs)
+            solution = solve_linear(gram, inners(span, candidate))
             if solution is None:
                 raise AssertionError("Gram matrix of an echelon sequence is nonsingular")
-            projected = candidate
-            for coeff, xs in zip(solution.particular, span):
-                if coeff != 0:
-                    projected = projected.sub(xs.scale(coeff))
+            # candidate - sum_s coeff_s X_s: one row of coefficients, T = identity
+            coeffs = Matrix(1, ell + 1, (Fraction(1),) + tuple(-c for c in solution.particular))
+            projected = next(congruences((candidate,) + span, coeffs, identity))
             if not projected.is_zero():
                 break
         projected = _clear_denominators(projected)

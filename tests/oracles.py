@@ -177,3 +177,20 @@ def determinant_by_cofactors(rows):
          for j in range(len(rows))),
         Fraction(0),
     )
+
+
+def reformulated_rows_by_fractions(mats, g, t):
+    """Reference rows T^T (sum_j g_ij M_j) T, one per row of G: the combination
+    by `SymMatrix` `scale`/`add` in `Fraction` arithmetic, the loop the package
+    ran before its integer kernel, then `congruence_by_fractions`."""
+    from weaksdp import SymMatrix
+
+    rows = []
+    for i in range(1, g.rows + 1):
+        combo = SymMatrix.zeros(t.rows)
+        for j, mat in enumerate(mats, start=1):
+            gij = g.at(i, j)
+            if gij != 0:
+                combo = combo.add(mat.scale(gij))
+        rows.append(congruence_by_fractions(combo, t))
+    return rows

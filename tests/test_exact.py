@@ -4,14 +4,21 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import congruence_by_fractions, inner_by_fractions, matmul_by_fractions
+from oracles import (
+    congruence_by_fractions,
+    inner_by_fractions,
+    matmul_by_fractions,
+    reformulated_rows_by_fractions,
+)
 from weaksdp import (
     Matrix,
     SymBuilder,
     SymMatrix,
     congruence,
+    congruences,
     inner,
     inner_general,
+    inners,
     inverse,
     random_unimodular,
     rational,
@@ -44,6 +51,28 @@ def kernel_operands(draw):
     y = SymMatrix(order, tuple(Fraction(v) for v in draw(entry_lists(half))))
     t = Matrix(order, order, tuple(Fraction(v) for v in draw(entry_lists(order * order))))
     return a, b, x, y, t
+
+
+def sym_matrices(order, count):
+    half = order * (order + 1) // 2
+    return st.lists(entry_lists(half), min_size=count, max_size=count).map(
+        lambda uppers: tuple(SymMatrix(order, tuple(Fraction(v) for v in u)) for u in uppers)
+    )
+
+
+@st.composite
+def combination_operands(draw):
+    """k symmetric matrices of one order, an m x k coefficient matrix G in
+    which some rows may be all zero, and a square transform T; m, k and the
+    order each 0-4."""
+    order, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    mats = draw(sym_matrices(order, k))
+    coeffs = draw(entry_lists(m * k))
+    zero_rows = draw(st.sets(st.integers(0, 3)))
+    rows = [[0] * k if r in zero_rows else coeffs[r * k : (r + 1) * k] for r in range(m)]
+    g = Matrix(m, k, tuple(Fraction(v) for row in rows for v in row))
+    t = Matrix(order, order, tuple(Fraction(v) for v in draw(entry_lists(order * order))))
+    return mats, g, t
 
 
 class TestRational:
@@ -135,6 +164,64 @@ class TestCongruence:
         x = SymMatrix(3, tuple(Fraction(v) for v in ux))
         t = random_unimodular(3, seed, 8, 2)
         assert inner(congruence(a, t), x) == inner(a, congruence(x, t.transpose()))
+
+
+class TestCongruences:
+    @given(combination_operands())
+    @settings(max_examples=150)
+    def test_rows_match_fraction_reference(self, operands):
+        mats, g, t = operands
+        rows = list(congruences(mats, g, t))
+        assert rows == reformulated_rows_by_fractions(mats, g, t)
+        assert all(type(v) is Fraction for row in rows for line in row.to_rows() for v in line)
+
+    @given(st.integers(0, 4).flatmap(lambda order: st.integers(0, 4).flatmap(
+        lambda k: st.tuples(sym_matrices(order, k), entry_lists(k)))))
+    @settings(max_examples=100)
+    def test_one_coefficient_row_with_identity_transform(self, operands):
+        mats, coeffs = operands
+        order = mats[0].n if mats else 0
+        g = Matrix(1, len(mats), tuple(Fraction(v) for v in coeffs))
+        t = Matrix.identity(order)
+        (row,) = congruences(mats, g, t)
+        assert [row] == reformulated_rows_by_fractions(mats, g, t)
+
+    def test_zero_row_and_no_rows(self):
+        mats = (sym([[1, 2], [2, 3]]), sym([[Fraction(1, 2), 0], [0, 5]]))
+        t = Matrix.from_rows([[1, 1], [0, 1]])
+        assert list(congruences(mats, Matrix.zeros(1, 2), t)) == [SymMatrix.zeros(2)]
+        assert list(congruences(mats, Matrix.zeros(0, 2), t)) == []
+
+    def test_rows_are_yielded_lazily(self):
+        mats = (sym([[1, 0], [0, 1]]),)
+        rows = congruences(mats, Matrix.from_rows([[1], [2]]), Matrix.identity(2))
+        assert iter(rows) is rows
+        assert next(rows) == sym([[1, 0], [0, 1]])
+        assert next(rows) == sym([[2, 0], [0, 2]])
+
+    def test_shape_mismatches_raise(self):
+        mats = (SymMatrix.identity(2),)
+        with pytest.raises(ValueError):
+            list(congruences(mats, Matrix.identity(1), Matrix.identity(3)))
+        with pytest.raises(ValueError):
+            list(congruences(mats, Matrix.identity(1), Matrix.zeros(2, 3)))
+        with pytest.raises(ValueError):
+            list(congruences(mats, Matrix.zeros(1, 2), Matrix.identity(2)))
+
+
+class TestInners:
+    @given(st.integers(0, 4).flatmap(lambda order: st.integers(0, 4).flatmap(
+        lambda k: st.tuples(sym_matrices(order, k), sym_matrices(order, 1)))))
+    @settings(max_examples=100)
+    def test_match_fraction_loop(self, operands):
+        mats, (x,) = operands
+        products = inners(mats, x)
+        assert products == tuple(inner_by_fractions(mat, x) for mat in mats)
+        assert all(type(v) is Fraction for v in products)
+
+    def test_order_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            inners((SymMatrix.identity(2), SymMatrix.identity(3)), SymMatrix.identity(2))
 
 
 class TestMatrixBasics:

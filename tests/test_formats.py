@@ -145,6 +145,14 @@ class TestSdpa:
         assert inst.b == (Fraction(-1, 8),)
         assert inst.A[0].at(2, 1) == Fraction(5, 2)
 
+    def test_entry_listed_on_both_sides_of_the_diagonal(self, tmp_path):
+        # both (i, j) and (j, i) set the symmetric pair; the later line wins
+        path = tmp_path / "both.dat-s"
+        path.write_text("1\n1\n2\n1\n1 1 1 2 3\n1 1 2 1 5\n1 1 2 2 0.5\n1 1 2 2 -1\n")
+        assert read_sdpa(path) == SdpInstance(2, (SymMatrix.from_rows([[0, 5], [5, -1]]),), (1,))
+        path.write_text("1\n1\n2\n1\n1 1 2 1 7\n1 1 1 2 7\n1 1 1 1 2\n1 1 1 1 0\n")
+        assert read_sdpa(path) == SdpInstance(2, (SymMatrix.from_rows([[0, 7], [7, 0]]),), (1,))
+
     def test_lossy_flag_for_nonterminating_values(self, tmp_path):
         inst = SdpInstance(1, (SymMatrix.diag([Fraction(1, 3)]),), (0,))
         path = tmp_path / "lossy.dat-s"
@@ -232,6 +240,40 @@ class TestNative:
             doc["certificate"]["x_sequence"][0][0][0] = text
         path.write_text(json.dumps(doc))
         with pytest.raises(NativeFormatError):
+            read_native(path)
+
+    def test_bool_is_rejected_beside_equal_numbers(self, tmp_path):
+        # JSON true and 1 hash alike: a value parsed once must not be reused for a bool
+        raw, cert = me_instance()
+        path = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert), path)
+        doc = json.loads(path.read_text())
+        doc["instance"]["matrices"][0] = [[1, "1"], ["1", True]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NativeFormatError):
+            read_native(path)
+
+    def test_mirrored_spellings_of_one_value_read_alike(self, tmp_path):
+        raw, cert = me_instance()
+        path = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert), path)
+        doc = json.loads(path.read_text())
+        doc["instance"]["matrices"][0] = [["2/4", "1/2"], ["1/2", "-3/6"]]
+        doc["instance"]["matrices"][1][1][0] = "-4/2"
+        doc["instance"]["matrices"][1][0][1] = "-2"
+        path.write_text(json.dumps(doc))
+        read = read_native(path).instance
+        assert read.A[0] == SymMatrix.from_rows([[Fraction(1, 2)] * 2, [Fraction(1, 2), Fraction(-1, 2)]])
+        assert read.A[1].at(1, 2) == read.A[1].at(2, 1) == -2
+
+    def test_asymmetric_pair_rejected(self, tmp_path):
+        raw, cert = me_instance()
+        path = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert), path)
+        doc = json.loads(path.read_text())
+        doc["certificate"]["x_sequence"][0] = [["1", "1/2"], ["1/3", "0"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NativeFormatError, match=r"not symmetric at \(1,2\)"):
             read_native(path)
 
     def test_mismatched_certificate_rejected(self):
