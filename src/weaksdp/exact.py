@@ -5,17 +5,20 @@ All certification arithmetic in this package is exact: scalars are
 tuples of them, and no floating point enters any verification path. The
 kernels compute on Python ints: each operand is written once as integer
 numerators over one common denominator, and each result entry is turned back
-into a `Fraction` once, so storage and API stay `Fraction`. Besides the
-matrix product there are two kernels. `inners(mats, x)` gives M . X for every
-M, converting X once (its off-diagonal entries doubled) and each M once;
-`inner` is its one-matrix case. `congruences(mats, g, t)` yields the rows
-T^T (sum_j g_ij M_j) T lazily, with the combination and the congruence both
-on ints; it is the one routine for "row-combine, then congruence" (the
-reformulation, the generator's projection and the alternative-system check,
-the last two with T = I), and `congruence` is its one-row case. Matrix
-entries are addressed with 1-based indices via ``at(i, j)``, matching the
-1-based index sets used for block structures, so a single indexing convention
-runs through structures, matrices and emitted file formats.
+into a `Fraction` once, so storage and API stay `Fraction`. There are three
+product kernels, and every product in the package goes through one of them.
+The matrix product `@` also serves `Matrix.mul_vec` (a column matrix) and
+`inner_general` (a 1 x k by k x 1 product). `inners(mats, x)` gives M . X for
+every M, converting X once (its off-diagonal entries doubled) and each M
+once; `inner` and `SymBuilder.inner` are its one-matrix case.
+`congruences(mats, g, t)` yields the rows T^T (sum_j g_ij M_j) T lazily, with
+the combination and the congruence both on ints; it is the one routine for
+"row-combine, then congruence" (the reformulation, the generator's
+projection and the alternative-system check, the last two with T = I), and
+`congruence` is its one-row case. Matrix entries are addressed with 1-based
+indices via ``at(i, j)``, matching the 1-based index sets used for block
+structures, so a single indexing convention runs through structures,
+matrices and emitted file formats.
 
 Every value is immutable after construction and all operations are pure, so
 the types here are safe to share across threads. ``SymBuilder`` is the one
@@ -140,8 +143,7 @@ class Matrix:
     def mul_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((self._e[i * self.cols + j] * v[j] for j in range(self.cols)), _ZERO)
-                     for i in range(self.rows))
+        return (self @ Matrix(self.cols, 1, tuple(v)))._e
 
     def scale(self, c) -> "Matrix":
         q = rational(c)
@@ -314,15 +316,7 @@ class SymBuilder:
 
     def inner(self, other: "SymBuilder") -> Fraction:
         """Entrywise trace inner product with another builder of the same order."""
-        if self.n != other.n:
-            raise ValueError("order mismatch")
-        small, large = (self._d, other._d) if len(self._d) <= len(other._d) else (other._d, self._d)
-        total = _ZERO
-        for (i, j), v in small.items():
-            w = large.get((i, j))
-            if w is not None:
-                total += (v * w) if i == j else 2 * v * w
-        return total
+        return inner(self.freeze(), other.freeze())
 
     def freeze(self) -> SymMatrix:
         upper = [_ZERO] * (self.n * (self.n + 1) // 2)
@@ -363,7 +357,8 @@ def inner_general(m: Matrix, y: Matrix) -> Fraction:
     """Inner product of general matrices: trace(m^T y) = sum of entrywise products."""
     if (m.rows, m.cols) != (y.rows, y.cols):
         raise ValueError("shape mismatch")
-    return sum((u * v for u, v in zip(m._e, y._e)), _ZERO)
+    k = m.rows * m.cols
+    return (Matrix(1, k, m._e) @ Matrix(k, 1, y._e))._e[0]
 
 
 def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[SymMatrix]:

@@ -274,11 +274,7 @@ class NativeBundle:
             raise ValueError("certificate does not refer to the bundled instance")
 
 
-def _sym_json(mat: SymMatrix) -> list[list[str]]:
-    return [[str(v) for v in row] for row in mat.to_rows()]
-
-
-def _mat_json(mat: Matrix) -> list[list[str]]:
+def _rows_json(mat: Matrix | SymMatrix) -> list[list[str]]:
     return [[str(v) for v in row] for row in mat.to_rows()]
 
 
@@ -286,7 +282,7 @@ def _instance_json(inst: SdpInstance) -> dict:
     return {
         "n": inst.n,
         "b": [str(v) for v in inst.b],
-        "matrices": [_sym_json(a) for a in inst.A],
+        "matrices": [_rows_json(a) for a in inst.A],
     }
 
 
@@ -303,10 +299,10 @@ def bundle_to_json(bundle: NativeBundle) -> dict:
         doc["certificate"] = {
             "k": cert.k,
             "l": cert.l,
-            "row_ops": _mat_json(cert.row_ops),
-            "transform": _mat_json(cert.transform),
+            "row_ops": _rows_json(cert.row_ops),
+            "transform": _rows_json(cert.transform),
             "clean": _instance_json(cert.clean),
-            "x_sequence": [_sym_json(x) for x in cert.xseq],
+            "x_sequence": [_rows_json(x) for x in cert.xseq],
             "p_blocks": _structure_json(cert.p_structure),
             "q_blocks": _structure_json(cert.q_structure),
         }
@@ -340,15 +336,29 @@ def _memo_rational():
 def _parse_instance(doc: dict, where: str, parse) -> SdpInstance:
     try:
         n = doc["n"]
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
         b = tuple(parse(v) for v in doc["b"])
-        matrices = tuple(SymMatrix.from_rows(_parsed_rows(rows, parse)) for rows in doc["matrices"])
+        matrices = tuple(_parse_sym(rows, parse) for rows in doc["matrices"])
         return SdpInstance(n, matrices, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise NativeFormatError(f"malformed instance in {where}: {exc}") from exc
 
 
-def _parsed_rows(rows, parse) -> list[list[Fraction]]:
-    return [[parse(v) for v in row] for row in rows]
+def _parse_sym(rows, parse) -> SymMatrix:
+    """A `SymMatrix` from JSON rows, each upper entry parsed once. A lower entry
+    is parsed only when it differs from its mirror in type or value, so `true`
+    beside `1` is still rejected while `"2/4"` and `"1/2"` still read alike."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    upper = tuple(parse(v) for i, row in enumerate(rows) for v in row[i:])
+    for i in range(n):
+        for j in range(i + 1, n):
+            high, low = rows[i][j], rows[j][i]
+            if (type(low) is not type(high) or low != high) and parse(low) != parse(high):
+                raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
+    return SymMatrix(n, upper)
 
 
 def read_native(path) -> NativeBundle:
@@ -365,18 +375,21 @@ def read_native(path) -> NativeBundle:
     certificate = None
     if cert_doc is not None:
         try:
+            k, l = cert_doc["k"], cert_doc["l"]
+            if type(k) is not int or type(l) is not int:
+                raise NativeFormatError(f"k and l must be integers, got {k!r} and {l!r}")
             clean = _parse_instance(cert_doc["clean"], "certificate.clean", parse)
             certificate = WeakCertificate(
                 raw=instance,
-                row_ops=Matrix.from_rows(_parsed_rows(cert_doc["row_ops"], parse)),
-                transform=Matrix.from_rows(_parsed_rows(cert_doc["transform"], parse)),
+                row_ops=Matrix.from_rows(map(parse, row) for row in cert_doc["row_ops"]),
+                transform=Matrix.from_rows(map(parse, row) for row in cert_doc["transform"]),
                 clean=clean,
-                k=cert_doc["k"],
-                xseq=tuple(SymMatrix.from_rows(_parsed_rows(rows, parse)) for rows in cert_doc["x_sequence"]),
-                p_structure=Structure(clean.n, tuple(frozenset(b) for b in cert_doc["p_blocks"])),
-                q_structure=Structure(clean.n, tuple(frozenset(b) for b in cert_doc["q_blocks"])),
+                k=k,
+                xseq=tuple(_parse_sym(rows, parse) for rows in cert_doc["x_sequence"]),
+                p_structure=Structure(clean.n, tuple(cert_doc["p_blocks"])),
+                q_structure=Structure(clean.n, tuple(cert_doc["q_blocks"])),
             )
-            if certificate.l != cert_doc["l"]:
+            if certificate.l != l:
                 raise NativeFormatError("stored l disagrees with the x-sequence length")
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, NativeFormatError):

@@ -1,8 +1,13 @@
 """Exact linear algebra: elimination, Schur complements, determinants, PSD
 certification, and random unimodular matrices.
 
-`solve_linear`, `determinant` and `inverse` share one Gauss-Jordan reduction
-over `Fraction`s.
+There are two elimination loops over `Fraction`s. `_gauss_jordan` is the
+Gauss-Jordan reduction shared by `solve_linear`, `determinant` and `inverse`.
+`_eliminate` is one symmetric elimination step on a full working grid; both
+`psd_certify` (pivoted LDL^T) and `schur_complement` are a sequence of its
+steps. Every product runs through the integer kernels of `exact`: the witness
+value w^T A w is `inner(A, w w^T)` and `PsdVerdict.reconstruct` is one
+`congruence`.
 
 The PSD decision here is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Matrix, SymMatrix
+from .exact import Matrix, SymMatrix, congruence, inner
 from .prng import SplitMix64
 
 _ZERO = Fraction(0)
@@ -133,15 +138,33 @@ class PsdVerdict:
         if not self.is_psd:
             raise ValueError("no factorization on a negative verdict")
         n = len(self.permutation)
-        grid = [[_ZERO] * n for _ in range(n)]
-        for r in range(n):
-            for s in range(r + 1):
-                val = sum((self.lower.at(r + 1, t + 1) * self.diag[t] * self.lower.at(s + 1, t + 1)
-                           for t in range(s + 1)), _ZERO)
-                pr, ps = self.permutation[r] - 1, self.permutation[s] - 1
-                grid[pr][ps] = val
-                grid[ps][pr] = val
-        return SymMatrix.from_rows(grid)
+        # T is L^T with column r moved to column permutation[r], so that
+        # T^T D T = P^T L D L^T P
+        source = sorted(range(n), key=lambda r: self.permutation[r])
+        lower = self.lower.to_rows()
+        t = Matrix(n, n, tuple(lower[r][u] for u in range(n) for r in source))
+        return congruence(SymMatrix.diag(self.diag), t)
+
+
+def _eliminate(w: list[list[Fraction]], pivot: int, rest: Sequence[int]) -> None:
+    """One symmetric elimination step on the full working grid `w`, in place.
+
+    Subtracts w[r][p] w[p][s] / w[p][p] from w[r][s] for every r, s in `rest`
+    (p = `pivot`, which `rest` must not contain), keeping both halves of the
+    grid current. Row p is not touched, so afterwards it still holds the
+    step's multipliers times the pivot.
+    """
+    row_p = w[pivot]
+    d = row_p[pivot]
+    # only rows and columns with a non-zero entry in row p change
+    live = [s for s in rest if row_p[s] != 0]
+    for i, r in enumerate(live):
+        f = row_p[r] / d
+        row_r = w[r]
+        for s in live[i:]:
+            v = row_r[s] - f * row_p[s]
+            row_r[s] = v
+            w[s][r] = v
 
 
 def psd_certify(a: SymMatrix) -> PsdVerdict:
@@ -155,81 +178,49 @@ def psd_certify(a: SymMatrix) -> PsdVerdict:
     2x2 indefinite block yields the witness.
     """
     n = a.n
-    w = [[a.at(i + 1, j + 1) for j in range(n)] for i in range(n)]
+    w = a.to_rows()
     remaining = list(range(n))
-    steps: list[tuple[int, Fraction, dict[int, Fraction]]] = []
-
-    def back_substitute(vec: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        for pivot, d, row in reversed(steps):
-            sigma = sum((row[s] * v for s, v in vec.items() if s in row), _ZERO)
-            vec[pivot] = -sigma / d
-        return tuple(vec.get(i, _ZERO) for i in range(n))
-
+    order: list[int] = []
     while remaining:
         pivot = max(remaining, key=lambda r: (w[r][r], -r))
-        if w[pivot][pivot] > 0:
-            d = w[pivot][pivot]
-            remaining.remove(pivot)
-            row = {s: w[pivot][s] for s in remaining}
-            steps.append((pivot, d, row))
-            for ri, r in enumerate(remaining):
-                wr = w[pivot][r]
-                if wr == 0:
-                    continue
-                for s in remaining[ri:]:
-                    ws = w[pivot][s]
-                    if ws != 0:
-                        upd = w[r][s] - wr * ws / d
-                        w[r][s] = upd
-                        w[s][r] = upd
-            continue
-        negative = next((r for r in sorted(remaining) if w[r][r] < 0), None)
-        if negative is not None:
-            witness = back_substitute({negative: _ONE})
-            return PsdVerdict(False, witness=witness, witness_value=_quadratic_form(a, witness))
-        offdiag = next(
-            ((r, s) for ri, r in enumerate(sorted(remaining)) for s in sorted(remaining)[ri + 1:]
-             if w[r][s] != 0),
-            None,
-        )
+        if not w[pivot][pivot] > 0:
+            break
+        remaining.remove(pivot)
+        order.append(pivot)
+        _eliminate(w, pivot, remaining)
+
+    # `remaining` is sorted, and only zero or negative diagonals are left in it
+    start: dict[int, Fraction] = {}
+    negative = next((r for r in remaining if w[r][r] < 0), None)
+    if negative is not None:
+        start[negative] = _ONE
+    else:
+        offdiag = next(((r, s) for i, r in enumerate(remaining) for s in remaining[i + 1:]
+                        if w[r][s] != 0), None)
         if offdiag is not None:
             r, s = offdiag
-            sign = _ONE if w[r][s] > 0 else -_ONE
-            witness = back_substitute({r: _ONE, s: -sign})
-            return PsdVerdict(False, witness=witness, witness_value=_quadratic_form(a, witness))
-        # residual block is identically zero: zero pivots with zero rows
-        for r in sorted(remaining):
-            steps.append((r, _ZERO, {}))
-        remaining = []
+            start = {r: _ONE, s: -_ONE if w[r][s] > 0 else _ONE}
+    if start:
+        # back-substitute through the eliminations, the last pivot first
+        witness = [start.get(i, _ZERO) for i in range(n)]
+        for p in reversed(order):
+            sigma = sum((w[p][s] * v for s, v in enumerate(witness) if v), _ZERO)
+            witness[p] = -sigma / w[p][p]
+        outer = SymMatrix(n, tuple(u * v for i, u in enumerate(witness) for v in witness[i:]))
+        return PsdVerdict(False, witness=tuple(witness), witness_value=inner(a, outer))
 
-    order = tuple(pivot + 1 for pivot, _, _ in steps)
-    diag = tuple(d for _, d, _ in steps)
-    lower_rows = []
-    for t, (pivot_t, _, _) in enumerate(steps):
-        row = []
-        for u, (_, d_u, row_u) in enumerate(steps[: t + 1]):
-            if u == t:
-                row.append(_ONE)
-            elif d_u == 0:
-                row.append(_ZERO)
-            else:
-                row.append(row_u.get(pivot_t, _ZERO) / d_u)
-        row.extend([_ZERO] * (n - t - 1))
-        lower_rows.append(row)
-    return PsdVerdict(True, permutation=order, diag=diag, lower=Matrix.from_rows(lower_rows) if n else Matrix.zeros(0, 0))
-
-
-def _quadratic_form(a: SymMatrix, v: Sequence[Fraction]) -> Fraction:
-    total = _ZERO
-    n = a.n
-    for i in range(n):
-        if v[i] == 0:
-            continue
-        total += a.at(i + 1, i + 1) * v[i] * v[i]
-        for j in range(i + 1, n):
-            if v[j] != 0:
-                total += 2 * a.at(i + 1, j + 1) * v[i] * v[j]
-    return total
+    # the residual block is identically zero: zero pivots with zero rows
+    order += remaining
+    diag = tuple(w[p][p] for p in order)
+    lower = [[_ZERO] * n for _ in range(n)]
+    for t, p_t in enumerate(order):
+        lower[t][t] = _ONE
+        for u in range(t):
+            if diag[u]:
+                # row order[u] kept the multipliers of elimination step u
+                lower[t][u] = w[order[u]][p_t] / diag[u]
+    return PsdVerdict(True, permutation=tuple(p + 1 for p in order), diag=diag,
+                      lower=Matrix(n, n, tuple(v for row in lower for v in row)))
 
 
 def is_positive_definite(a: SymMatrix) -> bool:
@@ -249,19 +240,12 @@ def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]
     """
     order = list(eliminate) + list(keep)
     size, first = len(order), len(eliminate)
-    # only the upper triangle (s >= r) of the working rows is kept current
     w = [[a.at(r, s) for s in order] for r in order]
     for p in range(first):
-        row_p = w[p]
-        d = row_p[p]
+        d = w[p][p]
         if not d > 0:
             raise ValueError(f"non-positive pivot {d} at index {order[p]}")
-        for r in range(p + 1, size):
-            f = row_p[r] / d
-            if f != 0:
-                row_r = w[r]
-                for s in range(r, size):
-                    row_r[s] -= f * row_p[s]
+        _eliminate(w, p, range(p + 1, size))
     return SymMatrix(
         size - first,
         tuple(w[r][s] for r in range(first, size) for s in range(r, size)),

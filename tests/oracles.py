@@ -194,3 +194,74 @@ def reformulated_rows_by_fractions(mats, g, t):
                 combo = combo.add(mat.scale(gij))
         rows.append(congruence_by_fractions(combo, t))
     return rows
+
+
+def psd_certify_by_steps(a):
+    """Reference pivoted LDL^T decision of a `SymMatrix`: the elimination loop
+    the package ran before its shared `_eliminate` step, over the public API.
+
+    Each step keeps a dict copy of its pivot row, a witness is mapped back
+    through those copies, and its value is a direct quadratic-form loop."""
+    from weaksdp import Matrix, PsdVerdict
+
+    zero, one = Fraction(0), Fraction(1)
+    n = a.n
+    w = [[a.at(i + 1, j + 1) for j in range(n)] for i in range(n)]
+    remaining = list(range(n))
+    steps = []
+
+    def back_substitute(vec):
+        for pivot, d, row in reversed(steps):
+            sigma = sum((row[s] * v for s, v in vec.items() if s in row), zero)
+            vec[pivot] = -sigma / d
+        return tuple(vec.get(i, zero) for i in range(n))
+
+    def negative_verdict(witness):
+        value = sum((a.at(i + 1, j + 1) * witness[i] * witness[j]
+                     for i in range(n) for j in range(n)), zero)
+        return PsdVerdict(False, witness=witness, witness_value=value)
+
+    while remaining:
+        pivot = max(remaining, key=lambda r: (w[r][r], -r))
+        if w[pivot][pivot] > 0:
+            d = w[pivot][pivot]
+            remaining.remove(pivot)
+            row = {s: w[pivot][s] for s in remaining}
+            steps.append((pivot, d, row))
+            for ri, r in enumerate(remaining):
+                wr = w[pivot][r]
+                if wr == 0:
+                    continue
+                for s in remaining[ri:]:
+                    ws = w[pivot][s]
+                    if ws != 0:
+                        upd = w[r][s] - wr * ws / d
+                        w[r][s] = upd
+                        w[s][r] = upd
+            continue
+        negative = next((r for r in remaining if w[r][r] < 0), None)
+        if negative is not None:
+            return negative_verdict(back_substitute({negative: one}))
+        offdiag = next(((r, s) for ri, r in enumerate(remaining) for s in remaining[ri + 1:]
+                        if w[r][s] != 0), None)
+        if offdiag is not None:
+            r, s = offdiag
+            sign = one if w[r][s] > 0 else -one
+            return negative_verdict(back_substitute({r: one, s: -sign}))
+        steps.extend((r, zero, {}) for r in remaining)
+        remaining = []
+
+    lower_rows = []
+    for t, (pivot_t, _, _) in enumerate(steps):
+        row = [zero] * n
+        row[t] = one
+        for u, (_, d_u, row_u) in enumerate(steps[:t]):
+            if d_u != 0:
+                row[u] = row_u.get(pivot_t, zero) / d_u
+        lower_rows.append(row)
+    return PsdVerdict(
+        True,
+        permutation=tuple(pivot + 1 for pivot, _, _ in steps),
+        diag=tuple(d for _, d, _ in steps),
+        lower=Matrix(n, n, tuple(v for row in lower_rows for v in row)),
+    )

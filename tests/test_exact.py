@@ -251,6 +251,15 @@ class TestMatrixBasics:
         assert inner(x, y) == inner_by_fractions(x, y)
         assert type(inner(x, y)) is Fraction
         assert congruence(x, t) == congruence_by_fractions(x, t)
+        # mul_vec is one column of a product, inner_general a 1 x k by k x 1 product
+        columns = [tuple(b.at(t + 1, j + 1) for t in range(b.rows)) for j in range(b.cols)]
+        want = matmul_by_fractions(a, b)
+        for j, column in enumerate(columns):
+            assert a.mul_vec(column) == tuple(want.at(i + 1, j + 1) for i in range(a.rows))
+        assert inner_general(x.to_matrix(), y.to_matrix()) == inner_by_fractions(x, y)
+        gram = matmul_by_fractions(a.transpose(), a)
+        assert inner_general(a, a) == sum((gram.at(i, i) for i in range(1, a.cols + 1)), Fraction(0))
+        assert type(inner_general(a, a)) is Fraction
 
     def test_inner_general_is_trace_of_product(self):
         m = Matrix.from_rows([[1, 2, 0], [0, 1, -1]])

@@ -276,6 +276,22 @@ class TestNative:
         with pytest.raises(NativeFormatError, match=r"not symmetric at \(1,2\)"):
             read_native(path)
 
+    @pytest.mark.parametrize("part, field, value", [
+        ("certificate", "k", 1.0), ("certificate", "k", "1"), ("certificate", "k", True),
+        ("certificate", "l", True), ("certificate", "p_blocks", [[True], []]),
+        ("instance", "n", 2.0),
+    ])
+    def test_non_integer_counts_and_indices_rejected(self, tmp_path, part, field, value):
+        # each value equals the stored one (k = l = 1, P_1 = {1}, n = 2) under ==
+        raw, cert = me_instance()
+        path = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert), path)
+        doc = json.loads(path.read_text())
+        doc[part][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NativeFormatError):
+            read_native(path)
+
     def test_mismatched_certificate_rejected(self):
         raw, cert = me_instance()
         other = SdpInstance(2, raw.A, (1, 1))

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import determinant_by_cofactors
+from oracles import determinant_by_cofactors, psd_certify_by_steps
 from weaksdp import (
     Matrix,
     SplitMix64,
+    SymBuilder,
     SymMatrix,
+    congruence,
     determinant,
     inverse,
     is_positive_definite,
@@ -28,6 +30,53 @@ def square_matrices(draw, max_order=4):
     entries = draw(st.sampled_from([st.integers(-1, 1), small_fractions]))
     return Matrix(n, n, tuple(Fraction(v) for v in draw(st.lists(entries, min_size=n * n,
                                                                        max_size=n * n))))
+
+
+tiny_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+tiny_entries = st.one_of(st.integers(-1, 1).map(Fraction), tiny_fractions)
+couplings = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=4)
+
+
+@st.composite
+def random_symmetric(draw):
+    """Symmetric matrices of order 0..6 with small entries, often zero."""
+    n = draw(st.integers(0, 6))
+    return SymMatrix(n, tuple(draw(st.lists(tiny_entries, min_size=n * (n + 1) // 2,
+                                            max_size=n * (n + 1) // 2))))
+
+
+@st.composite
+def low_rank_grams(draw):
+    """B^T B with B of rank at most 2: PSD, with a zero residual block left
+    after the positive pivots."""
+    n, rank = draw(st.integers(0, 6)), draw(st.integers(0, 2))
+    b = Matrix(rank, n, tuple(draw(st.lists(tiny_entries, min_size=rank * n, max_size=rank * n))))
+    return SymMatrix.from_rows((b.transpose() @ b).to_rows())
+
+
+@st.composite
+def hollow_residuals(draw):
+    """Y^T diag(D, H) Y with Y = [[I, C], [0, I]], D a diagonal in [7, 9], H
+    hollow with non-zero off-diagonals and |C| <= 1/2. Every H diagonal of
+    the product is at most 3 * 9 / 4 < 7, so the D indices are eliminated
+    first; that leaves exactly H, and the 2x2 witness is mapped back through
+    those steps."""
+    q, h = draw(st.integers(0, 3)), draw(st.integers(2, 3))
+    n = q + h
+    d = draw(st.lists(st.integers(7, 9).map(Fraction), min_size=q, max_size=q))
+    hollow = draw(st.lists(tiny_entries.filter(bool), min_size=h * (h - 1) // 2,
+                           max_size=h * (h - 1) // 2))
+    middle = SymBuilder(n)
+    for i, v in enumerate(d):
+        middle.set(i + 1, i + 1, v)
+    pairs = [(r, s) for r in range(q + 1, n + 1) for s in range(r + 1, n + 1)]
+    for (r, s), v in zip(pairs, hollow):
+        middle.set(r, s, v)
+    y = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(q):
+        for j in range(q, n):
+            y[i][j] = draw(couplings)
+    return congruence(middle.freeze(), Matrix.from_rows(y))
 
 
 def quad_form(a: SymMatrix, v) -> Fraction:
@@ -156,6 +205,17 @@ class TestPsdCertify:
         verdict = psd_certify(SymMatrix.from_rows(gram_rows))
         assert verdict.is_psd
         assert verdict.reconstruct() == SymMatrix.from_rows(gram_rows)
+
+    @given(st.one_of(random_symmetric(), low_rank_grams(), hollow_residuals()))
+    @settings(max_examples=300)
+    def test_matches_step_by_step_reference(self, a):
+        got, want = psd_certify(a), psd_certify_by_steps(a)
+        assert got.is_psd == want.is_psd
+        assert got.permutation == want.permutation
+        assert got.diag == want.diag
+        assert got.lower == want.lower
+        assert got.witness == want.witness
+        assert got.witness_value == want.witness_value
 
     def test_positive_definite_distinguishes_singular(self):
         assert is_positive_definite(SymMatrix.from_rows([[2, 1], [1, 2]]))
