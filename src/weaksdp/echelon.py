@@ -33,13 +33,16 @@ _ZERO = Fraction(0)
 
 
 def index_set(indices: Iterable[int], n: int) -> frozenset[int]:
-    """A validated 1-based index set inside {1, ..., n}."""
+    """A validated 1-based index set inside {1, ..., n}, each index given once."""
     indices = tuple(indices)
     for i in indices:
         # checked before the set is built: a set keeps only one of 1 and True
         if not (type(i) is int and 1 <= i <= n):
             raise ValueError(f"index {i!r} is not an integer in 1..{n}")
-    return frozenset(indices)
+    result = frozenset(indices)
+    if len(result) != len(indices):
+        raise ValueError(f"repeated index in {list(indices)}")
+    return result
 
 
 @dataclass(frozen=True)

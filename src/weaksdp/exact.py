@@ -14,11 +14,12 @@ once; `inner` and `SymBuilder.inner` are its one-matrix case.
 `congruences(mats, g, t)` yields the rows T^T (sum_j g_ij M_j) T lazily, with
 the combination and the congruence both on ints; it is the one routine for
 "row-combine, then congruence" (the reformulation, the generator's
-projection and the alternative-system check, the last two with T = I), and
-`congruence` is its one-row case. Matrix entries are addressed with 1-based
-indices via ``at(i, j)``, matching the 1-based index sets used for block
-structures, so a single indexing convention runs through structures,
-matrices and emitted file formats.
+projection and the alternative-system check), and `congruence` is its
+one-row case. Given T = I, as the last two callers and the reformulation of
+a clean bundle do, it yields the combination without the congruence.
+Matrix entries are addressed with 1-based indices via ``at(i, j)``, matching
+the 1-based index sets used for block structures, so a single indexing
+convention runs through structures, matrices and emitted file formats.
 
 Every value is immutable after construction and all operations are pure, so
 the types here are safe to share across threads. ``SymBuilder`` is the one
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -272,8 +273,11 @@ class SymMatrix:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self._u)
 
-    def denominator_lcm(self) -> int:
-        return _over_common_denominator(self._u)[1]
+    def primitive(self) -> "SymMatrix":
+        """The positive multiple of a non-zero matrix whose entries are coprime integers."""
+        nums, _ = _over_common_denominator(self._u)
+        g = gcd(*nums)
+        return SymMatrix(self.n, tuple(Fraction(v // g) for v in nums))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.n == other.n and self._u == other._u
@@ -367,10 +371,11 @@ def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[Sym
     The stacked upper triangles of all M_j, G and T are each written once as
     integer numerators over one common denominator; the row combination and
     the congruence both run on ints, and each result entry becomes a Fraction
-    once. Rows are computed lazily, so a caller comparing them can stop at
-    the first that differs. T must be square of the order of the M_j;
-    invertibility is not checked here (callers that need an invertible
-    transform verify the determinant).
+    once. When T is the identity, each row is its integer combination: the
+    C T and T^T (C T) products are skipped. Rows are computed lazily, so a
+    caller comparing them can stop at the first that differs. T must be
+    square of the order of the M_j; invertibility is not checked here
+    (callers that need an invertible transform verify the determinant).
     """
     mats = tuple(mats)
     n = t.rows
@@ -384,12 +389,16 @@ def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[Sym
     across = [stacked[p::half] for p in range(half)]  # upper entry p of M_1..M_k
     gi, dg = _over_common_denominator(g._e)
     ti, dt = _over_common_denominator(t._e)
+    identity = t == Matrix.identity(n)
     full = [_upper_offset(n, min(r, c), max(r, c)) for r in range(1, n + 1) for c in range(1, n + 1)]
     t_cols = [ti[i::n] for i in range(n)]
     den = dm * dg * dt * dt
     for row in range(g.rows):
         coeffs = gi[row * k : (row + 1) * k]
         combo = [sum(map(mul, coeffs, entry)) for entry in across]
+        if identity:
+            yield SymMatrix(n, tuple(Fraction(v, den) for v in combo))
+            continue
         # T^T (C T) is symmetric identically: form C T, then only the upper
         # triangle of the outer product, entry (i, j) = column i of T . column j of C T
         ct = _int_product([combo[p] for p in full], ti, n, n, n)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from math import gcd
 
 from .exact import Matrix, SymMatrix, SymBuilder, congruences, inner, inner_general, inners
 from .echelon import (
@@ -313,13 +312,6 @@ def base_equations(
     return tuple(b.freeze() for b in a_builders), tuple(b.freeze() for b in x_builders)
 
 
-def _clear_denominators(mat: SymMatrix) -> SymMatrix:
-    """The positive multiple of a nonzero `mat` whose entries are coprime integers."""
-    den = mat.denominator_lcm()
-    numerators = [v.numerator * (den // v.denominator) for row in mat.to_rows() for v in row]
-    return mat.scale(Fraction(den, gcd(*numerators)))
-
-
 def extend_constraints(
     a_seq: tuple[SymMatrix, ...],
     xseq: tuple[SymMatrix, ...],
@@ -356,7 +348,7 @@ def extend_constraints(
             projected = next(congruences((candidate,) + span, coeffs, identity))
             if not projected.is_zero():
                 break
-        projected = _clear_denominators(projected)
+        projected = projected.primitive()
         value = inner(projected, xseq[-1])
         if value.denominator != 1:
             projected = projected.scale(value.denominator)

@@ -1,13 +1,14 @@
 """Exact linear algebra: elimination, Schur complements, determinants, PSD
 certification, and random unimodular matrices.
 
-There are two elimination loops over `Fraction`s. `_gauss_jordan` is the
-Gauss-Jordan reduction shared by `solve_linear`, `determinant` and `inverse`.
-`_eliminate` is one symmetric elimination step on a full working grid; both
-`psd_certify` (pivoted LDL^T) and `schur_complement` are a sequence of its
-steps. Every product runs through the integer kernels of `exact`: the witness
-value w^T A w is `inner(A, w w^T)` and `PsdVerdict.reconstruct` is one
-`congruence`.
+There are two elimination loops. `_gauss_jordan` is the fraction-free
+Gauss-Jordan reduction shared by `solve_linear`, `determinant` and `inverse`:
+it eliminates on integers and builds `Fraction`s once, from its result.
+`_eliminate`, still on `Fraction`s, is one symmetric elimination step on a
+full working grid; both `psd_certify` (pivoted LDL^T) and `schur_complement`
+are a sequence of its steps. Every product runs through the integer kernels
+of `exact`: the witness value w^T A w is `inner(A, w w^T)` and
+`PsdVerdict.reconstruct` is one `congruence`.
 
 The PSD decision here is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exact import Matrix, SymMatrix, congruence, inner
@@ -37,36 +39,61 @@ class LinearSolution:
     nullspace: tuple[tuple[Fraction, ...], ...]
 
 
-def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
-    """Reduce `rows` in place to reduced row echelon form on the first `ncols` columns.
+def _gauss_jordan(
+    rows: Sequence[Sequence[Fraction]], ncols: int
+) -> tuple[list[int], Fraction, list[list[int]], int]:
+    """Fraction-free Gauss-Jordan reduction on the first `ncols` columns.
 
-    Row operations act on whole rows, so columns beyond `ncols` (a right-hand
-    side, an identity block) are carried along. Returns the pivot columns and
-    the signed product of the pivots, the sign flipped once per row swap: for
-    a square matrix at full rank that product is its determinant.
+    Each row is written once as integers, times the lcm of its denominators;
+    columns beyond `ncols` (a right-hand side, an identity block) are carried
+    along. The step on pivot p = row_r[c] replaces every other row by
+    (p row_i - row_i[c] row_r) // prev, prev being the previous step's pivot
+    (1 at first). By Sylvester's identity every such division is exact
+    (Bareiss, Math. Comp. 22, 1968), and after the step each pivot row is p
+    times the same row of the reduction over Fractions.
+
+    Returns the pivot columns, the determinant (meaningful for a square
+    matrix at full rank), the integer rows and the last pivot `prev`: row
+    i < rank is prev times row i of the reduced row echelon form, and the
+    rows below are zero on the first `ncols` columns.
     """
+    grid = []
+    scale = 1
+    for row in rows:
+        d = lcm(*(v.denominator for v in row))
+        grid.append([v.numerator * (d // v.denominator) for v in row])
+        scale *= d
     pivot_cols: list[int] = []
-    product = _ONE
+    sign, prev = 1, 1
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(grid)) if grid[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            product = -product
-        # rows r.. are zero left of column c, so row operations start at c
-        pivot = rows[r]
-        pv = pivot[c]
-        product *= pv
-        pivot[c:] = [v / pv for v in pivot[c:]]
-        for i, row in enumerate(rows):
+            grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+            sign = -sign
+        pivot = grid[r]
+        p = pivot[c]
+        if p < 0:
+            # no other row has used row r yet, so negating it negates one
+            # input row: the determinant flips sign and the reduced form stays.
+            # With positive pivots, a row with a zero in column c is left as
+            # it is whenever the pivot repeats.
+            pivot[:] = [-v for v in pivot]
+            p, sign = -p, -sign
+        for i, row in enumerate(grid):
+            if i == r:
+                continue
             f = row[c]
-            if i != r and f != 0:
-                row[c:] = [v - f * w for v, w in zip(row[c:], pivot[c:])]
+            if f:
+                row[:] = [(p * v - f * w) // prev for v, w in zip(row, pivot)]
+            elif p != prev:
+                row[:] = [p * v // prev for v in row]
+        prev = p
         pivot_cols.append(c)
         r += 1
-    return pivot_cols, product
+    return pivot_cols, Fraction(sign * prev, scale), grid, prev
 
 
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution | None:
@@ -79,29 +106,29 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution | None:
         raise ValueError("right-hand side length does not match row count")
     rows = [list(a.row(i)) + [Fraction(b[i - 1])] for i in range(1, a.rows + 1)]
     ncols = a.cols
-    pivot_cols, _ = _gauss_jordan(rows, ncols)
-    if any(row[ncols] != 0 for row in rows[len(pivot_cols):]):
+    pivot_cols, _, grid, prev = _gauss_jordan(rows, ncols)
+    if any(row[ncols] for row in grid[len(pivot_cols):]):
         return None
     particular = [_ZERO] * ncols
     for row_idx, c in enumerate(pivot_cols):
-        particular[c] = rows[row_idx][ncols]
+        particular[c] = Fraction(grid[row_idx][ncols], prev)
     free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
     basis = []
     for f in free_cols:
         v = [_ZERO] * ncols
         v[f] = _ONE
         for row_idx, c in enumerate(pivot_cols):
-            v[c] = -rows[row_idx][f]
+            v[c] = Fraction(-grid[row_idx][f], prev)
         basis.append(tuple(v))
     return LinearSolution(tuple(particular), tuple(basis))
 
 
 def determinant(a: Matrix) -> Fraction:
-    """Exact determinant: the signed pivot product of Gauss-Jordan elimination."""
+    """Exact determinant by fraction-free Gauss-Jordan elimination."""
     if not a.is_square():
         raise ValueError("determinant requires a square matrix")
-    pivot_cols, product = _gauss_jordan([list(a.row(i)) for i in range(1, a.rows + 1)], a.cols)
-    return product if len(pivot_cols) == a.rows else _ZERO
+    pivot_cols, det, _, _ = _gauss_jordan([a.row(i) for i in range(1, a.rows + 1)], a.cols)
+    return det if len(pivot_cols) == a.rows else _ZERO
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -110,9 +137,10 @@ def inverse(a: Matrix) -> Matrix:
         raise ValueError("inverse requires a square matrix")
     n = a.rows
     rows = [list(a.row(i)) + [_ONE if j == i - 1 else _ZERO for j in range(n)] for i in range(1, n + 1)]
-    if len(_gauss_jordan(rows, n)[0]) < n:
+    pivot_cols, _, grid, prev = _gauss_jordan(rows, n)
+    if len(pivot_cols) < n:
         raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(rows[i][n + j] for i in range(n) for j in range(n)))
+    return Matrix(n, n, tuple(Fraction(v, prev) for row in grid for v in row[n:]))
 
 
 @dataclass(frozen=True)

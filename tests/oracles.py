@@ -265,3 +265,34 @@ def psd_certify_by_steps(a):
         diag=tuple(d for _, d, _ in steps),
         lower=Matrix(n, n, tuple(v for row in lower_rows for v in row)),
     )
+
+
+def gauss_jordan_by_fractions(rows, ncols):
+    """Reference Gauss-Jordan reduction over `Fraction`s, the loop the package
+    ran before its fraction-free kernel.
+
+    Reduces the list of `Fraction` rows in place to reduced row echelon form
+    on the first `ncols` columns, carrying any further columns along, and
+    returns the pivot columns and the signed pivot product, the sign flipped
+    once per row swap: the determinant of a square matrix at full rank."""
+    pivot_cols = []
+    product = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            product = -product
+        pivot = rows[r]
+        pv = pivot[c]
+        product *= pv
+        pivot[c:] = [v / pv for v in pivot[c:]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != 0:
+                row[c:] = [v - f * w for v, w in zip(row[c:], pivot[c:])]
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols, product

@@ -141,6 +141,14 @@ def test_non_integer_k_is_parse_error(me_bundle, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_repeated_block_index_is_parse_error(me_bundle, capsys):
+    doc = json.loads(me_bundle.read_text())
+    doc["certificate"]["p_blocks"] = [[1, 1], []]
+    me_bundle.write_text(json.dumps(doc))
+    assert main(["verify", "--json", str(me_bundle)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_witness_requires_certificate(tmp_path):
     raw, _, _ = large_instance()
     path = tmp_path / "nocert.wsdp"

@@ -63,8 +63,8 @@ def sym_matrices(order, count):
 @st.composite
 def combination_operands(draw):
     """k symmetric matrices of one order, an m x k coefficient matrix G in
-    which some rows may be all zero, and a square transform T; m, k and the
-    order each 0-4."""
+    which some rows may be all zero, and a square transform T, the identity
+    half of the time; m, k and the order each 0-4."""
     order, k, m = (draw(st.integers(0, 4)) for _ in range(3))
     mats = draw(sym_matrices(order, k))
     coeffs = draw(entry_lists(m * k))
@@ -72,6 +72,8 @@ def combination_operands(draw):
     rows = [[0] * k if r in zero_rows else coeffs[r * k : (r + 1) * k] for r in range(m)]
     g = Matrix(m, k, tuple(Fraction(v) for row in rows for v in row))
     t = Matrix(order, order, tuple(Fraction(v) for v in draw(entry_lists(order * order))))
+    if draw(st.booleans()):
+        t = Matrix.identity(order)
     return mats, g, t
 
 
@@ -168,7 +170,7 @@ class TestCongruence:
 
 class TestCongruences:
     @given(combination_operands())
-    @settings(max_examples=150)
+    @settings(max_examples=200)
     def test_rows_match_fraction_reference(self, operands):
         mats, g, t = operands
         rows = list(congruences(mats, g, t))
@@ -228,6 +230,16 @@ class TestMatrixBasics:
     def test_from_rows_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             sym([[0, 1], [2, 0]])
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[Fraction(1, 2), Fraction(-3, 4)], [Fraction(-3, 4), 0]], [[2, -3], [-3, 0]]),
+        ([[-6, 4], [4, 10]], [[-3, 2], [2, 5]]),
+        ([[0, 0], [0, Fraction(-2, 7)]], [[0, 0], [0, -1]]),
+    ])
+    def test_primitive_is_the_coprime_integer_multiple(self, rows, expected):
+        got = sym(rows).primitive()
+        assert got == sym(expected)
+        assert all(type(v) is Fraction for row in got.to_rows() for v in row)
 
     def test_one_based_access(self):
         m = Matrix.from_rows([[1, 2], [3, 4]])

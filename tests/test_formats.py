@@ -279,10 +279,12 @@ class TestNative:
     @pytest.mark.parametrize("part, field, value", [
         ("certificate", "k", 1.0), ("certificate", "k", "1"), ("certificate", "k", True),
         ("certificate", "l", True), ("certificate", "p_blocks", [[True], []]),
-        ("instance", "n", 2.0),
+        ("instance", "n", 2.0), ("certificate", "p_blocks", [[1, 1], []]),
+        ("certificate", "q_blocks", [[2, 2], []]),
     ])
     def test_non_integer_counts_and_indices_rejected(self, tmp_path, part, field, value):
-        # each value equals the stored one (k = l = 1, P_1 = {1}, n = 2) under ==
+        # each value equals the stored one (k = l = 1, P_1 = {1}, Q_1 = {2},
+        # n = 2) under ==, or as a set when an index is repeated
         raw, cert = me_instance()
         path = tmp_path / "me.wsdp"
         write_native(NativeBundle(instance=raw, certificate=cert), path)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,16 @@ class TestMessify:
         raw = instance.raw
         assert all(v.denominator == 1 for a in raw.A for row in a.to_rows() for v in row)
         assert all(v.denominator == 1 for v in raw.b)
+
+    @pytest.mark.parametrize("policy", ["disjoint-only", "overlapping-allowed"])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("n, m", [(5, 4), (10, 8), (20, 15)])
+    def test_messy_without_provenance_is_clean_generation(self, policy, l, n, m):
+        # library_build derives each clean instance this way, from the messy one
+        cfg = GenConfig(n=n, m=m, k=min(3, n - 1 - l), l=l, seed=n * l,
+                        structure_overlap_policy=policy, messy=True)
+        messy = generate(cfg)
+        assert replace(messy, provenance=None) == generate(replace(cfg, messy=False))
 
     def test_messy_is_forward_image_of_clean(self):
         from weaksdp import reformulated

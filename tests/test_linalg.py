@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import determinant_by_cofactors, psd_certify_by_steps
+from oracles import determinant_by_cofactors, gauss_jordan_by_fractions, psd_certify_by_steps
 from weaksdp import (
     Matrix,
     SplitMix64,
@@ -79,6 +79,43 @@ def hollow_residuals(draw):
     return congruence(middle.freeze(), Matrix.from_rows(y))
 
 
+@st.composite
+def low_rank_matrices(draw, rows, cols):
+    """rows x cols matrices with entries that are all small integers or have
+    mixed denominators; half of them are a product B C through an inner
+    dimension of 0-2, so rank deficient whenever both sides exceed it."""
+    entries = draw(st.sampled_from([st.integers(-3, 3).map(Fraction), small_fractions]))
+
+    def grid(r, c):
+        return Matrix(r, c, tuple(draw(st.lists(entries, min_size=r * c, max_size=r * c))))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 2))
+        return grid(rows, inner) @ grid(inner, cols)
+    return grid(rows, cols)
+
+
+@st.composite
+def linear_systems(draw):
+    """A x = b with A of 0-5 rows and 0-5 columns; b is A x0 (consistent)
+    half of the time, otherwise drawn freely (often inconsistent when A is
+    rank deficient)."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    a = draw(low_rank_matrices(rows, cols))
+    vector = st.lists(small_fractions, min_size=cols, max_size=cols)
+    if draw(st.booleans()):
+        return a, a.mul_vec(tuple(draw(vector)))
+    return a, tuple(draw(st.lists(small_fractions, min_size=rows, max_size=rows)))
+
+
+def reduced_by_fractions(a: Matrix, extra):
+    """Rows [A | extra_i] reduced by the reference Fraction Gauss-Jordan loop,
+    with its pivot columns and signed pivot product."""
+    rows = [list(a.row(i)) + list(extra[i - 1]) for i in range(1, a.rows + 1)]
+    pivot_cols, product = gauss_jordan_by_fractions(rows, a.cols)
+    return rows, pivot_cols, product
+
+
 def quad_form(a: SymMatrix, v) -> Fraction:
     n = a.n
     return sum(a.at(i + 1, j + 1) * v[i] * v[j] for i in range(n) for j in range(n))
@@ -123,12 +160,42 @@ class TestSolveLinear:
         for basis_vec in sol.nullspace:
             assert a.mul_vec(basis_vec) == (0, 0, 0, 0)
 
+    @given(linear_systems())
+    @settings(max_examples=150)
+    def test_matches_fraction_reference(self, system):
+        a, b = system
+        rows, pivot_cols, _ = reduced_by_fractions(a, [(Fraction(v),) for v in b])
+        sol = solve_linear(a, b)
+        if any(row[a.cols] != 0 for row in rows[len(pivot_cols):]):
+            assert sol is None
+            return
+        particular = [Fraction(0)] * a.cols
+        for row, c in zip(rows, pivot_cols):
+            particular[c] = row[a.cols]
+        nullspace = []
+        for f in (c for c in range(a.cols) if c not in pivot_cols):
+            v = [Fraction(int(c == f)) for c in range(a.cols)]
+            for row, c in zip(rows, pivot_cols):
+                v[c] = -row[f]
+            nullspace.append(tuple(v))
+        assert sol.particular == tuple(particular)
+        assert sol.nullspace == tuple(nullspace)
+        assert all(type(v) is Fraction for v in sol.particular + sum(sol.nullspace, ()))
+
 
 class TestDeterminant:
     @given(square_matrices())
     @settings(max_examples=150)
     def test_matches_cofactor_expansion(self, a):
         assert determinant(a) == determinant_by_cofactors(a.to_rows())
+
+    @given(st.integers(0, 6).flatmap(lambda n: low_rank_matrices(n, n)))
+    @settings(max_examples=100)
+    def test_matches_fraction_reference(self, a):
+        _, pivot_cols, product = reduced_by_fractions(a, [()] * a.rows)
+        got = determinant(a)
+        assert got == (product if len(pivot_cols) == a.rows else 0)
+        assert type(got) is Fraction
 
     @pytest.mark.parametrize("rows, expected", [
         ([[0, 1], [1, 0]], -1),
@@ -154,6 +221,20 @@ class TestInverse:
         inv = inverse(a)
         assert inv @ a == Matrix.identity(a.rows)
         assert a @ inv == Matrix.identity(a.rows)
+
+    @given(st.integers(0, 6).flatmap(lambda n: low_rank_matrices(n, n)))
+    @settings(max_examples=100)
+    def test_matches_fraction_reference(self, a):
+        n = a.rows
+        unit = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+        rows, pivot_cols, _ = reduced_by_fractions(a, unit)
+        if len(pivot_cols) < n:
+            with pytest.raises(ValueError):
+                inverse(a)
+            return
+        got = inverse(a)
+        assert got == Matrix(n, n, tuple(v for row in rows for v in row[n:]))
+        assert all(type(v) is Fraction for row in got.to_rows() for v in row)
 
     def test_fractional_example(self):
         a = Matrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 4), Fraction(5, 7)]])

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,18 @@ class TestLibraryBuild:
         messy = read_native(tmp_path / by_name["miniature-messy-01"]["files"]["native"])
         assert clean.certificate.clean == messy.certificate.clean
         assert clean.instance != messy.instance
+
+    def test_smoke_tree_matches_earlier_revision(self, tmp_path):
+        # sha256 over every file of the tree, manifest.json included, recorded
+        # from an earlier revision: one "<sha256>  <path>" line per file, in
+        # path order
+        library_build(tmp_path, "smoke")
+        listing = "".join(
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(tmp_path).as_posix()}\n"
+            for path in sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        )
+        digest = "900c619ec2be2a525c4dd6abca5dc41377128114563909a59685d20e022001f9"
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         root_a = tmp_path / "a"
