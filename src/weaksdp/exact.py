@@ -237,7 +237,13 @@ class SymMatrix:
         return self._u[_upper_offset(self.n, i, j)]
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [[self.at(i, j) for j in range(1, self.n + 1)] for i in range(1, self.n + 1)]
+        rows: list[list[Fraction]] = []
+        start = 0
+        for i in range(self.n):
+            # the part left of the diagonal mirrors column i of the rows above
+            rows.append([row[i] for row in rows] + list(self._u[start : start + self.n - i]))
+            start += self.n - i
+        return rows
 
     def to_matrix(self) -> Matrix:
         return Matrix(self.n, self.n, tuple(v for row in self.to_rows() for v in row))

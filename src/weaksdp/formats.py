@@ -140,6 +140,11 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _line_of(exc: UnicodeDecodeError) -> int:
+    """The 1-based line of the byte a whole-file decode failed on."""
+    return exc.object.count(b"\n", 0, exc.start) + 1
+
+
 # covers every value `write_sdpa` emits: an optional minus, digits, optional decimals
 _SDPA_VALUE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
 
@@ -150,7 +155,10 @@ def read_sdpa(path) -> SdpInstance:
     Values must be plain decimals, ``-?[0-9]+(.[0-9]+)?``: no exponent, no
     fraction, no sign other than a leading minus.
     """
-    raw_lines = Path(path).read_text(encoding="ascii").splitlines()
+    try:
+        raw_lines = Path(path).read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SdpaFormatError("non-ASCII byte", _line_of(exc)) from None
     numbered = [
         (no, line.strip())
         for no, line in enumerate(raw_lines, start=1)
@@ -362,11 +370,16 @@ def _parse_sym(rows, parse) -> SymMatrix:
 
 
 def read_native(path) -> NativeBundle:
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise NativeFormatError(f"non-ASCII byte on line {_line_of(exc)}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NativeFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError:
+        raise NativeFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise NativeFormatError(f"unsupported schema {doc.get('schema') if isinstance(doc, dict) else None!r}, expected {SCHEMA!r}")
     parse = _memo_rational()

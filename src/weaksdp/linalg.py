@@ -1,14 +1,16 @@
 """Exact linear algebra: elimination, Schur complements, determinants, PSD
 certification, and random unimodular matrices.
 
-There are two elimination loops. `_gauss_jordan` is the fraction-free
-Gauss-Jordan reduction shared by `solve_linear`, `determinant` and `inverse`:
-it eliminates on integers and builds `Fraction`s once, from its result.
-`_eliminate`, still on `Fraction`s, is one symmetric elimination step on a
-full working grid; both `psd_certify` (pivoted LDL^T) and `schur_complement`
-are a sequence of its steps. Every product runs through the integer kernels
-of `exact`: the witness value w^T A w is `inner(A, w w^T)` and
-`PsdVerdict.reconstruct` is one `congruence`.
+There are two elimination loops, both fraction-free (Bareiss, Math. Comp.
+22, 1968): each writes its input once as integers, eliminates on ints with
+exact divisions by the previous pivot, and builds `Fraction`s once, from its
+result. `_gauss_jordan` is the Gauss-Jordan reduction shared by
+`solve_linear`, `determinant` and `inverse`. `_eliminate` is one symmetric
+elimination step on a full working grid of numerators over one common
+denominator; both `psd_certify` (pivoted LDL^T) and `schur_complement` are a
+sequence of its steps, and `is_positive_definite` reads the verdict of
+`psd_certify`. The one product here, `PsdVerdict.reconstruct`, is one
+`congruence` of `exact`.
 
 The PSD decision here is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a
@@ -24,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .exact import Matrix, SymMatrix, congruence, inner
+from .exact import Matrix, SymMatrix, congruence
 from .prng import SplitMix64
 
 _ZERO = Fraction(0)
@@ -174,25 +176,40 @@ class PsdVerdict:
         return congruence(SymMatrix.diag(self.diag), t)
 
 
-def _eliminate(w: list[list[Fraction]], pivot: int, rest: Sequence[int]) -> None:
-    """One symmetric elimination step on the full working grid `w`, in place.
+def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The rows as integer numerators over one common denominator, the lcm of
+    all their entries' denominators: ``rows[r][s] == grid[r][s] / den``."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
-    Subtracts w[r][p] w[p][s] / w[p][p] from w[r][s] for every r, s in `rest`
-    (p = `pivot`, which `rest` must not contain), keeping both halves of the
-    grid current. Row p is not touched, so afterwards it still holds the
-    step's multipliers times the pivot.
+
+def _eliminate(w: list[list[int]], pivot: int, rest: Sequence[int], prev: int) -> int:
+    """One symmetric Bareiss step on the full integer working grid `w`, in place.
+
+    With p = w[pivot][pivot], replaces w[r][s] by
+    (p w[r][s] - w[r][pivot] w[pivot][s]) // prev for every r, s in `rest`
+    (which must not contain `pivot`), keeping both halves of the grid
+    current; a row with w[pivot][r] == 0 is just rescaled by p / prev.
+    `prev` is the previous step's pivot, 1 at first. Pivoting on the
+    diagonal is Bareiss's reduction of a symmetrically permuted matrix, so
+    by Sylvester's identity every division is exact, and after k steps on
+    a grid of numerators over `den` every trailing entry is prev den times
+    the same entry of the Schur complement. Row `pivot` is not touched, so
+    afterwards it still holds the step's multipliers times p. Returns p,
+    the next step's `prev`.
     """
     row_p = w[pivot]
-    d = row_p[pivot]
-    # only rows and columns with a non-zero entry in row p change
-    live = [s for s in rest if row_p[s] != 0]
-    for i, r in enumerate(live):
-        f = row_p[r] / d
+    p = row_p[pivot]
+    for i, r in enumerate(rest):
+        f = row_p[r]
         row_r = w[r]
-        for s in live[i:]:
-            v = row_r[s] - f * row_p[s]
-            row_r[s] = v
-            w[s][r] = v
+        if f:
+            for s in rest[i:]:
+                row_r[s] = w[s][r] = (p * row_r[s] - f * row_p[s]) // prev
+        elif p != prev:
+            for s in rest[i:]:
+                row_r[s] = w[s][r] = p * row_r[s] // prev
+    return p
 
 
 def psd_certify(a: SymMatrix) -> PsdVerdict:
@@ -204,49 +221,64 @@ def psd_certify(a: SymMatrix) -> PsdVerdict:
     is a witness. If only zero diagonals remain, either the residual block is
     entirely zero (PSD, zero pivots) or some off-diagonal entry survives and a
     2x2 indefinite block yields the witness.
+
+    The elimination runs on integer numerators (`_eliminate`). All trailing
+    entries share one positive denominator, so the pivot choice and the sign
+    tests compare integers, and the `Fraction`s of the certificate are built
+    once, from ratios of integer entries.
     """
     n = a.n
-    w = a.to_rows()
+    w, den = _numerators(a.to_rows())
     remaining = list(range(n))
     order: list[int] = []
+    prevs: list[int] = []  # pivot u is w[p_u][p_u] / (prevs[u] den)
+    prev = 1
     while remaining:
         pivot = max(remaining, key=lambda r: (w[r][r], -r))
         if not w[pivot][pivot] > 0:
             break
         remaining.remove(pivot)
         order.append(pivot)
-        _eliminate(w, pivot, remaining)
+        prevs.append(prev)
+        prev = _eliminate(w, pivot, remaining, prev)
 
-    # `remaining` is sorted, and only zero or negative diagonals are left in it
+    # `remaining` is sorted, and only zero or negative diagonals are left in it.
+    # A witness is a vector x on `remaining`, extended so that the eliminated
+    # coordinates minimise its quadratic form; that form is then x^T S x for
+    # the residual Schur complement S, whose entries are w[r][s] / (prev den).
     start: dict[int, Fraction] = {}
     negative = next((r for r in remaining if w[r][r] < 0), None)
     if negative is not None:
         start[negative] = _ONE
+        value = w[negative][negative]
     else:
         offdiag = next(((r, s) for i, r in enumerate(remaining) for s in remaining[i + 1:]
                         if w[r][s] != 0), None)
         if offdiag is not None:
             r, s = offdiag
             start = {r: _ONE, s: -_ONE if w[r][s] > 0 else _ONE}
+            # S[r][r] = S[s][s] = 0, so x^T S x = 2 x_r x_s S[r][s] = -2 |S[r][s]|
+            value = -2 * abs(w[r][s])
     if start:
-        # back-substitute through the eliminations, the last pivot first
+        # back-substitute through the eliminations, the last pivot first; a
+        # pivot row's entries share one denominator, so their ratios are exact
         witness = [start.get(i, _ZERO) for i in range(n)]
         for p in reversed(order):
-            sigma = sum((w[p][s] * v for s, v in enumerate(witness) if v), _ZERO)
-            witness[p] = -sigma / w[p][p]
-        outer = SymMatrix(n, tuple(u * v for i, u in enumerate(witness) for v in witness[i:]))
-        return PsdVerdict(False, witness=tuple(witness), witness_value=inner(a, outer))
+            row_p = w[p]
+            sigma = sum((row_p[s] * v for s, v in enumerate(witness) if v), _ZERO)
+            witness[p] = -sigma / row_p[p]
+        return PsdVerdict(False, witness=tuple(witness), witness_value=Fraction(value, prev * den))
 
     # the residual block is identically zero: zero pivots with zero rows
-    order += remaining
-    diag = tuple(w[p][p] for p in order)
+    diag = tuple(Fraction(w[p][p], q * den) for p, q in zip(order, prevs))
+    diag += (_ZERO,) * len(remaining)
     lower = [[_ZERO] * n for _ in range(n)]
-    for t, p_t in enumerate(order):
+    for t, p_t in enumerate(order + remaining):
         lower[t][t] = _ONE
-        for u in range(t):
-            if diag[u]:
-                # row order[u] kept the multipliers of elimination step u
-                lower[t][u] = w[order[u]][p_t] / diag[u]
+        for u, p_u in enumerate(order[:t]):
+            # row p_u kept the multipliers of elimination step u times its pivot
+            lower[t][u] = Fraction(w[p_u][p_t], w[p_u][p_u])
+    order += remaining
     return PsdVerdict(True, permutation=tuple(p + 1 for p in order), diag=diag,
                       lower=Matrix(n, n, tuple(v for row in lower for v in row)))
 
@@ -268,15 +300,15 @@ def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]
     """
     order = list(eliminate) + list(keep)
     size, first = len(order), len(eliminate)
-    w = [[a.at(r, s) for s in order] for r in order]
+    w, den = _numerators([[a.at(r, s) for s in order] for r in order])
+    prev = 1
     for p in range(first):
-        d = w[p][p]
-        if not d > 0:
-            raise ValueError(f"non-positive pivot {d} at index {order[p]}")
-        _eliminate(w, p, range(p + 1, size))
+        if not w[p][p] > 0:
+            raise ValueError(f"non-positive pivot {Fraction(w[p][p], prev * den)} at index {order[p]}")
+        prev = _eliminate(w, p, range(p + 1, size), prev)
     return SymMatrix(
         size - first,
-        tuple(w[r][s] for r in range(first, size) for s in range(r, size)),
+        tuple(Fraction(w[r][s], prev * den) for r in range(first, size) for s in range(r, size)),
     )
 
 

@@ -149,6 +149,32 @@ def test_repeated_block_index_is_parse_error(me_bundle, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "sieve"])
+def test_non_ascii_bundle_is_parse_error(me_bundle, capsys, command):
+    doc = json.loads(me_bundle.read_text())
+    doc["label"] = "m\u00e9"
+    me_bundle.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert main([command, str(me_bundle)]) == 3
+    assert "non-ASCII byte on line 1" in capsys.readouterr().err
+
+
+def test_non_ascii_sdpa_file_is_parse_error(me_bundle, tmp_path, capsys):
+    # the CLI reads bundles only, so an SDPA file given to it fails as one
+    dat = tmp_path / "me.dat-s"
+    assert main(["export", str(me_bundle), "--format", "dat-s", "--out", str(dat)]) == 0
+    dat.write_text("* caf\u00e9\n" + dat.read_text(), encoding="utf-8")
+    assert main(["verify", str(dat)]) == 3
+    assert "non-ASCII byte on line 1" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    depth = 100_000
+    path = tmp_path / "deep.wsdp"
+    path.write_text('{"schema": "wsdp/1", "instance": ' + "[" * depth + "]" * depth + "}")
+    assert main(["verify", str(path)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_witness_requires_certificate(tmp_path):
     raw, _, _ = large_instance()
     path = tmp_path / "nocert.wsdp"

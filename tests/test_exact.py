@@ -241,6 +241,13 @@ class TestMatrixBasics:
         assert got == sym(expected)
         assert all(type(v) is Fraction for row in got.to_rows() for v in row)
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_rows_from_the_packed_triangle_match_entry_access(self, n):
+        a = SymMatrix(n, tuple(Fraction(k, k % 3 + 1) for k in range(n * (n + 1) // 2)))
+        rows = a.to_rows()
+        assert rows == [[a.at(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        assert SymMatrix.from_rows(rows) == a
+
     def test_one_based_access(self):
         m = Matrix.from_rows([[1, 2], [3, 4]])
         assert m.at(1, 2) == 2 and m.at(2, 1) == 3

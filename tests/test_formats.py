@@ -116,6 +116,13 @@ class TestSdpa:
             read_sdpa(path)
         assert err.value.line == 5
 
+    def test_non_ascii_byte_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.dat-s"
+        path.write_text("1\n1\n2\n1\n1 1 1 1 1 * caf\u00e9\n", encoding="utf-8")
+        with pytest.raises(SdpaFormatError) as err:
+            read_sdpa(path)
+        assert err.value.line == 5
+
     @pytest.mark.parametrize("size", ["-3", "0"])
     def test_non_positive_block_size_rejected(self, tmp_path, size):
         # SDPA writes a diagonal (LP) block with a negative size; it must not

@@ -302,6 +302,14 @@ class TestPsdCertify:
         assert is_positive_definite(SymMatrix.from_rows([[2, 1], [1, 2]]))
         assert not is_positive_definite(SymMatrix.diag([1, 0]))
 
+    @given(st.one_of(random_symmetric(), low_rank_grams(), hollow_residuals(),
+                     low_rank_grams().map(lambda g: g.add(SymMatrix.identity(g.n)))))
+    @settings(max_examples=300)
+    def test_positive_definite_matches_step_by_step_reference(self, a):
+        # the last source is B^T B + I, so positive definite cases come up too
+        want = psd_certify_by_steps(a)
+        assert is_positive_definite(a) == (want.is_psd and all(d > 0 for d in want.diag))
+
 
 class TestSchurComplement:
     @staticmethod
@@ -330,6 +338,31 @@ class TestSchurComplement:
         got = schur_complement(a, [1], [2, 3])
         assert got == self.by_inverse(a, [1], [2, 3])
         assert got.at(1, 1) == Fraction(5, 7) - Fraction(1, 9) / Fraction(3, 2)
+
+    @given(random_symmetric(), st.data())
+    @settings(max_examples=150)
+    def test_sparse_mixed_denominators_match_inverse_formula(self, a, data):
+        # tiny entries are often zero, so many rows have no coupling to a
+        # pivot; a row has at most five off-diagonal entries, each at most 5
+        # in size, so a diagonal shift of 40 on the eliminated indices makes
+        # that block diagonally dominant, hence positive definite
+        indices = data.draw(st.permutations(range(1, a.n + 1)))
+        split = data.draw(st.integers(0, a.n))
+        eliminate, keep = indices[:split], sorted(indices[split:])
+        a = a.add(SymMatrix.diag([40 if i in eliminate else 0 for i in range(1, a.n + 1)]))
+        assert schur_complement(a, eliminate, keep) == self.by_inverse(a, eliminate, keep)
+
+    @pytest.mark.parametrize("rows, eliminate, message", [
+        ([[2, 1], [1, Fraction(-1, 3)]], [2], "non-positive pivot -1/3 at index 2"),
+        # the second pivot is 1/3 - 1/2 only after the first step
+        ([[2, 1], [1, Fraction(1, 3)]], [1, 2], "non-positive pivot -1/6 at index 2"),
+        ([[4, 2, 0], [2, 1, 0], [0, 0, 1]], [1, 2], "non-positive pivot 0 at index 2"),
+    ])
+    def test_non_positive_pivot_is_named_by_its_value(self, rows, eliminate, message):
+        a = SymMatrix.from_rows(rows)
+        keep = [i for i in range(1, a.n + 1) if i not in eliminate]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            schur_complement(a, eliminate, keep)
 
     @pytest.mark.parametrize("pivot", [0, -1, Fraction(-1, 3)])
     def test_non_positive_pivot_rejected(self, pivot):
