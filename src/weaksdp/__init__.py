@@ -15,6 +15,7 @@ from .exact import (
     congruences,
     inner,
     inner_general,
+    inner_table,
     inners,
     rational,
 )
@@ -24,6 +25,7 @@ from .linalg import (
     determinant,
     inverse,
     is_positive_definite,
+    least_definite_shift,
     psd_certify,
     random_unimodular,
     schur_complement,

@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .exact import Matrix, SymMatrix, SymBuilder, congruences, inner, inners, rational
-from .linalg import is_positive_definite, psd_certify, schur_complement
+from .exact import Matrix, SymMatrix, SymBuilder, congruences, inner, inner_table, inners, rational
+from .linalg import least_definite_shift, psd_certify, schur_complement
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def index_set(indices: Iterable[int], n: int) -> frozenset[int]:
@@ -247,8 +248,7 @@ def reformulated(raw: SdpInstance, g: Matrix, t: Matrix) -> SdpInstance:
 
 def inner_product_matrix(inst: SdpInstance, xseq: Sequence[SymMatrix]) -> list[list[Fraction]]:
     """Table of A_i . X_j values, rows over constraints, columns over the sequence."""
-    columns = [inst.apply(x) for x in xseq]
-    return [[column[r] for column in columns] for r in range(inst.m)]
+    return [list(row) for row in inner_table(inst.A, xseq)]
 
 
 def check_infeasibility_cert(inst: SdpInstance, k: int, structure: Structure) -> ValidationReport:
@@ -346,9 +346,9 @@ def check_not_strong_cert(
     if not report:
         return report
     zeros = (_ZERO,) * inst.m
-    for j, x in enumerate(xseq, start=1):
+    for j, column in enumerate(zip(*inner_table(inst.A, xseq)), start=1):
         want = inst.b if j == len(xseq) else zeros
-        for r, (got, expect) in enumerate(zip(inst.apply(x), want), start=1):
+        for r, (got, expect) in enumerate(zip(column, want), start=1):
             if got != expect:
                 return ValidationReport(False, detail=f"A_{r} . X_{j} = {got}, expected {expect}")
     return report
@@ -373,22 +373,6 @@ def frobenius_norm_squared(a: SymMatrix) -> Fraction:
     return inner(a, a)
 
 
-def _least_passing_power_of_two(passes) -> Fraction:
-    """The least 2^e, e >= 0, that `passes`, for a test monotone in e: gallop
-    e = 0, 1, 2, 4, ... to the first pass, then bisect down from it, so a
-    gamma of b bits costs O(log b) tests instead of b."""
-    failed, e = -1, 0
-    while not passes(Fraction(2**e)):
-        failed, e = e, max(1, 2 * e)
-    while e - failed > 1:
-        mid = (failed + e) // 2
-        if passes(Fraction(2**mid)):
-            e = mid
-        else:
-            failed = mid
-    return Fraction(2**e)
-
-
 def asymptote_witness(
     inst: SdpInstance,
     xseq: Sequence[SymMatrix],
@@ -406,9 +390,14 @@ def asymptote_witness(
     D_i, so the block over P_i and S is positive definite iff the Schur
     complement of S onto P_i plus gamma_i D_i is. gamma_i is the least power
     of two for which that |P_i|-sized test passes, the same as for the whole
-    block; the test is monotone in gamma_i (D_i is positive), so the exponent
-    is found by galloping, then bisecting. Every comparison is an exact
-    rational one, and the finished matrix is PSD-certified once more.
+    block; the test is monotone in gamma_i (D_i is positive), so
+    `least_definite_shift` finds the exponent by galloping, then bisecting,
+    each probe an integer elimination that stops at the first non-positive
+    pivot. The padding and each gamma_i X_i are added by the integer row
+    combination of `congruences` (T = I), and the certificate check takes
+    every A_j . X_i from one `inner_table`. Every comparison is an exact
+    rational one, and the finished matrix is PSD-certified once more, the
+    one PSD verdict built here.
     """
     eps = rational(eps)
     if eps <= 0:
@@ -432,17 +421,15 @@ def asymptote_witness(
         delta = _ZERO
         x_delta = SymMatrix.zeros(n)
 
-    current = xseq[-1].add(x_delta)
+    identity = Matrix.identity(n)
+    current = next(congruences((xseq[-1], x_delta), Matrix(1, 2, (_ONE, _ONE)), identity))
     gammas: list[Fraction] = []
     trailing = sorted(set(rest) | set(structure.blocks[ell]))
     for i in range(ell, 0, -1):
         block = sorted(structure.blocks[i - 1])
         complement = schur_complement(current, trailing, block)
-        pivots = xseq[i - 1].principal(block)
-        gamma = _least_passing_power_of_two(
-            lambda scale: is_positive_definite(complement.add(pivots.scale(scale)))
-        )
-        current = current.add(xseq[i - 1].scale(gamma))
+        gamma = least_definite_shift(complement, xseq[i - 1].principal(block))
+        current = next(congruences((current, xseq[i - 1]), Matrix(1, 2, (_ONE, gamma)), identity))
         gammas.append(gamma)
         trailing = sorted(trailing + block)
     gammas.reverse()

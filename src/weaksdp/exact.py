@@ -8,9 +8,10 @@ numerators over one common denominator, and each result entry is turned back
 into a `Fraction` once, so storage and API stay `Fraction`. There are three
 product kernels, and every product in the package goes through one of them.
 The matrix product `@` also serves `Matrix.mul_vec` (a column matrix) and
-`inner_general` (a 1 x k by k x 1 product). `inners(mats, x)` gives M . X for
-every M, converting X once (its off-diagonal entries doubled) and each M
-once; `inner` and `SymBuilder.inner` are its one-matrix case.
+`inner_general` (a 1 x k by k x 1 product). `inner_table(mats, xs)` gives
+M . X for every M and every X, converting each X once (its off-diagonal
+entries doubled) and each M once; `inners` is its one-X case, and `inner`
+and `SymBuilder.inner` are the one-matrix case of that.
 `congruences(mats, g, t)` yields the rows T^T (sum_j g_ij M_j) T lazily, with
 the combination and the congruence both on ints; it is the one routine for
 "row-combine, then congruence" (the reformulation, the generator's
@@ -103,7 +104,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+        entries = [_ZERO] * (n * n)
+        entries[:: n + 1] = [_ONE] * n
+        return cls(n, n, tuple(entries))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -335,24 +338,38 @@ class SymBuilder:
         return SymMatrix(self.n, tuple(upper))
 
 
-def inners(mats: Iterable[SymMatrix], x: SymMatrix) -> tuple[Fraction, ...]:
-    """Trace inner products M . X, one per M in `mats`, computed exactly.
+def inner_table(
+    mats: Iterable[SymMatrix], xs: Iterable[SymMatrix]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Trace inner products M_i . X_j, one row per M and one column per X,
+    computed exactly.
 
-    X is converted to integer numerators once, its off-diagonal entries
+    Each X is converted to integer numerators once, its off-diagonal entries
     doubled because the upper triangle holds each of them once; each M is
-    converted once.
+    converted once, so a table of m rows and k columns costs m + k
+    conversions, not m k.
     """
-    n = x.n
+    mats, xs = tuple(mats), tuple(xs)
+    orders = {a.n for a in mats + xs}
+    if len(orders) > 1:
+        raise ValueError("order mismatch")
+    n = orders.pop() if orders else 0
     diagonal = {_upper_offset(n, i, i) for i in range(1, n + 1)}
-    xi, dx = _over_common_denominator(x._u)
-    xi = [v if p in diagonal else 2 * v for p, v in enumerate(xi)]
-    products = []
+    columns = []
+    for x in xs:
+        xi, dx = _over_common_denominator(x._u)
+        columns.append(([v if p in diagonal else 2 * v for p, v in enumerate(xi)], dx))
+    table = []
     for mat in mats:
-        if mat.n != n:
-            raise ValueError("order mismatch")
         mi, dm = _over_common_denominator(mat._u)
-        products.append(Fraction(sum(map(mul, mi, xi)), dm * dx))
-    return tuple(products)
+        table.append(tuple(Fraction(sum(map(mul, mi, xi)), dm * dx) for xi, dx in columns))
+    return tuple(table)
+
+
+def inners(mats: Iterable[SymMatrix], x: SymMatrix) -> tuple[Fraction, ...]:
+    """Trace inner products M . X, one per M in `mats`: the one-column case
+    of `inner_table`."""
+    return tuple(row[0] for row in inner_table(mats, (x,)))
 
 
 def inner(a: SymMatrix, b: SymMatrix) -> Fraction:
@@ -394,10 +411,13 @@ def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[Sym
     stacked, dm = _over_common_denominator([v for mat in mats for v in mat._u])
     across = [stacked[p::half] for p in range(half)]  # upper entry p of M_1..M_k
     gi, dg = _over_common_denominator(g._e)
-    ti, dt = _over_common_denominator(t._e)
     identity = t == Matrix.identity(n)
-    full = [_upper_offset(n, min(r, c), max(r, c)) for r in range(1, n + 1) for c in range(1, n + 1)]
-    t_cols = [ti[i::n] for i in range(n)]
+    if identity:
+        dt = 1
+    else:
+        ti, dt = _over_common_denominator(t._e)
+        full = [_upper_offset(n, min(r, c), max(r, c)) for r in range(1, n + 1) for c in range(1, n + 1)]
+        t_cols = [ti[i::n] for i in range(n)]
     den = dm * dg * dt * dt
     for row in range(g.rows):
         coeffs = gi[row * k : (row + 1) * k]

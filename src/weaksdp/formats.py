@@ -111,9 +111,8 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     body: list[str] = []
     lossy = False
     for idx, mat in enumerate(inst.A, start=1):
-        for i in range(1, inst.n + 1):
-            for j in range(i, inst.n + 1):
-                v = mat.at(i, j)
+        for i, row in enumerate(mat.to_rows(), start=1):
+            for j, v in enumerate(row[i - 1:], start=i):
                 if v != 0:
                     text, rounded = _format_value(v)
                     lossy = lossy or rounded
@@ -241,9 +240,8 @@ def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
     lossy = False
     fcoord: list[str] = []
     for ci, mat in enumerate(inst.A):
-        for i in range(1, inst.n + 1):
-            for j in range(1, i + 1):
-                v = mat.at(i, j)
+        for i, row in enumerate(mat.to_rows(), start=1):
+            for j, v in enumerate(row[:i], start=1):
                 if v != 0:
                     text, rounded = _format_value(v)
                     lossy = lossy or rounded
@@ -341,13 +339,26 @@ def _memo_rational():
     return parse
 
 
+def _list(value, what: str) -> list:
+    """`value` if it is a JSON list; a string or an object would otherwise be
+    iterated character by character or key by key."""
+    if type(value) is not list:
+        raise NativeFormatError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _rows(value, what: str, item: str = "row") -> list[list]:
+    """A list of lists: the rows of a matrix, or the blocks of a structure."""
+    return [_list(row, f"a {item} of {what}") for row in _list(value, what)]
+
+
 def _parse_instance(doc: dict, where: str, parse) -> SdpInstance:
     try:
         n = doc["n"]
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
-        b = tuple(parse(v) for v in doc["b"])
-        matrices = tuple(_parse_sym(rows, parse) for rows in doc["matrices"])
+        b = tuple(parse(v) for v in _list(doc["b"], "b"))
+        matrices = tuple(_parse_sym(rows, parse) for rows in _list(doc["matrices"], "matrices"))
         return SdpInstance(n, matrices, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise NativeFormatError(f"malformed instance in {where}: {exc}") from exc
@@ -357,6 +368,7 @@ def _parse_sym(rows, parse) -> SymMatrix:
     """A `SymMatrix` from JSON rows, each upper entry parsed once. A lower entry
     is parsed only when it differs from its mirror in type or value, so `true`
     beside `1` is still rejected while `"2/4"` and `"1/2"` still read alike."""
+    rows = _rows(rows, "a matrix")
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
@@ -394,13 +406,18 @@ def read_native(path) -> NativeBundle:
             clean = _parse_instance(cert_doc["clean"], "certificate.clean", parse)
             certificate = WeakCertificate(
                 raw=instance,
-                row_ops=Matrix.from_rows(map(parse, row) for row in cert_doc["row_ops"]),
-                transform=Matrix.from_rows(map(parse, row) for row in cert_doc["transform"]),
+                row_ops=Matrix.from_rows(
+                    map(parse, row) for row in _rows(cert_doc["row_ops"], "row_ops")),
+                transform=Matrix.from_rows(
+                    map(parse, row) for row in _rows(cert_doc["transform"], "transform")),
                 clean=clean,
                 k=k,
-                xseq=tuple(_parse_sym(rows, parse) for rows in cert_doc["x_sequence"]),
-                p_structure=Structure(clean.n, tuple(cert_doc["p_blocks"])),
-                q_structure=Structure(clean.n, tuple(cert_doc["q_blocks"])),
+                xseq=tuple(
+                    _parse_sym(rows, parse) for rows in _list(cert_doc["x_sequence"], "x_sequence")),
+                p_structure=Structure(
+                    clean.n, tuple(_rows(cert_doc["p_blocks"], "p_blocks", "block"))),
+                q_structure=Structure(
+                    clean.n, tuple(_rows(cert_doc["q_blocks"], "q_blocks", "block"))),
             )
             if certificate.l != l:
                 raise NativeFormatError("stored l disagrees with the x-sequence length")
@@ -408,9 +425,11 @@ def read_native(path) -> NativeBundle:
             if isinstance(exc, NativeFormatError):
                 raise
             raise NativeFormatError(f"malformed certificate: {exc}") from exc
-    generation = doc.get("generation")
-    return NativeBundle(instance=instance, certificate=certificate, generation=generation,
-                        label=doc.get("label"))
+    label = doc.get("label")
+    if label is not None and type(label) is not str:
+        raise NativeFormatError(f"label must be a string or null, got {type(label).__name__}")
+    return NativeBundle(instance=instance, certificate=certificate,
+                        generation=doc.get("generation"), label=label)
 
 
 # --- block rendering -------------------------------------------------------

@@ -33,7 +33,9 @@ import json
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
-from .exact import Matrix, SymMatrix, SymBuilder, congruences, inner, inner_general, inners
+from .exact import (
+    Matrix, SymMatrix, SymBuilder, congruences, inner, inner_general, inner_table, inners,
+)
 from .echelon import (
     SdpInstance,
     Structure,
@@ -328,7 +330,7 @@ def extend_constraints(
     n = cfg.n
     ell = len(xseq) - 1
     span = xseq[:ell]
-    gram = Matrix(len(span), len(span), tuple(v for xs in span for v in inners(span, xs)))
+    gram = Matrix(len(span), len(span), tuple(v for row in inner_table(span, span) for v in row))
     identity = Matrix.identity(n)
     rng = SplitMix64(seed)
     extras: list[SymMatrix] = []

@@ -1,5 +1,6 @@
 """Exact linear algebra: elimination, Schur complements, determinants, PSD
-certification, and random unimodular matrices.
+certification, least positive-definite shifts, and random unimodular
+matrices.
 
 There are two elimination loops, both fraction-free (Bareiss, Math. Comp.
 22, 1968): each writes its input once as integers, eliminates on ints with
@@ -7,12 +8,18 @@ exact divisions by the previous pivot, and builds `Fraction`s once, from its
 result. `_gauss_jordan` is the Gauss-Jordan reduction shared by
 `solve_linear`, `determinant` and `inverse`. `_eliminate` is one symmetric
 elimination step on a full working grid of numerators over one common
-denominator; both `psd_certify` (pivoted LDL^T) and `schur_complement` are a
-sequence of its steps, and `is_positive_definite` reads the verdict of
-`psd_certify`. The one product here, `PsdVerdict.reconstruct`, is one
-`congruence` of `exact`.
+denominator; `psd_certify` (pivoted LDL^T) runs its steps under the
+max-diagonal pivot rule, and `_positive_pivots` runs them in natural order
+while the pivots stay positive, for `schur_complement` and for each probe
+of `least_definite_shift`. The one product here, `PsdVerdict.reconstruct`,
+is one `congruence` of `exact`.
 
-The PSD decision here is a certificate-producing procedure: a positive verdict
+Positive definiteness is decided in two places. `is_positive_definite`
+reads the verdict of `psd_certify`. `least_definite_shift` needs only yes or
+no for each probe of its search: it reads the signs of the natural-order
+pivots on its integer grid and builds no verdict.
+
+The PSD decision of `psd_certify` is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a
 negative verdict carries an explicit rational vector w with w^T A w < 0. Both
 sides are checkable by plain arithmetic, which is what downstream verification
@@ -179,8 +186,9 @@ class PsdVerdict:
 def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """The rows as integer numerators over one common denominator, the lcm of
     all their entries' denominators: ``rows[r][s] == grid[r][s] / den``."""
-    den = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    den = lcm(*(d for row in ratios for _, d in row))
+    return [[p * (den // d) for p, d in row] for row in ratios], den
 
 
 def _eliminate(w: list[list[int]], pivot: int, rest: Sequence[int], prev: int) -> int:
@@ -289,6 +297,24 @@ def is_positive_definite(a: SymMatrix) -> bool:
     return verdict.is_psd and all(d > 0 for d in verdict.diag)
 
 
+def _positive_pivots(w: list[list[int]], count: int) -> tuple[int, int]:
+    """`_eliminate` steps on the grid `w` in natural order, pivot 0 first,
+    for the first `count` indices or until a pivot is not positive.
+
+    Returns how many steps were taken and the last step's pivot (1 if none):
+    the grid's numerators stand over that `prev` times their input
+    denominator. All `count` steps are taken exactly when the leading
+    `count` x `count` block is positive definite.
+    """
+    size = len(w)
+    prev = 1
+    for p in range(count):
+        if not w[p][p] > 0:
+            return p, prev
+        prev = _eliminate(w, p, range(p + 1, size), prev)
+    return count, prev
+
+
 def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]) -> SymMatrix:
     """The complement A_KK - A_KE A_EE^{-1} A_EK of the `eliminate` block.
 
@@ -298,18 +324,64 @@ def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]
     ValueError on a non-positive pivot. Row and column t of the result belong
     to index keep[t].
     """
-    order = list(eliminate) + list(keep)
+    order = [r - 1 for r in list(eliminate) + list(keep)]
+    if any(not 0 <= r < a.n for r in order):
+        raise IndexError(f"indices outside order {a.n} (indices are 1-based)")
     size, first = len(order), len(eliminate)
-    w, den = _numerators([[a.at(r, s) for s in order] for r in order])
-    prev = 1
-    for p in range(first):
-        if not w[p][p] > 0:
-            raise ValueError(f"non-positive pivot {Fraction(w[p][p], prev * den)} at index {order[p]}")
-        prev = _eliminate(w, p, range(p + 1, size), prev)
+    rows = a.to_rows()
+    w, den = _numerators([[rows[r][s] for s in order] for r in order])
+    done, prev = _positive_pivots(w, first)
+    if done < first:
+        value = Fraction(w[done][done], prev * den)
+        raise ValueError(f"non-positive pivot {value} at index {order[done] + 1}")
     return SymMatrix(
         size - first,
         tuple(Fraction(w[r][s], prev * den) for r in range(first, size) for s in range(r, size)),
     )
+
+
+def _least_passing_power_of_two(passes) -> Fraction:
+    """The least 2^e, e >= 0, that `passes`, for a test monotone in e: gallop
+    e = 0, 1, 2, 4, ... to the first pass, then bisect down from it, so a
+    result of b bits costs O(log b) tests instead of b."""
+    failed, e = -1, 0
+    while not passes(Fraction(2**e)):
+        failed, e = e, max(1, 2 * e)
+    while e - failed > 1:
+        mid = (failed + e) // 2
+        if passes(Fraction(2**mid)):
+            e = mid
+        else:
+            failed = mid
+    return Fraction(2**e)
+
+
+def least_definite_shift(c: SymMatrix, d: SymMatrix) -> Fraction:
+    """The least power of two 2^e, e >= 0, for which C + 2^e D is positive definite.
+
+    D must be positive definite (ValueError otherwise): then the test is
+    monotone in e and passes for e large enough, and the exponent is found
+    by galloping, then bisecting. C and D are written once as integer
+    numerators, C = C'/c and D = D'/d; C + s D is positive definite iff
+    d C' + s c D' is, so each probe forms that integer grid and takes
+    natural-order elimination steps until a pivot is not positive.
+    """
+    if c.n != d.n:
+        raise ValueError("order mismatch")
+    n = c.n
+    cw, cden = _numerators(c.to_rows())
+    dw, dden = _numerators(d.to_rows())
+    if _positive_pivots([row[:] for row in dw], n)[0] < n:
+        raise ValueError("the shift direction D must be positive definite")
+    cw = [[dden * v for v in row] for row in cw]
+    dw = [[cden * v for v in row] for row in dw]
+
+    def passes(scale: Fraction) -> bool:
+        s = scale.numerator
+        grid = [[u + s * v for u, v in zip(row_c, row_d)] for row_c, row_d in zip(cw, dw)]
+        return _positive_pivots(grid, n)[0] == n
+
+    return _least_passing_power_of_two(passes)
 
 
 def random_unimodular(n: int, seed: int, ops_budget: int, magnitude_cap: int) -> Matrix:

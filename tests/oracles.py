@@ -131,6 +131,28 @@ def witness_by_full_doubling(inst, xseq, structure, eps):
     )
 
 
+def least_definite_shift_by_probes(c, d):
+    """Reference least power of two 2^e, e >= 0, with C + 2^e D positive
+    definite: the probe path `asymptote_witness` ran before its integer one,
+    each probe a `Fraction` `scale`/`add` and one full `is_positive_definite`
+    verdict, with the same gallop-then-bisect search over e."""
+    from weaksdp import is_positive_definite
+
+    def passes(e):
+        return is_positive_definite(c.add(d.scale(2**e)))
+
+    failed, e = -1, 0
+    while not passes(e):
+        failed, e = e, max(1, 2 * e)
+    while e - failed > 1:
+        mid = (failed + e) // 2
+        if passes(mid):
+            e = mid
+        else:
+            failed = mid
+    return Fraction(2**e)
+
+
 def matmul_by_fractions(a, b):
     """Reference product of two `Matrix` values, one `Fraction` multiply-add at
     a time: the kernel loop the package ran before its integer-numerator path."""

@@ -141,6 +141,15 @@ def test_non_integer_k_is_parse_error(me_bundle, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_string_in_place_of_a_list_is_parse_error(me_bundle, capsys):
+    # "02" iterates like ["0", "2"], the stored right-hand side
+    doc = json.loads(me_bundle.read_text())
+    doc["instance"]["b"] = "02"
+    me_bundle.write_text(json.dumps(doc))
+    assert main(["verify", "--json", str(me_bundle)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_repeated_block_index_is_parse_error(me_bundle, capsys):
     doc = json.loads(me_bundle.read_text())
     doc["certificate"]["p_blocks"] = [[1, 1], []]

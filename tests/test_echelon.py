@@ -255,6 +255,34 @@ def test_witness_matches_full_doubling_on_generated(n, l, policy):
     _assert_matches_full_doubling(instance.clean, instance.xseq, instance.q_structure)
 
 
+def test_witness_certifies_once_and_sums_on_integers(monkeypatch):
+    # the gamma probes and level sums run on integer numerators: the only PSD
+    # verdict is the final self-check, and no Fraction add or scale runs
+    import weaksdp.echelon
+    import weaksdp.linalg
+
+    verdicts = []
+    certify = weaksdp.linalg.psd_certify
+
+    def counting(a):
+        verdicts.append(a.n)
+        return certify(a)
+
+    def forbidden(*args):
+        raise AssertionError("SymMatrix add/scale inside asymptote_witness")
+
+    instance = generate(GenConfig(n=10, m=6, k=1, l=3, seed=5, entry_range=3))
+    for module in (weaksdp.linalg, weaksdp.echelon):
+        monkeypatch.setattr(module, "psd_certify", counting)
+    monkeypatch.setattr(SymMatrix, "add", forbidden)
+    monkeypatch.setattr(SymMatrix, "scale", forbidden)
+    for eps in CRITERION_7_TOLERANCES:
+        verdicts.clear()
+        witness = asymptote_witness(instance.clean, instance.xseq, instance.q_structure, eps)
+        assert verdicts == [10]
+        assert len(witness.gammas) == 3
+
+
 @pytest.mark.parametrize("make_cert", [
     lambda: me_instance()[1],
     large_certificate,

@@ -18,6 +18,7 @@ from weaksdp import (
     congruences,
     inner,
     inner_general,
+    inner_table,
     inners,
     inverse,
     random_unimodular,
@@ -224,6 +225,31 @@ class TestInners:
     def test_order_mismatch_raises(self):
         with pytest.raises(ValueError):
             inners((SymMatrix.identity(2), SymMatrix.identity(3)), SymMatrix.identity(2))
+
+
+class TestInnerTable:
+    @given(st.integers(0, 4).flatmap(lambda order: st.tuples(
+        st.integers(0, 4).flatmap(lambda m: sym_matrices(order, m)),
+        st.integers(0, 4).flatmap(lambda k: sym_matrices(order, k)))))
+    @settings(max_examples=100)
+    def test_matches_inner_pair_by_pair(self, operands):
+        mats, xs = operands
+        table = inner_table(mats, xs)
+        assert table == tuple(tuple(inner(mat, x) for x in xs) for mat in mats)
+        assert all(type(v) is Fraction for row in table for v in row)
+
+    def test_generators_are_read_once(self):
+        a, x = sym([[1, 2], [2, 3]]), sym([[Fraction(1, 2), 1], [1, 0]])
+        assert inner_table(iter((a, a)), iter((x,))) == ((Fraction(9, 2),),) * 2
+
+    @pytest.mark.parametrize("mats, xs", [
+        ((SymMatrix.identity(2),), (SymMatrix.identity(3),)),
+        ((), (SymMatrix.identity(2), SymMatrix.identity(3))),
+        ((SymMatrix.identity(2), SymMatrix.identity(3)), ()),
+    ])
+    def test_order_mismatch_raises(self, mats, xs):
+        with pytest.raises(ValueError, match="order mismatch"):
+            inner_table(mats, xs)
 
 
 class TestMatrixBasics:

@@ -301,6 +301,36 @@ class TestNative:
         with pytest.raises(NativeFormatError):
             read_native(path)
 
+    @pytest.mark.parametrize("path, value", [
+        (("instance", "b"), "02"),
+        (("instance", "matrices"), "1"),
+        (("instance", "matrices", 0), {"1": "0"}),
+        (("instance", "matrices", 0, 0), "10"),
+        (("certificate", "clean", "matrices", 0, 1), "00"),
+        (("certificate", "row_ops", 0), "10"),
+        (("certificate", "transform"), [["1", "0"], "01"]),
+        (("certificate", "x_sequence"), {"0": [["0", "0"], ["0", "1"]]}),
+        (("certificate", "x_sequence", 0, 0), "00"),
+        (("certificate", "p_blocks", 1), ""),
+        (("label",), 5),
+        (("label",), ["me"]),
+    ])
+    def test_strings_and_objects_where_lists_belong_rejected(self, tmp_path, path, value):
+        # each value iterates like the stored one: a string character by
+        # character, an object key by key
+        raw, cert = me_instance()
+        bundle = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert, label="me"), bundle)
+        doc = json.loads(bundle.read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        bundle.write_text(json.dumps(doc))
+        with pytest.raises(NativeFormatError, match="must be a"):
+            read_native(bundle)
+
     def test_mismatched_certificate_rejected(self):
         raw, cert = me_instance()
         other = SdpInstance(2, raw.A, (1, 1))

@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import determinant_by_cofactors, gauss_jordan_by_fractions, psd_certify_by_steps
+from oracles import (
+    determinant_by_cofactors,
+    gauss_jordan_by_fractions,
+    least_definite_shift_by_probes,
+    psd_certify_by_steps,
+)
 from weaksdp import (
     Matrix,
     SplitMix64,
@@ -13,6 +18,7 @@ from weaksdp import (
     determinant,
     inverse,
     is_positive_definite,
+    least_definite_shift,
     psd_certify,
     random_unimodular,
     schur_complement,
@@ -379,6 +385,66 @@ class TestSchurComplement:
     def test_empty_elimination_is_principal_block(self):
         a = SymMatrix.from_rows([[1, Fraction(1, 2), 3], [Fraction(1, 2), -2, 0], [3, 0, 5]])
         assert schur_complement(a, [], [1, 3]) == a.principal([1, 3])
+
+    @pytest.mark.parametrize("eliminate, keep", [([0], [1]), ([1], [3]), ([], [-1])])
+    def test_index_outside_the_order_rejected(self, eliminate, keep):
+        with pytest.raises(IndexError):
+            schur_complement(SymMatrix.identity(2), eliminate, keep)
+
+
+@st.composite
+def shift_pairs(draw):
+    """(C, D) of order 0..5: C symmetric with mixed denominators, as a Schur
+    complement next to a padding of 2^-k is, and D a positive diagonal."""
+    n = draw(st.integers(0, 5))
+    upper = draw(st.lists(small_fractions, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    pad = Fraction(1, 2 ** draw(st.integers(0, 12)))
+    c = SymMatrix(n, tuple(upper)).add(SymMatrix.diag([pad] * n))
+    d = SymMatrix.diag(draw(st.lists(st.fractions(min_value=Fraction(1, 64), max_value=9,
+                                                  max_denominator=64).filter(bool),
+                                     min_size=n, max_size=n)))
+    return c, d
+
+
+class TestLeastDefiniteShift:
+    @given(shift_pairs())
+    @settings(max_examples=200)
+    def test_matches_fraction_probes(self, pair):
+        c, d = pair
+        gamma = least_definite_shift(c, d)
+        assert gamma == least_definite_shift_by_probes(c, d)
+        assert is_positive_definite(c.add(d.scale(gamma)))
+        assert gamma == 1 or not is_positive_definite(c.add(d.scale(gamma / 2)))
+
+    @given(st.lists(small_fractions, min_size=12, max_size=12),
+           st.lists(small_fractions, min_size=6, max_size=6))
+    @settings(max_examples=60)
+    def test_direction_need_not_be_diagonal(self, entries, upper):
+        # B^T B + I is positive definite and has off-diagonal entries
+        b = Matrix(4, 3, tuple(entries))
+        d = SymMatrix.from_rows((b.transpose() @ b + Matrix.identity(3)).to_rows())
+        c = SymMatrix(3, tuple(upper))
+        assert least_definite_shift(c, d) == least_definite_shift_by_probes(c, d)
+
+    def test_already_definite_is_one(self):
+        assert least_definite_shift(SymMatrix.identity(2), SymMatrix.identity(2)) == 1
+        assert least_definite_shift(SymMatrix.zeros(0), SymMatrix.zeros(0)) == 1
+
+    def test_known_exponent(self):
+        # [[-100, 1], [1, -100]] + s I is positive definite iff s > 101
+        c = SymMatrix.from_rows([[-100, 1], [1, -100]])
+        assert least_definite_shift(c, SymMatrix.identity(2)) == 128
+        assert least_definite_shift(c, SymMatrix.diag([Fraction(1, 2), 4])) == 256
+
+    @pytest.mark.parametrize("d", [SymMatrix.diag([1, 0]), SymMatrix.diag([1, -1]),
+                                   SymMatrix.from_rows([[1, 1], [1, 1]])])
+    def test_direction_not_positive_definite_rejected(self, d):
+        with pytest.raises(ValueError, match="positive definite"):
+            least_definite_shift(SymMatrix.identity(2), d)
+
+    def test_order_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="order mismatch"):
+            least_definite_shift(SymMatrix.identity(2), SymMatrix.identity(3))
 
 
 class TestRandomUnimodular:
