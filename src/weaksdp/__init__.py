@@ -12,6 +12,7 @@ from .exact import (
     SymBuilder,
     SymMatrix,
     congruence,
+    congruence_mismatch,
     congruences,
     inner,
     inner_general,

@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exact import Matrix, SymMatrix
+from .exact import Matrix, SymMatrix, congruence_mismatch
 from .echelon import (
     SdpInstance,
     Structure,
+    ValidationReport,
     check_infeasibility_cert,
     check_not_strong_cert,
-    reformulated_rows,
 )
 from .linalg import determinant
 
@@ -79,21 +79,28 @@ class WeakCertificate:
         )
 
 
-def check_reformulation(raw: SdpInstance, g: Matrix, t: Matrix, clean: SdpInstance) -> bool:
+def check_reformulation(raw: SdpInstance, g: Matrix, t: Matrix, clean: SdpInstance) -> ValidationReport:
     """Exact check that (G, T) turns `raw` into `clean`.
 
     Requires det G != 0 and det T != 0, then verifies entrywise that
-    clean_i = T^T (sum_j g_ij raw_j) T for every i and clean_b = G raw_b.
+    clean_b = G raw_b and clean_i = T^T (sum_j g_ij raw_j) T for every i,
+    comparing integer numerators. The report names the first failure:
+    "det G = 0", "det T = 0", "b row i" or "row i entry (r, s)".
     """
     if raw.n != clean.n or raw.m != clean.m:
         raise ValueError("raw and clean instances differ in shape")
     if g.rows != raw.m or g.cols != raw.m or t.rows != raw.n or t.cols != raw.n:
         raise ValueError("reformulation matrices have inconsistent dimensions")
-    if determinant(g) == 0 or determinant(t) == 0:
-        return False
-    if tuple(g.mul_vec(raw.b)) != clean.b:
-        return False
-    return all(row == want for row, want in zip(reformulated_rows(raw, g, t), clean.A))
+    for name, mat in (("G", g), ("T", t)):
+        if determinant(mat) == 0:
+            return ValidationReport(False, detail=f"det {name} = 0")
+    for i, (got, want) in enumerate(zip(g.mul_vec(raw.b), clean.b), start=1):
+        if got != want:
+            return ValidationReport(False, detail=f"b row {i}")
+    mismatch = congruence_mismatch(raw.A, g, t, clean.A)
+    if mismatch is not None:
+        return ValidationReport(False, detail="row {} entry ({}, {})".format(*mismatch))
+    return ValidationReport(True)
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ class VerificationReport:
 
 
 def _sub_check(name: str, check, *args) -> SubCheck:
-    """Run one echelon certificate check; malformed input fails it with the error text."""
+    """Run one certificate check; malformed input fails it with the error text."""
     try:
         report = check(*args)
     except ValueError as exc:
@@ -153,13 +160,8 @@ def verify_weak_infeasibility(cert: WeakCertificate) -> VerificationReport:
     l_ok = len(cert.xseq) >= 2
     checks.append(SubCheck("sequence length l >= 1", l_ok, f"l = {len(cert.xseq) - 1}"))
 
-    try:
-        reform_ok = check_reformulation(cert.raw, cert.row_ops, cert.transform, cert.clean)
-        reform_detail = "" if reform_ok else "reformulation identities fail or a matrix is singular"
-    except ValueError as exc:
-        reform_ok = False
-        reform_detail = str(exc)
-    checks.append(SubCheck("reformulation (G, T)", reform_ok, reform_detail))
+    checks.append(_sub_check(
+        "reformulation (G, T)", check_reformulation, cert.raw, cert.row_ops, cert.transform, cert.clean))
 
     name = "infeasibility prefix"
     if k_ok:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .exact import Matrix, SymMatrix, SymBuilder, congruences, inner, inner_table, inners, rational
 from .linalg import least_definite_shift, psd_certify, schur_complement
@@ -235,15 +235,9 @@ class SdpInstance:
         return inners(self.A, x)
 
 
-def reformulated_rows(raw: SdpInstance, g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
-    """Row i of the reformulated system, T^T (sum_j g_ij A_j) T, one row at a
-    time, so that a check can stop at the first row that differs."""
-    return congruences(raw.A, g, t)
-
-
 def reformulated(raw: SdpInstance, g: Matrix, t: Matrix) -> SdpInstance:
     """Apply row operations G and congruence T: row i becomes T^T (sum_j g_ij A_j) T."""
-    return SdpInstance(raw.n, tuple(reformulated_rows(raw, g, t)), g.mul_vec(raw.b))
+    return SdpInstance(raw.n, tuple(congruences(raw.A, g, t)), g.mul_vec(raw.b))
 
 
 def inner_product_matrix(inst: SdpInstance, xseq: Sequence[SymMatrix]) -> list[list[Fraction]]:

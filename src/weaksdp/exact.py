@@ -18,6 +18,13 @@ the combination and the congruence both on ints; it is the one routine for
 projection and the alternative-system check), and `congruence` is its
 one-row case. Given T = I, as the last two callers and the reformulation of
 a clean bundle do, it yields the combination without the congruence.
+Otherwise the products run on packed ints (Kronecker substitution): each row
+of T is one int with a fixed-width slot per column, wide enough for every
+result entry, so CPython's big-int multiply runs the inner loops and n^2
+slots are read back per row. `congruence_mismatch(mats, g, t, targets)`
+compares the same rows with targets on integer numerators and names the
+first differing entry; the reformulation check runs on it and builds no
+Fraction.
 Matrix entries are addressed with 1-based indices via ``at(i, j)``, matching
 the 1-based index sets used for block structures, so a single indexing
 convention runs through structures, matrices and emitted file formats.
@@ -181,6 +188,17 @@ def _upper_offset(n: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n - i + 2) // 2 + (j - i)
 
 
+def _square(upper: Sequence, n: int) -> list[list]:
+    """The n rows of a symmetric matrix from its packed row-major upper triangle."""
+    rows: list[list] = []
+    start = 0
+    for i in range(n):
+        # the part left of the diagonal mirrors column i of the rows above
+        rows.append([row[i] for row in rows] + list(upper[start : start + n - i]))
+        start += n - i
+    return rows
+
+
 class SymMatrix:
     """Dense exact symmetric matrix of order n.
 
@@ -240,13 +258,7 @@ class SymMatrix:
         return self._u[_upper_offset(self.n, i, j)]
 
     def to_rows(self) -> list[list[Fraction]]:
-        rows: list[list[Fraction]] = []
-        start = 0
-        for i in range(self.n):
-            # the part left of the diagonal mirrors column i of the rows above
-            rows.append([row[i] for row in rows] + list(self._u[start : start + self.n - i]))
-            start += self.n - i
-        return rows
+        return _square(self._u, self.n)
 
     def to_matrix(self) -> Matrix:
         return Matrix(self.n, self.n, tuple(v for row in self.to_rows() for v in row))
@@ -388,17 +400,20 @@ def inner_general(m: Matrix, y: Matrix) -> Fraction:
     return (Matrix(1, k, m._e) @ Matrix(k, 1, y._e))._e[0]
 
 
-def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
-    """Row i = T^T (sum_j g_ij M_j) T for each row of G, yielded one at a time.
+def _congruence_rows(
+    mats: Sequence[SymMatrix], g: Matrix, t: Matrix
+) -> Iterator[tuple[list[int], int]]:
+    """Upper-triangle numerators of T^T (sum_j g_ij M_j) T over one common
+    denominator, ``(numerators, den)`` for each row of G in turn.
 
-    The stacked upper triangles of all M_j, G and T are each written once as
-    integer numerators over one common denominator; the row combination and
-    the congruence both run on ints, and each result entry becomes a Fraction
-    once. When T is the identity, each row is its integer combination: the
-    C T and T^T (C T) products are skipped. Rows are computed lazily, so a
-    caller comparing them can stop at the first that differs. T must be
-    square of the order of the M_j; invertibility is not checked here
-    (callers that need an invertible transform verify the determinant).
+    When T is not the identity, the products run on packed ints (Kronecker
+    substitution): row r of T becomes one int with a w-bit slot per column,
+    so row r of M_j T is one dot product of row r of M_j with the packed
+    rows of T, and row a of the result one dot product of column a of T
+    with the packed rows of C T. The slot width bounds every result entry,
+    n^2 k max|g| max|M| max|T|^2, plus a sign bit, in whole bytes; an offset
+    of half a slot per slot makes every slot non-negative, so each entry is
+    read back exactly as one signed field of the bytes.
     """
     mats = tuple(mats)
     n = t.rows
@@ -409,29 +424,85 @@ def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[Sym
     k = len(mats)
     half = n * (n + 1) // 2
     stacked, dm = _over_common_denominator([v for mat in mats for v in mat._u])
-    across = [stacked[p::half] for p in range(half)]  # upper entry p of M_1..M_k
     gi, dg = _over_common_denominator(g._e)
-    identity = t == Matrix.identity(n)
-    if identity:
-        dt = 1
-    else:
-        ti, dt = _over_common_denominator(t._e)
-        full = [_upper_offset(n, min(r, c), max(r, c)) for r in range(1, n + 1) for c in range(1, n + 1)]
-        t_cols = [ti[i::n] for i in range(n)]
+    if t == Matrix.identity(n):
+        across = [stacked[p::half] for p in range(half)]  # upper entry p of M_1..M_k
+        for row in range(g.rows):
+            coeffs = gi[row * k : (row + 1) * k]
+            yield [sum(map(mul, coeffs, entry)) for entry in across], dm * dg
+        return
+    ti, dt = _over_common_denominator(t._e)
+    g_max, m_max, t_max = (max(map(abs, nums), default=0) for nums in (gi, stacked, ti))
+    bound = n * n * k * g_max * m_max * t_max**2
+    size = (bound.bit_length() + 8) // 8  # bytes per slot, the sign bit included
+    width = 8 * size
+    offset = int.from_bytes(bytes([0] * (size - 1) + [0x80]) * n, "little")
+    packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n])) for r in range(n)]
+    # the packed rows of each M_j T, regrouped so that mt[r] holds row r of every M_j T
+    per_matrix = [
+        [sum(map(mul, line, packed_t)) for line in _square(stacked[j * half : (j + 1) * half], n)]
+        for j in range(k)
+    ]
+    mt = list(zip(*per_matrix))
+    t_columns = [ti[a::n] for a in range(n)]
     den = dm * dg * dt * dt
     for row in range(g.rows):
         coeffs = gi[row * k : (row + 1) * k]
-        combo = [sum(map(mul, coeffs, entry)) for entry in across]
-        if identity:
-            yield SymMatrix(n, tuple(Fraction(v, den) for v in combo))
-            continue
-        # T^T (C T) is symmetric identically: form C T, then only the upper
-        # triangle of the outer product, entry (i, j) = column i of T . column j of C T
-        ct = _int_product([combo[p] for p in full], ti, n, n, n)
-        ct_cols = [ct[j::n] for j in range(n)]
-        yield SymMatrix(n, tuple(
-            Fraction(sum(map(mul, t_cols[i], ct_cols[j])), den) for i in range(n) for j in range(i, n)
-        ))
+        ct = [sum(map(mul, coeffs, line)) for line in mt]  # packed rows of C T
+        nums: list[int] = []
+        for a, column in enumerate(t_columns):
+            fields = ((sum(map(mul, column, ct)) + offset) ^ offset).to_bytes(size * n, "little")
+            nums += [
+                int.from_bytes(fields[c : c + size], "little", signed=True)
+                for c in range(a * size, n * size, size)
+            ]
+        yield nums, den
+
+
+def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
+    """Row i = T^T (sum_j g_ij M_j) T for each row of G, yielded one at a time.
+
+    The stacked upper triangles of all M_j, G and T are each written once as
+    integer numerators over one common denominator; the row combination and
+    the congruence both run on ints (packed products when T is not the
+    identity, see `_congruence_rows`), and each result entry becomes a
+    Fraction once. When T is the identity, each row is its integer
+    combination: the congruence is skipped. Rows are computed lazily, so a
+    caller can stop early. T must be square of the order of the M_j;
+    invertibility is not checked here (callers that need an invertible
+    transform verify the determinant).
+    """
+    n = t.rows
+    for nums, den in _congruence_rows(mats, g, t):
+        if den == 1:
+            yield SymMatrix(n, tuple(map(Fraction, nums)))
+        else:
+            yield SymMatrix(n, tuple(Fraction(v, den) for v in nums))
+
+
+def congruence_mismatch(
+    mats: Sequence[SymMatrix], g: Matrix, t: Matrix, targets: Sequence[SymMatrix]
+) -> tuple[int, int, int] | None:
+    """The first (i, r, s), 1-based with r <= s, at which row i of
+    `congruences(mats, g, t)` differs from targets[i], or None if every row
+    matches.
+
+    The comparison runs on integers: each target is written once over its
+    common denominator, and the two sides are cross-multiplied only when
+    that denominator differs from the rows'. No Fraction is built.
+    """
+    targets = tuple(targets)
+    if len(targets) != g.rows or any(target.n != t.rows for target in targets):
+        raise ValueError("targets must be one matrix of the transform's order per row of G")
+    for i, ((nums, den), target) in enumerate(zip(_congruence_rows(mats, g, t), targets), start=1):
+        want, dw = _over_common_denominator(target._u)
+        if dw != den:
+            nums, want = [v * dw for v in nums], [v * den for v in want]
+        if nums != want:
+            p = next(p for p, (a, b) in enumerate(zip(nums, want)) if a != b)
+            n = t.rows
+            return (i,) + [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)][p]
+    return None
 
 
 def congruence(a: SymMatrix, t: Matrix) -> SymMatrix:

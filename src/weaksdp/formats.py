@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .exact import Matrix, SymBuilder, SymMatrix, rational
+from .exact import Matrix, SymMatrix, rational
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
 
@@ -146,13 +146,16 @@ def _line_of(exc: UnicodeDecodeError) -> int:
 
 # covers every value `write_sdpa` emits: an optional minus, digits, optional decimals
 _SDPA_VALUE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
+_SDPA_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def read_sdpa(path) -> SdpInstance:
     """Parse a single-block SDPA sparse file back into an instance.
 
-    Values must be plain decimals, ``-?[0-9]+(.[0-9]+)?``: no exponent, no
-    fraction, no sign other than a leading minus.
+    Integer fields (counts, sizes, matrix, block, row and column numbers)
+    must be ``-?[0-9]+``. Values must be plain decimals,
+    ``-?[0-9]+(.[0-9]+)?``: no exponent, no fraction, no sign other than a
+    leading minus. Each distinct value string is parsed once per file.
     """
     try:
         raw_lines = Path(path).read_bytes().decode("ascii").splitlines()
@@ -168,11 +171,18 @@ def read_sdpa(path) -> SdpInstance:
 
     def parse_int(text: str, line_no: int, what: str) -> int:
         try:
+            if _SDPA_INTEGER.fullmatch(text) is None:
+                raise ValueError
             return int(text)
-        except ValueError:
+        except ValueError:  # outside the grammar, or more digits than int() converts
             raise SdpaFormatError(f"expected integer {what}, got {text!r}", line_no) from None
 
+    values: dict[str, Fraction] = {}
+
     def parse_value(text: str, line_no: int) -> Fraction:
+        q = values.get(text)
+        if q is not None:
+            return q
         match = _SDPA_VALUE.fullmatch(text)
         if match is None:
             raise SdpaFormatError(f"malformed value {text!r}, expected a plain decimal", line_no)
@@ -181,7 +191,9 @@ def read_sdpa(path) -> SdpInstance:
             num = int(whole) * 10 ** len(decimals) + int(decimals or 0)
         except ValueError:  # more digits than int() converts
             raise SdpaFormatError(f"value of {len(text)} characters is too long", line_no) from None
-        return Fraction(-num if sign else num, 10 ** len(decimals))
+        num = -num if sign else num
+        q = values[text] = Fraction(num, 10 ** len(decimals)) if decimals else Fraction(num)
+        return q
 
     (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = numbered[:3]
     m = parse_int(m_text, no_m, "constraint count")
@@ -205,7 +217,8 @@ def read_sdpa(path) -> SdpInstance:
         b = tuple(parse_value(f, no_b) for f in b_fields)
         body = numbered[4:]
 
-    builders = [SymBuilder(n) for _ in range(m)]
+    # entries by position in each matrix's packed row-major upper triangle
+    entries: list[dict[int, Fraction]] = [{} for _ in range(m)]
     for line_no, line in body:
         fields = line.split()
         if len(fields) != 5:
@@ -223,8 +236,18 @@ def read_sdpa(path) -> SdpInstance:
             raise SdpaFormatError(f"block number must be 1, got {blkno}", line_no)
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaFormatError(f"entry ({i},{j}) outside order {n}", line_no)
-        builders[matno - 1].set(i, j, value)  # sets (i, j) and (j, i), the last line wins
-    return SdpInstance(n, tuple(builder.freeze() for builder in builders), b)
+        if i > j:
+            i, j = j, i
+        # (i, j) and (j, i) set one position, and the last line wins
+        entries[matno - 1][(i - 1) * (2 * n - i + 2) // 2 + j - i] = value
+    zero = Fraction(0)
+    matrices = []
+    for placed in entries:
+        upper = [zero] * (n * (n + 1) // 2)
+        for p, value in placed.items():
+            upper[p] = value
+        matrices.append(SymMatrix(n, tuple(upper)))
+    return SdpInstance(n, tuple(matrices), b)
 
 
 def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:

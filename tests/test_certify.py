@@ -57,6 +57,58 @@ class TestCheckReformulation:
         assert check_reformulation(clean, inverse(g), inverse(t), raw)
 
 
+def _large_with(*, b=None, entry=None):
+    """The printed large pair with clean b_3 changed, or +1 at one upper
+    entry (i, r, s) of a clean matrix; returns raw, G, T and that clean."""
+    raw, g, t = large_instance()
+    clean = reformulated(raw, g, t)
+    matrices = list(clean.A)
+    if entry is not None:
+        i, r, s = entry
+        matrices[i - 1] = matrices[i - 1].add(SymMatrix.unit(4, r, s))
+    return raw, g, t, SdpInstance(4, tuple(matrices), clean.b if b is None else b)
+
+
+class TestReformulationDetail:
+    def test_passing_report_is_truthy_with_no_detail(self):
+        raw, g, t, clean = _large_with()
+        report = check_reformulation(raw, g, t, clean)
+        assert report.ok is True and bool(report) and report.detail == ""
+
+    def test_singular_row_ops(self):
+        raw, _, t, clean = _large_with()
+        report = check_reformulation(raw, Matrix.zeros(4, 4), t, clean)
+        assert not report and report.detail == "det G = 0"
+
+    def test_singular_transform(self):
+        raw, g, _, clean = _large_with()
+        rows = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        report = check_reformulation(raw, g, Matrix.from_rows(rows), clean)
+        assert not report and report.detail == "det T = 0"
+
+    def test_right_hand_side_row(self):
+        raw, g, t, clean = _large_with(b=(0, 0, -2, -12))
+        report = check_reformulation(raw, g, t, clean)
+        assert not report and report.detail == "b row 3"
+
+    @pytest.mark.parametrize("entry", [(1, 1, 1), (2, 2, 3), (4, 4, 4)])
+    def test_matrix_entry(self, entry):
+        raw, g, t, clean = _large_with(entry=entry)
+        report = check_reformulation(raw, g, t, clean)
+        assert not report and report.detail == "row {} entry ({}, {})".format(*entry)
+
+    def test_verification_carries_the_detail(self):
+        import json
+
+        cert = large_certificate()
+        b = list(cert.clean.b)
+        b[0] += 1
+        report = verify_weak_infeasibility(replace(cert, clean=SdpInstance(4, cert.clean.A, tuple(b))))
+        doc = json.loads(report.to_json())
+        (check,) = [c for c in doc["checks"] if c["name"] == "reformulation (G, T)"]
+        assert check == {"name": "reformulation (G, T)", "passed": False, "detail": "b row 1"}
+
+
 class TestVerifyWeakInfeasibility:
     def test_minimal_example_passes(self):
         _, cert = me_instance()
@@ -131,10 +183,11 @@ def _tamper_pivot_diagonal(cert):
 
 
 class TestReportDetails:
-    # the exact text of each failing sub-check, recorded from an earlier revision
+    # the exact text of each failing sub-check, recorded from an earlier
+    # revision; the reformulation's since it names its first differing entry
     @pytest.mark.parametrize("tamper, failures", [
         (_tamper_raw_diagonal, {
-            "reformulation (G, T)": "reformulation identities fail or a matrix is singular",
+            "reformulation (G, T)": "row 1 entry (1, 1)",
         }),
         (_tamper_contradiction_rhs, {
             "infeasibility prefix":

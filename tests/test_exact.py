@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     congruence_by_fractions,
@@ -15,6 +15,7 @@ from weaksdp import (
     SymBuilder,
     SymMatrix,
     congruence,
+    congruence_mismatch,
     congruences,
     inner,
     inner_general,
@@ -210,6 +211,76 @@ class TestCongruences:
             list(congruences(mats, Matrix.identity(1), Matrix.zeros(2, 3)))
         with pytest.raises(ValueError):
             list(congruences(mats, Matrix.zeros(1, 2), Matrix.identity(2)))
+
+
+wide_ints = st.integers(-2**200, 2**200)
+wide_entries = st.one_of(wide_ints.map(Fraction), st.builds(Fraction, wide_ints, st.integers(1, 2**200)))
+
+
+@st.composite
+def wide_combination_operands(draw):
+    """Like `combination_operands`, with orders 1-6, entries up to 2^200 in
+    magnitude with mixed signs and denominators, and T never the identity."""
+    order, k, m = draw(st.integers(1, 6)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+
+    def entries(count):
+        return tuple(draw(st.lists(wide_entries, min_size=count, max_size=count)))
+
+    mats = tuple(SymMatrix(order, entries(order * (order + 1) // 2)) for _ in range(k))
+    t = Matrix(order, order, entries(order * order))
+    assume(t != Matrix.identity(order))
+    return mats, Matrix(m, k, entries(m * k)), t
+
+
+class TestPackedCongruence:
+    @given(wide_combination_operands())
+    @settings(max_examples=120, deadline=None)
+    def test_wide_entries_match_fraction_reference(self, operands):
+        mats, g, t = operands
+        want = reformulated_rows_by_fractions(mats, g, t)
+        assert list(congruences(mats, g, t)) == want
+        assert congruence_mismatch(mats, g, t, want) is None
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_result_attains_the_slot_bound(self, order, sign):
+        # every entry of M, G and T has one magnitude and sign, so every result
+        # entry is n^2 k |g| |M| |T|^2 exactly, the bound the slot width is sized by;
+        # the magnitudes sweep the bound's bit length across several byte boundaries
+        k = 2
+        for bits in range(1, 41):
+            mag = 2**bits - 1
+            mats = (SymMatrix(order, (Fraction(sign * mag),) * (order * (order + 1) // 2)),) * k
+            g = Matrix(1, k, (Fraction(3),) * k)
+            t = Matrix(order, order, (Fraction(5),) * (order * order))
+            (row,) = congruences(mats, g, t)
+            assert set(row.to_rows()[0]) == {sign * order**2 * k * 3 * mag * 25}, bits
+
+    def test_mismatch_in_last_entry_of_last_row(self):
+        mats = (sym([[1, 2, 0], [2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+        g = Matrix.from_rows([[1, 2], [-1, 3]])
+        for t in (Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]]), Matrix.identity(3)):
+            targets = list(congruences(mats, g, t))
+            targets[-1] = targets[-1].add(SymMatrix.unit(3, 3, 3))
+            assert congruence_mismatch(mats, g, t, targets) == (2, 3, 3)
+
+    def test_targets_over_another_denominator(self):
+        # halves in G put the rows over denominator 2, the targets are integers
+        mats = (sym([[1, 3], [3, 5]]), sym([[1, 1], [1, 1]]))
+        g = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 2)]])
+        t = Matrix.from_rows([[1, 1], [0, 1]])
+        (row,) = congruences(mats, g, t)
+        assert all(v.denominator == 1 for line in row.to_rows() for v in line)
+        assert congruence_mismatch(mats, g, t, [row]) is None
+        thirds = row.add(SymMatrix.unit(2, 1, 2, Fraction(1, 3)))
+        assert congruence_mismatch(mats, g, t, [thirds]) == (1, 1, 2)
+
+    def test_mismatch_shape_errors(self):
+        mats = (SymMatrix.identity(2),)
+        with pytest.raises(ValueError):
+            congruence_mismatch(mats, Matrix.identity(1), Matrix.identity(2), [])
+        with pytest.raises(ValueError):
+            congruence_mismatch(mats, Matrix.identity(1), Matrix.identity(2), [SymMatrix.identity(3)])
 
 
 class TestInners:

@@ -145,6 +145,31 @@ class TestSdpa:
             read_sdpa(path)
         assert err.value.line == (4 if where == "rhs" else 5)
 
+    @pytest.mark.parametrize("text", ["+1", "0_1", "1_0"])
+    @pytest.mark.parametrize("field, line, what", [
+        (0, 1, "constraint count"), (1, 2, "block count"), (2, 3, "block size"),
+        (3, 5, "matrix number"), (4, 5, "block number"), (5, 5, "row"), (6, 5, "column"),
+    ])
+    def test_integer_field_outside_its_grammar_rejected(self, tmp_path, text, field, line, what):
+        # every integer field is -?[0-9]+; int() alone would take a sign or an underscore
+        fields = ["1", "1", "1", "1", "1", "1", "1"]
+        fields[field] = text
+        m, blocks, size, matno, blkno, row, column = fields
+        path = tmp_path / "bad.dat-s"
+        path.write_text(f"{m}\n{blocks}\n{size}\n1\n{matno} {blkno} {row} {column} 1\n")
+        with pytest.raises(SdpaFormatError) as err:
+            read_sdpa(path)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: expected integer {what}, got {text!r}"
+
+    def test_repeated_values_read_alike(self, tmp_path):
+        path = tmp_path / "repeat.dat-s"
+        path.write_text("2\n1\n2\n-1.5 3\n1 1 1 1 3\n1 1 2 2 -1.5\n2 1 1 2 3\n2 1 2 2 -0\n")
+        inst = read_sdpa(path)
+        assert inst.b == (Fraction(-3, 2), 3)
+        assert inst.A == (SymMatrix.from_rows([[3, 0], [0, Fraction(-3, 2)]]),
+                          SymMatrix.from_rows([[0, 3], [3, 0]]))
+
     def test_decimal_values_read_exactly(self, tmp_path):
         path = tmp_path / "dec.dat-s"
         path.write_text("1\n1\n2\n-0.125\n1 1 1 2 2.50\n")
