@@ -194,13 +194,13 @@ def _restricted_diagonal(mat: SymMatrix, survivors: list[int]) -> tuple[frozense
     """Support and diagonal-nonnegativity of a matrix restricted to survivors."""
     support = set()
     for ri, r in enumerate(survivors):
-        d = mat.at(r, r)
+        d = mat._num(r, r)
         if d < 0:
             return frozenset(), False
         if d > 0:
             support.add(r)
         for s in survivors[ri + 1:]:
-            if mat.at(r, s) != 0:
+            if mat._num(r, s) != 0:
                 return frozenset(), False
     return frozenset(support), True
 

@@ -2,8 +2,9 @@
 library, paper-instance.
 
 Exit codes are a contract: 0 success, 1 verification/detection failure,
-2 usage error, 3 I/O or parse error. Numeric options accept exact rational
-syntax ("1/1000"); nothing is ever parsed through floating point.
+2 usage error, 3 I/O or parse error. Integer options accept ``-?[0-9]+``
+and rational options exact rational syntax ("1/1000"), each integer of at
+most DIGIT_LIMIT digits; nothing is ever parsed through floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .exact import rational
+from .exact import rational, strict_int
 from .echelon import asymptote_witness, frobenius_norm_squared
 from .certify import WeakCertificate, sieve_detect, verify_weak_infeasibility
 from .generator import DISJOINT_ONLY, OVERLAPPING_ALLOWED, GenConfig, config_json, generate
@@ -42,8 +43,16 @@ def _rational_flag(text: str):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})") from exc
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag: ASCII ``-?[0-9]+`` with at most DIGIT_LIMIT digits."""
+    try:
+        return strict_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int_flag(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -61,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=_positive_int, required=True)
     p_gen.add_argument("--k", type=_positive_int, required=True)
     p_gen.add_argument("--l", type=_positive_int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_int_flag, default=0)
     p_gen.add_argument("--entry-range", type=_positive_int, default=4)
     p_gen.add_argument("--overlap", choices=[OVERLAPPING_ALLOWED, DISJOINT_ONLY],
                        default=OVERLAPPING_ALLOWED)

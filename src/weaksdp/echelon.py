@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import Matrix, SymMatrix, SymBuilder, congruences, inner, inner_table, inners, rational
+from .exact import Matrix, SymMatrix, congruences, inner, inner_table, inners, rational
 from .linalg import least_definite_shift, psd_certify, schur_complement
 
 _ZERO = Fraction(0)
@@ -137,25 +137,25 @@ def validate_echelon(matrices: Sequence[SymMatrix], structure: Structure) -> Val
         if m.n != structure.n:
             raise ValueError("matrix order does not match structure order")
     n = structure.n
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     for idx, mat in enumerate(matrices, start=1):
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                region = cell_region(structure, idx, i, j)
-                if region == "arbitrary":
+        # the stored upper numerators in cell order, each with its entry's sign
+        for (i, j), v in zip(cells, mat._u):
+            region = cell_region(structure, idx, i, j)
+            if region == "arbitrary":
+                continue
+            if region == "pivot" and i == j:
+                if v > 0:
                     continue
-                v = mat.at(i, j)
-                if region == "pivot" and i == j:
-                    if v > 0:
-                        continue
-                    rule = "block diagonal entry must be positive"
-                elif v == 0:
-                    continue
-                elif region == "pivot":
-                    rule = "block off-diagonal entry must be zero"
-                else:
-                    rule = "entry outside block and earlier rows must be zero"
-                violation = EchelonViolation(idx, (i, j), rule)
-                return ValidationReport(False, violation, str(violation))
+                rule = "block diagonal entry must be positive"
+            elif v == 0:
+                continue
+            elif region == "pivot":
+                rule = "block off-diagonal entry must be zero"
+            else:
+                rule = "entry outside block and earlier rows must be zero"
+            violation = EchelonViolation(idx, (i, j), rule)
+            return ValidationReport(False, violation, str(violation))
     return ValidationReport(True)
 
 
@@ -178,9 +178,9 @@ def infer_structure(matrices: Sequence[SymMatrix]) -> Structure | None:
     for mat in matrices:
         block = set()
         for j in range(1, n + 1):
-            if j in used or not mat.at(j, j) > 0:
+            if j in used or not mat._num(j, j) > 0:
                 continue
-            if all(mat.at(j, s) == 0 for s in range(1, n + 1) if s != j and s not in used):
+            if all(mat._num(j, s) == 0 for s in range(1, n + 1) if s != j and s not in used):
                 block.add(j)
         blocks.append(frozenset(block))
         used |= block
@@ -403,17 +403,10 @@ def asymptote_witness(
     ell = len(xseq) - 1
     rest = sorted(structure.residual())
     eps_sq = eps * eps
-    if rest:
-        delta = Fraction(1)
-        while len(rest) * delta * delta > eps_sq:
-            delta /= 2
-        builder = SymBuilder(n)
-        for r in rest:
-            builder.set(r, r, delta)
-        x_delta = builder.freeze()
-    else:
-        delta = _ZERO
-        x_delta = SymMatrix.zeros(n)
+    delta = _ONE if rest else _ZERO
+    while len(rest) * delta * delta > eps_sq:
+        delta /= 2
+    x_delta = SymMatrix.diag([delta if r in rest else 0 for r in range(1, n + 1)])
 
     identity = Matrix.identity(n)
     current = next(congruences((xseq[-1], x_delta), Matrix(1, 2, (_ONE, _ONE)), identity))

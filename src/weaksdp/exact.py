@@ -1,17 +1,21 @@
 """Exact rational scalars and dense matrices.
 
 All certification arithmetic in this package is exact: scalars are
-`fractions.Fraction` values (re-exported as `Rational`), matrices are dense
-tuples of them, and no floating point enters any verification path. The
-kernels compute on Python ints: each operand is written once as integer
-numerators over one common denominator, and each result entry is turned back
-into a `Fraction` once, so storage and API stay `Fraction`. There are three
-product kernels, and every product in the package goes through one of them.
-The matrix product `@` also serves `Matrix.mul_vec` (a column matrix) and
-`inner_general` (a 1 x k by k x 1 product). `inner_table(mats, xs)` gives
-M . X for every M and every X, converting each X once (its off-diagonal
-entries doubled) and each M once; `inners` is its one-X case, and `inner`
-and `SymBuilder.inner` are the one-matrix case of that.
+`fractions.Fraction` values (re-exported as `Rational`), and no floating
+point enters any verification path. A matrix stores integer numerators over
+one denominator, kept positive and coprime to the numerators (1 for a zero
+matrix), so ``==`` and ``hash`` compare the stored ints. Only the public
+constructors convert entries, once, over the lcm of their denominators; the
+kernels, the elimination loops, the sign tests and the format readers and
+writers all read the stored ints, and a `Fraction` is built only where the
+API hands one out (`at`, `row`, `to_rows`, `mul_vec`, inner products).
+There are three product kernels, and every product in the package goes
+through one of them. The matrix product `@` also serves `Matrix.mul_vec` (a
+column matrix), and `inner_general` is its 1 x k by k x 1 case, one sum of
+products.
+`inner_table(mats, xs)` gives M . X for every M and every X, each X's
+off-diagonal numerators doubled once; `inners` is its one-X case, and
+`inner` and `SymBuilder.inner` are the one-matrix case of that.
 `congruences(mats, g, t)` yields the rows T^T (sum_j g_ij M_j) T lazily, with
 the combination and the congruence both on ints; it is the one routine for
 "row-combine, then congruence" (the reformulation, the generator's
@@ -45,19 +49,38 @@ from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+DIGIT_LIMIT = 4300
+"""The most digits an integer may have in any exact text: a rational string,
+an SDPA field, a JSON literal or an integer flag. It is CPython's default
+int-to-string limit, fixed here so that no environment setting widens what
+the package accepts."""
 
+_INTEGER_TEXT = re.compile(r"-?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _check_digits(text: str) -> None:
+    if len(text) - text.startswith("-") > DIGIT_LIMIT:
+        raise ValueError(f"an integer of more than {DIGIT_LIMIT} digits")
+
+
+def strict_int(text: str) -> int:
+    """The int spelled by `text` in the strict ASCII grammar ``-?[0-9]+``,
+    with at most DIGIT_LIMIT digits; ValueError otherwise."""
+    if _INTEGER_TEXT.fullmatch(text) is None:
+        raise ValueError(f"not an integer -?[0-9]+: {text!r}")
+    _check_digits(text)
+    return int(text)
 
 
 def rational(value) -> Fraction:
     """Coerce ints, Fractions, and strings ``p`` or ``p/q`` like ``-3/7`` to a Rational.
 
     Strings follow one strict ASCII grammar, ``-?[0-9]+(/[0-9]+)?`` with a
-    non-zero denominator; decimals, exponents, spaces and underscores are
-    rejected with ValueError. Floats and bools are rejected with TypeError:
-    binary rounding must never leak into the exact pipeline silently.
+    non-zero denominator and at most DIGIT_LIMIT digits in each integer;
+    decimals, exponents, spaces and underscores are rejected with ValueError.
+    Floats and bools are rejected with TypeError: binary rounding must never
+    leak into the exact pipeline silently.
     """
     if isinstance(value, Fraction):
         return value
@@ -65,79 +88,104 @@ def rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL_TEXT.fullmatch(value)
+        if match is not None and len(value) > DIGIT_LIMIT:  # only then can p or q be longer
+            for digits in match.groups(""):
+                _check_digits(digits)
         if match is None or match[2] and int(match[2]) == 0:
             raise ValueError(f"not an exact rational p or p/q with q != 0: {value!r}")
         return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _over_common_denominator(entries: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator, the lcm of the entries'.
-
-    ``entries[i] == nums[i] / den`` for the returned ``(nums, den)``, so the
-    O(n^3) kernels run on plain ints and divide once at the end, exactly.
-    """
-    ratios = [q.as_integer_ratio() for q in entries]
-    den = lcm(*(d for _, d in ratios))
-    return [p * (den // d) for p, d in ratios], den
+def _ratio(value) -> tuple[int, int]:
+    """(p, q) of one entry given to a public constructor, checked by `rational`."""
+    if type(value) is int:
+        return value, 1
+    return rational(value).as_integer_ratio()
 
 
-def _int_product(a: list[int], b: list[int], n: int, k: int, m: int) -> list[int]:
+def _over_lcm(ratios: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """The (p, q) pairs as numerators over the lcm of their q: the one conversion into storage."""
+    ratios = list(ratios)
+    den = lcm(*{q for _, q in ratios})
+    return [p if q == den else p * (den // q) for p, q in ratios], den
+
+
+def _canonical(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den (den != 0) with den > 0 and gcd(den, *nums) = 1, so den = 1 for zero."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(v // g for v in nums), den // g
+
+
+def _int_product(a: Sequence[int], b: Sequence[int], n: int, k: int, m: int) -> list[int]:
     """Row-major product of row-major integer matrices a (n x k) and b (k x m)."""
     cols = [b[j::m] for j in range(m)]
     return [sum(map(mul, a[i * k : (i + 1) * k], col)) for i in range(n) for col in cols]
 
 
 class Matrix:
-    """Dense exact matrix; entries are Fractions, read with 1-based ``at(i, j)``."""
+    """Dense exact matrix: row-major integer numerators over one denominator,
+    read as Fractions with 1-based ``at(i, j)``."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_e", "_d")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]):
+    def __init__(self, rows: int, cols: int, entries: Sequence):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        self.rows = rows
-        self.cols = cols
-        self._e = entries
+        self.rows, self.cols = rows, cols
+        self._e, self._d = _canonical(*_over_lcm(map(_ratio, entries)))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
-        grid = [[rational(v) for v in row] for row in rows]
-        nrows = len(grid)
+    def _of(cls, rows: int, cols: int, nums: Sequence[int], den: int) -> "Matrix":
+        """The matrix of row-major numerators `nums` over `den`, in canonical form."""
+        self = object.__new__(cls)
+        self.rows, self.cols = rows, cols
+        self._e, self._d = _canonical(nums, den)
+        return self
+
+    @classmethod
+    def _of_ratios(cls, grid: list[list[tuple[int, int]]]) -> "Matrix":
+        """The matrix of rows of `(p, q)` entries, over the lcm of the q."""
         ncols = len(grid[0]) if grid else 0
         if any(len(row) != ncols for row in grid):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(v for row in grid for v in row))
+        return cls._of(len(grid), ncols, *_over_lcm(v for row in grid for v in row))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
+        return cls._of_ratios([[_ratio(v) for v in row] for row in rows])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        entries = [_ZERO] * (n * n)
-        entries[:: n + 1] = [_ONE] * n
-        return cls(n, n, tuple(entries))
+        return cls._of(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
+        return cls._of(rows, cols, (0,) * (rows * cols), 1)
 
     def at(self, i: int, j: int) -> Fraction:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols} (indices are 1-based)")
-        return self._e[(i - 1) * self.cols + (j - 1)]
+        return Fraction(self._e[(i - 1) * self.cols + (j - 1)], self._d)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         if not 1 <= i <= self.rows:
             raise IndexError("row index out of range")
-        return self._e[(i - 1) * self.cols : i * self.cols]
+        return tuple(Fraction(v, self._d) for v in self._e[(i - 1) * self.cols : i * self.cols])
+
+    def _num_rows(self) -> list[list[int]]:
+        """The rows of stored numerators, over the denominator ``_d``."""
+        c = self.cols
+        return [list(self._e[r * c : (r + 1) * c]) for r in range(self.rows)]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(1, self.rows + 1)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self._e[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)),
-        )
+        c = self.cols
+        return Matrix._of(c, self.rows, [v for j in range(c) for v in self._e[j::c]], self._d)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -146,38 +194,33 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         n, k, m = self.rows, self.cols, other.cols
-        a, da = _over_common_denominator(self._e)
-        b, db = _over_common_denominator(other._e)
-        den = da * db
-        return Matrix(n, m, tuple(Fraction(v, den) for v in _int_product(a, b, n, k, m)))
+        return Matrix._of(n, m, _int_product(self._e, other._e, n, k, m), self._d * other._d)
 
     def mul_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return (self @ Matrix(self.cols, 1, tuple(v)))._e
+        product = self @ Matrix(self.cols, 1, v)
+        return tuple(Fraction(v, product._d) for v in product._e)
 
     def scale(self, c) -> "Matrix":
         q = rational(c)
-        return Matrix(self.rows, self.cols, tuple(q * v for v in self._e))
+        return Matrix._of(self.rows, self.cols, [v * q.numerator for v in self._e], self._d * q.denominator)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self._e, other._e)))
+        da, db = self._d, other._d
+        return Matrix._of(self.rows, self.cols, [a * db + b * da for a, b in zip(self._e, other._e)], da * db)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._e == other._e
-        )
+        return isinstance(other, Matrix) and (self.rows, self.cols, self._d, self._e) == (
+            other.rows, other.cols, other._d, other._e)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self._e, self._d))
 
     def __repr__(self) -> str:
         return f"Matrix({self.to_rows()!r})"
@@ -202,21 +245,35 @@ def _square(upper: Sequence, n: int) -> list[list]:
 class SymMatrix:
     """Dense exact symmetric matrix of order n.
 
-    Only the upper triangle is stored, so symmetry holds by construction.
-    Entries are read with 1-based ``at(i, j)``.
+    Only the upper triangle is stored, row-major, as integer numerators over
+    one denominator, so symmetry holds by construction. Entries are read as
+    Fractions with 1-based ``at(i, j)``.
     """
 
-    __slots__ = ("n", "_u")
+    __slots__ = ("n", "_u", "_d")
 
-    def __init__(self, n: int, upper: tuple[Fraction, ...]):
+    def __init__(self, n: int, upper: Sequence):
         if n < 0 or len(upper) != n * (n + 1) // 2:
             raise ValueError("upper-triangle length does not match order")
         self.n = n
-        self._u = upper
+        self._u, self._d = _canonical(*_over_lcm(map(_ratio, upper)))
+
+    @classmethod
+    def _of(cls, n: int, nums: Sequence[int], den: int) -> "SymMatrix":
+        """The matrix of upper-triangle numerators `nums` over `den`, in canonical form."""
+        self = object.__new__(cls)
+        self.n = n
+        self._u, self._d = _canonical(nums, den)
+        return self
+
+    @classmethod
+    def _of_ratios(cls, n: int, ratios: Iterable[tuple[int, int]]) -> "SymMatrix":
+        """The matrix of upper-triangle `(p, q)` entries, over the lcm of the q."""
+        return cls._of(n, *_over_lcm(ratios))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "SymMatrix":
-        grid = [[rational(v) for v in row] for row in rows]
+        grid = [[_ratio(v) for v in row] for row in rows]
         n = len(grid)
         if any(len(row) != n for row in grid):
             raise ValueError("matrix must be square")
@@ -224,117 +281,115 @@ class SymMatrix:
             for j in range(i + 1, n):
                 if grid[i][j] != grid[j][i]:
                     raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
-        return cls(n, tuple(grid[i][j] for i in range(n) for j in range(i, n)))
+        return cls._of_ratios(n, (grid[i][j] for i in range(n) for j in range(i, n)))
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatrix":
-        return cls(n, (_ZERO,) * (n * (n + 1) // 2))
+        return cls._of(n, (0,) * (n * (n + 1) // 2), 1)
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
-        return cls.diag([_ONE] * n)
+        return cls.diag([1] * n)
 
     @classmethod
     def diag(cls, values: Sequence) -> "SymMatrix":
-        vals = [rational(v) for v in values]
+        vals = list(values)
         n = len(vals)
-        upper = [_ZERO] * (n * (n + 1) // 2)
-        for i in range(1, n + 1):
-            upper[_upper_offset(n, i, i)] = vals[i - 1]
-        return cls(n, tuple(upper))
+        return cls(n, [vals[i] if i == j else 0 for i in range(n) for j in range(i, n)])
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "SymMatrix":
         """Symmetric unit matrix: `value` at (i, j) and (j, i), zero elsewhere."""
         b = SymBuilder(n)
-        b.set(i, j, rational(value))
+        b.set(i, j, value)
         return b.freeze()
 
-    def at(self, i: int, j: int) -> Fraction:
+    def _num(self, i: int, j: int) -> int:
+        """The stored numerator of entry (i, j), 1-based: its sign is the entry's."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"entry ({i},{j}) outside order {self.n} (indices are 1-based)")
         if i > j:
             i, j = j, i
         return self._u[_upper_offset(self.n, i, j)]
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def at(self, i: int, j: int) -> Fraction:
+        return Fraction(self._num(i, j), self._d)
+
+    def _num_rows(self) -> list[list[int]]:
+        """The n full rows of stored numerators, over the denominator ``_d``."""
         return _square(self._u, self.n)
 
+    def to_rows(self) -> list[list[Fraction]]:
+        return _square([Fraction(v, self._d) for v in self._u], self.n)
+
     def to_matrix(self) -> Matrix:
-        return Matrix(self.n, self.n, tuple(v for row in self.to_rows() for v in row))
+        return Matrix._of(self.n, self.n, [v for row in self._num_rows() for v in row], self._d)
 
     def principal(self, indices: Iterable[int]) -> "SymMatrix":
         """Principal submatrix on the given (1-based) indices, in sorted order."""
         idx = sorted(set(indices))
-        if idx and not (1 <= idx[0] and idx[-1] <= self.n):
-            raise IndexError("principal indices out of range")
-        return SymMatrix(
-            len(idx),
-            tuple(self.at(idx[r], idx[c]) for r in range(len(idx)) for c in range(r, len(idx))),
-        )
+        return SymMatrix._of(len(idx), [self._num(r, c) for k, r in enumerate(idx) for c in idx[k:]], self._d)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> Matrix:
         """General rectangular block, rows and columns given as 1-based indices."""
         ri = list(row_idx)
         ci = list(col_idx)
-        return Matrix(len(ri), len(ci), tuple(self.at(r, c) for r in ri for c in ci))
+        return Matrix._of(len(ri), len(ci), [self._num(r, c) for r in ri for c in ci], self._d)
 
     def add(self, other: "SymMatrix") -> "SymMatrix":
         if self.n != other.n:
             raise ValueError("order mismatch")
-        return SymMatrix(self.n, tuple(a + b for a, b in zip(self._u, other._u)))
+        da, db = self._d, other._d
+        return SymMatrix._of(self.n, [a * db + b * da for a, b in zip(self._u, other._u)], da * db)
 
     def sub(self, other: "SymMatrix") -> "SymMatrix":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "SymMatrix":
         q = rational(c)
-        return SymMatrix(self.n, tuple(q * v for v in self._u))
+        return SymMatrix._of(self.n, [v * q.numerator for v in self._u], self._d * q.denominator)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self._u)
+        return not any(self._u)
 
     def primitive(self) -> "SymMatrix":
         """The positive multiple of a non-zero matrix whose entries are coprime integers."""
-        nums, _ = _over_common_denominator(self._u)
-        g = gcd(*nums)
-        return SymMatrix(self.n, tuple(Fraction(v // g) for v in nums))
+        g = gcd(*self._u)
+        return SymMatrix._of(self.n, [v // g for v in self._u], 1)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.n == other.n and self._u == other._u
+        return isinstance(other, SymMatrix) and self.n == other.n and self._d == other._d and self._u == other._u
 
     def __hash__(self) -> int:
-        return hash((self.n, self._u))
+        return hash((self.n, self._u, self._d))
 
     def __repr__(self) -> str:
         return f"SymMatrix({self.to_rows()!r})"
 
 
 class SymBuilder:
-    """Mutable scratch for assembling a SymMatrix entry by entry (1-based)."""
+    """Mutable scratch for assembling a SymMatrix entry by entry (1-based).
 
-    __slots__ = ("n", "_d")
+    Entries are kept in a flat row-major upper triangle, each as an int or a
+    Fraction, and `freeze` converts them once into the stored form.
+    """
+
+    __slots__ = ("n", "_v")
 
     def __init__(self, n: int):
         self.n = n
-        self._d: dict[tuple[int, int], Fraction] = {}
+        self._v: list = [0] * (n * (n + 1) // 2)
 
-    @staticmethod
-    def _key(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i <= j else (j, i)
-
-    def set(self, i: int, j: int, value) -> None:
+    def _offset(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError("builder index out of range")
-        q = rational(value)
-        key = self._key(i, j)
-        if q == 0:
-            self._d.pop(key, None)
-        else:
-            self._d[key] = q
+        return _upper_offset(self.n, i, j) if i <= j else _upper_offset(self.n, j, i)
+
+    def set(self, i: int, j: int, value) -> None:
+        self._v[self._offset(i, j)] = value if type(value) is int else rational(value)
 
     def get(self, i: int, j: int) -> Fraction:
-        return self._d.get(self._key(i, j), _ZERO)
+        return rational(self._v[self._offset(i, j)])
 
     def add(self, i: int, j: int, value) -> None:
         self.set(i, j, self.get(i, j) + rational(value))
@@ -344,10 +399,7 @@ class SymBuilder:
         return inner(self.freeze(), other.freeze())
 
     def freeze(self) -> SymMatrix:
-        upper = [_ZERO] * (self.n * (self.n + 1) // 2)
-        for (i, j), v in self._d.items():
-            upper[_upper_offset(self.n, i, j)] = v
-        return SymMatrix(self.n, tuple(upper))
+        return SymMatrix(self.n, self._v)
 
 
 def inner_table(
@@ -356,10 +408,10 @@ def inner_table(
     """Trace inner products M_i . X_j, one row per M and one column per X,
     computed exactly.
 
-    Each X is converted to integer numerators once, its off-diagonal entries
-    doubled because the upper triangle holds each of them once; each M is
-    converted once, so a table of m rows and k columns costs m + k
-    conversions, not m k.
+    Each entry is one sum of products of stored numerators over the product
+    of the two denominators. Each X's off-diagonal numerators are doubled
+    once, because the upper triangle holds each of them once, so a table of
+    m rows and k columns prepares k operands, not m k.
     """
     mats, xs = tuple(mats), tuple(xs)
     orders = {a.n for a in mats + xs}
@@ -367,15 +419,10 @@ def inner_table(
         raise ValueError("order mismatch")
     n = orders.pop() if orders else 0
     diagonal = {_upper_offset(n, i, i) for i in range(1, n + 1)}
-    columns = []
-    for x in xs:
-        xi, dx = _over_common_denominator(x._u)
-        columns.append(([v if p in diagonal else 2 * v for p, v in enumerate(xi)], dx))
-    table = []
-    for mat in mats:
-        mi, dm = _over_common_denominator(mat._u)
-        table.append(tuple(Fraction(sum(map(mul, mi, xi)), dm * dx) for xi, dx in columns))
-    return tuple(table)
+    columns = [([v if p in diagonal else 2 * v for p, v in enumerate(x._u)], x._d) for x in xs]
+    return tuple(
+        tuple(Fraction(sum(map(mul, mat._u, xi)), mat._d * dx) for xi, dx in columns) for mat in mats
+    )
 
 
 def inners(mats: Iterable[SymMatrix], x: SymMatrix) -> tuple[Fraction, ...]:
@@ -396,8 +443,7 @@ def inner_general(m: Matrix, y: Matrix) -> Fraction:
     """Inner product of general matrices: trace(m^T y) = sum of entrywise products."""
     if (m.rows, m.cols) != (y.rows, y.cols):
         raise ValueError("shape mismatch")
-    k = m.rows * m.cols
-    return (Matrix(1, k, m._e) @ Matrix(k, 1, y._e))._e[0]
+    return Fraction(sum(map(mul, m._e, y._e)), m._d * y._d)
 
 
 def _congruence_rows(
@@ -423,15 +469,16 @@ def _congruence_rows(
         raise ValueError("coefficient count does not match matrix count")
     k = len(mats)
     half = n * (n + 1) // 2
-    stacked, dm = _over_common_denominator([v for mat in mats for v in mat._u])
-    gi, dg = _over_common_denominator(g._e)
+    dm = lcm(*(mat._d for mat in mats))
+    stacked = [v * (dm // mat._d) for mat in mats for v in mat._u]
+    gi, dg = g._e, g._d
     if t == Matrix.identity(n):
         across = [stacked[p::half] for p in range(half)]  # upper entry p of M_1..M_k
         for row in range(g.rows):
             coeffs = gi[row * k : (row + 1) * k]
             yield [sum(map(mul, coeffs, entry)) for entry in across], dm * dg
         return
-    ti, dt = _over_common_denominator(t._e)
+    ti, dt = t._e, t._d
     g_max, m_max, t_max = (max(map(abs, nums), default=0) for nums in (gi, stacked, ti))
     bound = n * n * k * g_max * m_max * t_max**2
     size = (bound.bit_length() + 8) // 8  # bytes per slot, the sign bit included
@@ -462,22 +509,15 @@ def _congruence_rows(
 def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
     """Row i = T^T (sum_j g_ij M_j) T for each row of G, yielded one at a time.
 
-    The stacked upper triangles of all M_j, G and T are each written once as
-    integer numerators over one common denominator; the row combination and
-    the congruence both run on ints (packed products when T is not the
-    identity, see `_congruence_rows`), and each result entry becomes a
-    Fraction once. When T is the identity, each row is its integer
-    combination: the congruence is skipped. Rows are computed lazily, so a
-    caller can stop early. T must be square of the order of the M_j;
-    invertibility is not checked here (callers that need an invertible
-    transform verify the determinant).
+    The row combination and the congruence both run on the stored ints
+    (packed products when T is not the identity, see `_congruence_rows`),
+    and each row is stored as it comes out; no Fraction is built. When T is
+    the identity, each row is its integer combination: the congruence is
+    skipped. Rows are computed lazily, so a caller can stop early. T must be
+    square of the order of the M_j; invertibility is not checked here
+    (callers that need an invertible transform verify the determinant).
     """
-    n = t.rows
-    for nums, den in _congruence_rows(mats, g, t):
-        if den == 1:
-            yield SymMatrix(n, tuple(map(Fraction, nums)))
-        else:
-            yield SymMatrix(n, tuple(Fraction(v, den) for v in nums))
+    return (SymMatrix._of(t.rows, nums, den) for nums, den in _congruence_rows(mats, g, t))
 
 
 def congruence_mismatch(
@@ -487,15 +527,15 @@ def congruence_mismatch(
     `congruences(mats, g, t)` differs from targets[i], or None if every row
     matches.
 
-    The comparison runs on integers: each target is written once over its
-    common denominator, and the two sides are cross-multiplied only when
-    that denominator differs from the rows'. No Fraction is built.
+    The comparison runs on integers: each target's stored numerators are
+    cross-multiplied with the row's only when the two denominators differ.
+    No Fraction is built.
     """
     targets = tuple(targets)
     if len(targets) != g.rows or any(target.n != t.rows for target in targets):
         raise ValueError("targets must be one matrix of the transform's order per row of G")
     for i, ((nums, den), target) in enumerate(zip(_congruence_rows(mats, g, t), targets), start=1):
-        want, dw = _over_common_denominator(target._u)
+        want, dw = list(target._u), target._d
         if dw != den:
             nums, want = [v * dw for v in nums], [v * den for v in want]
         if nums != want:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .exact import Matrix, SymMatrix, rational
+from .exact import DIGIT_LIMIT, Matrix, SymMatrix, rational, strict_int
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
 
@@ -91,7 +91,11 @@ def _decimal_rounded(q: Fraction, significant: int = 17) -> str:
     return f"{sign}{digits[:point]}.{digits[point:]}"
 
 
-def _format_value(q: Fraction) -> tuple[str, bool]:
+def _format_value(num: int, den: int) -> tuple[str, bool]:
+    """The text of num / den and whether it is rounded; an integer is `str(num)`."""
+    if den == 1:
+        return str(num), False
+    q = Fraction(num, den)
     exact = _decimal_exact(q)
     if exact is not None:
         return exact, False
@@ -111,15 +115,15 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     body: list[str] = []
     lossy = False
     for idx, mat in enumerate(inst.A, start=1):
-        for i, row in enumerate(mat.to_rows(), start=1):
+        for i, row in enumerate(mat._num_rows(), start=1):
             for j, v in enumerate(row[i - 1:], start=i):
                 if v != 0:
-                    text, rounded = _format_value(v)
+                    text, rounded = _format_value(v, mat._d)
                     lossy = lossy or rounded
                     body.append(f"{idx} 1 {i} {j} {text}")
     b_parts = []
     for v in inst.b:
-        text, rounded = _format_value(v)
+        text, rounded = _format_value(*v.as_integer_ratio())
         lossy = lossy or rounded
         b_parts.append(text)
     lines = [
@@ -146,7 +150,8 @@ def _line_of(exc: UnicodeDecodeError) -> int:
 
 # covers every value `write_sdpa` emits: an optional minus, digits, optional decimals
 _SDPA_VALUE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
-_SDPA_INTEGER = re.compile(r"-?[0-9]+")
+# `exact.strict_int` as one regex: read_sdpa parses four integers per body line
+_SDPA_INTEGER = re.compile(rf"-?[0-9]{{1,{DIGIT_LIMIT}}}")
 
 
 def read_sdpa(path) -> SdpInstance:
@@ -155,7 +160,9 @@ def read_sdpa(path) -> SdpInstance:
     Integer fields (counts, sizes, matrix, block, row and column numbers)
     must be ``-?[0-9]+``. Values must be plain decimals,
     ``-?[0-9]+(.[0-9]+)?``: no exponent, no fraction, no sign other than a
-    leading minus. Each distinct value string is parsed once per file.
+    leading minus. No integer, and neither digit run of a value, may have
+    more than DIGIT_LIMIT digits. Each distinct value string is parsed once
+    per file, to the pair (num, 10^d).
     """
     try:
         raw_lines = Path(path).read_bytes().decode("ascii").splitlines()
@@ -174,26 +181,27 @@ def read_sdpa(path) -> SdpInstance:
             if _SDPA_INTEGER.fullmatch(text) is None:
                 raise ValueError
             return int(text)
-        except ValueError:  # outside the grammar, or more digits than int() converts
+        except ValueError:  # outside the grammar, or more than DIGIT_LIMIT digits
             raise SdpaFormatError(f"expected integer {what}, got {text!r}", line_no) from None
 
-    values: dict[str, Fraction] = {}
+    values: dict[str, tuple[int, int]] = {}
 
-    def parse_value(text: str, line_no: int) -> Fraction:
-        q = values.get(text)
-        if q is not None:
-            return q
+    def parse_value(text: str, line_no: int) -> tuple[int, int]:
+        pair = values.get(text)
+        if pair is not None:
+            return pair
         match = _SDPA_VALUE.fullmatch(text)
         if match is None:
             raise SdpaFormatError(f"malformed value {text!r}, expected a plain decimal", line_no)
         sign, whole, decimals = match.groups(default="")
         try:
+            if max(len(whole), len(decimals)) > DIGIT_LIMIT:
+                raise ValueError
             num = int(whole) * 10 ** len(decimals) + int(decimals or 0)
-        except ValueError:  # more digits than int() converts
+        except ValueError:  # a digit run of more than DIGIT_LIMIT digits
             raise SdpaFormatError(f"value of {len(text)} characters is too long", line_no) from None
-        num = -num if sign else num
-        q = values[text] = Fraction(num, 10 ** len(decimals)) if decimals else Fraction(num)
-        return q
+        pair = values[text] = (-num if sign else num, 10 ** len(decimals))
+        return pair
 
     (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = numbered[:3]
     m = parse_int(m_text, no_m, "constraint count")
@@ -214,11 +222,11 @@ def read_sdpa(path) -> SdpInstance:
         b_fields = b_text.split()
         if len(b_fields) != m:
             raise SdpaFormatError(f"expected {m} right-hand side values, got {len(b_fields)}", no_b)
-        b = tuple(parse_value(f, no_b) for f in b_fields)
+        b = tuple(Fraction(*parse_value(f, no_b)) for f in b_fields)
         body = numbered[4:]
 
-    # entries by position in each matrix's packed row-major upper triangle
-    entries: list[dict[int, Fraction]] = [{} for _ in range(m)]
+    # (num, 10^d) by position in each matrix's packed row-major upper triangle
+    entries: list[dict[int, tuple[int, int]]] = [{} for _ in range(m)]
     for line_no, line in body:
         fields = line.split()
         if len(fields) != 5:
@@ -240,13 +248,12 @@ def read_sdpa(path) -> SdpInstance:
             i, j = j, i
         # (i, j) and (j, i) set one position, and the last line wins
         entries[matno - 1][(i - 1) * (2 * n - i + 2) // 2 + j - i] = value
-    zero = Fraction(0)
     matrices = []
     for placed in entries:
-        upper = [zero] * (n * (n + 1) // 2)
+        upper = [(0, 1)] * (n * (n + 1) // 2)
         for p, value in placed.items():
             upper[p] = value
-        matrices.append(SymMatrix(n, tuple(upper)))
+        matrices.append(SymMatrix._of_ratios(n, upper))
     return SdpInstance(n, tuple(matrices), b)
 
 
@@ -263,16 +270,16 @@ def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
     lossy = False
     fcoord: list[str] = []
     for ci, mat in enumerate(inst.A):
-        for i, row in enumerate(mat.to_rows(), start=1):
+        for i, row in enumerate(mat._num_rows(), start=1):
             for j, v in enumerate(row[:i], start=1):
                 if v != 0:
-                    text, rounded = _format_value(v)
+                    text, rounded = _format_value(v, mat._d)
                     lossy = lossy or rounded
                     fcoord.append(f"{ci} 0 {i - 1} {j - 1} {text}")
     bcoord: list[str] = []
     for ci, v in enumerate(inst.b):
         if v != 0:
-            text, rounded = _format_value(-v)
+            text, rounded = _format_value(*(-v).as_integer_ratio())
             lossy = lossy or rounded
             bcoord.append(f"{ci} {text}")
     if lossy:
@@ -304,7 +311,9 @@ class NativeBundle:
 
 
 def _rows_json(mat: Matrix | SymMatrix) -> list[list[str]]:
-    return [[str(v) for v in row] for row in mat.to_rows()]
+    """The rows in the text of `str(Fraction)`, which is `str(num)` for an integer."""
+    spell = str if mat._d == 1 else lambda v: str(Fraction(v, mat._d))
+    return [list(map(spell, row)) for row in mat._num_rows()]
 
 
 def _instance_json(inst: SdpInstance) -> dict:
@@ -343,23 +352,31 @@ def write_native(bundle: NativeBundle, path) -> None:
     Path(path).write_text(json.dumps(bundle_to_json(bundle), indent=1) + "\n", encoding="ascii")
 
 
-def _memo_rational():
-    """`rational` for one bundle, parsing each distinct string once.
+def _memo_ratio():
+    """The `(p, q)` of each value of one bundle, parsing each distinct string once.
 
     Only `str` values are kept: JSON `true` and `1` hash alike, so a bool
     must never find a cached entry.
     """
-    parsed: dict[str, Fraction] = {}
+    parsed: dict[str, tuple[int, int]] = {}
 
-    def parse(value) -> Fraction:
+    def parse(value) -> tuple[int, int]:
         if not isinstance(value, str):
-            return rational(value)
-        q = parsed.get(value)
-        if q is None:
-            q = parsed[value] = rational(value)
-        return q
+            return rational(value).as_integer_ratio()
+        pair = parsed.get(value)
+        if pair is None:
+            pair = parsed[value] = rational(value).as_integer_ratio()
+        return pair
 
     return parse
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer literal, refused past DIGIT_LIMIT digits."""
+    try:
+        return strict_int(text)
+    except ValueError as exc:
+        raise NativeFormatError(f"JSON {exc}") from None
 
 
 def _list(value, what: str) -> list:
@@ -380,7 +397,7 @@ def _parse_instance(doc: dict, where: str, parse) -> SdpInstance:
         n = doc["n"]
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
-        b = tuple(parse(v) for v in _list(doc["b"], "b"))
+        b = tuple(Fraction(*parse(v)) for v in _list(doc["b"], "b"))
         matrices = tuple(_parse_sym(rows, parse) for rows in _list(doc["matrices"], "matrices"))
         return SdpInstance(n, matrices, b)
     except (KeyError, TypeError, ValueError) as exc:
@@ -395,13 +412,13 @@ def _parse_sym(rows, parse) -> SymMatrix:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    upper = tuple(parse(v) for i, row in enumerate(rows) for v in row[i:])
+    upper = [parse(v) for i, row in enumerate(rows) for v in row[i:]]
     for i in range(n):
         for j in range(i + 1, n):
             high, low = rows[i][j], rows[j][i]
             if (type(low) is not type(high) or low != high) and parse(low) != parse(high):
                 raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
-    return SymMatrix(n, upper)
+    return SymMatrix._of_ratios(n, upper)
 
 
 def read_native(path) -> NativeBundle:
@@ -410,14 +427,14 @@ def read_native(path) -> NativeBundle:
     except UnicodeDecodeError as exc:
         raise NativeFormatError(f"non-ASCII byte on line {_line_of(exc)}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise NativeFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError:
         raise NativeFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise NativeFormatError(f"unsupported schema {doc.get('schema') if isinstance(doc, dict) else None!r}, expected {SCHEMA!r}")
-    parse = _memo_rational()
+    parse = _memo_ratio()
     instance = _parse_instance(doc.get("instance", {}), "instance", parse)
     cert_doc = doc.get("certificate")
     certificate = None
@@ -429,10 +446,10 @@ def read_native(path) -> NativeBundle:
             clean = _parse_instance(cert_doc["clean"], "certificate.clean", parse)
             certificate = WeakCertificate(
                 raw=instance,
-                row_ops=Matrix.from_rows(
-                    map(parse, row) for row in _rows(cert_doc["row_ops"], "row_ops")),
-                transform=Matrix.from_rows(
-                    map(parse, row) for row in _rows(cert_doc["transform"], "transform")),
+                row_ops=Matrix._of_ratios(
+                    [list(map(parse, row)) for row in _rows(cert_doc["row_ops"], "row_ops")]),
+                transform=Matrix._of_ratios(
+                    [list(map(parse, row)) for row in _rows(cert_doc["transform"], "transform")]),
                 clean=clean,
                 k=k,
                 xseq=tuple(

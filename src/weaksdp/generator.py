@@ -239,11 +239,11 @@ def bilinear_solve(
         m_entries = [rng.randint(-entry_range, entry_range) for _ in range(p * q)]
         if any(v != 0 for v in m_entries):
             break
-    m = Matrix(p, q, tuple(Fraction(v) for v in m_entries))
+    m = Matrix(p, q, m_entries)
     norm_sq = Fraction(sum(v * v for v in m_entries))
     ys = []
     for target in targets:
-        r = Matrix(p, q, tuple(Fraction(rng.randint(-entry_range, entry_range)) for _ in range(p * q)))
+        r = Matrix(p, q, [rng.randint(-entry_range, entry_range) for _ in range(p * q)])
         correction = (Fraction(target) - inner_general(m, r)) / norm_sq
         ys.append(r + m.scale(correction))
     return m, tuple(ys)

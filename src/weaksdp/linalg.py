@@ -3,16 +3,18 @@ certification, least positive-definite shifts, and random unimodular
 matrices.
 
 There are two elimination loops, both fraction-free (Bareiss, Math. Comp.
-22, 1968): each writes its input once as integers, eliminates on ints with
-exact divisions by the previous pivot, and builds `Fraction`s once, from its
-result. `_gauss_jordan` is the Gauss-Jordan reduction shared by
-`solve_linear`, `determinant` and `inverse`. `_eliminate` is one symmetric
-elimination step on a full working grid of numerators over one common
-denominator; `psd_certify` (pivoted LDL^T) runs its steps under the
-max-diagonal pivot rule, and `_positive_pivots` runs them in natural order
-while the pivots stay positive, for `schur_complement` and for each probe
-of `least_definite_shift`. The one product here, `PsdVerdict.reconstruct`,
-is one `congruence` of `exact`.
+22, 1968): each starts from the stored integer numerators of its input
+matrix (all over the matrix's one denominator), eliminates on ints with
+exact divisions by the previous pivot, and returns its result either as
+numerators over one denominator, for a matrix, or as `Fraction`s where the
+API hands out scalars. `_gauss_jordan` is the Gauss-Jordan reduction shared
+by `solve_linear`, `determinant` and `inverse`. `_eliminate` is one
+symmetric elimination step on a full working grid of numerators;
+`psd_certify` (pivoted LDL^T) runs its steps under the max-diagonal pivot
+rule, and `_positive_pivots` runs them in natural order while the pivots
+stay positive, for `schur_complement` and for each probe of
+`least_definite_shift`. The one product here, `PsdVerdict.reconstruct`, is
+one `congruence` of `exact`.
 
 Positive definiteness is decided in two places. `is_positive_definite`
 reads the verdict of `psd_certify`. `least_definite_shift` needs only yes or
@@ -48,30 +50,22 @@ class LinearSolution:
     nullspace: tuple[tuple[Fraction, ...], ...]
 
 
-def _gauss_jordan(
-    rows: Sequence[Sequence[Fraction]], ncols: int
-) -> tuple[list[int], Fraction, list[list[int]], int]:
-    """Fraction-free Gauss-Jordan reduction on the first `ncols` columns.
+def _gauss_jordan(grid: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan reduction of the integer rows `grid`, in
+    place, on the first `ncols` columns.
 
-    Each row is written once as integers, times the lcm of its denominators;
-    columns beyond `ncols` (a right-hand side, an identity block) are carried
+    Columns beyond `ncols` (a right-hand side, an identity block) are carried
     along. The step on pivot p = row_r[c] replaces every other row by
     (p row_i - row_i[c] row_r) // prev, prev being the previous step's pivot
     (1 at first). By Sylvester's identity every such division is exact
     (Bareiss, Math. Comp. 22, 1968), and after the step each pivot row is p
     times the same row of the reduction over Fractions.
 
-    Returns the pivot columns, the determinant (meaningful for a square
-    matrix at full rank), the integer rows and the last pivot `prev`: row
-    i < rank is prev times row i of the reduced row echelon form, and the
-    rows below are zero on the first `ncols` columns.
+    Returns the pivot columns, the determinant of the integer matrix
+    (meaningful for a square matrix at full rank) and the last pivot
+    `prev`: afterwards row i < rank is prev times row i of the reduced row
+    echelon form, and the rows below are zero on the first `ncols` columns.
     """
-    grid = []
-    scale = 1
-    for row in rows:
-        d = lcm(*(v.denominator for v in row))
-        grid.append([v.numerator * (d // v.denominator) for v in row])
-        scale *= d
     pivot_cols: list[int] = []
     sign, prev = 1, 1
     r = 0
@@ -102,7 +96,7 @@ def _gauss_jordan(
         prev = p
         pivot_cols.append(c)
         r += 1
-    return pivot_cols, Fraction(sign * prev, scale), grid, prev
+    return pivot_cols, sign * prev, prev
 
 
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution | None:
@@ -113,9 +107,11 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> LinearSolution | None:
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match row count")
-    rows = [list(a.row(i)) + [Fraction(b[i - 1])] for i in range(1, a.rows + 1)]
+    rhs = Matrix(a.rows, 1, b)
+    # A x = b with A = A'/da and b = b'/db is db A' x = da b' on integers
+    grid = [[v * rhs._d for v in row] + [a._d * w] for row, w in zip(a._num_rows(), rhs._e)]
     ncols = a.cols
-    pivot_cols, _, grid, prev = _gauss_jordan(rows, ncols)
+    pivot_cols, _, prev = _gauss_jordan(grid, ncols)
     if any(row[ncols] for row in grid[len(pivot_cols):]):
         return None
     particular = [_ZERO] * ncols
@@ -136,8 +132,8 @@ def determinant(a: Matrix) -> Fraction:
     """Exact determinant by fraction-free Gauss-Jordan elimination."""
     if not a.is_square():
         raise ValueError("determinant requires a square matrix")
-    pivot_cols, det, _, _ = _gauss_jordan([a.row(i) for i in range(1, a.rows + 1)], a.cols)
-    return det if len(pivot_cols) == a.rows else _ZERO
+    pivot_cols, det, _ = _gauss_jordan(a._num_rows(), a.cols)
+    return Fraction(det, a._d**a.rows) if len(pivot_cols) == a.rows else _ZERO
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -145,11 +141,12 @@ def inverse(a: Matrix) -> Matrix:
     if not a.is_square():
         raise ValueError("inverse requires a square matrix")
     n = a.rows
-    rows = [list(a.row(i)) + [_ONE if j == i - 1 else _ZERO for j in range(n)] for i in range(1, n + 1)]
-    pivot_cols, _, grid, prev = _gauss_jordan(rows, n)
+    grid = [row + [int(j == i) for j in range(n)] for i, row in enumerate(a._num_rows())]
+    pivot_cols, _, prev = _gauss_jordan(grid, n)
     if len(pivot_cols) < n:
         raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(Fraction(v, prev) for row in grid for v in row[n:]))
+    # the right block is prev A'^-1 for A = A'/d, and A^-1 = d A'^-1
+    return Matrix._of(n, n, [a._d * v for row in grid for v in row[n:]], prev)
 
 
 @dataclass(frozen=True)
@@ -178,17 +175,9 @@ class PsdVerdict:
         # T is L^T with column r moved to column permutation[r], so that
         # T^T D T = P^T L D L^T P
         source = sorted(range(n), key=lambda r: self.permutation[r])
-        lower = self.lower.to_rows()
-        t = Matrix(n, n, tuple(lower[r][u] for u in range(n) for r in source))
+        lower = self.lower._e
+        t = Matrix._of(n, n, [lower[r * n + u] for u in range(n) for r in source], self.lower._d)
         return congruence(SymMatrix.diag(self.diag), t)
-
-
-def _numerators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The rows as integer numerators over one common denominator, the lcm of
-    all their entries' denominators: ``rows[r][s] == grid[r][s] / den``."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
-    den = lcm(*(d for row in ratios for _, d in row))
-    return [[p * (den // d) for p, d in row] for row in ratios], den
 
 
 def _eliminate(w: list[list[int]], pivot: int, rest: Sequence[int], prev: int) -> int:
@@ -230,13 +219,13 @@ def psd_certify(a: SymMatrix) -> PsdVerdict:
     entirely zero (PSD, zero pivots) or some off-diagonal entry survives and a
     2x2 indefinite block yields the witness.
 
-    The elimination runs on integer numerators (`_eliminate`). All trailing
-    entries share one positive denominator, so the pivot choice and the sign
-    tests compare integers, and the `Fraction`s of the certificate are built
-    once, from ratios of integer entries.
+    The elimination runs on the stored numerators (`_eliminate`). All
+    trailing entries share one positive denominator, so the pivot choice and
+    the sign tests compare integers; L is stored over the lcm of the pivots,
+    and the pivots and the witness become `Fraction`s once, at the end.
     """
     n = a.n
-    w, den = _numerators(a.to_rows())
+    w, den = a._num_rows(), a._d
     remaining = list(range(n))
     order: list[int] = []
     prevs: list[int] = []  # pivot u is w[p_u][p_u] / (prevs[u] den)
@@ -280,15 +269,16 @@ def psd_certify(a: SymMatrix) -> PsdVerdict:
     # the residual block is identically zero: zero pivots with zero rows
     diag = tuple(Fraction(w[p][p], q * den) for p, q in zip(order, prevs))
     diag += (_ZERO,) * len(remaining)
-    lower = [[_ZERO] * n for _ in range(n)]
+    dl = lcm(*(w[p][p] for p in order))
+    lower = [0] * (n * n)
     for t, p_t in enumerate(order + remaining):
-        lower[t][t] = _ONE
+        lower[t * n + t] = dl
         for u, p_u in enumerate(order[:t]):
             # row p_u kept the multipliers of elimination step u times its pivot
-            lower[t][u] = Fraction(w[p_u][p_t], w[p_u][p_u])
+            lower[t * n + u] = w[p_u][p_t] * (dl // w[p_u][p_u])
     order += remaining
     return PsdVerdict(True, permutation=tuple(p + 1 for p in order), diag=diag,
-                      lower=Matrix(n, n, tuple(v for row in lower for v in row)))
+                      lower=Matrix._of(n, n, lower, dl))
 
 
 def is_positive_definite(a: SymMatrix) -> bool:
@@ -328,28 +318,27 @@ def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]
     if any(not 0 <= r < a.n for r in order):
         raise IndexError(f"indices outside order {a.n} (indices are 1-based)")
     size, first = len(order), len(eliminate)
-    rows = a.to_rows()
-    w, den = _numerators([[rows[r][s] for s in order] for r in order])
+    rows, den = a._num_rows(), a._d
+    w = [[rows[r][s] for s in order] for r in order]
     done, prev = _positive_pivots(w, first)
     if done < first:
         value = Fraction(w[done][done], prev * den)
         raise ValueError(f"non-positive pivot {value} at index {order[done] + 1}")
-    return SymMatrix(
-        size - first,
-        tuple(Fraction(w[r][s], prev * den) for r in range(first, size) for s in range(r, size)),
+    return SymMatrix._of(
+        size - first, [w[r][s] for r in range(first, size) for s in range(r, size)], prev * den
     )
 
 
 def _least_passing_power_of_two(passes) -> Fraction:
-    """The least 2^e, e >= 0, that `passes`, for a test monotone in e: gallop
-    e = 0, 1, 2, 4, ... to the first pass, then bisect down from it, so a
-    result of b bits costs O(log b) tests instead of b."""
+    """The least 2^e, e >= 0, that `passes` (given the int 2^e), for a test
+    monotone in e: gallop e = 0, 1, 2, 4, ... to the first pass, then bisect
+    down from it, so a result of b bits costs O(log b) tests instead of b."""
     failed, e = -1, 0
-    while not passes(Fraction(2**e)):
+    while not passes(2**e):
         failed, e = e, max(1, 2 * e)
     while e - failed > 1:
         mid = (failed + e) // 2
-        if passes(Fraction(2**mid)):
+        if passes(2**mid):
             e = mid
         else:
             failed = mid
@@ -361,23 +350,22 @@ def least_definite_shift(c: SymMatrix, d: SymMatrix) -> Fraction:
 
     D must be positive definite (ValueError otherwise): then the test is
     monotone in e and passes for e large enough, and the exponent is found
-    by galloping, then bisecting. C and D are written once as integer
-    numerators, C = C'/c and D = D'/d; C + s D is positive definite iff
-    d C' + s c D' is, so each probe forms that integer grid and takes
-    natural-order elimination steps until a pivot is not positive.
+    by galloping, then bisecting. With the stored forms C = C'/c and
+    D = D'/d, C + s D is positive definite iff d C' + s c D' is, so each
+    probe forms that integer grid and takes natural-order elimination steps
+    until a pivot is not positive.
     """
     if c.n != d.n:
         raise ValueError("order mismatch")
     n = c.n
-    cw, cden = _numerators(c.to_rows())
-    dw, dden = _numerators(d.to_rows())
+    cw, cden = c._num_rows(), c._d
+    dw, dden = d._num_rows(), d._d
     if _positive_pivots([row[:] for row in dw], n)[0] < n:
         raise ValueError("the shift direction D must be positive definite")
     cw = [[dden * v for v in row] for row in cw]
     dw = [[cden * v for v in row] for row in dw]
 
-    def passes(scale: Fraction) -> bool:
-        s = scale.numerator
+    def passes(s: int) -> bool:
         grid = [[u + s * v for u, v in zip(row_c, row_d)] for row_c, row_d in zip(cw, dw)]
         return _positive_pivots(grid, n)[0] == n
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weaksdp
 from weaksdp import NativeBundle, large_instance, read_native, write_native
 from weaksdp.cli import main
 
@@ -194,3 +199,44 @@ def test_witness_requires_certificate(tmp_path):
 def test_usage_error_exit_code():
     assert main(["generate", "--n", "not-a-number"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("text", ["1_0", "+5", " 6", "6 ", "\u0665", "5\n", "0x5", "5.0"])
+@pytest.mark.parametrize("flag", ["--n", "--m", "--k", "--l", "--seed", "--entry-range"])
+def test_integer_flags_take_only_ascii_digits(tmp_path, flag, text):
+    # every integer flag is -?[0-9]+; int() alone would take these
+    flags = {"--n": "6", "--m": "5", "--k": "1", "--l": "1", "--seed": "7", "--entry-range": "4"}
+    flags[flag] = text
+    out = tmp_path / "x.wsdp"
+    assert main(["generate", "--out", str(out)] + [v for item in flags.items() for v in item]) == 2
+    assert not out.exists()
+
+
+def test_negative_seed_is_in_the_grammar(tmp_path):
+    out = tmp_path / "x.wsdp"
+    assert main(["generate", "--n", "4", "--m", "3", "--k", "1", "--l", "1", "--seed=-7",
+                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "sieve"])
+def test_over_long_json_integer_is_parse_error(me_bundle, capsys, command):
+    # json.dumps cannot spell a 5000-digit int under the default limit, so splice the text
+    text = me_bundle.read_text()
+    assert text.count('"n": 2') == 2
+    me_bundle.write_text(text.replace('"n": 2', '"n": ' + "1" * 5000, 1))
+    assert main([command, str(me_bundle)]) == 3
+    assert "more than 4300 digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "sieve"])
+def test_digit_limit_does_not_follow_the_environment(me_bundle, command):
+    # with CPython's own limit switched off, the package's limit still holds
+    doc = json.loads(me_bundle.read_text())
+    doc["instance"]["b"][0] = "1" * 5000
+    me_bundle.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0",
+               PYTHONPATH=str(Path(weaksdp.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "weaksdp", command, str(me_bundle)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 3, run.stderr
+    assert "more than 4300 digits" in run.stderr

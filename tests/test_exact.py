@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -98,6 +98,18 @@ class TestRational:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             rational(0.5)
+        # the constructors' one conversion checks every entry as `rational` does
+        for make in (
+            lambda: SymMatrix(2, (0.5, 0.25, True)),
+            lambda: SymMatrix(1, (True,)),
+            lambda: Matrix(1, 2, (0.1, 1)),
+            lambda: Matrix.from_rows([[1, 0.5]]),
+            lambda: SymMatrix.from_rows([[False]]),
+            lambda: SymMatrix.diag([0.5]),
+            lambda: Matrix.from_rows([[1, 2]]).mul_vec((0.5, 1)),
+        ):
+            with pytest.raises(TypeError):
+                make()
 
     def test_bools_rejected(self):
         with pytest.raises(TypeError):
@@ -400,3 +412,120 @@ class TestMatrixBasics:
         a = sym([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
         p = a.principal([1, 3])
         assert p.to_rows() == [[1, 3], [3, 6]]
+
+
+def stored(a):
+    """The stored (numerators, denominator) of a Matrix or a SymMatrix."""
+    return (a._e if isinstance(a, Matrix) else a._u), a._d
+
+
+def assert_canonical(a):
+    nums, den = stored(a)
+    assert type(den) is int and all(type(v) is int for v in nums)
+    assert den >= 1 and gcd(den, *nums) == 1
+    if not any(nums):
+        assert den == 1
+
+
+mixed = st.one_of(small_ints, small_fractions)
+
+
+def mixed_lists(size):
+    """`size` entries with mixed signs and denominators in one list."""
+    return st.lists(mixed, min_size=size, max_size=size)
+
+
+@st.composite
+def stored_operands(draw):
+    """Two symmetric matrices and two general matrices of one shape, a third
+    general matrix to multiply by, a scalar, and index lists; orders 0-4."""
+    n, rows, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    half = n * (n + 1) // 2
+    a, b = (SymMatrix(n, tuple(draw(mixed_lists(half)))) for _ in range(2))
+    m, m2 = (Matrix(rows, cols, tuple(draw(mixed_lists(rows * cols)))) for _ in range(2))
+    right = Matrix(cols, 2, tuple(draw(mixed_lists(cols * 2))))
+    c = draw(mixed)
+    indices = st.lists(st.integers(1, n), max_size=4) if n else st.just([])
+    return a, b, m, m2, right, c, draw(indices), draw(indices)
+
+
+class TestStoredForm:
+    """Matrices store integer numerators over one positive denominator that is
+    coprime to them, and 1 for a zero matrix; `==` and `hash` read that form."""
+
+    @given(stored_operands(), st.integers(-6, 6).filter(bool))
+    @settings(max_examples=150)
+    def test_every_constructor_and_operation_is_canonical(self, operands, k):
+        a, b, m, m2, right, c, ri, ci = operands
+        n = a.n
+        results = [
+            a, b, m, m2, SymMatrix.from_rows(a.to_rows()), Matrix.from_rows(m.to_rows()),
+            SymMatrix.zeros(n), SymMatrix.identity(n), SymMatrix.diag(a.to_rows()[0] if n else []),
+            Matrix.zeros(m.rows, m.cols), Matrix.identity(n), a.scale(c), a.add(b), a.sub(b),
+            a.principal(ri), a.submatrix(ri, ci), a.to_matrix(), m.transpose(), m @ right,
+            m.scale(c), m + m2, m - m2, congruence(a, Matrix.identity(n).scale(c)),
+        ]
+        if n:
+            results.append(SymMatrix.unit(n, n, 1, c))
+        if not a.is_zero():
+            results.append(a.primitive())
+        nums, den = stored(a)
+        # the private constructor takes any non-zero denominator, negative too
+        results.append(SymMatrix._of(n, [v * k for v in nums], den * k))
+        for result in results:
+            assert_canonical(result)
+
+    @given(stored_operands(), st.integers(-6, 6).filter(bool))
+    @settings(max_examples=150)
+    def test_equal_values_from_different_routes_are_equal(self, operands, k):
+        a, b, m, m2, _, c, _, _ = operands
+        rows = a.to_rows()
+        # every entry spelled unreduced, k p / k q with k > 0
+        spelled = [[f"{abs(k) * v.numerator}/{abs(k) * v.denominator}" for v in row] for row in rows]
+        nums, den = stored(a)
+        routes = [
+            SymMatrix.from_rows(spelled),
+            SymMatrix.from_rows(rows),
+            a.scale(3).scale(Fraction(1, 3)),
+            a.add(b).sub(b),
+            a.scale(c).add(a.scale(1 - c)),
+            SymMatrix._of(a.n, [v * k for v in nums], den * k),
+        ]
+        for route in routes:
+            assert route == a and hash(route) == hash(a)
+        for route in (m.scale(3).scale(Fraction(1, 3)), (m + m2) - m2, m.transpose().transpose()):
+            assert route == m and hash(route) == hash(m)
+        assert SymMatrix.from_rows([["2/4"]]) == SymMatrix.from_rows([["1/2"]])
+
+    @given(stored_operands())
+    @settings(max_examples=150)
+    def test_operations_match_a_fraction_loop(self, operands):
+        a, b, m, m2, _, c, ri, ci = operands
+        ra, rb, rm, rm2 = a.to_rows(), b.to_rows(), m.to_rows(), m2.to_rows()
+        assert all(type(v) is Fraction for row in ra + rm for v in row)
+        assert a.scale(c).to_rows() == [[c * v for v in row] for row in ra]
+        assert a.add(b).to_rows() == [[u + v for u, v in zip(p, q)] for p, q in zip(ra, rb)]
+        assert a.sub(b).to_rows() == [[u - v for u, v in zip(p, q)] for p, q in zip(ra, rb)]
+        assert m.scale(c).to_rows() == [[c * v for v in row] for row in rm]
+        assert (m + m2).to_rows() == [[u + v for u, v in zip(p, q)] for p, q in zip(rm, rm2)]
+        assert (m - m2).to_rows() == [[u - v for u, v in zip(p, q)] for p, q in zip(rm, rm2)]
+        assert m.transpose().to_rows() == [[rm[r][s] for r in range(m.rows)] for s in range(m.cols)]
+        assert a.is_zero() == all(v == 0 for row in ra for v in row)
+        idx = sorted(set(ri))
+        assert a.principal(ri).to_rows() == [[ra[r - 1][s - 1] for s in idx] for r in idx]
+        assert a.submatrix(ri, ci).to_rows() == [[ra[r - 1][s - 1] for s in ci] for r in ri]
+        assert [[a.at(i, j) for j in range(1, a.n + 1)] for i in range(1, a.n + 1)] == ra
+        if not a.is_zero():
+            # the coprime integer multiple with a positive scale, by Fractions
+            scale = lcm(*(v.denominator for row in ra for v in row))
+            ints = [[v * scale for v in row] for row in ra]
+            g = gcd(*(int(v) for row in ints for v in row))
+            assert a.primitive().to_rows() == [[v / g for v in row] for row in ints]
+
+    @given(stored_operands())
+    def test_stored_signs_are_the_entries_signs(self, operands):
+        a = operands[0]
+        for i in range(1, a.n + 1):
+            for j in range(1, a.n + 1):
+                v = a.at(i, j)
+                assert (a._num(i, j) > 0, a._num(i, j) == 0) == (v > 0, v == 0)
