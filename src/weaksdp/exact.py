@@ -87,20 +87,32 @@ def rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        match = _RATIONAL_TEXT.fullmatch(value)
-        if match is not None and len(value) > DIGIT_LIMIT:  # only then can p or q be longer
-            for digits in match.groups(""):
-                _check_digits(digits)
-        if match is None or match[2] and int(match[2]) == 0:
-            raise ValueError(f"not an exact rational p or p/q with q != 0: {value!r}")
-        return Fraction(int(match[1]), int(match[2] or 1))
+        return Fraction(*text_ratio(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def text_ratio(text: str) -> tuple[int, int]:
+    """The reduced (p, q), q > 0, of a string in `rational`'s grammar; ValueError otherwise."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is not None and len(text) > DIGIT_LIMIT:  # only then can p or q be longer
+        for digits in match.groups(""):
+            _check_digits(digits)
+    if match is None or match[2] and int(match[2]) == 0:
+        raise ValueError(f"not an exact rational p or p/q with q != 0: {text!r}")
+    p = int(match[1])
+    if match[2] is None:
+        return p, 1
+    q = int(match[2])
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _ratio(value) -> tuple[int, int]:
     """(p, q) of one entry given to a public constructor, checked by `rational`."""
     if type(value) is int:
         return value, 1
+    if type(value) is str:
+        return text_ratio(value)
     return rational(value).as_integer_ratio()
 
 
@@ -179,6 +191,12 @@ class Matrix:
         """The rows of stored numerators, over the denominator ``_d``."""
         c = self.cols
         return [list(self._e[r * c : (r + 1) * c]) for r in range(self.rows)]
+
+    def _rows_of(self, f) -> list[list]:
+        """The rows of f(v) for the stored numerators v, one call per entry."""
+        c = self.cols
+        values = list(map(f, self._e))
+        return [values[r * c : (r + 1) * c] for r in range(self.rows)]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(1, self.rows + 1)]
@@ -318,6 +336,10 @@ class SymMatrix:
     def _num_rows(self) -> list[list[int]]:
         """The n full rows of stored numerators, over the denominator ``_d``."""
         return _square(self._u, self.n)
+
+    def _rows_of(self, f) -> list[list]:
+        """The n full rows of f(v) for the stored numerators v, one call per upper entry."""
+        return _square(list(map(f, self._u)), self.n)
 
     def to_rows(self) -> list[list[Fraction]]:
         return _square([Fraction(v, self._d) for v in self._u], self.n)

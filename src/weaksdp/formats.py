@@ -2,10 +2,14 @@
 
 The native ``.wsdp`` bundle is the authoritative on-disk form: versioned JSON
 with every rational spelled as an exact ``p/q`` string, round-tripping
-bit-exactly. SDPA and CBF are solver-input exports; they are exact whenever
-every value has a terminating decimal expansion (always true for the integer
-instances the generator emits) and flagged as lossy otherwise. Nothing written
-here contains timestamps, so identical inputs produce identical bytes.
+bit-exactly. Its layout is pinned: JSON with indent 1 and one leaf per line.
+`write_native` writes that text by hand, laying each matrix out from its
+stored numerators, and `json.dumps(bundle_to_json(bundle), indent=1)` plus a
+newline is the reference it matches byte for byte. SDPA and CBF are
+solver-input exports; they are exact whenever every value has a terminating
+decimal expansion (always true for the integer instances the generator emits)
+and flagged as lossy otherwise. Nothing written here contains timestamps, so
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .exact import DIGIT_LIMIT, Matrix, SymMatrix, rational, strict_int
+from .exact import DIGIT_LIMIT, Matrix, SymMatrix, rational, strict_int, text_ratio
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
 
@@ -102,6 +108,27 @@ def _format_value(num: int, den: int) -> tuple[str, bool]:
     return _decimal_rounded(q), True
 
 
+@lru_cache(maxsize=8)
+def _upper_cells(n: int, by_column: bool) -> tuple[tuple[int, int, int], ...]:
+    """(offset in the packed upper triangle, i, j) of each cell i <= j of order n,
+    1-based, row by row or column by column."""
+    packed = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    cells = [(p, i, j) for p, (i, j) in enumerate(packed)]
+    if by_column:
+        cells.sort(key=lambda cell: (cell[2], cell[1]))
+    return tuple(cells)
+
+
+def _nonzero_upper(mat: SymMatrix, by_column: bool = False) -> Iterator[tuple[int, int, str, bool]]:
+    """(i, j, text, rounded) of each non-zero upper entry, walking the packed
+    triangle in the order of `_upper_cells`."""
+    u, den = mat._u, mat._d
+    for p, i, j in _upper_cells(mat.n, by_column):
+        v = u[p]
+        if v:  # the integer case of `_format_value` inline: it is most entries
+            yield (i, j, str(v), False) if den == 1 else (i, j, *_format_value(v, den))
+
+
 def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     """Emit the instance in SDPA sparse format (single PSD block of order n).
 
@@ -115,12 +142,9 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     body: list[str] = []
     lossy = False
     for idx, mat in enumerate(inst.A, start=1):
-        for i, row in enumerate(mat._num_rows(), start=1):
-            for j, v in enumerate(row[i - 1:], start=i):
-                if v != 0:
-                    text, rounded = _format_value(v, mat._d)
-                    lossy = lossy or rounded
-                    body.append(f"{idx} 1 {i} {j} {text}")
+        for i, j, text, rounded in _nonzero_upper(mat):
+            lossy = lossy or rounded
+            body.append(f"{idx} 1 {i} {j} {text}")
     b_parts = []
     for v in inst.b:
         text, rounded = _format_value(*v.as_integer_ratio())
@@ -270,12 +294,10 @@ def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
     lossy = False
     fcoord: list[str] = []
     for ci, mat in enumerate(inst.A):
-        for i, row in enumerate(mat._num_rows(), start=1):
-            for j, v in enumerate(row[:i], start=1):
-                if v != 0:
-                    text, rounded = _format_value(v, mat._d)
-                    lossy = lossy or rounded
-                    fcoord.append(f"{ci} 0 {i - 1} {j - 1} {text}")
+        # the lower triangle row by row is the upper one column by column
+        for i, j, text, rounded in _nonzero_upper(mat, by_column=True):
+            lossy = lossy or rounded
+            fcoord.append(f"{ci} 0 {j - 1} {i - 1} {text}")
     bcoord: list[str] = []
     for ci, v in enumerate(inst.b):
         if v != 0:
@@ -311,45 +333,97 @@ class NativeBundle:
 
 
 def _rows_json(mat: Matrix | SymMatrix) -> list[list[str]]:
-    """The rows in the text of `str(Fraction)`, which is `str(num)` for an integer."""
-    spell = str if mat._d == 1 else lambda v: str(Fraction(v, mat._d))
-    return [list(map(spell, row)) for row in mat._num_rows()]
+    """The rows in the text of `str(Fraction)`, which is `str(num)` for an
+    integer; a `SymMatrix` spells each upper entry once."""
+    den = mat._d
+
+    def spell(v: int) -> str:
+        g = gcd(v, den)
+        return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+    return mat._rows_of(str if den == 1 else spell)
 
 
-def _instance_json(inst: SdpInstance) -> dict:
+def _bundle_doc(bundle: NativeBundle, matrix) -> dict:
+    """The bundle's JSON document with each matrix given as `matrix(mat)`: the
+    one definition of the schema's keys and their order."""
+
+    def instance(inst: SdpInstance) -> dict:
+        return {"n": inst.n, "b": [str(v) for v in inst.b], "matrices": [matrix(a) for a in inst.A]}
+
+    def blocks(structure: Structure) -> list[list[int]]:
+        return [sorted(block) for block in structure.blocks]
+
+    cert = bundle.certificate
     return {
-        "n": inst.n,
-        "b": [str(v) for v in inst.b],
-        "matrices": [_rows_json(a) for a in inst.A],
+        "schema": SCHEMA,
+        "label": bundle.label,
+        "instance": instance(bundle.instance),
+        "certificate": None if cert is None else {
+            "k": cert.k,
+            "l": cert.l,
+            "row_ops": matrix(cert.row_ops),
+            "transform": matrix(cert.transform),
+            "clean": instance(cert.clean),
+            "x_sequence": [matrix(x) for x in cert.xseq],
+            "p_blocks": blocks(cert.p_structure),
+            "q_blocks": blocks(cert.q_structure),
+        },
+        "generation": bundle.generation,
     }
 
 
-def _structure_json(structure: Structure) -> list[list[int]]:
-    return [sorted(block) for block in structure.blocks]
-
-
 def bundle_to_json(bundle: NativeBundle) -> dict:
-    doc: dict = {"schema": SCHEMA, "label": bundle.label, "instance": _instance_json(bundle.instance)}
-    cert = bundle.certificate
-    if cert is None:
-        doc["certificate"] = None
-    else:
-        doc["certificate"] = {
-            "k": cert.k,
-            "l": cert.l,
-            "row_ops": _rows_json(cert.row_ops),
-            "transform": _rows_json(cert.transform),
-            "clean": _instance_json(cert.clean),
-            "x_sequence": [_rows_json(x) for x in cert.xseq],
-            "p_blocks": _structure_json(cert.p_structure),
-            "q_blocks": _structure_json(cert.q_structure),
-        }
-    doc["generation"] = bundle.generation
-    return doc
+    return _bundle_doc(bundle, _rows_json)
+
+
+class _MatrixText:
+    """A matrix in the document `write_native` lays out: its rows of leaf text."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, mat: Matrix | SymMatrix):
+        self.rows = _rows_json(mat)
+
+    def layout(self, indent: str) -> str:
+        # every leaf is ASCII -?[0-9]+(/[0-9]+)?, so no leaf needs escaping
+        if not self.rows:
+            return "[]"
+        outer = indent + " "
+        leaf = '",\n' + outer + ' "'
+        rows = [f'{outer}[\n{outer} "{leaf.join(row)}"\n{outer}]' if row else outer + "[]"
+                for row in self.rows]
+        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
+def _holds_matrix(value) -> bool:
+    if type(value) is dict:
+        return any(map(_holds_matrix, value.values()))
+    if type(value) is list:
+        return any(map(_holds_matrix, value))
+    return type(value) is _MatrixText
+
+
+def _layout(value, indent: str) -> str:
+    """The text of `json.dumps(value, indent=1)` nested at `indent`. A matrix,
+    and each dict or list that holds one, is laid out by hand; anything else
+    goes through `json.dumps`."""
+    if type(value) is _MatrixText:
+        return value.layout(indent)
+    inner = indent + " "
+    if type(value) is dict and _holds_matrix(value):
+        items = [f"{inner}{json.dumps(key)}: {_layout(v, inner)}" for key, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if type(value) is list and _holds_matrix(value):
+        return "[\n" + ",\n".join(inner + _layout(v, inner) for v in value) + "\n" + indent + "]"
+    return json.dumps(value, indent=1).replace("\n", "\n" + indent)
 
 
 def write_native(bundle: NativeBundle, path) -> None:
-    Path(path).write_text(json.dumps(bundle_to_json(bundle), indent=1) + "\n", encoding="ascii")
+    """Write the bundle as `json.dumps(bundle_to_json(bundle), indent=1)` and a
+    newline would, with the matrices laid out from the stored numerators."""
+    text = _layout(_bundle_doc(bundle, _MatrixText), "")
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 def _memo_ratio():
@@ -365,7 +439,7 @@ def _memo_ratio():
             return rational(value).as_integer_ratio()
         pair = parsed.get(value)
         if pair is None:
-            pair = parsed[value] = rational(value).as_integer_ratio()
+            pair = parsed[value] = text_ratio(value)
         return pair
 
     return parse

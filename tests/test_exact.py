@@ -25,6 +25,7 @@ from weaksdp import (
     random_unimodular,
     rational,
 )
+from weaksdp.exact import DIGIT_LIMIT, text_ratio
 
 small_ints = st.integers(-30, 30)
 small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -124,6 +125,30 @@ class TestRational:
                                              ("1/02", Fraction(1, 2))])
     def test_strings_in_the_grammar_accepted(self, text, value):
         assert rational(text) == value
+
+    @given(st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)
+           | st.text(alphabet="-/0123456789 +_.e\u0663\n", max_size=12) | st.text(max_size=8))
+    def test_text_parser_agrees_with_rational(self, text):
+        # the reader's parser and `rational` both accept the text, with the
+        # same reduced (p, q), or both refuse it with ValueError
+        try:
+            expected = rational(text).as_integer_ratio()
+        except ValueError:
+            with pytest.raises(ValueError):
+                text_ratio(text)
+        else:
+            assert text_ratio(text) == expected
+
+    @pytest.mark.parametrize("text", ["1" * DIGIT_LIMIT, "-" + "9" * DIGIT_LIMIT,
+                                      "1/" + "2" * DIGIT_LIMIT, "1" * (DIGIT_LIMIT + 1),
+                                      "1/" + "2" * (DIGIT_LIMIT + 1), "-" + "3" * (DIGIT_LIMIT + 1) + "/7"])
+    def test_text_parser_agrees_with_rational_at_the_digit_limit(self, text):
+        if len(text.lstrip("-").partition("/")[0]) > DIGIT_LIMIT or len(text.partition("/")[2]) > DIGIT_LIMIT:
+            for parse in (rational, text_ratio):
+                with pytest.raises(ValueError):
+                    parse(text)
+        else:
+            assert text_ratio(text) == rational(text).as_integer_ratio()
 
 
 class TestInner:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,10 +7,12 @@ import pytest
 
 from weaksdp import (
     GenConfig,
+    Matrix,
     NativeBundle,
     SdpInstance,
     Structure,
     SymMatrix,
+    WeakCertificate,
     cell_region,
     generate,
     me_instance,
@@ -20,7 +23,9 @@ from weaksdp import (
     write_native,
     write_sdpa,
 )
-from weaksdp.formats import NativeFormatError, SdpaFormatError, _decimal_exact, _decimal_rounded
+from weaksdp.formats import (
+    NativeFormatError, SdpaFormatError, _decimal_exact, _decimal_rounded, bundle_to_json,
+)
 
 
 def parse_cbf(path):
@@ -361,6 +366,58 @@ class TestNative:
         other = SdpInstance(2, raw.A, (1, 1))
         with pytest.raises(ValueError):
             NativeBundle(instance=other, certificate=cert)
+
+
+def assert_reference_bytes(bundle, path):
+    write_native(bundle, path)
+    assert path.read_bytes() == (json.dumps(bundle_to_json(bundle), indent=1) + "\n").encode("ascii")
+
+
+def fractional(cert):
+    """`cert` with a fractional G and T: T holds entries like 2/4 that reduce
+    below its denominator. It no longer certifies anything."""
+    n = cert.transform.rows
+    transform = Matrix.from_rows([[Fraction(i - j, 4) for j in range(n)] for i in range(n)])
+    return replace(cert, row_ops=cert.row_ops.scale(Fraction(-2, 3)), transform=transform)
+
+
+class TestNativeLayout:
+    """`write_native` lays the matrices out by hand; the reference is
+    `json.dumps(bundle_to_json(bundle), indent=1)` and a newline."""
+
+    @pytest.mark.parametrize("messy", [False, True])
+    @pytest.mark.parametrize("label, generation", [
+        (None, None),
+        ('say "hi" \\ bye', {"seed": 3, "config": {"n": 6, "ranges": [[1, 2], []], "flags": {}},
+                              "note": "two\nlines", "keys": {1: None, "weight": 0.5}}),
+    ])
+    def test_bytes_match_reference(self, tmp_path, messy, label, generation):
+        instance = generate(GenConfig(n=6, m=4, k=2, l=2, seed=1, messy=messy))
+        cert = WeakCertificate.from_instance(instance)
+        entries = [v for x in cert.xseq for row in x.to_rows() for v in row]
+        assert any(v.denominator != 1 for v in entries) and any(v < 0 for v in entries)
+        for certificate in (cert, fractional(cert), None):
+            bundle = NativeBundle(instance.raw, certificate, generation, label)
+            assert_reference_bytes(bundle, tmp_path / "instance.wsdp")
+
+    def test_bytes_match_reference_with_empty_lists(self, tmp_path):
+        # m = 0: no matrices, no right-hand side and a 0 x 0 G; empty blocks
+        empty = SdpInstance(3, (), ())
+        cert = WeakCertificate(
+            raw=empty, row_ops=Matrix.zeros(0, 0), transform=Matrix.identity(3), clean=empty, k=0,
+            xseq=(SymMatrix.zeros(3),), p_structure=Structure(3, ()), q_structure=Structure(3, ((),)),
+        )
+        assert_reference_bytes(NativeBundle(empty, cert, label=""), tmp_path / "empty.wsdp")
+        raw, me_cert = me_instance()
+        assert_reference_bytes(NativeBundle(raw, me_cert, {"nested": {"deeper": []}}), tmp_path / "me.wsdp")
+
+    def test_leaves_spell_fractions(self):
+        instance = generate(GenConfig(n=6, m=4, k=2, l=2, seed=1, messy=True))
+        cert = fractional(WeakCertificate.from_instance(instance))
+        doc = bundle_to_json(NativeBundle(instance.raw, cert))["certificate"]
+        pairs = [(doc["row_ops"], cert.row_ops), (doc["transform"], cert.transform)]
+        for rows, mat in pairs + list(zip(doc["x_sequence"], cert.xseq)):
+            assert rows == [[str(v) for v in row] for row in mat.to_rows()]
 
 
 class TestRenderBlocks:

@@ -187,6 +187,17 @@ class TestLibraryBuild:
         digest = "900c619ec2be2a525c4dd6abca5dc41377128114563909a59685d20e022001f9"
         assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
+    def test_default_tree_matches_earlier_revision(self, default_library):
+        # the same listing over the 727 files of the default profile, so the
+        # n = 20/40 native, SDPA and CBF bytes are pinned too
+        root, _, _ = default_library
+        listing = "".join(
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root).as_posix()}\n"
+            for path in sorted(p for p in root.rglob("*") if p.is_file())
+        )
+        digest = "d7c2ad63d0000a91983c8cb6f1d21c89cf8d7e5b0170387f8b3cc0f23f1a2ef3"
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
     def test_rebuild_is_byte_identical(self, tmp_path):
         root_a = tmp_path / "a"
         root_b = tmp_path / "b"
