@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .exact import rational, strict_int
 from .echelon import asymptote_witness, frobenius_norm_squared
@@ -118,18 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_bundle(path: str) -> NativeBundle:
-    return read_native(Path(path))
-
-
 def _require_certificate(bundle: NativeBundle) -> WeakCertificate:
     if bundle.certificate is None:
-        raise _NoCertificate("bundle carries no certificate")
+        raise ValueError("bundle carries no certificate")
     return bundle.certificate
-
-
-class _NoCertificate(Exception):
-    pass
 
 
 def _cmd_generate(args) -> int:
@@ -158,7 +149,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    bundle = _load_bundle(args.path)
+    bundle = read_native(args.path)
     cert = _require_certificate(bundle)
     report = verify_weak_infeasibility(cert)
     print(report.to_json() if args.json else report.summary())
@@ -166,7 +157,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    bundle = _load_bundle(args.path)
+    bundle = read_native(args.path)
     detection = sieve_detect(bundle.instance)
     if detection is None:
         print(json.dumps({"detected": False}) if args.json else "NotDetected")
@@ -187,7 +178,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    bundle = _load_bundle(args.path)
+    bundle = read_native(args.path)
     cert = _require_certificate(bundle)
     witness = asymptote_witness(cert.clean, cert.xseq, cert.q_structure, args.eps)
     print("psd point within tolerance of the clean constraint set:")
@@ -199,7 +190,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    bundle = _load_bundle(args.path)
+    bundle = read_native(args.path)
     if args.format == "dat-s":
         write_sdpa(bundle.instance, args.out, label=bundle.label)
     else:
@@ -209,7 +200,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    bundle = _load_bundle(args.path)
+    bundle = read_native(args.path)
     cert = _require_certificate(bundle)
     written = render_blocks(cert.clean.A[: cert.k + 1], cert.p_structure, args.outdir, stem="A")
     written += render_blocks(cert.xseq, cert.q_structure, args.outdir, stem="X")
@@ -258,12 +249,6 @@ def main(argv=None) -> int:
     except (SdpaFormatError, NativeFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except IsADirectoryError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except _NoCertificate as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except ValueError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -387,9 +387,9 @@ def asymptote_witness(
     block; the test is monotone in gamma_i (D_i is positive), so
     `least_definite_shift` finds the exponent by galloping, then bisecting,
     each probe an integer elimination that stops at the first non-positive
-    pivot. The padding and each gamma_i X_i are added by the integer row
-    combination of `congruences` (T = I), and the certificate check takes
-    every A_j . X_i from one `inner_table`. Every comparison is an exact
+    pivot. The padding and each gamma_i X_i are added with `add` and `scale`
+    on the stored integer numerators, and the certificate check takes every
+    A_j . X_i from one `inner_table`. Every comparison is an exact
     rational one, and the finished matrix is PSD-certified once more, the
     one PSD verdict built here.
     """
@@ -408,15 +408,14 @@ def asymptote_witness(
         delta /= 2
     x_delta = SymMatrix.diag([delta if r in rest else 0 for r in range(1, n + 1)])
 
-    identity = Matrix.identity(n)
-    current = next(congruences((xseq[-1], x_delta), Matrix(1, 2, (_ONE, _ONE)), identity))
+    current = xseq[-1].add(x_delta)
     gammas: list[Fraction] = []
     trailing = sorted(set(rest) | set(structure.blocks[ell]))
     for i in range(ell, 0, -1):
         block = sorted(structure.blocks[i - 1])
         complement = schur_complement(current, trailing, block)
         gamma = least_definite_shift(complement, xseq[i - 1].principal(block))
-        current = next(congruences((current, xseq[i - 1]), Matrix(1, 2, (_ONE, gamma)), identity))
+        current = current.add(xseq[i - 1].scale(gamma))
         gammas.append(gamma)
         trailing = sorted(trailing + block)
     gammas.reverse()

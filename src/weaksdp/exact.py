@@ -290,16 +290,34 @@ class SymMatrix:
         return cls._of(n, *_over_lcm(ratios))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "SymMatrix":
-        grid = [[_ratio(v) for v in row] for row in rows]
-        n = len(grid)
-        if any(len(row) != n for row in grid):
+    def _of_rows(cls, rows: list[list], parse) -> "SymMatrix":
+        """The matrix of square `rows`, each entry read to `(p, q)` by `parse`.
+        Each upper entry is parsed once; a lower entry is parsed only when it
+        differs from its mirror in type or value, so `True` beside `1` is still
+        rejected while `"2/4"` and `"1/2"` read alike."""
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
+        upper = [parse(v) for i, row in enumerate(rows) for v in row[i:]]
         for i in range(n):
             for j in range(i + 1, n):
-                if grid[i][j] != grid[j][i]:
+                high, low = rows[i][j], rows[j][i]
+                if (type(low) is not type(high) or low != high) and parse(low) != parse(high):
                     raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
-        return cls._of_ratios(n, (grid[i][j] for i in range(n) for j in range(i, n)))
+        return cls._of_ratios(n, upper)
+
+    @classmethod
+    def _of_cells(cls, n: int, cells: dict[tuple[int, int], tuple[int, int]]) -> "SymMatrix":
+        """The matrix with entry `(p, q)` at each 1-based cell (i, j), i <= j,
+        of `cells`, and zero elsewhere."""
+        upper = [(0, 1)] * (n * (n + 1) // 2)
+        for (i, j), value in cells.items():
+            upper[_upper_offset(n, i, j)] = value
+        return cls._of_ratios(n, upper)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable]) -> "SymMatrix":
+        return cls._of_rows([list(row) for row in rows], _ratio)
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatrix":

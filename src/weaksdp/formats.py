@@ -10,6 +10,12 @@ solver-input exports; they are exact whenever every value has a terminating
 decimal expansion (always true for the integer instances the generator emits)
 and flagged as lossy otherwise. Nothing written here contains timestamps, so
 identical inputs produce identical bytes.
+
+The readers only turn text into numbers: integer fields go through
+`exact.strict_int`, each distinct token once per file, and the matrices are
+built by private `SymMatrix` constructors, so the symmetric-rows rule of
+`SymMatrix.from_rows` and the packed upper-triangle layout each have one
+implementation, in `exact.py`.
 """
 
 from __future__ import annotations
@@ -66,8 +72,12 @@ def _decimal_exact(q: Fraction) -> str | None:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-def _decimal_rounded(q: Fraction, significant: int = 17) -> str:
-    """Plain decimal string with `significant` significant digits, no exponent."""
+_SIGNIFICANT = 17
+"""Significant digits of a value that SDPA or CBF cannot spell exactly."""
+
+
+def _decimal_rounded(q: Fraction) -> str:
+    """Plain decimal string with _SIGNIFICANT significant digits, no exponent."""
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""
@@ -81,13 +91,13 @@ def _decimal_rounded(q: Fraction, significant: int = 17) -> str:
     while exceeds(magnitude):
         magnitude -= 1
     # now 10^magnitude <= |q| < 10^(magnitude+1)
-    shift = significant - 1 - magnitude
+    shift = _SIGNIFICANT - 1 - magnitude
     if shift >= 0:
         scaled = (2 * num * 10**shift + den) // (2 * den)
     else:
         scaled = (2 * num + den * 10**-shift) // (2 * den * 10**-shift)
     digits = str(scaled)
-    if len(digits) > significant:  # rounded up across a power of ten
+    if len(digits) > _SIGNIFICANT:  # rounded up across a power of ten
         magnitude += 1
     point = magnitude + 1
     if point <= 0:
@@ -158,7 +168,7 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     if label:
         lines.append(f"* label: {label}")
     if lossy:
-        lines.append("* lossy: some values rounded to 17 significant digits")
+        lines.append(f"* lossy: some values rounded to {_SIGNIFICANT} significant digits")
     lines.append(str(inst.m))
     lines.append("1")
     lines.append(str(inst.n))
@@ -174,8 +184,6 @@ def _line_of(exc: UnicodeDecodeError) -> int:
 
 # covers every value `write_sdpa` emits: an optional minus, digits, optional decimals
 _SDPA_VALUE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
-# `exact.strict_int` as one regex: read_sdpa parses four integers per body line
-_SDPA_INTEGER = re.compile(rf"-?[0-9]{{1,{DIGIT_LIMIT}}}")
 
 
 def read_sdpa(path) -> SdpInstance:
@@ -200,13 +208,16 @@ def read_sdpa(path) -> SdpInstance:
     if len(numbered) < 3:
         raise SdpaFormatError("file shorter than the header lines")
 
+    ints: dict[str, int] = {}
+
     def parse_int(text: str, line_no: int, what: str) -> int:
-        try:
-            if _SDPA_INTEGER.fullmatch(text) is None:
-                raise ValueError
-            return int(text)
-        except ValueError:  # outside the grammar, or more than DIGIT_LIMIT digits
-            raise SdpaFormatError(f"expected integer {what}, got {text!r}", line_no) from None
+        value = ints.get(text)
+        if value is None:
+            try:
+                value = ints[text] = strict_int(text)
+            except ValueError:
+                raise SdpaFormatError(f"expected integer {what}, got {text!r}", line_no) from None
+        return value
 
     values: dict[str, tuple[int, int]] = {}
 
@@ -249,8 +260,8 @@ def read_sdpa(path) -> SdpInstance:
         b = tuple(Fraction(*parse_value(f, no_b)) for f in b_fields)
         body = numbered[4:]
 
-    # (num, 10^d) by position in each matrix's packed row-major upper triangle
-    entries: list[dict[int, tuple[int, int]]] = [{} for _ in range(m)]
+    # (num, 10^d) by upper cell (i, j), i <= j, of each matrix
+    entries: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(m)]
     for line_no, line in body:
         fields = line.split()
         if len(fields) != 5:
@@ -268,17 +279,9 @@ def read_sdpa(path) -> SdpInstance:
             raise SdpaFormatError(f"block number must be 1, got {blkno}", line_no)
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaFormatError(f"entry ({i},{j}) outside order {n}", line_no)
-        if i > j:
-            i, j = j, i
-        # (i, j) and (j, i) set one position, and the last line wins
-        entries[matno - 1][(i - 1) * (2 * n - i + 2) // 2 + j - i] = value
-    matrices = []
-    for placed in entries:
-        upper = [(0, 1)] * (n * (n + 1) // 2)
-        for p, value in placed.items():
-            upper[p] = value
-        matrices.append(SymMatrix._of_ratios(n, upper))
-    return SdpInstance(n, tuple(matrices), b)
+        # (i, j) and (j, i) set one cell, and the last line wins
+        entries[matno - 1][(i, j) if i <= j else (j, i)] = value
+    return SdpInstance(n, tuple(SymMatrix._of_cells(n, cells) for cells in entries), b)
 
 
 def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
@@ -305,7 +308,7 @@ def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
             lossy = lossy or rounded
             bcoord.append(f"{ci} {text}")
     if lossy:
-        lines.append("# lossy: some values rounded to 17 significant digits")
+        lines.append(f"# lossy: some values rounded to {_SIGNIFICANT} significant digits")
     lines += ["", "VER", "3", "", "OBJSENSE", "MIN", "", "PSDVAR", "1", str(inst.n), "", "CON",
               f"{inst.m} 1", f"L= {inst.m}"]
     if fcoord:
@@ -472,27 +475,11 @@ def _parse_instance(doc: dict, where: str, parse) -> SdpInstance:
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
         b = tuple(Fraction(*parse(v)) for v in _list(doc["b"], "b"))
-        matrices = tuple(_parse_sym(rows, parse) for rows in _list(doc["matrices"], "matrices"))
+        matrices = tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse)
+                         for rows in _list(doc["matrices"], "matrices"))
         return SdpInstance(n, matrices, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise NativeFormatError(f"malformed instance in {where}: {exc}") from exc
-
-
-def _parse_sym(rows, parse) -> SymMatrix:
-    """A `SymMatrix` from JSON rows, each upper entry parsed once. A lower entry
-    is parsed only when it differs from its mirror in type or value, so `true`
-    beside `1` is still rejected while `"2/4"` and `"1/2"` still read alike."""
-    rows = _rows(rows, "a matrix")
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    upper = [parse(v) for i, row in enumerate(rows) for v in row[i:]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            high, low = rows[i][j], rows[j][i]
-            if (type(low) is not type(high) or low != high) and parse(low) != parse(high):
-                raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
-    return SymMatrix._of_ratios(n, upper)
 
 
 def read_native(path) -> NativeBundle:
@@ -526,8 +513,8 @@ def read_native(path) -> NativeBundle:
                     [list(map(parse, row)) for row in _rows(cert_doc["transform"], "transform")]),
                 clean=clean,
                 k=k,
-                xseq=tuple(
-                    _parse_sym(rows, parse) for rows in _list(cert_doc["x_sequence"], "x_sequence")),
+                xseq=tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse)
+                           for rows in _list(cert_doc["x_sequence"], "x_sequence")),
                 p_structure=Structure(
                     clean.n, tuple(_rows(cert_doc["p_blocks"], "p_blocks", "block"))),
                 q_structure=Structure(

@@ -169,15 +169,8 @@ def choose_structures(cfg: GenConfig) -> tuple[Structure, Structure]:
     if cfg.structure_overlap_policy == DISJOINT_ONLY:
         # all blocks drawn from one shrinking pool
         pool = list(range(1, n + 1))
-        avail = n
-        p_sizes = []
-        for left in range(k, 0, -1):
-            cap = min(hi, avail - lo * (left - 1) - lo * l)
-            if cap < lo:
-                raise ValueError("n too small for requested block sizes")
-            s = rng.randint(lo, cap)
-            p_sizes.append(s)
-            avail -= s
+        p_sizes = draw_sizes(k, n - lo * l, optional_tail=False)  # room left for Q_1..Q_l
+        avail = n - sum(p_sizes)
         q_sizes = draw_sizes(l, avail, optional_tail=False)
         avail -= sum(q_sizes)
         p_tail = rng.randint(0, min(hi, avail))
@@ -196,15 +189,7 @@ def choose_structures(cfg: GenConfig) -> tuple[Structure, Structure]:
     if first_cap < lo:
         raise ValueError("n too small for requested block sizes")
     p_sizes = [rng.randint(lo, first_cap)]
-    avail -= p_sizes[0]
-    for left in range(k - 1, 0, -1):
-        cap = min(hi, avail - lo * (left - 1))
-        if cap < lo:
-            raise ValueError("n too small for requested block sizes")
-        size = rng.randint(lo, cap)
-        p_sizes.append(size)
-        avail -= size
-    p_sizes.append(rng.randint(0, min(hi, avail)))
+    p_sizes += draw_sizes(k - 1, avail - p_sizes[0], optional_tail=True)
     pool_p = list(range(1, n + 1))
     p_blocks = [frozenset(rng.take(pool_p, s)) for s in p_sizes]
     p_all = frozenset().union(*p_blocks)

@@ -9,10 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import Matrix, SymMatrix, SymBuilder, rational
-from .echelon import SdpInstance, Structure, cell_region, infer_structure, reformulated
+from .echelon import SdpInstance, Structure, infer_structure, reformulated
 from .certify import WeakCertificate
 from .generator import WeakInstance
-from .linalg import solve_linear
 
 _ZERO = Fraction(0)
 
@@ -88,75 +87,13 @@ def large_instance() -> tuple[SdpInstance, Matrix, Matrix]:
     return raw, g, t
 
 
-def _echelon_member_solving(
-    inst: SdpInstance,
-    structure: Structure,
-    index: int,
-    target: tuple[Fraction, ...],
-    pinned: dict[tuple[int, int], Fraction] | None = None,
-) -> SymMatrix:
-    """An echelon-form matrix (member `index` of the structure) with prescribed
-    image under the instance map, found by exact elimination over the free
-    cells. `pinned` fixes chosen cells to given values before solving."""
-    n = inst.n
-    pinned = pinned or {}
-    cells, diag_positions = [], []
-    for r in range(1, n + 1):
-        for s in range(r, n + 1):
-            region = cell_region(structure, index, r, s)
-            if region == "arbitrary" or (region == "pivot" and r == s):
-                if (r, s) not in pinned:
-                    if region == "pivot":
-                        diag_positions.append(len(cells))
-                    cells.append((r, s))
-            elif (r, s) in pinned:
-                raise ValueError(f"cell ({r},{s}) must be zero in member {index}")
-    adjusted = list(target)
-    for row, mat in enumerate(inst.A):
-        for (r, s), value in pinned.items():
-            adjusted[row] -= mat.at(r, s) * value * (1 if r == s else 2)
-    system = Matrix(
-        inst.m,
-        len(cells),
-        tuple(
-            mat.at(r, s) * (1 if r == s else 2)
-            for mat in inst.A
-            for (r, s) in cells
-        ),
-    )
-    solution = solve_linear(system, tuple(adjusted))
-    if solution is None:
-        raise ValueError("no echelon member matches the requested image")
-
-    def assemble(values) -> SymMatrix:
-        builder = SymBuilder(n)
-        for (r, s), v in pinned.items():
-            builder.set(r, s, v)
-        for (r, s), v in zip(cells, values):
-            builder.set(r, s, v)
-        return builder.freeze()
-
-    candidates = [solution.particular]
-    for v in solution.nullspace:
-        for c in (1, 2, 3, -1, -2, -3):
-            candidates.append(tuple(p + c * w for p, w in zip(solution.particular, v)))
-    if solution.nullspace:
-        bulk = solution.particular
-        for v in solution.nullspace:
-            bulk = tuple(p + w for p, w in zip(bulk, v))
-        candidates.append(bulk)
-    for values in candidates:
-        if all(values[pos] > 0 for pos in diag_positions):
-            return assemble(values)
-    raise ValueError("could not make the block diagonal positive")
-
-
 def large_certificate() -> WeakCertificate:
     """Full certificate for `large_instance`: k = l = 2 with overlapping blocks.
 
-    The pinned cells below are the values the block-filling construction
-    assigns when it repairs the base equations for this system; the remaining
-    free entries are solved for exactly.
+    The pinned (1,4) and (2,4) cells of X_2 and X_3 are the values the
+    block-filling construction assigns when it repairs the base equations
+    for this system; the remaining free entries solve A X_1 = A X_2 = 0 and
+    A X_3 = b exactly.
     """
     raw, g, t = large_instance()
     clean = reformulated(raw, g, t)
@@ -164,16 +101,15 @@ def large_certificate() -> WeakCertificate:
     if p_structure is None:
         raise AssertionError("reformulated prefix is not in echelon form")
     q_structure = Structure(4, (frozenset({4}), frozenset({2}), frozenset({3})))
-    zero = (_ZERO,) * clean.m
-    pins: dict[int, dict[tuple[int, int], Fraction]] = {
-        2: {(1, 4): Fraction(-1), (2, 4): Fraction(1)},
-        3: {(1, 4): Fraction(0), (2, 4): Fraction(-5)},
-    }
-    xseq = tuple(
-        _echelon_member_solving(
-            clean, q_structure, j, zero if j < 3 else clean.b, pinned=pins.get(j)
-        )
-        for j in (1, 2, 3)
+    xseq = (
+        SymMatrix.unit(4, 4, 4),
+        SymMatrix.from_rows([[0, 0, 0, -1], [0, 1, 0, 1], [0, 0, 0, 0], [-1, 1, 0, 0]]),
+        SymMatrix.from_rows([
+            [0, Fraction(4, 5), 0, 0],
+            [Fraction(4, 5), 0, Fraction(2, 5), -5],
+            [0, Fraction(2, 5), 1, 0],
+            [0, -5, 0, 0],
+        ]),
     )
     return WeakCertificate(
         raw=raw,

@@ -48,12 +48,6 @@ class SplitMix64:
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]
-
     def take(self, pool: list, count: int) -> list:
         """Remove and return `count` distinct items from `pool`."""
         if count > len(pool):

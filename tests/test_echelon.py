@@ -5,6 +5,7 @@ import pytest
 from weaksdp import (
     EchelonSequence,
     GenConfig,
+    Matrix,
     SdpInstance,
     Structure,
     SymBuilder,
@@ -257,7 +258,7 @@ def test_witness_matches_full_doubling_on_generated(n, l, policy):
 
 def test_witness_certifies_once_and_sums_on_integers(monkeypatch):
     # the gamma probes and level sums run on integer numerators: the only PSD
-    # verdict is the final self-check, and no Fraction add or scale runs
+    # verdict is the final self-check, and no entry is read out as a Fraction
     import weaksdp.echelon
     import weaksdp.linalg
 
@@ -269,13 +270,14 @@ def test_witness_certifies_once_and_sums_on_integers(monkeypatch):
         return certify(a)
 
     def forbidden(*args):
-        raise AssertionError("SymMatrix add/scale inside asymptote_witness")
+        raise AssertionError("Fraction entry access inside asymptote_witness")
 
     instance = generate(GenConfig(n=10, m=6, k=1, l=3, seed=5, entry_range=3))
     for module in (weaksdp.linalg, weaksdp.echelon):
         monkeypatch.setattr(module, "psd_certify", counting)
-    monkeypatch.setattr(SymMatrix, "add", forbidden)
-    monkeypatch.setattr(SymMatrix, "scale", forbidden)
+    for cls, names in ((SymMatrix, ("at", "to_rows")), (Matrix, ("at", "row", "to_rows"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, forbidden)
     for eps in CRITERION_7_TOLERANCES:
         verdicts.clear()
         witness = asymptote_witness(instance.clean, instance.xseq, instance.q_structure, eps)

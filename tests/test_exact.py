@@ -365,6 +365,12 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             sym([[0, 1], [2, 0]])
 
+    @pytest.mark.parametrize("rows", [[[0, 1], [True, 0]], [[0, True], [1, 0]]])
+    def test_from_rows_rejects_a_bool_beside_its_equal_number(self, rows):
+        # True == 1, but a bool is no exact rational on either side of the diagonal
+        with pytest.raises(TypeError):
+            SymMatrix.from_rows(rows)
+
     @pytest.mark.parametrize("rows, expected", [
         ([[Fraction(1, 2), Fraction(-3, 4)], [Fraction(-3, 4), 0]], [[2, -3], [-3, 0]]),
         ([[-6, 4], [4, 10]], [[-3, 2], [2, 5]]),

@@ -167,6 +167,27 @@ class TestSdpa:
         assert err.value.line == line
         assert str(err.value) == f"line {line}: expected integer {what}, got {text!r}"
 
+    def test_integer_token_read_in_one_field_is_range_checked_in_another(self, tmp_path):
+        # "0" is a valid matrix number (the objective); as a row it is out of range
+        path = tmp_path / "zero.dat-s"
+        path.write_text("1\n1\n2\n1\n0 1 1 1 5\n1 1 0 1 5\n")
+        with pytest.raises(SdpaFormatError) as err:
+            read_sdpa(path)
+        assert str(err.value) == "line 6: entry (0,1) outside order 2"
+
+    def test_leading_zeros_and_negative_zero_in_integer_fields(self, tmp_path):
+        path = tmp_path / "zeros.dat-s"
+        path.write_text("01\n01\n02\n1\n01 01 01 02 3\n-0 1 1 1 9\n")
+        assert read_sdpa(path) == SdpInstance(2, (SymMatrix.from_rows([[0, 3], [3, 0]]),), (1,))
+        path.write_text("1\n1\n2\n1\n1 1 -0 1 5\n")
+        with pytest.raises(SdpaFormatError) as err:
+            read_sdpa(path)
+        assert str(err.value) == "line 5: entry (0,1) outside order 2"
+        path.write_text("1\n-0\n2\n1\n")
+        with pytest.raises(SdpaFormatError) as err:
+            read_sdpa(path)
+        assert str(err.value) == "line 2: only single-block files are supported, got 0"
+
     def test_repeated_values_read_alike(self, tmp_path):
         path = tmp_path / "repeat.dat-s"
         path.write_text("2\n1\n2\n-1.5 3\n1 1 1 1 3\n1 1 2 2 -1.5\n2 1 1 2 3\n2 1 2 2 -0\n")

@@ -26,6 +26,7 @@ from weaksdp import (
 )
 from weaksdp.formats import NativeBundle, bundle_to_json, write_native
 import hashlib
+import itertools
 import json
 
 
@@ -89,6 +90,26 @@ class TestChooseStructures:
                 found = seed
                 break
         assert found is not None
+
+    def test_structures_match_earlier_revision(self):
+        # sha256 over the structures drawn for a sweep of configs under both
+        # policies, recorded from an earlier revision: one line per config,
+        # the P and Q blocks as sorted lists, or the error a config raises
+        lines = []
+        for policy in ("overlapping-allowed", "disjoint-only"):
+            for n, k, l, sizes in itertools.product(
+                    range(2, 13), (1, 2, 3), (1, 2, 3), ((1, 1), (1, 2), (2, 3))):
+                for seed in range(5):
+                    try:
+                        cfg = GenConfig(n=n, m=k + 1, k=k, l=l, seed=seed, block_size_range=sizes,
+                                        structure_overlap_policy=policy)
+                        p, q = choose_structures(cfg)
+                        drawn = [[sorted(b) for b in p.blocks], [sorted(b) for b in q.blocks]]
+                    except ValueError as exc:
+                        drawn = str(exc)
+                    lines.append(f"{policy} {n} {k} {l} {sizes} {seed}: {drawn}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "edc06213090dc350009fc41a7733ac4408a523b1dd60c578222d229244f6f2b0"
 
     def test_disjoint_only_policy_never_overlaps(self):
         for seed in range(200):

@@ -5,6 +5,7 @@ import pytest
 
 from weaksdp import (
     Matrix,
+    NativeBundle,
     SymMatrix,
     WeakCertificate,
     check_not_strong_cert,
@@ -26,6 +27,7 @@ from weaksdp import (
     three_by_three,
     validate_echelon,
     verify_weak_infeasibility,
+    write_native,
 )
 
 
@@ -84,6 +86,15 @@ class TestLargeExample:
     def test_extension_rhs_is_product_with_last_member(self):
         cert = large_certificate()
         assert inner(cert.clean.A[3], cert.xseq[-1]) == -12
+
+    def test_bundle_bytes_match_earlier_revision(self, tmp_path):
+        # sha256 of the .wsdp bytes, recorded from an earlier revision that
+        # solved for the X sequence: writing it as data must not change it
+        cert = large_certificate()
+        path = tmp_path / "large.wsdp"
+        write_native(NativeBundle(instance=cert.raw, certificate=cert, label="large"), path)
+        digest = "8d8165684508214d0c23aa2e82a33624eda2db3eecefac50bb936f521dedd9c3"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestThreeByThree:
