@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,12 +8,14 @@ from weaksdp import (
     GenConfig,
     Matrix,
     SdpInstance,
+    SplitMix64,
     SymMatrix,
     WeakCertificate,
     cell_region,
     check_infeasibility_cert,
     check_reformulation,
     generate,
+    infer_structure,
     inverse,
     large_certificate,
     large_instance,
@@ -258,3 +261,45 @@ class TestCertificateFromInstance:
         cert = motzkin_certificate()
         assert verify_weak_infeasibility(cert).passed
         assert cert.k == 4 and cert.l == 2
+
+
+def _plus_one(mats, rng, c):
+    """Copy of `mats` with one entry of member c, drawn by `rng`, raised by 1."""
+    n = mats[c].n
+    i = rng.randint(1, n)
+    j = rng.randint(i, n)
+    return mats[:c] + (mats[c].add(SymMatrix.unit(n, i, j)),) + mats[c + 1:]
+
+
+def test_sieve_and_inference_match_earlier_revision(sweep):
+    # sha256 over sieve_detect and infer_structure results on every fifth sweep
+    # config, recorded from an earlier revision: the raw and clean instances,
+    # their (k+1)-prefixes and X sequences, and copies with one entry raised
+    # by 1 per prefix member (and b_{k+1} raised by 1), so some fail
+    instances, _ = sweep
+    sieved, inferred = [], []
+    for cfg, instance, _, _ in instances[::5]:
+        rng = SplitMix64(cfg.seed)
+        k = instance.k
+        for inst in (instance.raw, instance.clean):
+            variants = [inst, SdpInstance(inst.n, inst.A, inst.b[:k] + (inst.b[k] + 1,) + inst.b[k + 1:])]
+            variants += [SdpInstance(inst.n, _plus_one(inst.A, rng, c), inst.b) for c in range(k + 1)]
+            for variant in variants:
+                found = sieve_detect(variant)
+                sieved.append("None\n" if found is None else
+                              f"{found.k} {[sorted(b) for b in found.structure.blocks]} {found.permutation}\n")
+            prefix = inst.A[: k + 1]
+            for mats in [prefix] + [_plus_one(prefix, rng, c) for c in range(k + 1)]:
+                structure = infer_structure(mats)
+                inferred.append("None\n" if structure is None else f"{[sorted(b) for b in structure.blocks]}\n")
+        xseq = instance.xseq
+        for mats in [xseq] + [_plus_one(xseq, rng, c) for c in range(len(xseq))]:
+            structure = infer_structure(mats)
+            inferred.append("None\n" if structure is None else f"{[sorted(b) for b in structure.blocks]}\n")
+    assert sum(line == "None\n" for line in sieved) not in (0, len(sieved))
+    assert sum(line == "None\n" for line in inferred) not in (0, len(inferred))
+    digests = [hashlib.sha256("".join(lines).encode()).hexdigest() for lines in (sieved, inferred)]
+    assert digests == [
+        "842a6530a6dc4676eb03cf888baeb5a0e34e1c52322136622736386ef5a7a146",
+        "a9d685538bb0a1df8f004b01754e12d1518f5954c4e68e5afd04a7dfdd331146",
+    ]
