@@ -20,6 +20,7 @@ from .echelon import (
     ValidationReport,
     check_infeasibility_cert,
     check_not_strong_cert,
+    next_block,
 )
 from .linalg import determinant
 
@@ -190,55 +191,36 @@ class SieveDetection:
     permutation: tuple[int, ...]
 
 
-def _restricted_diagonal(mat: SymMatrix, survivors: list[int]) -> tuple[frozenset[int], bool]:
-    """Support and diagonal-nonnegativity of a matrix restricted to survivors."""
-    support = set()
-    for ri, r in enumerate(survivors):
-        d = mat._num(r, r)
-        if d < 0:
-            return frozenset(), False
-        if d > 0:
-            support.add(r)
-        for s in survivors[ri + 1:]:
-            if mat._num(r, s) != 0:
-                return frozenset(), False
-    return frozenset(support), True
-
-
 def sieve_detect(inst: SdpInstance) -> SieveDetection | None:
     """Greedy facial-reduction sieve over the constraints as given.
 
-    Repeatedly eliminate the support of a constraint with zero right-hand side
-    whose restriction to surviving indices is diagonal and nonnegative;
-    succeed as soon as some constraint restricted to the survivors is diagonal
-    nonnegative with a negative right-hand side (its product with any PSD
-    matrix supported on the survivors is nonnegative, a contradiction). The
-    final support may be empty. Returns None when the scan stalls, which is
-    the expected outcome on disguised instances.
+    Each round takes the echelon step (`next_block`) on the surviving indices
+    once for every pending constraint with b_i <= 0. The first with b_i < 0
+    and a block is detected: its product with any PSD matrix supported on the
+    survivors is nonnegative, a contradiction, and its block may be empty.
+    Otherwise the first with b_i = 0 and a non-empty block is eliminated with
+    that block. Returns None when neither exists, which is the expected
+    outcome on disguised instances.
     """
     survivors = list(range(1, inst.n + 1))
     used: list[int] = []
     blocks: list[frozenset[int]] = []
     pending = list(range(1, inst.m + 1))
     while True:
-        for i in pending:
-            support, diagonal = _restricted_diagonal(inst.A[i - 1], survivors)
-            if diagonal and inst.b[i - 1] < 0:
+        steps = [(i, next_block(inst.A[i - 1], survivors)) for i in pending if inst.b[i - 1] <= 0]
+        for i, block in steps:
+            if block is not None and inst.b[i - 1] < 0:
                 permutation = tuple(used) + (i,) + tuple(j for j in pending if j != i)
-                structure = Structure(inst.n, tuple(blocks) + (support,))
+                structure = Structure(inst.n, tuple(blocks) + (block,))
                 return SieveDetection(k=len(used), structure=structure, permutation=permutation)
-        for i in pending:
-            if inst.b[i - 1] != 0:
-                continue
-            support, diagonal = _restricted_diagonal(inst.A[i - 1], survivors)
-            if diagonal and support:
-                used.append(i)
-                blocks.append(support)
-                pending.remove(i)
-                survivors = [s for s in survivors if s not in support]
-                break
-        else:
+        # every step left with a block has b_i = 0
+        i, block = next(((i, block) for i, block in steps if block), (0, None))
+        if not block:
             return None
+        used.append(i)
+        blocks.append(block)
+        pending.remove(i)
+        survivors = [s for s in survivors if s not in block]
 
 
 def permuted_instance(inst: SdpInstance, permutation: tuple[int, ...]) -> SdpInstance:

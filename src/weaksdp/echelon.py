@@ -159,33 +159,46 @@ def validate_echelon(matrices: Sequence[SymMatrix], structure: Structure) -> Val
     return ValidationReport(True)
 
 
+def next_block(mat: SymMatrix, live: Sequence[int]) -> frozenset[int] | None:
+    """The echelon step: the live indices with a positive diagonal entry when
+    `mat` restricted to `live` (the indices earlier blocks leave) is diagonal
+    with a non-negative diagonal, else None, found at the first negative
+    diagonal or non-zero off-diagonal entry. It is the only block `mat` can be
+    valid with, and `validate_echelon` accepts `mat` with it iff it is not None.
+    """
+    block = set()
+    for ri, r in enumerate(live):
+        d = mat._num(r, r)
+        if d < 0:
+            return None
+        if d > 0:
+            block.add(r)
+        for s in live[ri + 1:]:
+            if mat._num(r, s) != 0:
+                return None
+    return frozenset(block)
+
+
 def infer_structure(matrices: Sequence[SymMatrix]) -> Structure | None:
     """Recover a block structure from the matrices alone, or None.
 
-    Greedy left-to-right: P_i collects the unused indices whose diagonal entry
-    is positive and whose row vanishes outside the diagonal except in columns
-    of earlier blocks. The candidate is accepted only if full validation
-    passes, so a non-None result is always a valid structure.
+    Each block is the `next_block` of its matrix on the indices earlier blocks
+    leave, and the first matrix with none makes the result None; so a
+    non-None result is always a valid structure, and the only one.
     """
     matrices = tuple(matrices)
-    if not matrices:
-        return Structure(0, ())
-    n = matrices[0].n
+    n = matrices[0].n if matrices else 0
     if any(m.n != n for m in matrices):
         raise ValueError("matrices must share one order")
-    used: set[int] = set()
+    live = list(range(1, n + 1))
     blocks: list[frozenset[int]] = []
     for mat in matrices:
-        block = set()
-        for j in range(1, n + 1):
-            if j in used or not mat._num(j, j) > 0:
-                continue
-            if all(mat._num(j, s) == 0 for s in range(1, n + 1) if s != j and s not in used):
-                block.add(j)
-        blocks.append(frozenset(block))
-        used |= block
-    structure = Structure(n, tuple(blocks))
-    return structure if validate_echelon(matrices, structure).ok else None
+        block = next_block(mat, live)
+        if block is None:
+            return None
+        blocks.append(block)
+        live = [r for r in live if r not in block]
+    return Structure(n, tuple(blocks))
 
 
 @dataclass(frozen=True)

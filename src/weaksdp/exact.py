@@ -55,6 +55,14 @@ an SDPA field, a JSON literal or an integer flag. It is CPython's default
 int-to-string limit, fixed here so that no environment setting widens what
 the package accepts."""
 
+ORDER_LIMIT = 1000
+"""The largest matrix order n that a reader accepts."""
+
+CELL_LIMIT = 1_000_000
+"""The most dense cells, m n(n+1)/2 over the m constraint matrices of order n,
+that a reader accepts for one instance. Both limits are checked before any
+matrix is allocated, so hostile sizes fail fast and in bounded memory."""
+
 _INTEGER_TEXT = re.compile(r"-?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 

@@ -29,7 +29,9 @@ from math import gcd
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .exact import DIGIT_LIMIT, Matrix, SymMatrix, rational, strict_int, text_ratio
+from .exact import (
+    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, rational, strict_int, text_ratio,
+)
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
 
@@ -44,6 +46,15 @@ class SdpaFormatError(ValueError):
 
 class NativeFormatError(ValueError):
     pass
+
+
+def _size_error(n: int, m: int) -> str | None:
+    """Why a reader refuses m matrices of order n (ORDER_LIMIT, CELL_LIMIT), or None."""
+    if n > ORDER_LIMIT:
+        return f"order {n} is over the limit of {ORDER_LIMIT}"
+    if m * (n * (n + 1) // 2) > CELL_LIMIT:
+        return f"{m} matrices of order {n} are over the limit of {CELL_LIMIT} cells"
+    return None
 
 
 def _decimal_exact(q: Fraction) -> str | None:
@@ -247,6 +258,8 @@ def read_sdpa(path) -> SdpInstance:
     if n < 1:
         # a negative size is a diagonal (LP) block, which has no PSD reading
         raise SdpaFormatError(f"block size must be a positive PSD order, got {n}", no_size)
+    if (problem := _size_error(n, m)) is not None:
+        raise SdpaFormatError(problem, no_size)
     if m == 0:
         b: tuple[Fraction, ...] = ()
         body = numbered[3:]
@@ -475,8 +488,10 @@ def _parse_instance(doc: dict, where: str, parse) -> SdpInstance:
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
         b = tuple(Fraction(*parse(v)) for v in _list(doc["b"], "b"))
-        matrices = tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse)
-                         for rows in _list(doc["matrices"], "matrices"))
+        mats = _list(doc["matrices"], "matrices")
+        if (problem := _size_error(n, len(mats))) is not None:
+            raise ValueError(problem)
+        matrices = tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse) for rows in mats)
         return SdpInstance(n, matrices, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise NativeFormatError(f"malformed instance in {where}: {exc}") from exc
@@ -540,6 +555,30 @@ _MARGIN = 4
 _COLORS = {"pivot": "#c23b22", "arbitrary": "#3566a5", "zero": "#ffffff"}
 
 
+@lru_cache(maxsize=32)
+def _block_svg(structure: Structure, idx: int) -> str:
+    """The SVG text of the idx-th member of a sequence with `structure`: it
+    depends on nothing else, so the clean and messy instances of a library
+    pair, which share their structures, render each picture once."""
+    n = structure.n
+    side = 2 * _MARGIN + n * _CELL
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
+        f'viewBox="0 0 {side} {side}">'
+    ]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            color = _COLORS[cell_region(structure, idx, i, j)]
+            x = _MARGIN + (j - 1) * _CELL
+            y = _MARGIN + (i - 1) * _CELL
+            parts.append(
+                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
+                f'fill="{color}" stroke="#999999" stroke-width="1"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def render_blocks(
     matrices: Sequence[SymMatrix],
     structure: Structure,
@@ -556,25 +595,9 @@ def render_blocks(
         raise ValueError("structure block count does not match matrix count")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    n = structure.n
-    side = 2 * _MARGIN + n * _CELL
     written = []
     for idx in range(1, len(matrices) + 1):
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
-            f'viewBox="0 0 {side} {side}">'
-        ]
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                color = _COLORS[cell_region(structure, idx, i, j)]
-                x = _MARGIN + (j - 1) * _CELL
-                y = _MARGIN + (i - 1) * _CELL
-                parts.append(
-                    f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-                    f'fill="{color}" stroke="#999999" stroke-width="1"/>'
-                )
-        parts.append("</svg>")
         target = out / f"{stem}_{idx:02d}.svg"
-        target.write_text("\n".join(parts) + "\n", encoding="ascii")
+        target.write_text(_block_svg(structure, idx), encoding="ascii")
         written.append(target)
     return written

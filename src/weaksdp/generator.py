@@ -44,7 +44,7 @@ from .echelon import (
     check_not_strong_cert,
     reformulated,
 )
-from .linalg import inverse, random_unimodular, solve_linear
+from .linalg import inverse, random_unimodular
 from .prng import SplitMix64, derive_seed
 
 _ZERO = Fraction(0)
@@ -315,23 +315,20 @@ def extend_constraints(
     n = cfg.n
     ell = len(xseq) - 1
     span = xseq[:ell]
-    gram = Matrix(len(span), len(span), tuple(v for row in inner_table(span, span) for v in row))
+    # X_1..X_l are independent echelon members, so their Gram matrix is nonsingular
+    gram_inverse = inverse(Matrix(ell, ell, tuple(v for row in inner_table(span, span) for v in row)))
     identity = Matrix.identity(n)
     rng = SplitMix64(seed)
     extras: list[SymMatrix] = []
     b_extras: list[Fraction] = []
     for _ in range(cfg.m - (cfg.k + 1)):
         while True:
-            builder = SymBuilder(n)
-            for i in range(1, n + 1):
-                for j in range(i, n + 1):
-                    builder.set(i, j, rng.randint(-cfg.entry_range, cfg.entry_range))
-            candidate = builder.freeze()
-            solution = solve_linear(gram, inners(span, candidate))
-            if solution is None:
-                raise AssertionError("Gram matrix of an echelon sequence is nonsingular")
+            # the upper triangle drawn row by row, as it is stored
+            candidate = SymMatrix(n, [rng.randint(-cfg.entry_range, cfg.entry_range)
+                                      for _ in range(n * (n + 1) // 2)])
+            solution = gram_inverse.mul_vec(inners(span, candidate))
             # candidate - sum_s coeff_s X_s: one row of coefficients, T = identity
-            coeffs = Matrix(1, ell + 1, (Fraction(1),) + tuple(-c for c in solution.particular))
+            coeffs = Matrix(1, ell + 1, (Fraction(1),) + tuple(-c for c in solution))
             projected = next(congruences((candidate,) + span, coeffs, identity))
             if not projected.is_zero():
                 break

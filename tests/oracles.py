@@ -318,3 +318,52 @@ def gauss_jordan_by_fractions(rows, ncols):
         pivot_cols.append(c)
         r += 1
     return pivot_cols, product
+
+
+def echelon_by_fractions(mats, structure) -> bool:
+    """Reference echelon rule, read off `to_rows()` entry by entry: on the
+    rows and columns no earlier block covers, member i is zero except a
+    positive diagonal on its own block P_i. Independent of `cell_region`
+    and of the package's echelon step."""
+    blocks = structure.blocks
+    if len(mats) != len(blocks) or any(mat.n != structure.n for mat in mats):
+        return False
+    earlier = set()
+    for mat, block in zip(mats, blocks):
+        for r, row in enumerate(mat.to_rows(), start=1):
+            for s, v in enumerate(row, start=1):
+                if r in earlier or s in earlier:
+                    continue
+                if not (v > 0 if r == s and r in block else v == 0):
+                    return False
+        earlier |= block
+    return True
+
+
+def weak_certificate_by_fractions(cert) -> bool:
+    """Reference verdict on a `WeakCertificate`, every part recomputed in
+    `Fraction` arithmetic over the public API: k >= 1 and l >= 1; clean b =
+    G raw b; the (k+1)-prefix in echelon form with right-hand side
+    (0, ..., 0, negative); the X sequence in echelon form with A . X_i = 0
+    for i <= l and A . X_{l+1} = b by `inner_by_fractions`; the clean rows
+    from `reformulated_rows_by_fractions`; det G and det T non-zero by
+    cofactors. The verdict is their conjunction; the costly parts come last."""
+    raw, clean, g, t, k, xseq = cert.raw, cert.clean, cert.row_ops, cert.transform, cert.k, cert.xseq
+    if k < 1 or len(xseq) < 2 or k + 1 > clean.m:
+        return False
+    g_b = [sum((g.at(i, j) * v for j, v in enumerate(raw.b, start=1)), Fraction(0))
+           for i in range(1, g.rows + 1)]
+    if g_b != list(clean.b):
+        return False
+    if not echelon_by_fractions(clean.A[: k + 1], cert.p_structure):
+        return False
+    if any(v != 0 for v in clean.b[:k]) or not clean.b[k] < 0:
+        return False
+    if not echelon_by_fractions(xseq, cert.q_structure):
+        return False
+    if any(inner_by_fractions(a, x) != (b if i == len(xseq) else 0)
+           for a, b in zip(clean.A, clean.b) for i, x in enumerate(xseq, start=1)):
+        return False
+    if reformulated_rows_by_fractions(raw.A, g, t) != list(clean.A):
+        return False
+    return all(determinant_by_cofactors(mat.to_rows()) != 0 for mat in (g, t))

@@ -9,6 +9,7 @@ import pytest
 import weaksdp
 from weaksdp import NativeBundle, large_instance, read_native, write_native
 from weaksdp.cli import main
+from weaksdp.exact import ORDER_LIMIT
 
 
 @pytest.fixture()
@@ -216,6 +217,14 @@ def test_negative_seed_is_in_the_grammar(tmp_path):
     out = tmp_path / "x.wsdp"
     assert main(["generate", "--n", "4", "--m", "3", "--k", "1", "--l", "1", "--seed=-7",
                  "--out", str(out)]) == 0
+
+
+def test_order_over_the_limit_is_parse_error(me_bundle, capsys):
+    doc = json.loads(me_bundle.read_text())
+    doc["instance"].update(n=ORDER_LIMIT + 1, b=[], matrices=[])
+    me_bundle.write_text(json.dumps(doc))
+    assert main(["verify", "--json", str(me_bundle)]) == 3
+    assert f"over the limit of {ORDER_LIMIT}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "sieve"])

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from weaksdp import (
     psd_certify,
     validate_echelon,
 )
+from weaksdp.echelon import next_block
 from weaksdp.paper_instances import motzkin_monomial_groups
 
 from oracles import rational_grid, search_strong_infeasibility_multiplier, witness_by_full_doubling
@@ -111,7 +113,7 @@ class TestInferStructure:
 
     def test_idempotent_with_validation(self):
         # whenever inference succeeds, validation against the inferred
-        # structure passes (inference re-validates before returning)
+        # structure passes (the echelon step accepts what validation accepts)
         inst, xseq = motzkin_sos()
         for family in (inst.A[:5], xseq, ME_X):
             structure = infer_structure(family)
@@ -129,6 +131,35 @@ class TestInferStructure:
         _, xseq = motzkin_sos()
         structure = infer_structure(xseq)
         assert structure.blocks == (frozenset({8}), frozenset({3, 4}), frozenset({5, 6, 7}))
+
+
+class TestNextBlock:
+    def test_block_is_the_positive_live_diagonal(self):
+        mat = sym([[5, 1, 0], [1, 2, 0], [0, 0, 0]])
+        assert next_block(mat, [2, 3]) == frozenset({2})
+        assert next_block(mat, [1, 2, 3]) is None  # (1, 2) is live and non-zero
+        assert next_block(mat, []) == frozenset()
+
+    def test_negative_live_diagonal_has_no_block(self):
+        mat = SymMatrix.diag([1, -1, 0])
+        assert next_block(mat, [1, 2, 3]) is None
+        assert next_block(mat, [1, 3]) == frozenset({1})
+
+    def test_only_block_validation_accepts(self):
+        # every 3x3 matrix with entries in {-1, 0, 1}, after a first member
+        # whose block is the complement of `live`: validation accepts the
+        # matrix with block B iff B is the step's block
+        indices = (1, 2, 3)
+        subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(indices, r)]
+        for upper in itertools.product((-1, 0, 1), repeat=6):
+            mat = SymMatrix(3, upper)
+            for live in subsets:
+                earlier = frozenset(indices) - live
+                first = SymMatrix.diag([int(r in earlier) for r in indices])
+                step = next_block(mat, sorted(live))
+                accepted = [b for b in subsets if b <= live
+                            and validate_echelon((first, mat), blocks(3, earlier, b)).ok]
+                assert accepted == ([] if step is None else [step])
 
 
 class TestInfeasibilityCert:

@@ -23,6 +23,7 @@ from weaksdp import (
     write_native,
     write_sdpa,
 )
+from weaksdp.exact import CELL_LIMIT, ORDER_LIMIT
 from weaksdp.formats import (
     NativeFormatError, SdpaFormatError, _decimal_exact, _decimal_rounded, bundle_to_json,
 )
@@ -137,6 +138,33 @@ class TestSdpa:
         with pytest.raises(SdpaFormatError) as err:
             read_sdpa(path)
         assert err.value.line == 4
+
+    def test_block_size_of_thirty_digits_rejected(self, tmp_path):
+        # too large for a machine index: a format error, not an OverflowError
+        path = tmp_path / "huge.dat-s"
+        path.write_text(f"1\n1\n{'9' * 30}\n1\n1 1 1 1 1\n")
+        with pytest.raises(SdpaFormatError, match=f"over the limit of {ORDER_LIMIT}") as err:
+            read_sdpa(path)
+        assert err.value.line == 3
+
+    def test_order_limit(self, tmp_path):
+        path = tmp_path / "order.dat-s"
+        path.write_text(f"0\n1\n{ORDER_LIMIT}\n")
+        assert read_sdpa(path).n == ORDER_LIMIT
+        path.write_text(f"0\n1\n{ORDER_LIMIT + 1}\n")
+        with pytest.raises(SdpaFormatError, match=f"order {ORDER_LIMIT + 1} is over the limit"):
+            read_sdpa(path)
+
+    def test_cell_limit_checked_right_after_the_header(self, tmp_path):
+        # with n = 1 each matrix has one cell: m = CELL_LIMIT passes the size
+        # check and fails on the missing right-hand side, one more is refused
+        path = tmp_path / "cells.dat-s"
+        path.write_text(f"{CELL_LIMIT}\n1\n1\n")
+        with pytest.raises(SdpaFormatError, match="missing right-hand side"):
+            read_sdpa(path)
+        path.write_text(f"{CELL_LIMIT + 1}\n1\n1\n")
+        with pytest.raises(SdpaFormatError, match=f"over the limit of {CELL_LIMIT} cells"):
+            read_sdpa(path)
 
     @pytest.mark.parametrize("value", ["1/0", "1/3", "1e3", "1E-2", "+1", ".5", "1.", "inf",
                                        "nan", "1_0", "0x10",
@@ -381,6 +409,18 @@ class TestNative:
         bundle.write_text(json.dumps(doc))
         with pytest.raises(NativeFormatError, match="must be a"):
             read_native(bundle)
+
+    @pytest.mark.parametrize("n, count, limit", [
+        (ORDER_LIMIT + 1, 0, f"order {ORDER_LIMIT + 1} is over the limit"),
+        # 2 n(n+1)/2 > CELL_LIMIT at n = ORDER_LIMIT; the matrices are never read
+        (ORDER_LIMIT, 2, f"over the limit of {CELL_LIMIT} cells"),
+    ])
+    def test_size_limits(self, tmp_path, n, count, limit):
+        path = tmp_path / "big.wsdp"
+        path.write_text(json.dumps({"schema": "wsdp/1", "instance": {
+            "n": n, "b": ["0"] * count, "matrices": [[]] * count}}))
+        with pytest.raises(NativeFormatError, match=limit):
+            read_native(path)
 
     def test_mismatched_certificate_rejected(self):
         raw, cert = me_instance()
