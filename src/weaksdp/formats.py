@@ -555,11 +555,12 @@ _MARGIN = 4
 _COLORS = {"pivot": "#c23b22", "arbitrary": "#3566a5", "zero": "#ffffff"}
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _block_svg(structure: Structure, idx: int) -> str:
     """The SVG text of the idx-th member of a sequence with `structure`: it
     depends on nothing else, so the clean and messy instances of a library
-    pair, which share their structures, render each picture once."""
+    pair, which share their structures, render each picture once (a pair has
+    at most 8 pictures, k + 1 and l + 1 of at most 4 each)."""
     n = structure.n
     side = 2 * _MARGIN + n * _CELL
     parts = [
