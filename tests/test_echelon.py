@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -314,6 +315,21 @@ def test_witness_certifies_once_and_sums_on_integers(monkeypatch):
         witness = asymptote_witness(instance.clean, instance.xseq, instance.q_structure, eps)
         assert verdicts == [10]
         assert len(witness.gammas) == 3
+
+
+def test_witnesses_match_earlier_revision(sweep):
+    # one sha256 over the stored numerators and denominators of every witness
+    # of every fifth sweep config at the four criterion-7 tolerances, recorded
+    # from an earlier revision
+    instances, _ = sweep
+    digest = hashlib.sha256()
+    for _, instance, _, _ in instances[::5]:
+        for eps in CRITERION_7_TOLERANCES:
+            w = asymptote_witness(instance.clean, instance.xseq, instance.q_structure, eps)
+            stored = (w.x_out._u, w.x_out._d, w.x_delta._u, w.x_delta._d,
+                      [g.as_integer_ratio() for g in w.gammas], w.delta.as_integer_ratio())
+            digest.update(f"{stored}\n".encode())
+    assert digest.hexdigest() == "96dc4509703a11169e5ae72f0c7078a0ba6e37f0111f767de0751f95a2a59e13"
 
 
 @pytest.mark.parametrize("make_cert", [
