@@ -16,6 +16,7 @@ from .exact import (
     congruences,
     inner,
     inner_general,
+    inner_mismatch,
     inner_table,
     inners,
     rational,

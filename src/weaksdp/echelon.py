@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import Matrix, SymMatrix, congruences, inner, inner_table, inners, rational
+from .exact import Matrix, SymMatrix, congruences, inner, inner_mismatch, inner_table, inners, rational
 from .linalg import least_definite_shift, psd_certify, schur_complement
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def index_set(indices: Iterable[int], n: int) -> frozenset[int]:
@@ -352,12 +351,12 @@ def check_not_strong_cert(
     report = validate_echelon(xseq, structure)
     if not report:
         return report
-    zeros = (_ZERO,) * inst.m
-    for j, column in enumerate(zip(*inner_table(inst.A, xseq)), start=1):
-        want = inst.b if j == len(xseq) else zeros
-        for r, (got, expect) in enumerate(zip(column, want), start=1):
-            if got != expect:
-                return ValidationReport(False, detail=f"A_{r} . X_{j} = {got}, expected {expect}")
+    targets = [(0,) * inst.m] * (len(xseq) - 1) + [inst.b]
+    mismatch = inner_mismatch(inst.A, xseq, targets)
+    if mismatch is not None:
+        j, r = mismatch
+        got, want = inner(inst.A[r - 1], xseq[j - 1]), targets[j - 1][r - 1]
+        return ValidationReport(False, detail=f"A_{r} . X_{j} = {got}, expected {want}")
     return report
 
 
@@ -389,7 +388,8 @@ def asymptote_witness(
     """Build an exact PSD matrix within `eps` of the affine constraint set.
 
     delta is the largest power of 1/2 whose diagonal padding on the uncovered
-    indices has squared norm at most eps^2. Levels run from i = l down to 1.
+    indices has squared norm at most eps^2, found by comparing integers.
+    Levels run from i = l down to 1.
     The trailing block S of the accumulated matrix (indices of P_{i+1}, ...,
     P_{l+1} and the uncovered ones) is already positive definite: at the first
     level it is the pivot diagonal of X_{l+1} plus the padding, later the
@@ -401,10 +401,13 @@ def asymptote_witness(
     `least_definite_shift` finds the exponent by galloping, then bisecting,
     each probe an integer elimination that stops at the first non-positive
     pivot. The padding and each gamma_i X_i are added with `add` and `scale`
-    on the stored integer numerators, and the certificate check takes every
-    A_j . X_i from one `inner_table`. Every comparison is an exact
-    rational one, and the finished matrix is PSD-certified once more, the
-    one PSD verdict built here.
+    on the stored integer numerators, and the certificate check compares
+    every A_j . X_i with its target on integers (`inner_mismatch`). Every
+    comparison is an exact rational one. The finished matrix is checked once
+    more: `schur_complement` eliminating all n indices finds every pivot
+    positive, so it is positive definite and hence PSD (by construction the
+    last level proved the block over P_1 and every other index). No PSD
+    verdict is built here.
     """
     eps = rational(eps)
     if eps <= 0:
@@ -415,10 +418,12 @@ def asymptote_witness(
     n = inst.n
     ell = len(xseq) - 1
     rest = sorted(structure.residual())
-    eps_sq = eps * eps
-    delta = _ONE if rest else _ZERO
-    while len(rest) * delta * delta > eps_sq:
-        delta /= 2
+    # delta = 2^-e for the least e >= 0 with |rest| delta^2 <= eps^2 = p^2 / q^2
+    p, q = eps.as_integer_ratio()
+    e = 0
+    while len(rest) * q * q > (p * p) << (2 * e):
+        e += 1
+    delta = Fraction(1, 1 << e) if rest else _ZERO
     x_delta = SymMatrix.diag([delta if r in rest else 0 for r in range(1, n + 1)])
 
     current = xseq[-1].add(x_delta)
@@ -433,9 +438,10 @@ def asymptote_witness(
         trailing = sorted(trailing + block)
     gammas.reverse()
 
-    verdict = psd_certify(current)
-    if not verdict.is_psd:
-        raise AssertionError("constructed witness failed its own PSD check")
+    try:
+        schur_complement(current, range(1, n + 1), ())
+    except ValueError:
+        raise AssertionError("constructed witness failed its own PSD check") from None
     return AsymptoteWitness(x_out=current, x_delta=x_delta, gammas=tuple(gammas), delta=delta)
 
 

@@ -16,6 +16,9 @@ products.
 `inner_table(mats, xs)` gives M . X for every M and every X, each X's
 off-diagonal numerators doubled once; `inners` is its one-X case, and
 `inner` and `SymBuilder.inner` are the one-matrix case of that.
+`inner_mismatch(mats, xs, targets)` compares the same sums with targets on
+integers and names the first differing product; the closeness check runs on
+it and builds no Fraction.
 `congruences(mats, g, t)` yields the rows T^T (sum_j g_ij M_j) T lazily, with
 the combination and the congruence both on ints; it is the one routine for
 "row-combine, then congruence" (the reformulation, the generator's
@@ -450,27 +453,55 @@ class SymBuilder:
         return SymMatrix(self.n, self._v)
 
 
-def inner_table(
-    mats: Iterable[SymMatrix], xs: Iterable[SymMatrix]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Trace inner products M_i . X_j, one row per M and one column per X,
-    computed exactly.
-
-    Each entry is one sum of products of stored numerators over the product
-    of the two denominators. Each X's off-diagonal numerators are doubled
-    once, because the upper triangle holds each of them once, so a table of
-    m rows and k columns prepares k operands, not m k.
-    """
-    mats, xs = tuple(mats), tuple(xs)
+def _inner_sums(mats: tuple[SymMatrix, ...], xs: tuple[SymMatrix, ...]) -> list[list[int]]:
+    """The numerators of M_i . X_j over mats[i]._d xs[j]._d, one row per M
+    and one column per X: each entry one sum of products of stored
+    numerators. Each X's off-diagonal numerators are doubled once, because
+    the upper triangle holds each of them once, so a table of m rows and k
+    columns prepares k operands, not m k."""
     orders = {a.n for a in mats + xs}
     if len(orders) > 1:
         raise ValueError("order mismatch")
     n = orders.pop() if orders else 0
     diagonal = {_upper_offset(n, i, i) for i in range(1, n + 1)}
-    columns = [([v if p in diagonal else 2 * v for p, v in enumerate(x._u)], x._d) for x in xs]
+    columns = [[v if p in diagonal else 2 * v for p, v in enumerate(x._u)] for x in xs]
+    return [[sum(map(mul, mat._u, xi)) for xi in columns] for mat in mats]
+
+
+def inner_table(
+    mats: Iterable[SymMatrix], xs: Iterable[SymMatrix]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Trace inner products M_i . X_j, one row per M and one column per X,
+    computed exactly from the sums of `_inner_sums`."""
+    mats, xs = tuple(mats), tuple(xs)
     return tuple(
-        tuple(Fraction(sum(map(mul, mat._u, xi)), mat._d * dx) for xi, dx in columns) for mat in mats
+        tuple(Fraction(s, mat._d * x._d) for s, x in zip(row, xs))
+        for mat, row in zip(mats, _inner_sums(mats, xs))
     )
+
+
+def inner_mismatch(
+    mats: Iterable[SymMatrix], xs: Iterable[SymMatrix], targets: Sequence[Sequence[Fraction]]
+) -> tuple[int, int] | None:
+    """The first (j, i), 1-based, X_j outer and M_i inner, at which
+    M_i . X_j differs from targets[j - 1][i - 1], or None if every product
+    matches.
+
+    The sums are those of `inner_table`, compared with the targets on
+    integers: a target's numerator and a sum are cross-multiplied only when
+    the two denominators differ. No Fraction is built.
+    """
+    mats, xs = tuple(mats), tuple(xs)
+    if len(targets) != len(xs) or any(len(column) != len(mats) for column in targets):
+        raise ValueError("targets must be one value per matrix for each X")
+    table = _inner_sums(mats, xs)
+    for j, (x, column) in enumerate(zip(xs, targets)):
+        for i, (mat, row, want) in enumerate(zip(mats, table, column), start=1):
+            p, q = want.as_integer_ratio()
+            got, den = row[j], mat._d * x._d
+            if (got != p) if q == den else (got * q != p * den):
+                return j + 1, i
+    return None
 
 
 def inners(mats: Iterable[SymMatrix], x: SymMatrix) -> tuple[Fraction, ...]:

@@ -487,6 +487,8 @@ def _parse_instance(doc: dict, where: str, parse) -> SdpInstance:
         n = doc["n"]
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"n must be a positive order, got {n}")
         b = tuple(Fraction(*parse(v)) for v in _list(doc["b"], "b"))
         mats = _list(doc["matrices"], "matrices")
         if (problem := _size_error(n, len(mats))) is not None:
@@ -520,6 +522,9 @@ def read_native(path) -> NativeBundle:
             if type(k) is not int or type(l) is not int:
                 raise NativeFormatError(f"k and l must be integers, got {k!r} and {l!r}")
             clean = _parse_instance(cert_doc["clean"], "certificate.clean", parse)
+            x_sequence = _list(cert_doc["x_sequence"], "x_sequence")
+            if (problem := _size_error(clean.n, len(x_sequence))) is not None:
+                raise ValueError(f"x_sequence: {problem}")
             certificate = WeakCertificate(
                 raw=instance,
                 row_ops=Matrix._of_ratios(
@@ -529,7 +534,7 @@ def read_native(path) -> NativeBundle:
                 clean=clean,
                 k=k,
                 xseq=tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse)
-                           for rows in _list(cert_doc["x_sequence"], "x_sequence")),
+                           for rows in x_sequence),
                 p_structure=Structure(
                     clean.n, tuple(_rows(cert_doc["p_blocks"], "p_blocks", "block"))),
                 q_structure=Structure(

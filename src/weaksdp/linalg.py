@@ -16,10 +16,13 @@ stay positive, for `schur_complement` and for each probe of
 `least_definite_shift`. The one product here, `PsdVerdict.reconstruct`, is
 one `congruence` of `exact`.
 
-Positive definiteness is decided in two places. `is_positive_definite`
-reads the verdict of `psd_certify`. `least_definite_shift` needs only yes or
-no for each probe of its search: it reads the signs of the natural-order
-pivots on its integer grid and builds no verdict.
+Positive definiteness is decided in two ways. `is_positive_definite`
+reads the verdict of `psd_certify`. Where only yes or no is needed, the
+signs of the natural-order pivots of `_positive_pivots` decide it on the
+integer grid and no verdict is built: in each probe of
+`least_definite_shift`, and in `schur_complement`, which raises ValueError
+at the first non-positive pivot, so that eliminating every index and
+keeping none tests a whole matrix.
 
 The PSD decision of `psd_certify` is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a

@@ -367,3 +367,29 @@ def weak_certificate_by_fractions(cert) -> bool:
     if reformulated_rows_by_fractions(raw.A, g, t) != list(clean.A):
         return False
     return all(determinant_by_cofactors(mat.to_rows()) != 0 for mat in (g, t))
+
+
+def inner_mismatch_by_fractions(mats, xs, targets):
+    """Reference `inner_mismatch`: the first (j, i), X_j outer and M_i inner,
+    at which `inner_by_fractions(M_i, X_j)` differs from targets[j][i], or None."""
+    for j, (x, column) in enumerate(zip(xs, targets), start=1):
+        for i, (mat, want) in enumerate(zip(mats, column), start=1):
+            if inner_by_fractions(mat, x) != want:
+                return j, i
+    return None
+
+
+def closeness_detail_by_fractions(inst, xseq, structure):
+    """Reference detail of the closeness check: None when the X sequence is
+    not in echelon form by `echelon_by_fractions`, "" when every A_r . X_j
+    meets its target (0 for j <= l, b_r for the last X), else the text naming
+    the first that does not, X_j outer and A_r inner."""
+    if not echelon_by_fractions(xseq, structure):
+        return None
+    targets = [[Fraction(0)] * inst.m] * (len(xseq) - 1) + [list(inst.b)]
+    mismatch = inner_mismatch_by_fractions(inst.A, xseq, targets)
+    if mismatch is None:
+        return ""
+    j, r = mismatch
+    got = inner_by_fractions(inst.A[r - 1], xseq[j - 1])
+    return f"A_{r} . X_{j} = {got}, expected {targets[j - 1][r - 1]}"

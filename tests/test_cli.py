@@ -227,6 +227,14 @@ def test_order_over_the_limit_is_parse_error(me_bundle, capsys):
     assert f"over the limit of {ORDER_LIMIT}" in capsys.readouterr().err
 
 
+def test_negative_order_is_parse_error(me_bundle, capsys):
+    doc = json.loads(me_bundle.read_text())
+    doc["instance"].update(n=-3, b=[], matrices=[])
+    me_bundle.write_text(json.dumps(doc))
+    assert main(["verify", "--json", str(me_bundle)]) == 3
+    assert "n must be a positive order, got -3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "sieve"])
 def test_over_long_json_integer_is_parse_error(me_bundle, capsys, command):
     # json.dumps cannot spell a 5000-digit int under the default limit, so splice the text

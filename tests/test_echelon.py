@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaksdp import (
     EchelonSequence,
@@ -19,6 +20,7 @@ from weaksdp import (
     frobenius_norm_squared,
     generate,
     infer_structure,
+    inner_mismatch,
     large_certificate,
     me_instance,
     motzkin_certificate,
@@ -31,7 +33,13 @@ from weaksdp import (
 from weaksdp.echelon import next_block
 from weaksdp.paper_instances import motzkin_monomial_groups
 
-from oracles import rational_grid, search_strong_infeasibility_multiplier, witness_by_full_doubling
+from oracles import (
+    closeness_detail_by_fractions,
+    inner_mismatch_by_fractions,
+    rational_grid,
+    search_strong_infeasibility_multiplier,
+    witness_by_full_doubling,
+)
 
 
 def sym(rows):
@@ -226,6 +234,59 @@ class TestNotStrongCert:
             check_not_strong_cert(ME_CLEAN, (ME_X[0],), blocks(2, {2}))
 
 
+CLOSENESS_CERTIFICATES = (
+    lambda: me_instance()[1],
+    large_certificate,
+    lambda: generate(GenConfig(n=5, m=4, k=1, l=2, seed=10)),
+    lambda: generate(GenConfig(n=6, m=5, k=2, l=3, seed=11, structure_overlap_policy="overlapping-allowed")),
+)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+positive_fractions = st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6)
+
+
+@st.composite
+def changed_closeness_certificates(draw):
+    """A valid closeness certificate over mixed denominators (each A_i and b_i
+    scaled by one non-zero fraction, each X_j with j <= l by a positive one),
+    then one X entry or one b entry moved by a fraction, zero at times."""
+    cert = draw(st.sampled_from(CLOSENESS_CERTIFICATES))()
+    inst, xseq, structure = cert.clean, cert.xseq, cert.q_structure
+    scales = [draw(positive_fractions) * draw(st.sampled_from((1, -1))) for _ in range(inst.m)]
+    a = [mat.scale(c) for mat, c in zip(inst.A, scales)]
+    b = [v * c for v, c in zip(inst.b, scales)]
+    xs = [x.scale(draw(positive_fractions)) for x in xseq[:-1]] + [xseq[-1]]
+    delta = draw(small_fractions)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(xs) - 1))
+        r, s = sorted(draw(st.integers(1, inst.n)) for _ in range(2))
+        xs[j] = xs[j].add(SymMatrix.unit(inst.n, r, s, delta))
+    else:
+        i = draw(st.integers(0, inst.m - 1))
+        b[i] += delta
+    return SdpInstance(inst.n, a, b), tuple(xs), structure
+
+
+class TestClosenessAgainstFractions:
+    @given(changed_closeness_certificates())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, case):
+        inst, xseq, structure = case
+        targets = [(0,) * inst.m] * (len(xseq) - 1) + [inst.b]
+        assert inner_mismatch(inst.A, xseq, targets) == inner_mismatch_by_fractions(inst.A, xseq, targets)
+        want = closeness_detail_by_fractions(inst, xseq, structure)
+        report = check_not_strong_cert(inst, xseq, structure)
+        if want is None:
+            assert not report and report.violation is not None
+        else:
+            assert (report.ok, report.detail) == (want == "", want)
+
+    def test_targets_must_match_the_table(self):
+        with pytest.raises(ValueError):
+            inner_mismatch(ME_CLEAN.A, ME_X, [(0, 0)])
+        with pytest.raises(ValueError):
+            inner_mismatch(ME_CLEAN.A, ME_X, [(0,), (0, -1)])
+
+
 class TestAsymptoteWitness:
     def test_minimal_example_eps_one(self):
         w = asymptote_witness(ME_CLEAN, ME_X, blocks(2, {2}, set()), 1)
@@ -289,17 +350,22 @@ def test_witness_matches_full_doubling_on_generated(n, l, policy):
 
 
 def test_witness_certifies_once_and_sums_on_integers(monkeypatch):
-    # the gamma probes and level sums run on integer numerators: the only PSD
-    # verdict is the final self-check, and no entry is read out as a Fraction
+    # the gamma probes, the level sums and the final self-check run on integer
+    # numerators: no PSD verdict is built, the one elimination over the full
+    # order is the self-check at the end, and no entry is read out as a Fraction
     import weaksdp.echelon
     import weaksdp.linalg
 
-    verdicts = []
-    certify = weaksdp.linalg.psd_certify
+    verdicts, eliminations = [], []
+    positive_pivots = weaksdp.linalg._positive_pivots
 
     def counting(a):
         verdicts.append(a.n)
-        return certify(a)
+        return psd_certify(a)
+
+    def recording(w, count):
+        eliminations.append((len(w), count))
+        return positive_pivots(w, count)
 
     def forbidden(*args):
         raise AssertionError("Fraction entry access inside asymptote_witness")
@@ -307,14 +373,30 @@ def test_witness_certifies_once_and_sums_on_integers(monkeypatch):
     instance = generate(GenConfig(n=10, m=6, k=1, l=3, seed=5, entry_range=3))
     for module in (weaksdp.linalg, weaksdp.echelon):
         monkeypatch.setattr(module, "psd_certify", counting)
+    monkeypatch.setattr(weaksdp.linalg, "_positive_pivots", recording)
     for cls, names in ((SymMatrix, ("at", "to_rows")), (Matrix, ("at", "row", "to_rows"))):
         for name in names:
             monkeypatch.setattr(cls, name, forbidden)
     for eps in CRITERION_7_TOLERANCES:
         verdicts.clear()
+        eliminations.clear()
         witness = asymptote_witness(instance.clean, instance.xseq, instance.q_structure, eps)
-        assert verdicts == [10]
+        assert verdicts == []
+        assert [call for call in eliminations if call[1] == 10] == [(10, 10)]
+        assert eliminations[-1] == (10, 10)
         assert len(witness.gammas) == 3
+
+
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 2**30)])
+def test_witness_self_check_refuses_a_short_shift(monkeypatch, shift):
+    # a gamma search that stops short leaves a matrix that is not positive
+    # semidefinite, and the final check refuses it
+    import weaksdp.echelon
+
+    instance = generate(GenConfig(n=10, m=6, k=1, l=1, seed=5, entry_range=3))
+    monkeypatch.setattr(weaksdp.echelon, "least_definite_shift", lambda c, d: shift)
+    with pytest.raises(AssertionError, match="^constructed witness failed its own PSD check$"):
+        asymptote_witness(instance.clean, instance.xseq, instance.q_structure, Fraction(1, 10))
 
 
 def test_witnesses_match_earlier_revision(sweep):

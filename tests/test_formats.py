@@ -422,6 +422,24 @@ class TestNative:
         with pytest.raises(NativeFormatError, match=limit):
             read_native(path)
 
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_nonpositive_order_rejected(self, tmp_path, n):
+        path = tmp_path / "negative.wsdp"
+        path.write_text(json.dumps({"schema": "wsdp/1", "instance": {"n": n, "b": [], "matrices": []}}))
+        with pytest.raises(NativeFormatError, match=f"n must be a positive order, got {n}"):
+            read_native(path)
+
+    def test_x_sequence_cell_limit(self, tmp_path):
+        # two members of order ORDER_LIMIT are over CELL_LIMIT; they are never read
+        empty = {"n": ORDER_LIMIT, "b": [], "matrices": []}
+        path = tmp_path / "long.wsdp"
+        path.write_text(json.dumps({"schema": "wsdp/1", "instance": empty, "certificate": {
+            "k": 0, "l": 1, "clean": empty, "row_ops": [], "transform": [],
+            "x_sequence": [[], []], "p_blocks": [], "q_blocks": []}}))
+        with pytest.raises(NativeFormatError, match=(
+                f"x_sequence: 2 matrices of order {ORDER_LIMIT} are over the limit of {CELL_LIMIT} cells")):
+            read_native(path)
+
     def test_mismatched_certificate_rejected(self):
         raw, cert = me_instance()
         other = SdpInstance(2, raw.A, (1, 1))
