@@ -14,8 +14,13 @@ identical inputs produce identical bytes.
 The readers only turn text into numbers: integer fields go through
 `exact.strict_int`, each distinct token once per file, and the matrices are
 built by private `SymMatrix` constructors, so the symmetric-rows rule of
-`SymMatrix.from_rows` and the packed upper-triangle layout each have one
-implementation, in `exact.py`.
+`SymMatrix.from_rows` has one implementation, in `exact.py`. `read_sdpa`
+finds its header lines from the top and reads a canonical body, every line
+as `write_sdpa` writes it, in one bulk pass: one regex over the whole body,
+each distinct value string parsed once, and each cell placed at the packed
+offset the writers' `_upper_cells` gives it. Any other body, valid but not
+canonical or faulty, goes through the line loop, which reads it one line at
+a time and names the line and the fault of a file it refuses.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, repeat
 from math import gcd
+from operator import add
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -196,82 +203,102 @@ def _line_of(exc: UnicodeDecodeError) -> int:
 # covers every value `write_sdpa` emits: an optional minus, digits, optional decimals
 _SDPA_VALUE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
 
+# a body line as `write_sdpa` writes it, "k 1 i j value": the matrix number,
+# the cell "i j" and the value
+_SDPA_LINE = re.compile(r"^([0-9]+) 1 ([0-9]+ [0-9]+) (-?[0-9]+(?:\.[0-9]+)?)$", re.M)
 
-def read_sdpa(path) -> SdpInstance:
-    """Parse a single-block SDPA sparse file back into an instance.
 
-    Integer fields (counts, sizes, matrix, block, row and column numbers)
-    must be ``-?[0-9]+``. Values must be plain decimals,
-    ``-?[0-9]+(.[0-9]+)?``: no exponent, no fraction, no sign other than a
-    leading minus. No integer, and neither digit run of a value, may have
-    more than DIGIT_LIMIT digits. Each distinct value string is parsed once
-    per file, to the pair (num, 10^d).
-    """
+def _sdpa_int(text: str, line_no: int, what: str) -> int:
     try:
-        raw_lines = Path(path).read_bytes().decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise SdpaFormatError("non-ASCII byte", _line_of(exc)) from None
-    numbered = [
-        (no, line.strip())
-        for no, line in enumerate(raw_lines, start=1)
-        if line.strip() and not line.lstrip().startswith(("*", '"'))
-    ]
-    if len(numbered) < 3:
-        raise SdpaFormatError("file shorter than the header lines")
+        return strict_int(text)
+    except ValueError:
+        raise SdpaFormatError(f"expected integer {what}, got {text!r}", line_no) from None
 
-    ints: dict[str, int] = {}
+
+def _sdpa_value(text: str, line_no: int | None) -> tuple[int, int]:
+    """The pair (num, 10^d) of a plain decimal value with d decimals."""
+    match = _SDPA_VALUE.fullmatch(text)
+    if match is None:
+        raise SdpaFormatError(f"malformed value {text!r}, expected a plain decimal", line_no)
+    sign, whole, decimals = match.groups(default="")
+    try:
+        if max(len(whole), len(decimals)) > DIGIT_LIMIT:
+            raise ValueError
+        num = int(whole) * 10 ** len(decimals) + int(decimals or 0)
+    except ValueError:  # a digit run of more than DIGIT_LIMIT digits
+        raise SdpaFormatError(f"value of {len(text)} characters is too long", line_no) from None
+    return -num if sign else num, 10 ** len(decimals)
+
+
+def _data_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line that is neither blank nor a comment."""
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text and text[0] not in '*"':
+            yield line_no, text
+
+
+@lru_cache(maxsize=8)
+def _cell_offsets(n: int) -> dict[str, int]:
+    """The packed offset of each cell token "i j" of order n, i <= j or i > j."""
+    offsets = {}
+    for p, i, j in _upper_cells(n, False):
+        offsets[f"{i} {j}"] = offsets[f"{j} {i}"] = p
+    return offsets
+
+
+def _body_in_bulk(lines: list[str], n: int, m: int) -> tuple[SymMatrix, ...] | None:
+    """The m matrices of order n that the body `lines` set when every line is
+    canonical, else None. A canonical line is one `write_sdpa` writes, "k 1 i j
+    value" with k in 1..m and i, j in 1..n spelled without leading zeros, and
+    with a value of at most DIGIT_LIMIT characters.
+
+    The lookup tables hold the m matrix numbers and the n^2 cell tokens; a
+    body of fewer lines than either is left to the line loop, so that the
+    memory the reader takes stays in proportion to the file."""
+    if max(n * n, m) > len(lines):
+        return None
+    text = "\n".join(lines)
+    found = _SDPA_LINE.findall(text)
+    if len(found) != len(lines):
+        return None
+    mats, cells, values = zip(*found)
+    size = n * (n + 1) // 2
+    bases = {str(k): (k - 1) * size for k in range(1, m + 1)}
+    try:
+        positions = list(map(add, map(bases.__getitem__, mats),
+                             map(_cell_offsets(n).__getitem__, cells)))
+    except KeyError:  # a leading zero, matrix number 0 or an index out of range
+        return None
+    distinct = set(values)
+    if max(map(len, distinct)) > DIGIT_LIMIT:  # checked before any int()
+        return None
+    decimal = "." in text  # then every entry is a (num, 10^d) pair
+    if decimal:
+        value_of = {value: _sdpa_value(value, None) for value in distinct}
+    else:
+        value_of = dict(zip(distinct, map(int, distinct)))
+    # (i, j) and (j, i) set one cell, and the last line wins
+    placed = dict(zip(positions, map(value_of.__getitem__, values)))
+    flat = list(map(placed.get, range(m * size), repeat((0, 1) if decimal else 0)))
+    chunks = [flat[start:start + size] for start in range(0, m * size, size)]
+    if decimal:
+        return tuple(SymMatrix._of_ratios(n, nums) for nums in chunks)
+    return tuple(SymMatrix._of(n, nums, 1) for nums in chunks)
+
+
+def _body_by_lines(body: Iterator[tuple[int, str]], n: int, m: int) -> tuple[SymMatrix, ...]:
+    """The m matrices of order n that the numbered `body` lines set, read one
+    line at a time: the reader of text that is not canonical, and the one that
+    names the line and the fault of a file it refuses."""
+    ints: dict[str, int] = {}  # each distinct token is parsed once
+    values: dict[str, tuple[int, int]] = {}
 
     def parse_int(text: str, line_no: int, what: str) -> int:
         value = ints.get(text)
         if value is None:
-            try:
-                value = ints[text] = strict_int(text)
-            except ValueError:
-                raise SdpaFormatError(f"expected integer {what}, got {text!r}", line_no) from None
+            value = ints[text] = _sdpa_int(text, line_no, what)
         return value
-
-    values: dict[str, tuple[int, int]] = {}
-
-    def parse_value(text: str, line_no: int) -> tuple[int, int]:
-        pair = values.get(text)
-        if pair is not None:
-            return pair
-        match = _SDPA_VALUE.fullmatch(text)
-        if match is None:
-            raise SdpaFormatError(f"malformed value {text!r}, expected a plain decimal", line_no)
-        sign, whole, decimals = match.groups(default="")
-        try:
-            if max(len(whole), len(decimals)) > DIGIT_LIMIT:
-                raise ValueError
-            num = int(whole) * 10 ** len(decimals) + int(decimals or 0)
-        except ValueError:  # a digit run of more than DIGIT_LIMIT digits
-            raise SdpaFormatError(f"value of {len(text)} characters is too long", line_no) from None
-        pair = values[text] = (-num if sign else num, 10 ** len(decimals))
-        return pair
-
-    (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = numbered[:3]
-    m = parse_int(m_text, no_m, "constraint count")
-    nblocks = parse_int(blk_text.split()[0], no_blk, "block count")
-    if nblocks != 1:
-        raise SdpaFormatError(f"only single-block files are supported, got {nblocks}", no_blk)
-    n = parse_int(size_text.split()[0], no_size, "block size")
-    if n < 1:
-        # a negative size is a diagonal (LP) block, which has no PSD reading
-        raise SdpaFormatError(f"block size must be a positive PSD order, got {n}", no_size)
-    if (problem := _size_error(n, m)) is not None:
-        raise SdpaFormatError(problem, no_size)
-    if m == 0:
-        b: tuple[Fraction, ...] = ()
-        body = numbered[3:]
-    else:
-        if len(numbered) < 4:
-            raise SdpaFormatError("missing right-hand side line")
-        no_b, b_text = numbered[3]
-        b_fields = b_text.split()
-        if len(b_fields) != m:
-            raise SdpaFormatError(f"expected {m} right-hand side values, got {len(b_fields)}", no_b)
-        b = tuple(Fraction(*parse_value(f, no_b)) for f in b_fields)
-        body = numbered[4:]
 
     # (num, 10^d) by upper cell (i, j), i <= j, of each matrix
     entries: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(m)]
@@ -283,18 +310,72 @@ def read_sdpa(path) -> SdpInstance:
         blkno = parse_int(fields[1], line_no, "block number")
         i = parse_int(fields[2], line_no, "row")
         j = parse_int(fields[3], line_no, "column")
-        value = parse_value(fields[4], line_no)
-        if matno == 0:
-            continue  # objective entries are irrelevant to the feasibility system
-        if not (1 <= matno <= m):
+        value = values.get(fields[4])
+        if value is None:
+            value = values[fields[4]] = _sdpa_value(fields[4], line_no)
+        if not (0 <= matno <= m):
             raise SdpaFormatError(f"matrix number {matno} outside 1..{m}", line_no)
         if blkno != 1:
             raise SdpaFormatError(f"block number must be 1, got {blkno}", line_no)
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaFormatError(f"entry ({i},{j}) outside order {n}", line_no)
-        # (i, j) and (j, i) set one cell, and the last line wins
-        entries[matno - 1][(i, j) if i <= j else (j, i)] = value
-    return SdpInstance(n, tuple(SymMatrix._of_cells(n, cells) for cells in entries), b)
+        if matno:  # matrix 0 is the objective, irrelevant to the feasibility system
+            entries[matno - 1][(i, j) if i <= j else (j, i)] = value
+    return tuple(SymMatrix._of_cells(n, cells) for cells in entries)
+
+
+def read_sdpa(path) -> SdpInstance:
+    """Parse a single-block SDPA sparse file back into an instance.
+
+    Integer fields (counts, sizes, matrix, block, row and column numbers)
+    must be ``-?[0-9]+``. Values must be plain decimals,
+    ``-?[0-9]+(.[0-9]+)?``: no exponent, no fraction, no sign other than a
+    leading minus. No integer, and neither digit run of a value, may have
+    more than DIGIT_LIMIT digits. A line of matrix number 0 (the objective)
+    must have block number 1 and a cell inside the order, and is then
+    dropped.
+
+    The header lines are found from the top. A body whose every line is
+    canonical, as `write_sdpa` writes it, is read in one pass: one regex
+    match per line, each distinct value string parsed once, and each cell
+    placed through lookup tables. Any other body, valid or faulty, and one
+    of fewer lines than the tables would hold, is read one line at a time;
+    that loop names the first faulty line of a file it refuses.
+    """
+    try:
+        lines = Path(path).read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SdpaFormatError("non-ASCII byte", _line_of(exc)) from None
+    data = _data_lines(lines)
+    header = list(islice(data, 3))
+    if len(header) < 3:
+        raise SdpaFormatError("file shorter than the header lines")
+    (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = header
+    m = _sdpa_int(m_text, no_m, "constraint count")
+    nblocks = _sdpa_int(blk_text.split()[0], no_blk, "block count")
+    if nblocks != 1:
+        raise SdpaFormatError(f"only single-block files are supported, got {nblocks}", no_blk)
+    n = _sdpa_int(size_text.split()[0], no_size, "block size")
+    if n < 1:
+        # a negative size is a diagonal (LP) block, which has no PSD reading
+        raise SdpaFormatError(f"block size must be a positive PSD order, got {n}", no_size)
+    if (problem := _size_error(n, m)) is not None:
+        raise SdpaFormatError(problem, no_size)
+    last = no_size
+    b: tuple[Fraction, ...] = ()
+    if m:
+        b_line = next(data, None)
+        if b_line is None:
+            raise SdpaFormatError("missing right-hand side line")
+        last, b_text = b_line
+        b_fields = b_text.split()
+        if len(b_fields) != m:
+            raise SdpaFormatError(f"expected {m} right-hand side values, got {len(b_fields)}", last)
+        b = tuple(Fraction(*_sdpa_value(f, last)) for f in b_fields)
+    matrices = _body_in_bulk(lines[last:], n, m)
+    if matrices is None:
+        matrices = _body_by_lines(data, n, m)
+    return SdpInstance(n, matrices, b)
 
 
 def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
@@ -525,16 +606,25 @@ def read_native(path) -> NativeBundle:
             x_sequence = _list(cert_doc["x_sequence"], "x_sequence")
             if (problem := _size_error(clean.n, len(x_sequence))) is not None:
                 raise ValueError(f"x_sequence: {problem}")
+
+            def square(key: str, order: int) -> Matrix:
+                mat = Matrix._of_ratios([list(map(parse, row)) for row in _rows(cert_doc[key], key)])
+                if (mat.rows, mat.cols) != (order, order):
+                    raise ValueError(f"{key} must be {order} x {order}, got {mat.rows} x {mat.cols}")
+                return mat
+
+            row_ops, transform = square("row_ops", instance.m), square("transform", instance.n)
+            xseq = tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse) for rows in x_sequence)
+            for j, x in enumerate(xseq, start=1):
+                if x.n != clean.n:
+                    raise ValueError(f"X_{j} has order {x.n}, expected the clean order {clean.n}")
             certificate = WeakCertificate(
                 raw=instance,
-                row_ops=Matrix._of_ratios(
-                    [list(map(parse, row)) for row in _rows(cert_doc["row_ops"], "row_ops")]),
-                transform=Matrix._of_ratios(
-                    [list(map(parse, row)) for row in _rows(cert_doc["transform"], "transform")]),
+                row_ops=row_ops,
+                transform=transform,
                 clean=clean,
                 k=k,
-                xseq=tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse)
-                           for rows in x_sequence),
+                xseq=xseq,
                 p_structure=Structure(
                     clean.n, tuple(_rows(cert_doc["p_blocks"], "p_blocks", "block"))),
                 q_structure=Structure(

@@ -393,3 +393,87 @@ def closeness_detail_by_fractions(inst, xseq, structure):
     j, r = mismatch
     got = inner_by_fractions(inst.A[r - 1], xseq[j - 1])
     return f"A_{r} . X_{j} = {got}, expected {targets[j - 1][r - 1]}"
+
+
+def read_sdpa_by_lines(path):
+    """Reference SDPA reader: every line of the file read on its own, the loop
+    `read_sdpa` runs for text it cannot read in one pass. It raises the
+    package's `SdpaFormatError` with the same message and line number, at the
+    first faulty line. A body line is checked field by field (five fields;
+    matrix, block, row and column numbers; the value) and then for range
+    (matrix number in 0..m, block number 1, cell inside the order), also on
+    a line of matrix number 0, which is dropped after its checks."""
+    import re
+    from pathlib import Path
+
+    from weaksdp import SdpInstance, SymMatrix
+    from weaksdp.exact import CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT
+    from weaksdp.formats import SdpaFormatError
+
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise SdpaFormatError("non-ASCII byte", data.count(b"\n", 0, exc.start) + 1) from None
+    numbered = [(no, line.strip()) for no, line in enumerate(text.splitlines(), start=1)
+                if line.strip() and line.strip()[0] not in '*"']
+    if len(numbered) < 3:
+        raise SdpaFormatError("file shorter than the header lines")
+
+    def integer(token, no, what):
+        if re.fullmatch(r"-?[0-9]+", token) is None or len(token.lstrip("-")) > DIGIT_LIMIT:
+            raise SdpaFormatError(f"expected integer {what}, got {token!r}", no)
+        return int(token)
+
+    def value(token, no):
+        match = re.fullmatch(r"(-?)([0-9]+)(?:\.([0-9]+))?", token)
+        if match is None:
+            raise SdpaFormatError(f"malformed value {token!r}, expected a plain decimal", no)
+        sign, whole, decimals = match.groups("")
+        if len(whole) > DIGIT_LIMIT or len(decimals) > DIGIT_LIMIT:
+            raise SdpaFormatError(f"value of {len(token)} characters is too long", no)
+        v = int(whole) + (Fraction(int(decimals), 10 ** len(decimals)) if decimals else 0)
+        return -v if sign else v
+
+    (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = numbered[:3]
+    m = integer(m_text, no_m, "constraint count")
+    blocks = integer(blk_text.split()[0], no_blk, "block count")
+    if blocks != 1:
+        raise SdpaFormatError(f"only single-block files are supported, got {blocks}", no_blk)
+    n = integer(size_text.split()[0], no_size, "block size")
+    if n < 1:
+        raise SdpaFormatError(f"block size must be a positive PSD order, got {n}", no_size)
+    if n > ORDER_LIMIT:
+        raise SdpaFormatError(f"order {n} is over the limit of {ORDER_LIMIT}", no_size)
+    if m * (n * (n + 1) // 2) > CELL_LIMIT:
+        raise SdpaFormatError(
+            f"{m} matrices of order {n} are over the limit of {CELL_LIMIT} cells", no_size)
+    body, b = numbered[3:], ()
+    if m:
+        if len(numbered) < 4:
+            raise SdpaFormatError("missing right-hand side line")
+        no_b, b_text = numbered[3]
+        fields = b_text.split()
+        if len(fields) != m:
+            raise SdpaFormatError(f"expected {m} right-hand side values, got {len(fields)}", no_b)
+        body, b = numbered[4:], tuple(value(f, no_b) for f in fields)
+    cells = [{} for _ in range(m)]
+    for no, line in body:
+        fields = line.split()
+        if len(fields) != 5:
+            raise SdpaFormatError(f"expected 5 fields, got {len(fields)}", no)
+        whats = ("matrix number", "block number", "row", "column")
+        matno, blkno, i, j = [integer(f, no, what) for f, what in zip(fields, whats)]
+        v = value(fields[4], no)
+        if not 0 <= matno <= m:
+            raise SdpaFormatError(f"matrix number {matno} outside 1..{m}", no)
+        if blkno != 1:
+            raise SdpaFormatError(f"block number must be 1, got {blkno}", no)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise SdpaFormatError(f"entry ({i},{j}) outside order {n}", no)
+        if matno:
+            cells[matno - 1][min(i, j), max(i, j)] = v
+    rows = range(1, n + 1)
+    return SdpInstance(n, tuple(
+        SymMatrix.from_rows([[c.get((min(r, s), max(r, s)), 0) for s in rows] for r in rows])
+        for c in cells), b)

@@ -235,6 +235,19 @@ def test_negative_order_is_parse_error(me_bundle, capsys):
     assert "n must be a positive order, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("x_sequence", [[], []], "X_1 has order 0, expected the clean order 2"),
+    ("row_ops", [["1"]], "row_ops must be 2 x 2, got 1 x 1"),
+    ("transform", [["1"]], "transform must be 2 x 2, got 1 x 1"),
+])
+def test_certificate_of_the_wrong_shape_is_parse_error(me_bundle, capsys, field, value, message):
+    doc = json.loads(me_bundle.read_text())
+    doc["certificate"][field] = value
+    me_bundle.write_text(json.dumps(doc))
+    assert main(["verify", "--json", str(me_bundle)]) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "sieve"])
 def test_over_long_json_integer_is_parse_error(me_bundle, capsys, command):
     # json.dumps cannot spell a 5000-digit int under the default limit, so splice the text

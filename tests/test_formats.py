@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import weaksdp
+from oracles import read_sdpa_by_lines
 from weaksdp import (
     GenConfig,
     Matrix,
@@ -23,7 +30,8 @@ from weaksdp import (
     write_native,
     write_sdpa,
 )
-from weaksdp.exact import CELL_LIMIT, ORDER_LIMIT
+from weaksdp import formats
+from weaksdp.exact import CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT
 from weaksdp.formats import (
     NativeFormatError, SdpaFormatError, _decimal_exact, _decimal_rounded, bundle_to_json,
 )
@@ -246,6 +254,137 @@ class TestSdpa:
         assert "* lossy" in path.read_text()
 
 
+    @pytest.mark.parametrize("line, message", [
+        ("0 7 99 99 5", "block number must be 1, got 7"),
+        ("0 1 99 99 5", "entry (99,99) outside order 2"),
+        ("0 1 1 0 5", "entry (1,0) outside order 2"),
+        ("-1 1 1 1 5", "matrix number -1 outside 1..2"),
+    ])
+    def test_objective_lines_are_range_checked(self, tmp_path, line, message):
+        # a line of matrix number 0 is dropped only after the checks every line gets
+        raw, _ = me_instance()
+        path = tmp_path / "me.dat-s"
+        write_sdpa(raw, path)
+        text = path.read_text() + line + "\n"
+        path.write_text(text)
+        last = text.count("\n")
+        with pytest.raises(SdpaFormatError) as err:
+            read_sdpa(path)
+        assert str(err.value) == f"line {last}: {message}"
+
+    @pytest.mark.parametrize("inst", [
+        generate(GenConfig(n=5, m=4, k=1, l=2, seed=2, messy=True)).raw,
+        SdpInstance(2, (SymMatrix.from_rows([[Fraction(1, 4), -3], [-3, Fraction(-5, 2)]]),
+                        SymMatrix.from_rows([[2, Fraction(1, 8)], [Fraction(1, 8), 1]])), (1, 0)),
+    ], ids=["integers", "decimals"])
+    def test_written_file_is_read_in_one_pass(self, tmp_path, monkeypatch, inst):
+        path = tmp_path / "t.dat-s"
+        write_sdpa(inst, path)
+        monkeypatch.setattr(formats, "_body_by_lines", None)  # the line loop must not run
+        assert read_sdpa(path) == inst
+
+    def test_digit_limit_holds_without_the_interpreters_limit(self, tmp_path):
+        # with CPython's own limit switched off, a body value of DIGIT_LIMIT + 1
+        # digits is still refused, on its line, and never reaches int()
+        inst = generate(GenConfig(n=5, m=4, k=1, l=2, seed=2, messy=True)).raw
+        path = tmp_path / "long.dat-s"
+        write_sdpa(inst, path)
+        lines = path.read_text().splitlines()
+        row = len(lines) - 1
+        lines[row] = lines[row].rsplit(" ", 1)[0] + " " + "7" * (DIGIT_LIMIT + 1)
+        path.write_text("\n".join(lines) + "\n")
+        script = ("import sys\nfrom weaksdp import read_sdpa\nfrom weaksdp.formats import SdpaFormatError\n"
+                  "try:\n    read_sdpa(sys.argv[1])\nexcept SdpaFormatError as exc:\n"
+                  "    print(exc.line, exc)\nelse:\n    print('accepted')\n")
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0",
+                   PYTHONPATH=str(Path(weaksdp.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", script, str(path)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        too_long = f"value of {DIGIT_LIMIT + 1} characters is too long"
+        assert run.stdout == f"{row + 1} line {row + 1}: {too_long}\n"
+
+
+# token edits of the differential test: signs, leading zeros, decimals and
+# exponents outside the grammar, an over-long digit run, the objective's matrix
+# number 0, and numbers outside the ranges of small instances
+_TOKENS = ("+1", "01", "-0", "1.", "1e3", "9" * (DIGIT_LIMIT + 1), "0", "4")
+_ENTRIES = (0, 1, -2, 3, Fraction(1, 4), Fraction(-5, 2))
+
+
+@st.composite
+def _instances(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    values = st.sampled_from(_ENTRIES)
+    size = n * (n + 1) // 2
+    mats = tuple(SymMatrix(n, draw(st.lists(values, min_size=size, max_size=size)))
+                 for _ in range(m))
+    return SdpInstance(n, mats, tuple(draw(st.lists(values, min_size=m, max_size=m))))
+
+
+# a line counted from the end of the file, most often one of the last few body lines
+_LINE = st.integers(0, 3) | st.integers(0, 99)
+_EDITS = st.one_of(
+    st.tuples(st.just("token"), _LINE, st.integers(0, 4), st.sampled_from(_TOKENS + ("lead",))),
+    st.tuples(st.sampled_from(["delete", "repeat", "mirror", "tab", "space", "crlf"]), _LINE),
+    st.tuples(st.just("swap"), _LINE, _LINE),
+    # a comment, a blank line, and lines of the objective, matrix 0, in and out of range
+    st.tuples(st.just("insert"), _LINE,
+              st.sampled_from(["* note", "", '"x"', "0 1 1 1 5", "0 1 4 1 5", "0 2 1 1 5"])),
+)
+
+
+def _edited(text: str, edits) -> str:
+    lines = text.splitlines()
+    for kind, at, *rest in edits:
+        at = len(lines) - 1 - at % len(lines)
+        if kind == "token":
+            tokens = lines[at].split(" ")
+            slot = rest[0] % len(tokens)
+            tokens[slot] = "0" + tokens[slot] if rest[1] == "lead" else rest[1]
+            lines[at] = " ".join(tokens)
+        elif kind == "delete":
+            del lines[at]
+        elif kind == "repeat":
+            lines.insert(at, lines[at])
+        elif kind == "mirror":  # the line's cell again, from the other side, with another value
+            fields = lines[at].split(" ")
+            if len(fields) == 5:
+                fields[2:] = fields[3], fields[2], "7"
+            lines.insert(at + 1, " ".join(fields))
+        elif kind == "swap":
+            other = len(lines) - 1 - rest[0] % len(lines)
+            lines[at], lines[other] = lines[other], lines[at]
+        elif kind == "insert":
+            lines.insert(at, rest[0])
+        else:
+            lines[at] = {"tab": lines[at].replace(" ", "\t", 1), "space": lines[at] + " ",
+                         "crlf": lines[at] + "\r"}[kind]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_instances(), edits=st.lists(_EDITS, max_size=3))
+def test_sdpa_reader_agrees_with_the_line_by_line_reference(inst, edits):
+    # equal instances, or the same SdpaFormatError text and line, and nothing else
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.dat-s"
+        write_sdpa(inst, path)
+        path.write_text(_edited(path.read_text(), edits))
+        try:
+            expected = read_sdpa_by_lines(path)
+        except SdpaFormatError as exc:
+            with pytest.raises(SdpaFormatError) as err:
+                read_sdpa(path)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        else:
+            assert read_sdpa(path) == expected
+            if not edits:
+                assert expected == inst
+
+
 class TestCbf:
     def test_minimal_example_sections(self, tmp_path):
         raw, _ = me_instance()
@@ -409,6 +548,27 @@ class TestNative:
         bundle.write_text(json.dumps(doc))
         with pytest.raises(NativeFormatError, match="must be a"):
             read_native(bundle)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("x_sequence", [[], []], "X_1 has order 0, expected the clean order 2"),
+        ("x_sequence", [[["1", "0"], ["0", "0"]], [["1"]]],
+         "X_2 has order 1, expected the clean order 2"),
+        ("row_ops", [["1"]], "row_ops must be 2 x 2, got 1 x 1"),
+        ("row_ops", [["1", "0"]], "row_ops must be 2 x 2, got 1 x 2"),
+        ("transform", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+         "transform must be 2 x 2, got 3 x 3"),
+    ])
+    def test_certificate_matrices_of_the_wrong_shape_rejected(self, tmp_path, field, value,
+                                                              message):
+        raw, cert = me_instance()
+        path = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert), path)
+        doc = json.loads(path.read_text())
+        doc["certificate"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NativeFormatError) as err:
+            read_native(path)
+        assert str(err.value) == f"malformed certificate: {message}"
 
     @pytest.mark.parametrize("n, count, limit", [
         (ORDER_LIMIT + 1, 0, f"order {ORDER_LIMIT + 1} is over the limit"),
