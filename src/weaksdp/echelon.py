@@ -6,7 +6,8 @@ An ordered sequence of symmetric matrices (M_1, ..., M_t) is in semidefinite
 echelon form with structure {P_1, ..., P_t} when the P_i are disjoint 1-based
 index sets and each M_i is diagonal with strictly positive entries on the
 P_i x P_i block, arbitrary on rows/columns indexed by P_1 u ... u P_{i-1},
-and zero everywhere else.
+and zero everywhere else. One walk applies this rule to a matrix's entries,
+behind both validation and the echelon step (`next_block`).
 
 Two facts make the form useful, and both are implemented here as exact,
 certificate-style checks:
@@ -84,8 +85,8 @@ def cell_region(structure: Structure, matrix_index: int, i: int, j: int) -> str:
 
     Returns "pivot" for the P_i x P_i block (positive diagonal, zero
     off-diagonal), "arbitrary" for rows/columns of earlier blocks, "zero" for
-    positions that must vanish. This is the one definition of the regions:
-    validation, generation and block rendering all classify cells through it.
+    positions that must vanish. Generation and block rendering classify
+    cells through it; validation walks the same regions row by row.
     """
     block_i = structure._block_of[i]
     block_j = structure._block_of[j]
@@ -122,12 +123,31 @@ class ValidationReport:
         return self.ok
 
 
+def _first_violation(mat: SymMatrix, live: Sequence[int], block: frozenset[int]):
+    """The first cell (r, s), r <= s, in row-major order over the ascending
+    indices `live` that no earlier block covers, at which `mat` is not zero
+    except a positive diagonal on `block`, with the rule broken; or None."""
+    n, u = mat.n, mat._u
+    for k, r in enumerate(live):
+        row = (r - 1) * (2 * n - r + 2) // 2 - r  # row + s is the packed offset of (r, s)
+        if r in block and u[row + r] <= 0:
+            return (r, r), "block diagonal entry must be positive"
+        # off the block the diagonal must be zero like the rest of the row
+        for s in live[k + (r in block):]:
+            if u[row + s]:
+                if r in block and s in block:
+                    return (r, s), "block off-diagonal entry must be zero"
+                return (r, s), "entry outside block and earlier rows must be zero"
+    return None
+
+
 def validate_echelon(matrices: Sequence[SymMatrix], structure: Structure) -> ValidationReport:
     """Check the echelon conditions exactly; report the first offending entry.
 
-    "Diagonal with positive entries" is enforced literally: off-diagonal
-    entries of the pivot block must be exactly zero, not merely the block
-    positive definite.
+    Member i is walked by `_first_violation` with block P_i on the indices
+    P_1, ..., P_{i-1} leave. "Diagonal with positive entries" is enforced
+    literally: off-diagonal entries of the pivot block must be exactly zero,
+    not merely the block positive definite.
     """
     matrices = tuple(matrices)
     if len(matrices) != len(structure.blocks):
@@ -135,47 +155,25 @@ def validate_echelon(matrices: Sequence[SymMatrix], structure: Structure) -> Val
     for m in matrices:
         if m.n != structure.n:
             raise ValueError("matrix order does not match structure order")
-    n = structure.n
-    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    for idx, mat in enumerate(matrices, start=1):
-        # the stored upper numerators in cell order, each with its entry's sign
-        for (i, j), v in zip(cells, mat._u):
-            region = cell_region(structure, idx, i, j)
-            if region == "arbitrary":
-                continue
-            if region == "pivot" and i == j:
-                if v > 0:
-                    continue
-                rule = "block diagonal entry must be positive"
-            elif v == 0:
-                continue
-            elif region == "pivot":
-                rule = "block off-diagonal entry must be zero"
-            else:
-                rule = "entry outside block and earlier rows must be zero"
-            violation = EchelonViolation(idx, (i, j), rule)
+    live = list(range(1, structure.n + 1))
+    for idx, (mat, block) in enumerate(zip(matrices, structure.blocks), start=1):
+        found = _first_violation(mat, live, block)
+        if found is not None:
+            violation = EchelonViolation(idx, *found)
             return ValidationReport(False, violation, str(violation))
+        live = [r for r in live if r not in block]
     return ValidationReport(True)
 
 
 def next_block(mat: SymMatrix, live: Sequence[int]) -> frozenset[int] | None:
-    """The echelon step: the live indices with a positive diagonal entry when
-    `mat` restricted to `live` (the indices earlier blocks leave) is diagonal
-    with a non-negative diagonal, else None, found at the first negative
-    diagonal or non-zero off-diagonal entry. It is the only block `mat` can be
-    valid with, and `validate_echelon` accepts `mat` with it iff it is not None.
+    """The echelon step: the block B of the `live` indices (those earlier
+    blocks leave) whose diagonal entry is positive, when the walk of
+    `validate_echelon` finds nothing wrong with `mat` and B, else None. It is
+    the only block `mat` can be valid with.
     """
-    block = set()
-    for ri, r in enumerate(live):
-        d = mat._num(r, r)
-        if d < 0:
-            return None
-        if d > 0:
-            block.add(r)
-        for s in live[ri + 1:]:
-            if mat._num(r, s) != 0:
-                return None
-    return frozenset(block)
+    live = sorted(live)
+    block = frozenset(r for r in live if mat._num(r, r) > 0)
+    return None if _first_violation(mat, live, block) else block
 
 
 def infer_structure(matrices: Sequence[SymMatrix]) -> Structure | None:

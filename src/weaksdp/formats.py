@@ -603,6 +603,9 @@ def read_native(path) -> NativeBundle:
             if type(k) is not int or type(l) is not int:
                 raise NativeFormatError(f"k and l must be integers, got {k!r} and {l!r}")
             clean = _parse_instance(cert_doc["clean"], "certificate.clean", parse)
+            if (clean.m, clean.n) != (instance.m, instance.n):
+                raise ValueError(f"clean instance has m = {clean.m} and n = {clean.n}, "
+                                 f"expected the raw m = {instance.m} and n = {instance.n}")
             x_sequence = _list(cert_doc["x_sequence"], "x_sequence")
             if (problem := _size_error(clean.n, len(x_sequence))) is not None:
                 raise ValueError(f"x_sequence: {problem}")
@@ -683,8 +686,8 @@ def render_blocks(
 ) -> list[Path]:
     """One SVG per matrix: pivot-block cells red, earlier-row cells blue, zeros white.
 
-    Cell classification is the same `cell_region` the echelon validator uses,
-    so a rendering is a faithful picture of the validation regions.
+    Cells are classified by `cell_region`, the regions the echelon validator
+    walks, so a rendering is a faithful picture of the validation regions.
     """
     matrices = tuple(matrices)
     if len(matrices) != len(structure.blocks):

@@ -320,24 +320,36 @@ def gauss_jordan_by_fractions(rows, ncols):
     return pivot_cols, product
 
 
-def echelon_by_fractions(mats, structure) -> bool:
+def echelon_violation_by_fractions(mats, structure):
     """Reference echelon rule, read off `to_rows()` entry by entry: on the
     rows and columns no earlier block covers, member i is zero except a
-    positive diagonal on its own block P_i. Independent of `cell_region`
-    and of the package's echelon step."""
-    blocks = structure.blocks
-    if len(mats) != len(blocks) or any(mat.n != structure.n for mat in mats):
-        return False
+    positive diagonal on its own block P_i. Returns the first breach as
+    (member, (r, s), rule), r <= s in row-major order, or None. Independent
+    of `cell_region` and of the package's echelon walk."""
     earlier = set()
-    for mat, block in zip(mats, blocks):
-        for r, row in enumerate(mat.to_rows(), start=1):
-            for s, v in enumerate(row, start=1):
+    for number, (mat, block) in enumerate(zip(mats, structure.blocks), start=1):
+        rows = mat.to_rows()
+        for r in range(1, len(rows) + 1):
+            for s in range(r, len(rows) + 1):
                 if r in earlier or s in earlier:
                     continue
-                if not (v > 0 if r == s and r in block else v == 0):
-                    return False
+                v = rows[r - 1][s - 1]
+                if r == s and r in block:
+                    if v <= 0:
+                        return number, (r, s), "block diagonal entry must be positive"
+                elif v != 0 and r in block and s in block:
+                    return number, (r, s), "block off-diagonal entry must be zero"
+                elif v != 0:
+                    return number, (r, s), "entry outside block and earlier rows must be zero"
         earlier |= block
-    return True
+    return None
+
+
+def echelon_by_fractions(mats, structure) -> bool:
+    """The reference echelon verdict: shapes match and no breach is found."""
+    if len(mats) != len(structure.blocks) or any(mat.n != structure.n for mat in mats):
+        return False
+    return echelon_violation_by_fractions(mats, structure) is None
 
 
 def weak_certificate_by_fractions(cert) -> bool:

@@ -248,6 +248,15 @@ def test_certificate_of_the_wrong_shape_is_parse_error(me_bundle, capsys, field,
     assert message in capsys.readouterr().err
 
 
+def test_clean_instance_of_another_shape_is_parse_error(me_bundle, capsys):
+    doc = json.loads(me_bundle.read_text())
+    clean = doc["certificate"]["clean"]
+    clean.update(b=clean["b"][:1], matrices=clean["matrices"][:1])
+    me_bundle.write_text(json.dumps(doc))
+    assert main(["verify", "--json", str(me_bundle)]) == 3
+    assert "clean instance has m = 1 and n = 2, expected the raw m = 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "sieve"])
 def test_over_long_json_integer_is_parse_error(me_bundle, capsys, command):
     # json.dumps cannot spell a 5000-digit int under the default limit, so splice the text

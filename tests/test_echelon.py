@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from weaksdp import (
     EchelonSequence,
+    EchelonViolation,
     GenConfig,
     Matrix,
     SdpInstance,
@@ -35,6 +36,7 @@ from weaksdp.paper_instances import motzkin_monomial_groups
 
 from oracles import (
     closeness_detail_by_fractions,
+    echelon_violation_by_fractions,
     inner_mismatch_by_fractions,
     rational_grid,
     search_strong_infeasibility_multiplier,
@@ -102,6 +104,49 @@ class TestValidateEchelon:
     def test_count_mismatch_raises(self):
         with pytest.raises(ValueError):
             validate_echelon([SymMatrix.identity(2)], blocks(2, {1}, {2}))
+
+
+@st.composite
+def echelon_cases(draw):
+    """A structure of order 1-6 with up to 4 blocks, empty blocks and
+    uncovered indices included, and one member per block. Each member is in
+    echelon form, entries from {-1, 0, 1, 2}, before up to two of the cells
+    no earlier block covers are overwritten, mostly from the same set: so a
+    sequence passes or fails at any member, cell and rule."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.integers(0, 4))
+    owner = draw(st.lists(st.integers(0, count), min_size=n, max_size=n))  # 0: uncovered
+    structure = Structure(n, tuple(
+        frozenset(r for r in range(1, n + 1) if owner[r - 1] == b) for b in range(1, count + 1)))
+    values = st.sampled_from((-1, 0, 1, 2))
+    cells = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
+    mats, earlier = [], set()
+    for block in structure.blocks:
+        free = draw(st.integers(0, 4 ** len(cells) - 1))  # one base-4 digit per cell
+        upper = [(free >> 2 * c) % 4 - 1 if r in earlier or s in earlier
+                 else int(r == s and r in block) for c, (r, s) in enumerate(cells)]
+        live = [c for c, (r, s) in enumerate(cells) if r not in earlier and s not in earlier]
+        for _ in range(draw(st.integers(0, 2)) if live else 0):
+            upper[draw(st.sampled_from(live))] = draw(values | st.fractions(-2, 2, max_denominator=3))
+        mats.append(SymMatrix(n, upper))
+        earlier |= block
+    return tuple(mats), structure
+
+
+class TestValidationAgainstFractions:
+    @given(echelon_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_report_matches_fraction_reference(self, case):
+        mats, structure = case
+        report = validate_echelon(mats, structure)
+        want = echelon_violation_by_fractions(mats, structure)
+        if want is None:
+            assert (report.ok, report.violation, report.detail) == (True, None, "")
+        else:
+            number, position, rule = want
+            assert not report.ok
+            assert report.violation == EchelonViolation(number, position, rule)
+            assert report.detail == f"matrix {number} entry {position}: {rule}"
 
 
 class TestEchelonSequence:

@@ -570,6 +570,22 @@ class TestNative:
             read_native(path)
         assert str(err.value) == f"malformed certificate: {message}"
 
+    @pytest.mark.parametrize("clean, shape", [
+        ({"b": ["0"], "matrices": [[["1", "0"], ["0", "0"]]]}, "m = 1 and n = 2"),
+        ({"n": 1, "matrices": [[["1"]], [["0"]]]}, "m = 2 and n = 1"),
+    ], ids=["fewer-constraints", "lower-order"])
+    def test_clean_instance_of_another_shape_rejected(self, tmp_path, clean, shape):
+        raw, cert = me_instance()
+        path = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert), path)
+        doc = json.loads(path.read_text())
+        doc["certificate"]["clean"].update(clean)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NativeFormatError) as err:
+            read_native(path)
+        assert str(err.value) == (f"malformed certificate: clean instance has {shape}, "
+                                  "expected the raw m = 2 and n = 2")
+
     @pytest.mark.parametrize("n, count, limit", [
         (ORDER_LIMIT + 1, 0, f"order {ORDER_LIMIT + 1} is over the limit"),
         # 2 n(n+1)/2 > CELL_LIMIT at n = ORDER_LIMIT; the matrices are never read

@@ -1,9 +1,14 @@
-"""Module boundaries: no package module reaches into a sibling's private names."""
+"""Module boundaries: no package module reaches into a sibling's private
+names, and the modules above the kernels read no matrix storage."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weaksdp"
+# the private storage of `Matrix` and `SymMatrix` and its private readers
+STORAGE = {"_u", "_e", "_d", "_num", "_num_rows", "_rows_of"}
+# modules that read matrices only through the public API
+PUBLIC_READERS = ("certify.py", "generator.py", "library.py", "paper_instances.py", "cli.py")
 
 
 def _private(name: str) -> bool:
@@ -37,6 +42,12 @@ def private_imports(tree: ast.AST) -> list[str]:
     return found
 
 
+def storage_reads(tree: ast.AST) -> list[str]:
+    """Reads of a `STORAGE` attribute of any object."""
+    return [f"line {node.lineno}: reads .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in STORAGE]
+
+
 def test_detector_sees_both_forms():
     tree = ast.parse(
         "from .generator import _draw_echelon\n"
@@ -55,5 +66,18 @@ def test_no_module_imports_a_private_sibling_name():
     offences = {
         path.name: hits for path in modules
         if (hits := private_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert offences == {}
+
+
+def test_storage_detector_sees_any_object():
+    tree = ast.parse("mat._u[0]\ninst.A[0]._num(1, 1)\nx.at(1, 1)\n")
+    assert storage_reads(tree) == ["line 1: reads ._u", "line 2: reads ._num"]
+
+
+def test_public_readers_read_no_matrix_storage():
+    offences = {
+        name: hits for name in PUBLIC_READERS
+        if (hits := storage_reads(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))))
     }
     assert offences == {}
