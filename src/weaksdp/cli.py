@@ -4,7 +4,9 @@ library, paper-instance.
 Exit codes are a contract: 0 success, 1 verification/detection failure,
 2 usage error, 3 I/O or parse error. Integer options accept ``-?[0-9]+``
 and rational options exact rational syntax ("1/1000"), each integer of at
-most DIGIT_LIMIT digits; nothing is ever parsed through floating point.
+most DIGIT_LIMIT digits; nothing is ever parsed through floating point. A
+value outside an option's range (``--eps`` not positive, ``--alpha`` zero)
+is a usage error too.
 """
 
 from __future__ import annotations
@@ -50,11 +52,17 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = _int_flag(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _ranged(parse, ok, message: str):
+    """A flag type: `parse`, then a usage error with `message` unless `ok(value)`."""
+    def flag(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return flag
+
+
+_positive_int = _ranged(_int_flag, lambda value: value >= 1, "must be >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wit = sub.add_parser("witness", help="exact PSD point within --eps of the constraint set")
     p_wit.add_argument("path")
-    p_wit.add_argument("--eps", type=_rational_flag, default=rational("1/100"))
+    p_wit.add_argument("--eps", type=_ranged(_rational_flag, lambda eps: eps > 0, "must be > 0"),
+                       default=rational("1/100"))
     p_wit.set_defaults(func=_cmd_witness)
 
     p_exp = sub.add_parser("export", help="emit the stored instance in a solver format")
@@ -110,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_paper = sub.add_parser("paper-instance", help="materialize a built-in reference instance")
     p_paper.add_argument("--name", choices=["me", "large", "3x3", "motzkin"], required=True)
-    p_paper.add_argument("--alpha", type=_rational_flag, default=rational(1),
-                         help="parameter for the 3x3 family")
+    p_paper.add_argument("--alpha", type=_ranged(_rational_flag, lambda alpha: alpha != 0,
+                                                 "must be nonzero"),
+                         default=rational(1), help="parameter for the 3x3 family")
     p_paper.add_argument("--out")
     p_paper.set_defaults(func=_cmd_paper_instance)
     return parser

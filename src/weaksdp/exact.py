@@ -318,15 +318,6 @@ class SymMatrix:
         return cls._of_ratios(n, upper)
 
     @classmethod
-    def _of_cells(cls, n: int, cells: dict[tuple[int, int], tuple[int, int]]) -> "SymMatrix":
-        """The matrix with entry `(p, q)` at each 1-based cell (i, j), i <= j,
-        of `cells`, and zero elsewhere."""
-        upper = [(0, 1)] * (n * (n + 1) // 2)
-        for (i, j), value in cells.items():
-            upper[_upper_offset(n, i, j)] = value
-        return cls._of_ratios(n, upper)
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "SymMatrix":
         return cls._of_rows([list(row) for row in rows], _ratio)
 

@@ -15,12 +15,12 @@ The readers only turn text into numbers: integer fields go through
 `exact.strict_int`, each distinct token once per file, and the matrices are
 built by private `SymMatrix` constructors, so the symmetric-rows rule of
 `SymMatrix.from_rows` has one implementation, in `exact.py`. `read_sdpa`
-finds its header lines from the top and reads a canonical body, every line
-as `write_sdpa` writes it, in one bulk pass: one regex over the whole body,
-each distinct value string parsed once, and each cell placed at the packed
-offset the writers' `_upper_cells` gives it. Any other body, valid but not
-canonical or faulty, goes through the line loop, which reads it one line at
-a time and names the line and the fault of a file it refuses.
+finds its header lines from the top and reads every body, valid or not, in
+one pass: one `split()` of the whole body, each field's distinct tokens
+parsed and range-checked once, and each cell placed at the packed offset of
+`_upper_offset`, which the writers' `_upper_cells` use too. Only when that
+pass refuses a body does a walk over its numbered lines name the first
+faulty line and its fault.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import compress, islice
 from math import gcd
 from operator import add
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
     CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, rational, strict_int, text_ratio,
@@ -136,12 +136,17 @@ def _format_value(num: int, den: int) -> tuple[str, bool]:
     return _decimal_rounded(q), True
 
 
+def _upper_offset(n: int, i: int, j: int) -> int:
+    """The offset of the 1-based cell (i, j), i <= j, in the packed row-major
+    upper triangle of order n."""
+    return (i - 1) * (2 * n - i + 2) // 2 + (j - i)
+
+
 @lru_cache(maxsize=8)
 def _upper_cells(n: int, by_column: bool) -> tuple[tuple[int, int, int], ...]:
     """(offset in the packed upper triangle, i, j) of each cell i <= j of order n,
     1-based, row by row or column by column."""
-    packed = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    cells = [(p, i, j) for p, (i, j) in enumerate(packed)]
+    cells = [(_upper_offset(n, i, j), i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     if by_column:
         cells.sort(key=lambda cell: (cell[2], cell[1]))
     return tuple(cells)
@@ -200,12 +205,15 @@ def _line_of(exc: UnicodeDecodeError) -> int:
     return exc.object.count(b"\n", 0, exc.start) + 1
 
 
-# covers every value `write_sdpa` emits: an optional minus, digits, optional decimals
+# a value: an optional minus, a digit run, and optionally a point and another run
 _SDPA_VALUE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+))?")
 
-# a body line as `write_sdpa` writes it, "k 1 i j value": the matrix number,
-# the cell "i j" and the value
-_SDPA_LINE = re.compile(r"^([0-9]+) 1 ([0-9]+ [0-9]+) (-?[0-9]+(?:\.[0-9]+)?)$", re.M)
+# a value in that grammar with no run over DIGIT_LIMIT digits, then a space:
+# substituted away from space-separated tokens, it leaves only what is not a
+# value (one match over all the tokens would hold regex state for each of them)
+_SDPA_VALUE_TOKEN = re.compile(rf"-?[0-9]{{1,{DIGIT_LIMIT}}}(?:\.[0-9]{{1,{DIGIT_LIMIT}}})? ")
+
+_SDPA_FIELDS = ("matrix number", "block number", "row", "column")
 
 
 def _sdpa_int(text: str, line_no: int, what: str) -> int:
@@ -238,109 +246,92 @@ def _data_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
             yield line_no, text
 
 
-@lru_cache(maxsize=8)
-def _cell_offsets(n: int) -> dict[str, int]:
-    """The packed offset of each cell token "i j" of order n, i <= j or i > j."""
-    offsets = {}
-    for p, i, j in _upper_cells(n, False):
-        offsets[f"{i} {j}"] = offsets[f"{j} {i}"] = p
-    return offsets
+def _int_table(tokens: list[str], low: int, high: int, scale: int = 1) -> dict[str, int]:
+    """scale * k for each distinct token spelling an integer k in low..high;
+    ValueError for any other token."""
+    ints = {token: strict_int(token) for token in set(tokens)}
+    if ints and not low <= min(ints.values()) <= max(ints.values()) <= high:
+        raise ValueError("out of range")
+    return {token: scale * k for token, k in ints.items()}
 
 
-def _body_in_bulk(lines: list[str], n: int, m: int) -> tuple[SymMatrix, ...] | None:
-    """The m matrices of order n that the body `lines` set when every line is
-    canonical, else None. A canonical line is one `write_sdpa` writes, "k 1 i j
-    value" with k in 1..m and i, j in 1..n spelled without leading zeros, and
-    with a value of at most DIGIT_LIMIT characters.
+def _read_body(lines: list[str], n: int, m: int) -> tuple[SymMatrix, ...]:
+    """The m matrices of order n that the body `lines` set; ValueError when a
+    data line of it is faulty.
 
-    The lookup tables hold the m matrix numbers and the n^2 cell tokens; a
-    body of fewer lines than either is left to the line loop, so that the
-    memory the reader takes stays in proportion to the file."""
-    if max(n * n, m) > len(lines):
-        return None
-    text = "\n".join(lines)
-    found = _SDPA_LINE.findall(text)
-    if len(found) != len(lines):
-        return None
-    mats, cells, values = zip(*found)
-    size = n * (n + 1) // 2
-    bases = {str(k): (k - 1) * size for k in range(1, m + 1)}
-    try:
-        positions = list(map(add, map(bases.__getitem__, mats),
-                             map(_cell_offsets(n).__getitem__, cells)))
-    except KeyError:  # a leading zero, matrix number 0 or an index out of range
-        return None
+    The body is split once, with a token "\\0" after each data line, so a
+    line of other than five fields puts a "\\0" out of place. Each field's
+    distinct tokens are parsed and range-checked once, and the cells are
+    placed through tables built from those tokens, none larger than the
+    file. A line of matrix number 0, the objective, is dropped; when a cell
+    is set twice, the later line wins."""
+    # the data lines, as `_data_lines` finds them
+    data = [text for text in map(str.strip, lines) if text and text[0] not in '*"']
+    tokens = " \0 ".join([*data, ""]).split()
+    if len(tokens) != 6 * len(data) or tokens[5::6].count("\0") != len(data):
+        raise ValueError("a line of other than five fields")
+    mats, blocks, rows, cols, values = (tokens[field::6] for field in range(5))
     distinct = set(values)
-    if max(map(len, distinct)) > DIGIT_LIMIT:  # checked before any int()
-        return None
-    decimal = "." in text  # then every entry is a (num, 10^d) pair
+    spelled = " ".join([*distinct, ""])
+    size = n * (n + 1) // 2
+    base = _int_table(mats, 0, m, size)  # k * size: the offsets below subtract one size
+    _int_table(blocks, 1, 1)
+    high, low = _int_table(rows, 1, n, n + 1), _int_table(cols, 1, n)
+    if _SDPA_VALUE_TOKEN.sub("", spelled):
+        raise ValueError("a value outside the grammar")
+    # a cell (i, j) is the key i (n + 1) + j, and each distinct key gets its offset
+    keys = list(map(add, map(high.__getitem__, rows), map(low.__getitem__, cols)))
+    offset = {key: _upper_offset(n, *sorted(divmod(key, n + 1))) - size for key in set(keys)}
+    bases = list(map(base.__getitem__, mats))
+    positions = map(add, bases, map(offset.__getitem__, keys))
+    decimal = "." in spelled  # then every entry is a (num, 10^d) pair
     if decimal:
         value_of = {value: _sdpa_value(value, None) for value in distinct}
     else:
         value_of = dict(zip(distinct, map(int, distinct)))
-    # (i, j) and (j, i) set one cell, and the last line wins
-    placed = dict(zip(positions, map(value_of.__getitem__, values)))
-    flat = list(map(placed.get, range(m * size), repeat((0, 1) if decimal else 0)))
+    flat = [(0, 1) if decimal else 0] * (m * size)
+    # a line of the objective has base 0, and `compress` drops it
+    for position, value in compress(zip(positions, map(value_of.__getitem__, values)), bases):
+        flat[position] = value
     chunks = [flat[start:start + size] for start in range(0, m * size, size)]
     if decimal:
         return tuple(SymMatrix._of_ratios(n, nums) for nums in chunks)
     return tuple(SymMatrix._of(n, nums, 1) for nums in chunks)
 
 
-def _body_by_lines(body: Iterator[tuple[int, str]], n: int, m: int) -> tuple[SymMatrix, ...]:
-    """The m matrices of order n that the numbered `body` lines set, read one
-    line at a time: the reader of text that is not canonical, and the one that
-    names the line and the fault of a file it refuses."""
-    ints: dict[str, int] = {}  # each distinct token is parsed once
-    values: dict[str, tuple[int, int]] = {}
-
-    def parse_int(text: str, line_no: int, what: str) -> int:
-        value = ints.get(text)
-        if value is None:
-            value = ints[text] = _sdpa_int(text, line_no, what)
-        return value
-
-    # (num, 10^d) by upper cell (i, j), i <= j, of each matrix
-    entries: list[dict[tuple[int, int], tuple[int, int]]] = [{} for _ in range(m)]
+def _first_fault(body: Iterator[tuple[int, str]], n: int, m: int) -> NoReturn:
+    """Raise the fault of the first faulty line of the numbered `body` lines,
+    which `_read_body` refused: the walk names the line and builds nothing."""
     for line_no, line in body:
         fields = line.split()
         if len(fields) != 5:
             raise SdpaFormatError(f"expected 5 fields, got {len(fields)}", line_no)
-        matno = parse_int(fields[0], line_no, "matrix number")
-        blkno = parse_int(fields[1], line_no, "block number")
-        i = parse_int(fields[2], line_no, "row")
-        j = parse_int(fields[3], line_no, "column")
-        value = values.get(fields[4])
-        if value is None:
-            value = values[fields[4]] = _sdpa_value(fields[4], line_no)
+        matno, blkno, i, j = (_sdpa_int(text, line_no, what)
+                              for text, what in zip(fields, _SDPA_FIELDS))
+        _sdpa_value(fields[4], line_no)
         if not (0 <= matno <= m):
             raise SdpaFormatError(f"matrix number {matno} outside 1..{m}", line_no)
         if blkno != 1:
             raise SdpaFormatError(f"block number must be 1, got {blkno}", line_no)
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaFormatError(f"entry ({i},{j}) outside order {n}", line_no)
-        if matno:  # matrix 0 is the objective, irrelevant to the feasibility system
-            entries[matno - 1][(i, j) if i <= j else (j, i)] = value
-    return tuple(SymMatrix._of_cells(n, cells) for cells in entries)
+    raise AssertionError("a refused SDPA body has no faulty line")
 
 
 def read_sdpa(path) -> SdpInstance:
     """Parse a single-block SDPA sparse file back into an instance.
 
     Integer fields (counts, sizes, matrix, block, row and column numbers)
-    must be ``-?[0-9]+``. Values must be plain decimals,
-    ``-?[0-9]+(.[0-9]+)?``: no exponent, no fraction, no sign other than a
-    leading minus. No integer, and neither digit run of a value, may have
-    more than DIGIT_LIMIT digits. A line of matrix number 0 (the objective)
-    must have block number 1 and a cell inside the order, and is then
-    dropped.
+    must be ``-?[0-9]+``, and the constraint count must not be negative.
+    Values must be plain decimals, ``-?[0-9]+(.[0-9]+)?``: no exponent, no
+    fraction, no sign other than a leading minus. No integer, and neither
+    digit run of a value, may have more than DIGIT_LIMIT digits. A line of
+    matrix number 0 (the objective) must have block number 1 and a cell
+    inside the order, and is then dropped.
 
-    The header lines are found from the top. A body whose every line is
-    canonical, as `write_sdpa` writes it, is read in one pass: one regex
-    match per line, each distinct value string parsed once, and each cell
-    placed through lookup tables. Any other body, valid or faulty, and one
-    of fewer lines than the tables would hold, is read one line at a time;
-    that loop names the first faulty line of a file it refuses.
+    The header lines are found from the top, and the body is read in one
+    pass, valid or not. Only when that pass refuses the body does a walk over
+    its numbered lines name the first faulty line and its first fault.
     """
     try:
         lines = Path(path).read_bytes().decode("ascii").splitlines()
@@ -352,6 +343,8 @@ def read_sdpa(path) -> SdpInstance:
         raise SdpaFormatError("file shorter than the header lines")
     (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = header
     m = _sdpa_int(m_text, no_m, "constraint count")
+    if m < 0:
+        raise SdpaFormatError(f"constraint count must be non-negative, got {m}", no_m)
     nblocks = _sdpa_int(blk_text.split()[0], no_blk, "block count")
     if nblocks != 1:
         raise SdpaFormatError(f"only single-block files are supported, got {nblocks}", no_blk)
@@ -372,9 +365,10 @@ def read_sdpa(path) -> SdpInstance:
         if len(b_fields) != m:
             raise SdpaFormatError(f"expected {m} right-hand side values, got {len(b_fields)}", last)
         b = tuple(Fraction(*_sdpa_value(f, last)) for f in b_fields)
-    matrices = _body_in_bulk(lines[last:], n, m)
-    if matrices is None:
-        matrices = _body_by_lines(data, n, m)
+    try:
+        matrices = _read_body(lines[last:], n, m)
+    except ValueError:
+        _first_fault(data, n, m)
     return SdpInstance(n, matrices, b)
 
 

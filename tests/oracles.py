@@ -408,13 +408,16 @@ def closeness_detail_by_fractions(inst, xseq, structure):
 
 
 def read_sdpa_by_lines(path):
-    """Reference SDPA reader: every line of the file read on its own, the loop
-    `read_sdpa` runs for text it cannot read in one pass. It raises the
-    package's `SdpaFormatError` with the same message and line number, at the
-    first faulty line. A body line is checked field by field (five fields;
-    matrix, block, row and column numbers; the value) and then for range
-    (matrix number in 0..m, block number 1, cell inside the order), also on
-    a line of matrix number 0, which is dropped after its checks."""
+    """Reference SDPA reader: every line of the file read on its own, split
+    and parsed field by field, with none of the tables `read_sdpa` reads its
+    body through. It raises the package's `SdpaFormatError` with the same
+    message and line number, at the first faulty line. The header is checked
+    in order (constraint count, non-negative; block count, 1; block size,
+    positive and within the limits; then the right-hand side). A body line is
+    checked field by field (five fields; matrix, block, row and column
+    numbers; the value) and then for range (matrix number in 0..m, block
+    number 1, cell inside the order), also on a line of matrix number 0,
+    which is dropped after its checks."""
     import re
     from pathlib import Path
 
@@ -449,6 +452,8 @@ def read_sdpa_by_lines(path):
 
     (no_m, m_text), (no_blk, blk_text), (no_size, size_text) = numbered[:3]
     m = integer(m_text, no_m, "constraint count")
+    if m < 0:
+        raise SdpaFormatError(f"constraint count must be non-negative, got {m}", no_m)
     blocks = integer(blk_text.split()[0], no_blk, "block count")
     if blocks != 1:
         raise SdpaFormatError(f"only single-block files are supported, got {blocks}", no_blk)

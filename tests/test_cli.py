@@ -202,6 +202,17 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["witness", "ME", "--eps", "0"], "argument --eps: must be > 0"),
+    (["witness", "ME", "--eps=-1/2"], "argument --eps: must be > 0"),
+    (["paper-instance", "--name", "3x3", "--alpha", "0"], "argument --alpha: must be nonzero"),
+])
+def test_out_of_range_rational_flag_is_usage_error(me_bundle, capsys, args, message):
+    # a value in the rational grammar but outside the flag's range is a usage error too
+    assert main([str(me_bundle) if arg == "ME" else arg for arg in args]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["1_0", "+5", " 6", "6 ", "\u0665", "5\n", "0x5", "5.0"])
 @pytest.mark.parametrize("flag", ["--n", "--m", "--k", "--l", "--seed", "--entry-range"])
 def test_integer_flags_take_only_ascii_digits(tmp_path, flag, text):

@@ -277,11 +277,21 @@ class TestSdpa:
         SdpInstance(2, (SymMatrix.from_rows([[Fraction(1, 4), -3], [-3, Fraction(-5, 2)]]),
                         SymMatrix.from_rows([[2, Fraction(1, 8)], [Fraction(1, 8), 1]])), (1, 0)),
     ], ids=["integers", "decimals"])
-    def test_written_file_is_read_in_one_pass(self, tmp_path, monkeypatch, inst):
+    def test_written_file_roundtrips(self, tmp_path, inst):
         path = tmp_path / "t.dat-s"
         write_sdpa(inst, path)
-        monkeypatch.setattr(formats, "_body_by_lines", None)  # the line loop must not run
         assert read_sdpa(path) == inst
+
+    @pytest.mark.parametrize("text", ["-2\n1\n2\n0 2\n", "-2\n1\n2\n", "* c\n-2\n1\n2\n1 1 1 1 1\n"])
+    def test_negative_constraint_count_refused_on_its_line(self, tmp_path, text):
+        path = tmp_path / "negative.dat-s"
+        path.write_text(text)
+        line = 2 if text.startswith("*") else 1
+        message = f"line {line}: constraint count must be non-negative, got -2"
+        for reader in (read_sdpa, read_sdpa_by_lines):
+            with pytest.raises(SdpaFormatError) as err:
+                reader(path)
+            assert (str(err.value), err.value.line) == (message, line)
 
     def test_digit_limit_holds_without_the_interpreters_limit(self, tmp_path):
         # with CPython's own limit switched off, a body value of DIGIT_LIMIT + 1
@@ -383,6 +393,35 @@ def test_sdpa_reader_agrees_with_the_line_by_line_reference(inst, edits):
             assert read_sdpa(path) == expected
             if not edits:
                 assert expected == inst
+
+
+# seams of a reader that splits the whole body at once: a value longer than
+# DIGIT_LIMIT characters whose digit runs are each within it, a short line
+# beside a long one whose fields add up to two lines' worth, and a separator
+# that `str.split` takes for whitespace
+_LIMIT_DIGITS = "-" + "9" * DIGIT_LIMIT
+_TWO_RUNS = "3" * 3000 + "." + "7" * 3000
+_TWO_RUNS_VALUE = int("3" * 3000) + Fraction(int("7" * 3000), 10**3000)
+
+
+@pytest.mark.parametrize("text, expected", [
+    (f"1\n1\n2\n1\n1 1 1 2 {_LIMIT_DIGITS}\n",
+     SdpInstance(2, (SymMatrix(2, [0, 1 - 10**DIGIT_LIMIT, 0]),), (1,))),
+    (f"1\n1\n2\n{_TWO_RUNS}\n1 1 2 2 {_TWO_RUNS}\n",
+     SdpInstance(2, (SymMatrix(2, [0, 0, _TWO_RUNS_VALUE]),), (_TWO_RUNS_VALUE,))),
+    ("1\n1\n2\n1\n1 1 1 1\n5 1 1 1 1 2\n", "line 5: expected 5 fields, got 4"),
+    ("1\n1\n2\n1\n1\x1f1 1\x1f2\x1f3\n", SdpInstance(2, (SymMatrix(2, [0, 3, 0]),), (1,))),
+], ids=["minus-and-limit-digits", "two-runs-of-3000-digits", "four-then-six-fields", "unit-separator"])
+def test_sdpa_reader_seams(tmp_path, text, expected):
+    path = tmp_path / "seam.dat-s"
+    path.write_text(text)
+    for reader in (read_sdpa, read_sdpa_by_lines):
+        if isinstance(expected, str):
+            with pytest.raises(SdpaFormatError) as err:
+                reader(path)
+            assert str(err.value) == expected
+        else:
+            assert reader(path) == expected
 
 
 class TestCbf:
