@@ -56,7 +56,9 @@ DIGIT_LIMIT = 4300
 """The most digits an integer may have in any exact text: a rational string,
 an SDPA field, a JSON literal or an integer flag. It is CPython's default
 int-to-string limit, fixed here so that no environment setting widens what
-the package accepts."""
+the package accepts. A lower limit of the interpreter (`PYTHONINTMAXSTRDIGITS`
+or `sys.set_int_max_str_digits`) applies instead: `int()` refuses the longer
+integers, and the readers report that as a parse error."""
 
 ORDER_LIMIT = 1000
 """The largest matrix order n that a reader accepts."""
@@ -202,12 +204,6 @@ class Matrix:
         """The rows of stored numerators, over the denominator ``_d``."""
         c = self.cols
         return [list(self._e[r * c : (r + 1) * c]) for r in range(self.rows)]
-
-    def _rows_of(self, f) -> list[list]:
-        """The rows of f(v) for the stored numerators v, one call per entry."""
-        c = self.cols
-        values = list(map(f, self._e))
-        return [values[r * c : (r + 1) * c] for r in range(self.rows)]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(1, self.rows + 1)]
@@ -356,10 +352,6 @@ class SymMatrix:
     def _num_rows(self) -> list[list[int]]:
         """The n full rows of stored numerators, over the denominator ``_d``."""
         return _square(self._u, self.n)
-
-    def _rows_of(self, f) -> list[list]:
-        """The n full rows of f(v) for the stored numerators v, one call per upper entry."""
-        return _square(list(map(f, self._u)), self.n)
 
     def to_rows(self) -> list[list[Fraction]]:
         return _square([Fraction(v, self._d) for v in self._u], self.n)

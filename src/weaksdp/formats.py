@@ -8,8 +8,9 @@ stored numerators, and `json.dumps(bundle_to_json(bundle), indent=1)` plus a
 newline is the reference it matches byte for byte. SDPA and CBF are
 solver-input exports; they are exact whenever every value has a terminating
 decimal expansion (always true for the integer instances the generator emits)
-and flagged as lossy otherwise. Nothing written here contains timestamps, so
-identical inputs produce identical bytes.
+and flagged as lossy otherwise. All three writers take the text of a matrix
+from `_leaves`, which spells each distinct matrix once. Nothing written here
+contains timestamps, so identical inputs produce identical bytes.
 
 The readers only turn text into numbers: integer fields go through
 `exact.strict_int`, each distinct token once per file, and the matrices are
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
 from math import gcd
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
@@ -142,24 +143,57 @@ def _upper_offset(n: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n - i + 2) // 2 + (j - i)
 
 
+@lru_cache(maxsize=64)
+def _leaves(mat: Matrix | SymMatrix) -> tuple[str, ...]:
+    """The `str(Fraction)` text of each stored entry, in storage order: the
+    packed upper triangle of a `SymMatrix`, row-major for a `Matrix`.
+
+    Every writer spells a matrix through here, and hash and `==` are
+    structural, so the files of one library pair spell each distinct matrix
+    once. A pair of the large category (n = 40, m = 25, l <= 3) holds at most
+    58: its clean and messy A_i, its X_j, and G and T on either side."""
+    den = mat._d
+    nums = mat._u if type(mat) is SymMatrix else mat._e
+    if den == 1:
+        return tuple(map(str, nums))
+
+    def spell(v: int) -> str:
+        g = gcd(v, den)
+        return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+    return tuple(map(spell, nums))
+
+
 @lru_cache(maxsize=8)
-def _upper_cells(n: int, by_column: bool) -> tuple[tuple[int, int, int], ...]:
-    """(offset in the packed upper triangle, i, j) of each cell i <= j of order n,
-    1-based, row by row or column by column."""
+def _upper_cells(n: int, by_column: bool) -> tuple[tuple[int, str], ...]:
+    """(offset in the packed upper triangle, text of the cell) of each cell
+    i <= j of order n: row by row as SDPA's 1-based "i j", or column by
+    column as CBF's 0-based "j-1 i-1", the lower triangle row by row."""
     cells = [(_upper_offset(n, i, j), i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     if by_column:
         cells.sort(key=lambda cell: (cell[2], cell[1]))
-    return tuple(cells)
+        return tuple((p, f"{j - 1} {i - 1}") for p, i, j in cells)
+    return tuple((p, f"{i} {j}") for p, i, j in cells)
 
 
-def _nonzero_upper(mat: SymMatrix, by_column: bool = False) -> Iterator[tuple[int, int, str, bool]]:
-    """(i, j, text, rounded) of each non-zero upper entry, walking the packed
-    triangle in the order of `_upper_cells`."""
+def _entry_lines(mat: SymMatrix, prefix: str, by_column: bool) -> tuple[list[str], bool]:
+    """The line `prefix`, cell text and value of each non-zero upper entry, in
+    the order of `_upper_cells`, and whether a value is rounded. An integer
+    matrix takes its values from `_leaves`; any other goes through
+    `_format_value`."""
     u, den = mat._u, mat._d
-    for p, i, j in _upper_cells(mat.n, by_column):
-        v = u[p]
-        if v:  # the integer case of `_format_value` inline: it is most entries
-            yield (i, j, str(v), False) if den == 1 else (i, j, *_format_value(v, den))
+    cells = _upper_cells(mat.n, by_column)
+    if den == 1:
+        leaves = _leaves(mat)
+        return [f"{prefix}{cell} {leaves[p]}" for p, cell in cells if u[p]], False
+    spelled = [(cell, *_format_value(u[p], den)) for p, cell in cells if u[p]]
+    return [f"{prefix}{cell} {text}" for cell, text, _ in spelled], any(r for *_, r in spelled)
+
+
+def _comment(label: str) -> str:
+    """`label` as one line of printable ASCII, escaped as by `unicode_escape`:
+    the identity on printable ASCII other than a backslash."""
+    return label.encode("unicode_escape").decode("ascii")
 
 
 def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
@@ -175,9 +209,9 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     body: list[str] = []
     lossy = False
     for idx, mat in enumerate(inst.A, start=1):
-        for i, j, text, rounded in _nonzero_upper(mat):
-            lossy = lossy or rounded
-            body.append(f"{idx} 1 {i} {j} {text}")
+        entries, rounded = _entry_lines(mat, f"{idx} 1 ", by_column=False)
+        body += entries
+        lossy = lossy or rounded
     b_parts = []
     for v in inst.b:
         text, rounded = _format_value(*v.as_integer_ratio())
@@ -189,7 +223,7 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
         "*   so reported primal infeasibility means this system is infeasible",
     ]
     if label:
-        lines.append(f"* label: {label}")
+        lines.append(f"* label: {_comment(label)}")
     if lossy:
         lines.append(f"* lossy: some values rounded to {_SIGNIFICANT} significant digits")
     lines.append(str(inst.m))
@@ -381,14 +415,13 @@ def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
     """
     lines = ["# feasibility system over one psd variable: A_i . X = b_i"]
     if label:
-        lines.append(f"# label: {label}")
+        lines.append(f"# label: {_comment(label)}")
     lossy = False
     fcoord: list[str] = []
     for ci, mat in enumerate(inst.A):
-        # the lower triangle row by row is the upper one column by column
-        for i, j, text, rounded in _nonzero_upper(mat, by_column=True):
-            lossy = lossy or rounded
-            fcoord.append(f"{ci} 0 {j - 1} {i - 1} {text}")
+        entries, rounded = _entry_lines(mat, f"{ci} 0 ", by_column=True)
+        fcoord += entries
+        lossy = lossy or rounded
     bcoord: list[str] = []
     for ci, v in enumerate(inst.b):
         if v != 0:
@@ -423,16 +456,29 @@ class NativeBundle:
             raise ValueError("certificate does not refer to the bundled instance")
 
 
+@lru_cache(maxsize=8)
+def _mirror(n: int) -> itemgetter:
+    """The getter of the n * n entries of a symmetric matrix of order n >= 2,
+    row by row, from its packed upper triangle."""
+    return itemgetter(*(_upper_offset(n, min(i, j), max(i, j))
+                        for i in range(1, n + 1) for j in range(1, n + 1)))
+
+
+def _leaf_rows(mat: Matrix | SymMatrix) -> list[tuple[str, ...]]:
+    """The rows of the matrix's `_leaves`, a `SymMatrix` mirrored below the diagonal."""
+    leaves = _leaves(mat)
+    if type(mat) is SymMatrix:
+        count = width = mat.n
+        if width > 1:  # with one index, `itemgetter` returns the bare leaf
+            leaves = _mirror(width)(leaves)
+    else:
+        count, width = mat.rows, mat.cols
+    return [leaves[r * width:(r + 1) * width] for r in range(count)]
+
+
 def _rows_json(mat: Matrix | SymMatrix) -> list[list[str]]:
-    """The rows in the text of `str(Fraction)`, which is `str(num)` for an
-    integer; a `SymMatrix` spells each upper entry once."""
-    den = mat._d
-
-    def spell(v: int) -> str:
-        g = gcd(v, den)
-        return str(v // g) if g == den else f"{v // g}/{den // g}"
-
-    return mat._rows_of(str if den == 1 else spell)
+    """The rows of leaf text, new lists on every call."""
+    return list(map(list, _leaf_rows(mat)))
 
 
 def _bundle_doc(bundle: NativeBundle, matrix) -> dict:
@@ -474,7 +520,7 @@ class _MatrixText:
     __slots__ = ("rows",)
 
     def __init__(self, mat: Matrix | SymMatrix):
-        self.rows = _rows_json(mat)
+        self.rows = _leaf_rows(mat)
 
     def layout(self, indent: str) -> str:
         # every leaf is ASCII -?[0-9]+(/[0-9]+)?, so no leaf needs escaping

@@ -494,3 +494,76 @@ def read_sdpa_by_lines(path):
     return SdpInstance(n, tuple(
         SymMatrix.from_rows([[c.get((min(r, s), max(r, s)), 0) for s in rows] for r in rows])
         for c in cells), b)
+
+
+def _spelled_entries(mat, by_column):
+    """(i, j, text, rounded) of each non-zero upper entry (i <= j) of `mat`,
+    read one by one through `at` and spelled by `formats._format_value`: row
+    by row, or column by column."""
+    from weaksdp.formats import _format_value
+
+    n = mat.n
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    if by_column:
+        cells.sort(key=lambda cell: (cell[1], cell[0]))
+    return [(i, j, *_format_value(*mat.at(i, j).as_integer_ratio()))
+            for i, j in cells if mat.at(i, j) != 0]
+
+
+def sdpa_text_by_entries(inst, label=None):
+    """Reference `write_sdpa` text, each entry listed and spelled on its own.
+    A label is written as given: the reference covers labels that are
+    printable ASCII without a backslash."""
+    from weaksdp.formats import _SIGNIFICANT, _format_value
+
+    body, lossy = [], False
+    for idx, mat in enumerate(inst.A, start=1):
+        for i, j, text, rounded in _spelled_entries(mat, by_column=False):
+            lossy = lossy or rounded
+            body.append(f"{idx} 1 {i} {j} {text}")
+    b_parts = []
+    for v in inst.b:
+        text, rounded = _format_value(*v.as_integer_ratio())
+        lossy = lossy or rounded
+        b_parts.append(text)
+    lines = [
+        "* feasibility system: A_i . X = b_i over one psd block",
+        "* convention: emitted as the SDPA dual standard form with zero objective matrix,",
+        "*   so reported primal infeasibility means this system is infeasible",
+    ]
+    if label:
+        lines.append(f"* label: {label}")
+    if lossy:
+        lines.append(f"* lossy: some values rounded to {_SIGNIFICANT} significant digits")
+    lines += [str(inst.m), "1", str(inst.n), " ".join(b_parts), *body]
+    return "\n".join(lines) + "\n"
+
+
+def cbf_text_by_entries(inst, label=None):
+    """Reference `write_cbf` text, each entry listed and spelled on its own,
+    under the label rule of `sdpa_text_by_entries`."""
+    from weaksdp.formats import _SIGNIFICANT, _format_value
+
+    lines = ["# feasibility system over one psd variable: A_i . X = b_i"]
+    if label:
+        lines.append(f"# label: {label}")
+    lossy, fcoord, bcoord = False, [], []
+    for ci, mat in enumerate(inst.A):
+        # the lower triangle row by row is the upper one column by column
+        for i, j, text, rounded in _spelled_entries(mat, by_column=True):
+            lossy = lossy or rounded
+            fcoord.append(f"{ci} 0 {j - 1} {i - 1} {text}")
+    for ci, v in enumerate(inst.b):
+        if v != 0:
+            text, rounded = _format_value(*(-v).as_integer_ratio())
+            lossy = lossy or rounded
+            bcoord.append(f"{ci} {text}")
+    if lossy:
+        lines.append(f"# lossy: some values rounded to {_SIGNIFICANT} significant digits")
+    lines += ["", "VER", "3", "", "OBJSENSE", "MIN", "", "PSDVAR", "1", str(inst.n), "", "CON",
+              f"{inst.m} 1", f"L= {inst.m}"]
+    if fcoord:
+        lines += ["", "FCOORD", str(len(fcoord))] + fcoord
+    if bcoord:
+        lines += ["", "BCOORD", str(len(bcoord))] + bcoord
+    return "\n".join(lines) + "\n"

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import weaksdp
-from weaksdp import NativeBundle, large_instance, read_native, write_native
+from weaksdp import NativeBundle, large_instance, read_native, read_sdpa, write_native
 from weaksdp.cli import main
 from weaksdp.exact import ORDER_LIMIT
 
@@ -89,6 +90,17 @@ def test_export_formats(me_bundle, tmp_path):
     assert main(["export", str(me_bundle), "--format", "cbf", "--out", str(cbf)]) == 0
     assert dat.read_text().splitlines()[-1] == "2 1 1 2 1"
     assert "PSDVAR" in cbf.read_text()
+
+
+@pytest.mark.parametrize("label", ["\n1 1 1 1 7", "\r", "\u00e9", "\\"])
+def test_export_keeps_the_label_on_one_ascii_line(me_bundle, tmp_path, label):
+    bundle = read_native(me_bundle)
+    write_native(replace(bundle, label=label), me_bundle)
+    for fmt in ("dat-s", "cbf"):
+        out = tmp_path / f"me.{fmt}"
+        assert main(["export", str(me_bundle), "--format", fmt, "--out", str(out)]) == 0
+        assert sum("label: " in line for line in out.read_bytes().decode("ascii").splitlines()) == 1
+    assert read_sdpa(tmp_path / "me.dat-s") == bundle.instance
 
 
 def test_render_writes_images(me_bundle, tmp_path):
@@ -290,3 +302,24 @@ def test_digit_limit_does_not_follow_the_environment(me_bundle, command):
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 3, run.stderr
     assert "more than 4300 digits" in run.stderr
+
+
+@pytest.mark.parametrize("where", ["value", "literal"])
+def test_a_lower_interpreter_digit_limit_applies(me_bundle, where):
+    # under PYTHONINTMAXSTRDIGITS=640, 1000 digits are within DIGIT_LIMIT but not
+    # within the interpreter's limit: a parse error, not a traceback
+    text = me_bundle.read_text()
+    if where == "value":
+        doc = json.loads(text)
+        doc["instance"]["b"][0] = "1" * 1000
+        text = json.dumps(doc)
+    else:
+        text = text.replace('"n": 2', '"n": ' + "1" * 1000, 1)
+    me_bundle.write_text(text)
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+               PYTHONPATH=str(Path(weaksdp.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "weaksdp", "verify", str(me_bundle)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("parse error: ") and "Traceback" not in run.stderr
+    assert "640 digits" in run.stderr

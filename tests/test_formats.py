@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weaksdp
-from oracles import read_sdpa_by_lines
+from oracles import cbf_text_by_entries, read_sdpa_by_lines, sdpa_text_by_entries
 from weaksdp import (
     GenConfig,
     Matrix,
@@ -424,6 +424,56 @@ def test_sdpa_reader_seams(tmp_path, text, expected):
             assert reader(path) == expected
 
 
+# the writers' values: integers, exact decimals over 2^a 5^b, values rounded
+# over other denominators, and mixes of these within one matrix
+_DENOMINATORS = ((1,), (2, 4, 5, 8, 40, 125), (3, 7, 12, 30), (1, 2, 3, 10))
+
+
+@st.composite
+def _written_instances(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+
+    def values(count):
+        dens = draw(st.sampled_from(_DENOMINATORS))
+        return [Fraction(draw(st.integers(-3, 3) | st.integers(-10**20, 10**20)),
+                         draw(st.sampled_from(dens))) for _ in range(count)]
+
+    size = n * (n + 1) // 2
+    mats = tuple(SymMatrix.zeros(n) if draw(st.integers(0, 4)) == 0 else SymMatrix(n, values(size))
+                 for _ in range(m))
+    return SdpInstance(n, mats, tuple(values(m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_written_instances(),
+       label=st.none() | st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                               blacklist_characters="\\"), max_size=8))
+def test_writers_match_the_entry_by_entry_reference(inst, label):
+    with tempfile.TemporaryDirectory() as tmp:
+        sdpa, cbf = Path(tmp) / "x.dat-s", Path(tmp) / "x.cbf"
+        write_sdpa(inst, sdpa, label=label)
+        write_cbf(inst, cbf, label=label)
+        assert sdpa.read_bytes() == sdpa_text_by_entries(inst, label).encode("ascii")
+        assert cbf.read_bytes() == cbf_text_by_entries(inst, label).encode("ascii")
+
+
+@pytest.mark.parametrize("label, spelled", [
+    ("\n1 1 1 1 7", "\\n1 1 1 1 7"), ("a\rb", "a\\rb"), ("m\u00e9", "m\\xe9"),
+    ("a\\b", "a\\\\b"), ('say "hi"', 'say "hi"'),
+])
+def test_label_is_one_ascii_comment_line(tmp_path, label, spelled):
+    # a label is escaped as by unicode_escape; the rest of the file does not change
+    raw = generate(GenConfig(n=5, m=4, k=1, l=2, seed=2, messy=True)).raw
+    for write, comment, at, suffix in ((write_sdpa, "*", 3, ".dat-s"), (write_cbf, "#", 1, ".cbf")):
+        plain, labelled = tmp_path / f"plain{suffix}", tmp_path / f"labelled{suffix}"
+        write(raw, plain)
+        write(raw, labelled, label=label)
+        lines = labelled.read_bytes().decode("ascii").split("\n")
+        assert lines.pop(at) == f"{comment} label: {spelled}"
+        assert "\n".join(lines) == plain.read_text()
+    assert read_sdpa(tmp_path / "labelled.dat-s") == raw
+
+
 class TestCbf:
     def test_minimal_example_sections(self, tmp_path):
         raw, _ = me_instance()
@@ -704,6 +754,18 @@ class TestNativeLayout:
         assert_reference_bytes(NativeBundle(empty, cert, label=""), tmp_path / "empty.wsdp")
         raw, me_cert = me_instance()
         assert_reference_bytes(NativeBundle(raw, me_cert, {"nested": {"deeper": []}}), tmp_path / "me.wsdp")
+
+    def test_cached_leaves_are_not_shared(self, tmp_path):
+        # the writers share each matrix's leaf text; a caller's rows are its own
+        instance = generate(GenConfig(n=6, m=4, k=2, l=2, seed=1, messy=True))
+        bundle = NativeBundle(instance.raw, WeakCertificate.from_instance(instance))
+        first = bundle_to_json(bundle)
+        expected = json.dumps(first)
+        first["instance"]["matrices"][0][0][0] = "tampered"
+        first["certificate"]["x_sequence"][0][1].append("tampered")
+        first["certificate"]["row_ops"][0].clear()
+        assert json.dumps(bundle_to_json(bundle)) == expected
+        assert_reference_bytes(bundle, tmp_path / "instance.wsdp")
 
     def test_leaves_spell_fractions(self):
         instance = generate(GenConfig(n=6, m=4, k=2, l=2, seed=1, messy=True))
