@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exact import Matrix, SymMatrix, congruences, inner, inner_mismatch, inner_table, inners, rational
-from .linalg import least_definite_shift, psd_certify, schur_complement
+from .linalg import BorderedElimination, least_definite_shift, psd_certify, schur_complement
 
 _ZERO = Fraction(0)
 
@@ -373,6 +374,9 @@ class AsymptoteWitness:
     delta: Fraction
 
 
+_SELF_CHECK_FAILED = "constructed witness failed its own PSD check"
+
+
 def frobenius_norm_squared(a: SymMatrix) -> Fraction:
     return inner(a, a)
 
@@ -395,11 +399,20 @@ def asymptote_witness(
     D_i, so the block over P_i and S is positive definite iff the Schur
     complement of S onto P_i plus gamma_i D_i is. gamma_i is the least power
     of two for which that |P_i|-sized test passes, the same as for the whole
-    block; the test is monotone in gamma_i (D_i is positive), so
-    `least_definite_shift` finds the exponent by galloping, then bisecting,
-    each probe an integer elimination that stops at the first non-positive
-    pivot. The padding and each gamma_i X_i are added with `add` and `scale`
-    on the stored integer numerators, and the certificate check compares
+    block; `least_definite_shift` finds it, each probe an integer elimination
+    that stops at the first non-positive pivot.
+
+    One elimination carries the levels (`BorderedElimination`), on the
+    numerators of every matrix over one denominator; each gamma_i is an
+    integer, so the sums stay on it. X_j has entries only in cells with an
+    index in P_1, ..., P_j, so S grows by P_i from one level to the next and
+    changes only by gamma_i D_i on P_i's diagonal: the first S is
+    eliminated once, and each level brings the rows of P_i, those of
+    X_{l+1} plus the padding plus gamma_j X_j for j > i, through the steps
+    taken so far, adds gamma_i D_i and eliminates P_i. A pivot that is not
+    positive there (a gamma search that stopped short), or a gamma that is
+    not an integer, fails the witness as the self-check would.
+    x_out is summed once, at the end, and the certificate check compares
     every A_j . X_i with its target on integers (`inner_mismatch`). Every
     comparison is an exact rational one. The finished matrix is checked once
     more: `schur_complement` eliminating all n indices finds every pivot
@@ -422,25 +435,49 @@ def asymptote_witness(
     while len(rest) * q * q > (p * p) << (2 * e):
         e += 1
     delta = Fraction(1, 1 << e) if rest else _ZERO
-    x_delta = SymMatrix.diag([delta if r in rest else 0 for r in range(1, n + 1)])
+    x_delta = SymMatrix._of(n, [int(i == j and i + 1 in rest) for i in range(n) for j in range(i, n)], 1 << e)
 
-    current = xseq[-1].add(x_delta)
-    gammas: list[Fraction] = []
-    trailing = sorted(set(rest) | set(structure.blocks[ell]))
+    # every sum below runs over one denominator: X_j's numerators times
+    # scales[j - 1], and the padding's as den >> e
+    den = lcm(x_delta._d, *(x._d for x in xseq))
+    scales = [den // x._d for x in xseq]
+    grids = [x._num_rows() for x in xseq]
+    base = [[scales[-1] * v for v in row] for row in grids[-1]]  # X_{l+1} plus the padding
+    for r in rest:
+        base[r - 1][r - 1] += den >> e
+    elimination = BorderedElimination(n, den)
+    trailing = sorted(set(rest) | structure.blocks[ell])
+    elimination.join({r - 1: base[r - 1] for r in trailing})
+    if not elimination.eliminate([0] * len(trailing)):
+        raise AssertionError(_SELF_CHECK_FAILED)
+    shifts: list[int] = []  # gamma_l, gamma_{l-1}, ...
     for i in range(ell, 0, -1):
         block = sorted(structure.blocks[i - 1])
-        complement = schur_complement(current, trailing, block)
-        gamma = least_definite_shift(complement, xseq[i - 1].principal(block))
-        current = current.add(xseq[i - 1].scale(gamma))
-        gammas.append(gamma)
-        trailing = sorted(trailing + block)
-    gammas.reverse()
+        weights = [(gamma * scale, grid) for gamma, scale, grid
+                   in zip(shifts, reversed(scales[i:ell]), reversed(grids[i:ell]))]
+        rows = {}
+        for r in block:
+            row = base[r - 1]
+            for weight, grid in weights:
+                row = [u + weight * v for u, v in zip(row, grid[r - 1])]
+            rows[r - 1] = row
+        gamma = least_definite_shift(elimination.join(rows), xseq[i - 1].principal(block))
+        # the search returns 2^e with e >= 0, and the grid holds integer sums only
+        if gamma.denominator != 1 or not elimination.eliminate(
+                [gamma.numerator * scales[i - 1] * grids[i - 1][r - 1][r - 1] for r in block]):
+            raise AssertionError(_SELF_CHECK_FAILED)
+        shifts.append(gamma.numerator)
+    shifts.reverse()
 
+    upper = [(den >> e) * v for v in x_delta._u]
+    for coefficient, scale, x in zip([*shifts, 1], scales, xseq):
+        upper = [u + coefficient * scale * v for u, v in zip(upper, x._u)]
+    x_out = SymMatrix._of(n, upper, den)
     try:
-        schur_complement(current, range(1, n + 1), ())
+        schur_complement(x_out, range(1, n + 1), ())
     except ValueError:
-        raise AssertionError("constructed witness failed its own PSD check") from None
-    return AsymptoteWitness(x_out=current, x_delta=x_delta, gammas=tuple(gammas), delta=delta)
+        raise AssertionError(_SELF_CHECK_FAILED) from None
+    return AsymptoteWitness(x_out=x_out, x_delta=x_delta, gammas=tuple(map(Fraction, shifts)), delta=delta)
 
 
 def check_strong_infeasibility_cert(inst: SdpInstance, y: Sequence) -> bool:

@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -256,15 +257,20 @@ def _upper_offset(n: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n - i + 2) // 2 + (j - i)
 
 
+@lru_cache(maxsize=32)
+def mirror(n: int) -> itemgetter:
+    """The getter of the n * n entries of a symmetric matrix of order n >= 2,
+    row by row, from its packed upper triangle."""
+    return itemgetter(*(_upper_offset(n, min(i, j), max(i, j))
+                        for i in range(1, n + 1) for j in range(1, n + 1)))
+
+
 def _square(upper: Sequence, n: int) -> list[list]:
     """The n rows of a symmetric matrix from its packed row-major upper triangle."""
-    rows: list[list] = []
-    start = 0
-    for i in range(n):
-        # the part left of the diagonal mirrors column i of the rows above
-        rows.append([row[i] for row in rows] + list(upper[start : start + n - i]))
-        start += n - i
-    return rows
+    if n < 2:  # with one index, `itemgetter` returns the bare entry
+        return [list(upper)] * n
+    # n references to one iterator: zip groups its entries n at a time
+    return list(map(list, zip(*[iter(mirror(n)(upper))] * n)))
 
 
 class SymMatrix:

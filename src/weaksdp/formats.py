@@ -33,12 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
 from math import gcd
-from operator import add, itemgetter
+from operator import add
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
-    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, rational, strict_int, text_ratio,
+    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, mirror, rational, strict_int, text_ratio,
 )
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
@@ -456,21 +456,13 @@ class NativeBundle:
             raise ValueError("certificate does not refer to the bundled instance")
 
 
-@lru_cache(maxsize=8)
-def _mirror(n: int) -> itemgetter:
-    """The getter of the n * n entries of a symmetric matrix of order n >= 2,
-    row by row, from its packed upper triangle."""
-    return itemgetter(*(_upper_offset(n, min(i, j), max(i, j))
-                        for i in range(1, n + 1) for j in range(1, n + 1)))
-
-
 def _leaf_rows(mat: Matrix | SymMatrix) -> list[tuple[str, ...]]:
     """The rows of the matrix's `_leaves`, a `SymMatrix` mirrored below the diagonal."""
     leaves = _leaves(mat)
     if type(mat) is SymMatrix:
         count = width = mat.n
-        if width > 1:  # with one index, `itemgetter` returns the bare leaf
-            leaves = _mirror(width)(leaves)
+        if width > 1:  # with one index, the getter returns the bare leaf
+            leaves = mirror(width)(leaves)
     else:
         count, width = mat.rows, mat.cols
     return [leaves[r * width:(r + 1) * width] for r in range(count)]

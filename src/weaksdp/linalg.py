@@ -11,10 +11,13 @@ API hands out scalars. `_gauss_jordan` is the Gauss-Jordan reduction shared
 by `solve_linear`, `determinant` and `inverse`. `_eliminate` is one
 symmetric elimination step on a full working grid of numerators;
 `psd_certify` (pivoted LDL^T) runs its steps under the max-diagonal pivot
-rule, and `_positive_pivots` runs them in natural order while the pivots
-stay positive, for `schur_complement` and for each probe of
-`least_definite_shift`. The one product here, `PsdVerdict.reconstruct`, is
-one `congruence` of `exact`.
+rule, and `_positive_steps` runs them in a given order while the pivots
+stay positive: in natural order (`_positive_pivots`) for `schur_complement`
+and for each probe of `least_definite_shift`, and block by block for
+`BorderedElimination`, which also borders each new block through the steps
+already taken, so that the asymptote witness eliminates each index once
+across its levels. The one product here, `PsdVerdict.reconstruct`, is one
+`congruence` of `exact`.
 
 Positive definiteness is decided in two ways. `is_positive_definite`
 reads the verdict of `psd_certify`. Where only yes or no is needed, the
@@ -183,20 +186,24 @@ class PsdVerdict:
         return congruence(SymMatrix.diag(self.diag), t)
 
 
-def _eliminate(w: list[list[int]], pivot: int, rest: Sequence[int], prev: int) -> int:
+def _eliminate(w: list[list[int]], pivot: int, rest: Sequence[int], prev: int, new: int = 0) -> int:
     """One symmetric Bareiss step on the full integer working grid `w`, in place.
 
     With p = w[pivot][pivot], replaces w[r][s] by
     (p w[r][s] - w[r][pivot] w[pivot][s]) // prev for every r, s in `rest`
-    (which must not contain `pivot`), keeping both halves of the grid
-    current; a row with w[pivot][r] == 0 is just rescaled by p / prev.
-    `prev` is the previous step's pivot, 1 at first. Pivoting on the
-    diagonal is Bareiss's reduction of a symmetrically permuted matrix, so
-    by Sylvester's identity every division is exact, and after k steps on
-    a grid of numerators over `den` every trailing entry is prev den times
-    the same entry of the Schur complement. Row `pivot` is not touched, so
-    afterwards it still holds the step's multipliers times p. Returns p,
-    the next step's `prev`.
+    (which must not contain `pivot`) with s at or after both r and rest[new],
+    keeping both halves of the grid current; a row with w[pivot][r] == 0 is
+    just rescaled by p / prev. `prev` is the previous step's pivot, 1 at
+    first. Pivoting on the diagonal is Bareiss's reduction of a
+    symmetrically permuted matrix, so by Sylvester's identity every division
+    is exact, and after k steps on a grid of numerators over `den` every
+    trailing entry is prev den times the same entry of the Schur complement.
+    Row `pivot` is not touched, so afterwards it still holds the step's
+    multipliers times p. Returns p, the next step's `prev`.
+
+    With new = 0 every pair of `rest` takes the step. A positive `new`
+    borders: only the columns rest[new:], of rows that joined the grid after
+    this step was first taken, are brought through it (`BorderedElimination`).
     """
     row_p = w[pivot]
     p = row_p[pivot]
@@ -204,12 +211,82 @@ def _eliminate(w: list[list[int]], pivot: int, rest: Sequence[int], prev: int) -
         f = row_p[r]
         row_r = w[r]
         if f:
-            for s in rest[i:]:
+            for s in rest[i if i > new else new:]:
                 row_r[s] = w[s][r] = (p * row_r[s] - f * row_p[s]) // prev
         elif p != prev:
-            for s in rest[i:]:
+            for s in rest[i if i > new else new:]:
                 row_r[s] = w[s][r] = p * row_r[s] // prev
     return p
+
+
+def _positive_steps(w: list[list[int]], order: Sequence[int], count: int, prev: int) -> tuple[int, int]:
+    """`_eliminate` steps on the grid `w` on order[0], order[1], ..., each
+    over the indices after it in `order`, for the first `count` or until a
+    pivot is not positive; `prev` is the pivot before the first.
+
+    Returns how many steps were taken and the last step's pivot (`prev` if
+    none).
+    """
+    for t in range(count):
+        q = order[t]
+        if not w[q][q] > 0:
+            return t, prev
+        prev = _eliminate(w, q, order[t + 1:], prev)
+    return count, prev
+
+
+class BorderedElimination:
+    """One positive-pivot elimination of a symmetric integer grid W whose
+    indices join one block at a time, each step taken once.
+
+    W holds numerators over the fixed denominator `den`. `join` puts in the
+    full rows of a new block and borders them: it brings them through every
+    step taken so far, so the block's entries become prev den times its
+    Schur complement against the eliminated indices, prev being the last
+    pivot. `eliminate` then adds a diagonal to the block and takes its steps
+    while the pivots stay positive. A fresh elimination over the same
+    indices would give the same complements, and take every earlier step
+    again.
+    """
+
+    def __init__(self, n: int, den: int):
+        self._w: list[list[int]] = [[0] * n for _ in range(n)]
+        self._den = den
+        self._order: list[int] = []  # eliminated indices, 0-based, in step order
+        self._block: list[int] = []
+        self._prev = 1
+
+    def join(self, rows: dict[int, list[int]]) -> SymMatrix:
+        """Border the block of the 0-based indices of `rows`, each row of W in
+        full, and return its Schur complement, in ascending index order.
+        Columns of indices that have not joined yet are not read."""
+        w, order = self._w, self._order
+        block = self._block = sorted(rows)
+        for r in block:
+            w[r] = list(rows[r])
+        # W is symmetric: the eliminated rows take the new columns too, and
+        # each step brings both halves through it, the pivot row's entries
+        # being read from those rows
+        for q in order:
+            row_q = w[q]
+            for r in block:
+                row_q[r] = w[r][q]
+        prev, joined = 1, order + block
+        for t, q in enumerate(order):
+            prev = _eliminate(w, q, joined[t + 1:], prev, len(order) - t - 1)
+        upper = [w[r][s] for k, r in enumerate(block) for s in block[k:]]
+        return SymMatrix._of(len(block), upper, self._prev * self._den)
+
+    def eliminate(self, diagonal: Sequence[int]) -> bool:
+        """Add `diagonal`, numerators over `den`, to W's diagonal on the joined
+        block and take the block's steps in ascending order. False, with the
+        elimination left unusable, when a pivot is not positive."""
+        w, block = self._w, self._block
+        for r, v in zip(block, diagonal):
+            w[r][r] += self._prev * v
+        done, self._prev = _positive_steps(w, block, len(block), self._prev)
+        self._order += block
+        return done == len(block)
 
 
 def psd_certify(a: SymMatrix) -> PsdVerdict:
@@ -291,7 +368,7 @@ def is_positive_definite(a: SymMatrix) -> bool:
 
 
 def _positive_pivots(w: list[list[int]], count: int) -> tuple[int, int]:
-    """`_eliminate` steps on the grid `w` in natural order, pivot 0 first,
+    """`_positive_steps` on the grid `w` in natural order, pivot 0 first,
     for the first `count` indices or until a pivot is not positive.
 
     Returns how many steps were taken and the last step's pivot (1 if none):
@@ -299,13 +376,7 @@ def _positive_pivots(w: list[list[int]], count: int) -> tuple[int, int]:
     denominator. All `count` steps are taken exactly when the leading
     `count` x `count` block is positive definite.
     """
-    size = len(w)
-    prev = 1
-    for p in range(count):
-        if not w[p][p] > 0:
-            return p, prev
-        prev = _eliminate(w, p, range(p + 1, size), prev)
-    return count, prev
+    return _positive_steps(w, range(len(w)), count, 1)
 
 
 def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]) -> SymMatrix:
@@ -332,31 +403,34 @@ def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]
     )
 
 
-def _least_passing_power_of_two(passes) -> Fraction:
-    """The least 2^e, e >= 0, that `passes` (given the int 2^e), for a test
-    monotone in e: gallop e = 0, 1, 2, 4, ... to the first pass, then bisect
-    down from it, so a result of b bits costs O(log b) tests instead of b."""
-    failed, e = -1, 0
-    while not passes(2**e):
-        failed, e = e, max(1, 2 * e)
+def _least_passing_power_of_two(passes, low: int) -> Fraction:
+    """The least 2^e, e >= low, that `passes` (given the int 2^e), for a test
+    monotone in e that no e < low passes: gallop e = low, low + 1, low + 2,
+    low + 4, ... to the first pass, then bisect down from it, so a result
+    b above `low` costs O(log b) tests, and a result of `low` one test."""
+    failed, e = low - 1, low
+    while not passes(1 << e):
+        failed, e = e, low + max(1, 2 * (e - low))
     while e - failed > 1:
         mid = (failed + e) // 2
-        if passes(2**mid):
+        if passes(1 << mid):
             e = mid
         else:
             failed = mid
-    return Fraction(2**e)
+    return Fraction(1 << e)
 
 
 def least_definite_shift(c: SymMatrix, d: SymMatrix) -> Fraction:
     """The least power of two 2^e, e >= 0, for which C + 2^e D is positive definite.
 
     D must be positive definite (ValueError otherwise): then the test is
-    monotone in e and passes for e large enough, and the exponent is found
-    by galloping, then bisecting. With the stored forms C = C'/c and
-    D = D'/d, C + s D is positive definite iff d C' + s c D' is, so each
-    probe forms that integer grid and takes natural-order elimination steps
-    until a pivot is not positive.
+    monotone in e and passes for e large enough. With the stored forms
+    C = C'/c and D = D'/d, C + s D is positive definite iff d C' + s c D'
+    is, so each probe forms that integer grid and takes natural-order
+    elimination steps until a pivot is not positive. A positive definite
+    matrix has a positive diagonal, so the least e with every
+    d c'_rr + 2^e c d'_rr > 0 is a lower bound on the answer (exact for a
+    1 x 1 block); the search gallops, then bisects, from there.
     """
     if c.n != d.n:
         raise ValueError("order mismatch")
@@ -367,12 +441,19 @@ def least_definite_shift(c: SymMatrix, d: SymMatrix) -> Fraction:
         raise ValueError("the shift direction D must be positive definite")
     cw = [[dden * v for v in row] for row in cw]
     dw = [[cden * v for v in row] for row in dw]
+    low = 0
+    for r in range(n):
+        # the least e with unit 2^e > need, where the diagonal of D is positive
+        need, unit = -cw[r][r], dw[r][r]
+        if need >= 0:
+            e = max(0, need.bit_length() - unit.bit_length())
+            low = max(low, e + (unit << e <= need))
 
     def passes(s: int) -> bool:
         grid = [[u + s * v for u, v in zip(row_c, row_d)] for row_c, row_d in zip(cw, dw)]
         return _positive_pivots(grid, n)[0] == n
 
-    return _least_passing_power_of_two(passes)
+    return _least_passing_power_of_two(passes, low)
 
 
 def random_unimodular(n: int, seed: int, ops_budget: int, magnitude_cap: int) -> Matrix:

@@ -394,6 +394,18 @@ def test_witness_matches_full_doubling_on_generated(n, l, policy):
     _assert_matches_full_doubling(instance.clean, instance.xseq, instance.q_structure)
 
 
+@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from(["disjoint-only", "overlapping-allowed"]),
+       st.integers(0, 4), st.integers(0, 2**32 - 1), st.sampled_from(CRITERION_7_TOLERANCES))
+@settings(max_examples=100, deadline=None)
+def test_carried_elimination_matches_full_doubling(l, largest, policy, spare, seed, eps):
+    # blocks of 1..largest indices, so a level borders up to three rows
+    # through the steps of every earlier level
+    instance = generate(GenConfig(n=l + 2 + spare, m=l + 2, k=1, l=l, seed=seed, entry_range=3,
+                                  block_size_range=(1, largest), structure_overlap_policy=policy))
+    args = (instance.clean, instance.xseq, instance.q_structure, eps)
+    assert asymptote_witness(*args) == witness_by_full_doubling(*args)
+
+
 def test_witness_certifies_once_and_sums_on_integers(monkeypatch):
     # the gamma probes, the level sums and the final self-check run on integer
     # numerators: no PSD verdict is built, the one elimination over the full
@@ -432,16 +444,43 @@ def test_witness_certifies_once_and_sums_on_integers(monkeypatch):
         assert len(witness.gammas) == 3
 
 
-@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 2**30)])
-def test_witness_self_check_refuses_a_short_shift(monkeypatch, shift):
+def _zero_complement_certificate():
+    """l = 2 over blocks {1}, {2}, {3}: X_3 is zero on row 2, so the
+    complement onto P_2 is exactly 0 and a zero gamma_2 leaves a zero pivot
+    at the inner level."""
+    xseq = (sym([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+            sym([[0, 1, 0], [1, 1, 0], [0, 0, 0]]),
+            sym([[0, 0, 1], [0, 0, 0], [1, 0, 1]]))
+    return SdpInstance(3, (SymMatrix.diag([0, 0, 1]),), (1,)), xseq, blocks(3, {1}, {2}, {3})
+
+
+def _generated_certificate(l):
+    instance = generate(GenConfig(n=10, m=l + 5, k=1, l=l, seed=5, entry_range=3))
+    return instance.clean, instance.xseq, instance.q_structure
+
+
+@pytest.mark.parametrize("shift, certificate", [
+    pytest.param(Fraction(0), lambda: _generated_certificate(1), id="shift0"),
+    pytest.param(Fraction(1, 2**30), lambda: _generated_certificate(1), id="shift1"),
+    pytest.param(Fraction(0), lambda: _generated_certificate(3), id="l3-shift0"),
+    pytest.param(Fraction(0), _zero_complement_certificate, id="l2-zero-pivot"),
+])
+def test_witness_self_check_refuses_a_short_shift(monkeypatch, shift, certificate):
     # a gamma search that stops short leaves a matrix that is not positive
-    # semidefinite, and the final check refuses it
+    # semidefinite, and the witness refuses it at the level whose pivot is
+    # not positive, before any later level borders through that pivot and
+    # before the final check
     import weaksdp.echelon
 
-    instance = generate(GenConfig(n=10, m=6, k=1, l=1, seed=5, entry_range=3))
+    args = certificate()
+    # with the real search the same certificate has a witness
+    assert asymptote_witness(*args, Fraction(1, 10)) == witness_by_full_doubling(*args, Fraction(1, 10))
+    final_checks = []
     monkeypatch.setattr(weaksdp.echelon, "least_definite_shift", lambda c, d: shift)
+    monkeypatch.setattr(weaksdp.echelon, "schur_complement", lambda *call: final_checks.append(call))
     with pytest.raises(AssertionError, match="^constructed witness failed its own PSD check$"):
-        asymptote_witness(instance.clean, instance.xseq, instance.q_structure, Fraction(1, 10))
+        asymptote_witness(*args, Fraction(1, 10))
+    assert final_checks == []
 
 
 def test_witnesses_match_earlier_revision(sweep):

@@ -24,6 +24,7 @@ from weaksdp import (
     schur_complement,
     solve_linear,
 )
+from weaksdp.linalg import BorderedElimination
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -406,6 +407,41 @@ def shift_pairs(draw):
     return c, d
 
 
+@st.composite
+def very_negative_pairs(draw):
+    """(C, D) of order 1..3: C with diagonal entries near -2^t, t in 10..40,
+    and small couplings, so that the answer has an exponent in the tens;
+    D a positive diagonal."""
+    n = draw(st.integers(1, 3))
+    diagonal = [-draw(st.fractions(1, 7, max_denominator=5)) * 2 ** draw(st.integers(10, 40))
+                for _ in range(n)]
+    c = SymMatrix(n, tuple(diagonal[i] if i == j else draw(small_fractions)
+                           for i in range(n) for j in range(i, n)))
+    d = SymMatrix.diag(draw(st.lists(st.fractions(Fraction(1, 16), 9, max_denominator=16),
+                                     min_size=n, max_size=n)))
+    return c, d
+
+
+@st.composite
+def coupled_pairs(draw):
+    """2 x 2 (C, D) with a small diagonal in C and a coupling of at least
+    2^9: the exponent that makes the diagonal positive is at most 6, and
+    there the determinant is still negative, so the diagonal bound is not
+    the answer."""
+    a, c = draw(st.fractions(-4, 4, max_denominator=8)), draw(st.fractions(-4, 4, max_denominator=8))
+    b = draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 7)) * 2 ** draw(st.integers(9, 30))
+    d = [draw(st.fractions(Fraction(1, 8), 4, max_denominator=8)) for _ in range(2)]
+    return SymMatrix(2, (a, b, c)), SymMatrix.diag(d)
+
+
+def diagonal_bound(c: SymMatrix, d: SymMatrix) -> Fraction:
+    """The least 2^e, e >= 0, with every diagonal entry of C + 2^e D positive."""
+    s = Fraction(1)
+    while any(c.at(r, r) + s * d.at(r, r) <= 0 for r in range(1, c.n + 1)):
+        s *= 2
+    return s
+
+
 class TestLeastDefiniteShift:
     @given(shift_pairs())
     @settings(max_examples=200)
@@ -426,6 +462,42 @@ class TestLeastDefiniteShift:
         c = SymMatrix(3, tuple(upper))
         assert least_definite_shift(c, d) == least_definite_shift_by_probes(c, d)
 
+    @given(very_negative_pairs())
+    @settings(max_examples=60)
+    def test_very_negative_diagonal(self, pair):
+        c, d = pair
+        assert least_definite_shift(c, d) == least_definite_shift_by_probes(c, d)
+
+    @given(coupled_pairs())
+    @settings(max_examples=60)
+    def test_coupled_block_beyond_the_diagonal_bound(self, pair):
+        c, d = pair
+        gamma = least_definite_shift(c, d)
+        assert gamma == least_definite_shift_by_probes(c, d)
+        assert gamma > diagonal_bound(c, d)
+
+    @pytest.mark.parametrize("c, d", [
+        (0, 1), (5, 3), (-1, 1), (-1, Fraction(1, 2)), (Fraction(-3, 7), Fraction(5, 9)),
+        (-3 * 2**35, 7), (-(2**40), 1), (Fraction(-(2**41) + 1, 3), Fraction(1, 6)),
+    ])
+    def test_one_index_takes_one_probe(self, monkeypatch, c, d):
+        # the diagonal bound is exact for one index: after the check on D,
+        # the search runs a single probe, and it passes
+        import weaksdp.linalg
+
+        calls = []
+        positive_pivots = weaksdp.linalg._positive_pivots
+
+        def counting(w, count):
+            calls.append(count)
+            return positive_pivots(w, count)
+
+        monkeypatch.setattr(weaksdp.linalg, "_positive_pivots", counting)
+        c, d = SymMatrix.diag([c]), SymMatrix.diag([d])
+        gamma = least_definite_shift(c, d)
+        assert calls == [1, 1]
+        assert gamma == least_definite_shift_by_probes(c, d) == diagonal_bound(c, d)
+
     def test_already_definite_is_one(self):
         assert least_definite_shift(SymMatrix.identity(2), SymMatrix.identity(2)) == 1
         assert least_definite_shift(SymMatrix.zeros(0), SymMatrix.zeros(0)) == 1
@@ -445,6 +517,61 @@ class TestLeastDefiniteShift:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError, match="order mismatch"):
             least_definite_shift(SymMatrix.identity(2), SymMatrix.identity(3))
+
+
+@st.composite
+def bordered_cases(draw):
+    """(A, blocks, lowered): A = (B^T B + I) / q of order 1..6, positive
+    definite with mixed denominators; its indices in an ordered partition
+    into blocks of 1..3; and for each block, numerators over A's
+    denominator by which its diagonal is lowered before it joins."""
+    n = draw(st.integers(1, 6))
+    b = Matrix(n, n, tuple(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))))
+    q = draw(st.integers(1, 5))
+    a = SymMatrix.from_rows(((b.transpose() @ b + Matrix.identity(n)).scale(Fraction(1, q))).to_rows())
+    order = draw(st.permutations(range(1, n + 1)))
+    blocks = []
+    while order:
+        size = draw(st.integers(1, min(3, len(order))))
+        blocks.append(sorted(order[:size]))
+        order = order[size:]
+    lowered = [draw(st.lists(st.integers(0, 9), min_size=len(block), max_size=len(block)))
+               for block in blocks]
+    return a, blocks, lowered
+
+
+class TestBorderedElimination:
+    @given(bordered_cases())
+    @settings(max_examples=150)
+    def test_complements_match_a_fresh_elimination(self, case):
+        # each block joins with its diagonal lowered and gets it back from
+        # `eliminate`; its complement is the one a fresh elimination of every
+        # earlier index gives. The columns of indices yet to join hold junk,
+        # which must not be read
+        a, blocks, lowered = case
+        rows, den = a._num_rows(), a._d
+        elimination = BorderedElimination(a.n, den)
+        done: list[int] = []
+        for block, lower in zip(blocks, lowered):
+            later = [s for s in range(1, a.n + 1) if s not in done and s not in block]
+            joined = {r - 1: rows[r - 1][:] for r in block}
+            for r, v in zip(block, lower):
+                joined[r - 1][r - 1] -= v
+                for s in later:
+                    joined[r - 1][s - 1] = 1000 + 7 * r * s
+            drop = dict(zip(block, lower))
+            low = a.add(SymMatrix.diag([Fraction(-drop.get(r, 0), den) for r in range(1, a.n + 1)]))
+            assert elimination.join(joined) == schur_complement(low, done, block)
+            assert elimination.eliminate(lower)
+            done += block
+
+    def test_non_positive_pivot_stops_the_elimination(self):
+        # [[1, 1], [1, 1]] joined as two blocks: the complement onto index 2 is 0
+        elimination = BorderedElimination(2, 1)
+        assert elimination.join({0: [1, 1]}) == SymMatrix.diag([1])
+        assert elimination.eliminate([0])
+        assert elimination.join({1: [1, 1]}) == SymMatrix.diag([0])
+        assert not elimination.eliminate([0])
 
 
 class TestRandomUnimodular:
