@@ -36,7 +36,6 @@ from .linalg import (
 from .prng import SplitMix64, derive_seed
 from .echelon import (
     AsymptoteWitness,
-    EchelonSequence,
     EchelonViolation,
     ForcingStep,
     SdpInstance,
@@ -52,7 +51,6 @@ from .echelon import (
     index_set,
     infer_structure,
     inner_product_matrix,
-    normalize_contradiction_row,
     propagate_zero_rows,
     reformulated,
     validate_echelon,

@@ -28,7 +28,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exact import Matrix, SymMatrix, congruences, inner, inner_mismatch, inner_table, inners, rational
+from .exact import (
+    Matrix, SymMatrix, congruences, inner, inner_mismatch, inner_table, inners, rational, upper_offset,
+)
 from .linalg import BorderedElimination, least_definite_shift, psd_certify, schur_complement
 
 _ZERO = Fraction(0)
@@ -130,7 +132,7 @@ def _first_violation(mat: SymMatrix, live: Sequence[int], block: frozenset[int])
     except a positive diagonal on `block`, with the rule broken; or None."""
     n, u = mat.n, mat._u
     for k, r in enumerate(live):
-        row = (r - 1) * (2 * n - r + 2) // 2 - r  # row + s is the packed offset of (r, s)
+        row = upper_offset(n, r, 0)  # the rule is linear in s: row + s is the offset of (r, s)
         if r in block and u[row + r] <= 0:
             return (r, r), "block diagonal entry must be positive"
         # off the block the diagonal must be zero like the rest of the row
@@ -197,27 +199,6 @@ def infer_structure(matrices: Sequence[SymMatrix]) -> Structure | None:
         blocks.append(block)
         live = [r for r in live if r not in block]
     return Structure(n, tuple(blocks))
-
-
-@dataclass(frozen=True)
-class EchelonSequence:
-    """A matrix sequence together with a structure it is valid for.
-
-    Construction enforces the echelon conditions, so holding an
-    EchelonSequence is itself a certificate of well-formedness.
-    """
-
-    matrices: tuple[SymMatrix, ...]
-    structure: Structure
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        report = validate_echelon(self.matrices, self.structure)
-        if not report:
-            raise ValueError(report.detail)
-
-    def __len__(self) -> int:
-        return len(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -314,24 +295,6 @@ def propagate_zero_rows(inst: SdpInstance, k: int, structure: Structure) -> Zero
     )
 
 
-def normalize_contradiction_row(inst: SdpInstance, k: int) -> SdpInstance:
-    """Rescale constraint k+1 by 1/|b_{k+1}| so its right-hand side is exactly -1.
-
-    The checks accept any negative value there, so this is presentation only;
-    a positive rescaling of one constraint changes nothing about feasibility
-    or about the echelon conditions.
-    """
-    value = inst.b[k]
-    if not value < 0:
-        raise ValueError("row k+1 must have a negative right-hand side")
-    scale = -1 / value
-    matrices = list(inst.A)
-    rhs = list(inst.b)
-    matrices[k] = matrices[k].scale(scale)
-    rhs[k] = rhs[k] * scale
-    return SdpInstance(inst.n, tuple(matrices), tuple(rhs))
-
-
 def check_not_strong_cert(
     inst: SdpInstance, xseq: Sequence[SymMatrix], structure: Structure
 ) -> ValidationReport:
@@ -407,18 +370,19 @@ def asymptote_witness(
     integer, so the sums stay on it. X_j has entries only in cells with an
     index in P_1, ..., P_j, so S grows by P_i from one level to the next and
     changes only by gamma_i D_i on P_i's diagonal: the first S is
-    eliminated once, and each level brings the rows of P_i, those of
-    X_{l+1} plus the padding plus gamma_j X_j for j > i, through the steps
-    taken so far, adds gamma_i D_i and eliminates P_i. A pivot that is not
-    positive there (a gamma search that stopped short), or a gamma that is
-    not an integer, fails the witness as the self-check would.
-    x_out is summed once, at the end, and the certificate check compares
-    every A_j . X_i with its target on integers (`inner_mismatch`). Every
-    comparison is an exact rational one. The finished matrix is checked once
-    more: `schur_complement` eliminating all n indices finds every pivot
-    positive, so it is positive definite and hence PSD (by construction the
-    last level proved the block over P_1 and every other index). No PSD
-    verdict is built here.
+    eliminated once, and each level brings the rows of P_i through the
+    steps taken so far, adds gamma_i D_i and eliminates P_i. Those rows come
+    from one running grid, X_{l+1} plus the padding plus gamma_j X_j for
+    j > i, to which each level adds its gamma_i X_i once its pivots pass;
+    x_out is that grid after the last level. A pivot that is not positive
+    (a gamma search that stopped short), or a gamma that is not an
+    integer, fails the witness as the self-check would. The certificate
+    check compares every A_j . X_i with its target on integers
+    (`inner_mismatch`). Every comparison is an exact rational one. The
+    finished matrix is checked once more: `schur_complement` eliminating
+    all n indices finds every pivot positive, so it is positive definite
+    and hence PSD (by construction the last level proved the block over P_1
+    and every other index). No PSD verdict is built here.
     """
     eps = rational(eps)
     if eps <= 0:
@@ -441,8 +405,8 @@ def asymptote_witness(
     # scales[j - 1], and the padding's as den >> e
     den = lcm(x_delta._d, *(x._d for x in xseq))
     scales = [den // x._d for x in xseq]
-    grids = [x._num_rows() for x in xseq]
-    base = [[scales[-1] * v for v in row] for row in grids[-1]]  # X_{l+1} plus the padding
+    # the running grid: X_{l+1} plus the padding, then gamma_j X_j for each level j done
+    base = [[scales[-1] * v for v in row] for row in xseq[-1]._num_rows()]
     for r in rest:
         base[r - 1][r - 1] += den >> e
     elimination = BorderedElimination(n, den)
@@ -450,34 +414,24 @@ def asymptote_witness(
     elimination.join({r - 1: base[r - 1] for r in trailing})
     if not elimination.eliminate([0] * len(trailing)):
         raise AssertionError(_SELF_CHECK_FAILED)
-    shifts: list[int] = []  # gamma_l, gamma_{l-1}, ...
+    gammas: list[Fraction] = []  # gamma_l, gamma_{l-1}, ...
     for i in range(ell, 0, -1):
         block = sorted(structure.blocks[i - 1])
-        weights = [(gamma * scale, grid) for gamma, scale, grid
-                   in zip(shifts, reversed(scales[i:ell]), reversed(grids[i:ell]))]
-        rows = {}
-        for r in block:
-            row = base[r - 1]
-            for weight, grid in weights:
-                row = [u + weight * v for u, v in zip(row, grid[r - 1])]
-            rows[r - 1] = row
-        gamma = least_definite_shift(elimination.join(rows), xseq[i - 1].principal(block))
+        grid = xseq[i - 1]._num_rows()
+        gamma = least_definite_shift(elimination.join({r - 1: base[r - 1] for r in block}),
+                                     xseq[i - 1].principal(block))
         # the search returns 2^e with e >= 0, and the grid holds integer sums only
-        if gamma.denominator != 1 or not elimination.eliminate(
-                [gamma.numerator * scales[i - 1] * grids[i - 1][r - 1][r - 1] for r in block]):
+        weight = gamma.numerator * scales[i - 1]
+        if gamma.denominator != 1 or not elimination.eliminate([weight * grid[r - 1][r - 1] for r in block]):
             raise AssertionError(_SELF_CHECK_FAILED)
-        shifts.append(gamma.numerator)
-    shifts.reverse()
-
-    upper = [(den >> e) * v for v in x_delta._u]
-    for coefficient, scale, x in zip([*shifts, 1], scales, xseq):
-        upper = [u + coefficient * scale * v for u, v in zip(upper, x._u)]
-    x_out = SymMatrix._of(n, upper, den)
+        base = [[u + weight * v for u, v in zip(row, line)] for row, line in zip(base, grid)]
+        gammas.append(gamma)
+    x_out = SymMatrix._of(n, [v for r, row in enumerate(base) for v in row[r:]], den)
     try:
         schur_complement(x_out, range(1, n + 1), ())
     except ValueError:
         raise AssertionError(_SELF_CHECK_FAILED) from None
-    return AsymptoteWitness(x_out=x_out, x_delta=x_delta, gammas=tuple(map(Fraction, shifts)), delta=delta)
+    return AsymptoteWitness(x_out=x_out, x_delta=x_delta, gammas=tuple(reversed(gammas)), delta=delta)
 
 
 def check_strong_infeasibility_cert(inst: SdpInstance, y: Sequence) -> bool:

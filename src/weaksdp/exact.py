@@ -252,8 +252,9 @@ class Matrix:
         return f"Matrix({self.to_rows()!r})"
 
 
-def _upper_offset(n: int, i: int, j: int) -> int:
-    # i <= j, both 1-based; packed row-major upper triangle including diagonal
+def upper_offset(n: int, i: int, j: int) -> int:
+    """The offset of the 1-based cell (i, j), i <= j, in the packed row-major
+    upper triangle of order n: the one layout every module stores and reads."""
     return (i - 1) * (2 * n - i + 2) // 2 + (j - i)
 
 
@@ -261,7 +262,7 @@ def _upper_offset(n: int, i: int, j: int) -> int:
 def mirror(n: int) -> itemgetter:
     """The getter of the n * n entries of a symmetric matrix of order n >= 2,
     row by row, from its packed upper triangle."""
-    return itemgetter(*(_upper_offset(n, min(i, j), max(i, j))
+    return itemgetter(*(upper_offset(n, min(i, j), max(i, j))
                         for i in range(1, n + 1) for j in range(1, n + 1)))
 
 
@@ -350,7 +351,7 @@ class SymMatrix:
             raise IndexError(f"entry ({i},{j}) outside order {self.n} (indices are 1-based)")
         if i > j:
             i, j = j, i
-        return self._u[_upper_offset(self.n, i, j)]
+        return self._u[upper_offset(self.n, i, j)]
 
     def at(self, i: int, j: int) -> Fraction:
         return Fraction(self._num(i, j), self._d)
@@ -423,7 +424,7 @@ class SymBuilder:
     def _offset(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError("builder index out of range")
-        return _upper_offset(self.n, i, j) if i <= j else _upper_offset(self.n, j, i)
+        return upper_offset(self.n, i, j) if i <= j else upper_offset(self.n, j, i)
 
     def set(self, i: int, j: int, value) -> None:
         self._v[self._offset(i, j)] = value if type(value) is int else rational(value)
@@ -452,7 +453,7 @@ def _inner_sums(mats: tuple[SymMatrix, ...], xs: tuple[SymMatrix, ...]) -> list[
     if len(orders) > 1:
         raise ValueError("order mismatch")
     n = orders.pop() if orders else 0
-    diagonal = {_upper_offset(n, i, i) for i in range(1, n + 1)}
+    diagonal = {upper_offset(n, i, i) for i in range(1, n + 1)}
     columns = [[v if p in diagonal else 2 * v for p, v in enumerate(x._u)] for x in xs]
     return [[sum(map(mul, mat._u, xi)) for xi in columns] for mat in mats]
 
@@ -540,7 +541,8 @@ def _congruence_rows(
     dm = lcm(*(mat._d for mat in mats))
     stacked = [v * (dm // mat._d) for mat in mats for v in mat._u]
     gi, dg = g._e, g._d
-    if t == Matrix.identity(n):
+    # T = I, read off the stored form: n^2 - n zeros and a diagonal of ones over 1
+    if t._d == 1 and t._e.count(0) == n * n - n and t._e[:: n + 1] == (1,) * n:
         across = [stacked[p::half] for p in range(half)]  # upper entry p of M_1..M_k
         for row in range(g.rows):
             coeffs = gi[row * k : (row + 1) * k]

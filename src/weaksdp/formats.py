@@ -18,10 +18,10 @@ built by private `SymMatrix` constructors, so the symmetric-rows rule of
 `SymMatrix.from_rows` has one implementation, in `exact.py`. `read_sdpa`
 finds its header lines from the top and reads every body, valid or not, in
 one pass: one `split()` of the whole body, each field's distinct tokens
-parsed and range-checked once, and each cell placed at the packed offset of
-`_upper_offset`, which the writers' `_upper_cells` use too. Only when that
-pass refuses a body does a walk over its numbered lines name the first
-faulty line and its fault.
+parsed and range-checked once, and each cell placed at its packed offset
+by `exact.upper_offset`, which the writers' `_upper_cells` use too. Only
+when that pass refuses a body does a walk over its numbered lines name the
+first faulty line and its fault.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
-from math import gcd
+from math import floor, gcd, log10
 from operator import add
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
     CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, mirror, rational, strict_int, text_ratio,
+    upper_offset,
 )
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
@@ -65,8 +66,20 @@ def _size_error(n: int, m: int) -> str | None:
     return None
 
 
+def _decimal(sign: str, scaled: int, places: int) -> str:
+    """The text of sign scaled / 10^places, scaled >= 0, with `places`
+    decimals. The whole part and the decimals are spelled apart, so only
+    their own lengths meet the interpreter's limit on int-to-text digits.
+    With places <= 0 there is no point and -places zeros follow scaled."""
+    if places <= 0:
+        return f"{sign}{scaled}" + "0" * -places
+    whole, decimals = divmod(scaled, 10**places)
+    return f"{sign}{whole}.{decimals:0{places}d}"
+
+
 def _decimal_exact(q: Fraction) -> str | None:
-    """Terminating decimal expansion of q, or None when 10-adic digits never end.
+    """Terminating decimal expansion of q, or None when 10-adic digits never
+    end or run past DIGIT_LIMIT decimals.
 
     Exact iff the denominator factors as 2^a 5^b; integers come out without a
     decimal point so they re-parse to the identical Fraction.
@@ -80,15 +93,10 @@ def _decimal_exact(q: Fraction) -> str | None:
     while den % 5 == 0:
         den //= 5
         b += 1
-    if den != 1:
+    places = max(a, b)
+    if den != 1 or places > DIGIT_LIMIT:
         return None
-    shift = max(a, b)
-    if shift == 0:
-        return str(q.numerator)
-    scaled = q.numerator * 10**shift // q.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(shift + 1, "0")
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+    return _decimal("-" if q < 0 else "", abs(q.numerator) * 10**places // q.denominator, places)
 
 
 _SIGNIFICANT = 17
@@ -96,7 +104,9 @@ _SIGNIFICANT = 17
 
 
 def _decimal_rounded(q: Fraction) -> str:
-    """Plain decimal string with _SIGNIFICANT significant digits, no exponent."""
+    """Plain decimal string of q rounded half up to _SIGNIFICANT significant
+    digits and to at most DIGIT_LIMIT decimals, no exponent; "0" when no
+    digit is left."""
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""
@@ -106,28 +116,27 @@ def _decimal_rounded(q: Fraction) -> str:
         # is 10^mag * den > num, in pure integer arithmetic?
         return den * 10**mag > num if mag >= 0 else den > num * 10**-mag
 
-    magnitude = len(str(num)) - len(str(den))
+    magnitude = floor(log10(num) - log10(den)) + 1  # not below the true one: refined below
     while exceeds(magnitude):
         magnitude -= 1
     # now 10^magnitude <= |q| < 10^(magnitude+1)
-    shift = _SIGNIFICANT - 1 - magnitude
-    if shift >= 0:
-        scaled = (2 * num * 10**shift + den) // (2 * den)
+    places = min(_SIGNIFICANT - 1 - magnitude, DIGIT_LIMIT)
+    if places >= 0:
+        scaled = (2 * num * 10**places + den) // (2 * den)
     else:
-        scaled = (2 * num + den * 10**-shift) // (2 * den * 10**-shift)
-    digits = str(scaled)
-    if len(digits) > _SIGNIFICANT:  # rounded up across a power of ten
-        magnitude += 1
-    point = magnitude + 1
-    if point <= 0:
-        return f"{sign}0.{'0' * (-point)}{digits}"
-    if point >= len(digits):
-        return sign + digits + "0" * (point - len(digits))
-    return f"{sign}{digits[:point]}.{digits[point:]}"
+        scaled = (2 * num + den * 10**-places) // (2 * den * 10**-places)
+    return _decimal(sign, scaled, places) if scaled else "0"
 
 
 def _format_value(num: int, den: int) -> tuple[str, bool]:
-    """The text of num / den and whether it is rounded; an integer is `str(num)`."""
+    """The text of num / den and whether it is rounded; an integer is `str(num)`.
+
+    A value is exact when its terminating decimal has at most DIGIT_LIMIT
+    decimals, the most `read_sdpa` takes; any other is rounded by
+    `_decimal_rounded`, a value too small to show to "0". When num and den
+    have at most DIGIT_LIMIT digits each, as `read_native` takes them, no
+    digit run of the text is longer than `read_sdpa` reads.
+    """
     if den == 1:
         return str(num), False
     q = Fraction(num, den)
@@ -135,12 +144,6 @@ def _format_value(num: int, den: int) -> tuple[str, bool]:
     if exact is not None:
         return exact, False
     return _decimal_rounded(q), True
-
-
-def _upper_offset(n: int, i: int, j: int) -> int:
-    """The offset of the 1-based cell (i, j), i <= j, in the packed row-major
-    upper triangle of order n."""
-    return (i - 1) * (2 * n - i + 2) // 2 + (j - i)
 
 
 @lru_cache(maxsize=64)
@@ -169,7 +172,7 @@ def _upper_cells(n: int, by_column: bool) -> tuple[tuple[int, str], ...]:
     """(offset in the packed upper triangle, text of the cell) of each cell
     i <= j of order n: row by row as SDPA's 1-based "i j", or column by
     column as CBF's 0-based "j-1 i-1", the lower triangle row by row."""
-    cells = [(_upper_offset(n, i, j), i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    cells = [(upper_offset(n, i, j), i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     if by_column:
         cells.sort(key=lambda cell: (cell[2], cell[1]))
         return tuple((p, f"{j - 1} {i - 1}") for p, i, j in cells)
@@ -203,8 +206,8 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     standard form with an all-zero objective matrix, so a solver's "primal
     infeasible" report corresponds to infeasibility of the system as stated.
     Constraint matrices are numbered 1..m; only upper-triangle nonzeros are
-    written. Values whose denominator is not of the form 2^a 5^b are rounded
-    to 17 significant digits and the header carries a lossy flag.
+    written. A value without an exact decimal of at most DIGIT_LIMIT
+    decimals is rounded (`_format_value`) and the header carries a lossy flag.
     """
     body: list[str] = []
     lossy = False
@@ -315,7 +318,7 @@ def _read_body(lines: list[str], n: int, m: int) -> tuple[SymMatrix, ...]:
         raise ValueError("a value outside the grammar")
     # a cell (i, j) is the key i (n + 1) + j, and each distinct key gets its offset
     keys = list(map(add, map(high.__getitem__, rows), map(low.__getitem__, cols)))
-    offset = {key: _upper_offset(n, *sorted(divmod(key, n + 1))) - size for key in set(keys)}
+    offset = {key: upper_offset(n, *sorted(divmod(key, n + 1))) - size for key in set(keys)}
     bases = list(map(base.__getitem__, mats))
     positions = map(add, bases, map(offset.__getitem__, keys))
     decimal = "." in spelled  # then every entry is a (num, 10^d) pair

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaksdp import (
-    EchelonSequence,
     EchelonViolation,
     GenConfig,
     Matrix,
@@ -147,16 +146,6 @@ class TestValidationAgainstFractions:
             assert not report.ok
             assert report.violation == EchelonViolation(number, position, rule)
             assert report.detail == f"matrix {number} entry {position}: {rule}"
-
-
-class TestEchelonSequence:
-    def test_construction_validates(self):
-        seq = EchelonSequence(ME_X, blocks(2, {2}, set()))
-        assert len(seq) == 2
-
-    def test_invalid_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            EchelonSequence((sym([[0, 1], [1, 0]]),), blocks(2, {1}))
 
 
 class TestInferStructure:
@@ -507,24 +496,6 @@ def test_witnesses_match_earlier_revision(sweep):
 def test_witness_matches_full_doubling_on_paper_certificates(make_cert):
     cert = make_cert()
     _assert_matches_full_doubling(cert.clean, cert.xseq, cert.q_structure)
-
-
-class TestNormalizeContradictionRow:
-    def test_sos_row_rescaled_to_minus_one(self):
-        from weaksdp import normalize_contradiction_row
-
-        inst, xseq = motzkin_sos()
-        normalized = normalize_contradiction_row(inst, 4)
-        assert normalized.b[4] == -1
-        assert check_infeasibility_cert(normalized, 4, blocks(8, {1}, {2}, {3}, {4}, {5}))
-        # the scaled row still matches the witness sequence exactly
-        assert check_not_strong_cert(normalized, xseq, infer_structure(xseq))
-
-    def test_nonnegative_row_rejected(self):
-        from weaksdp import normalize_contradiction_row
-
-        with pytest.raises(ValueError):
-            normalize_contradiction_row(SdpInstance(1, (SymMatrix.diag([1]),), (0,)), 0)
 
 
 class TestStrongInfeasibilityCert:

@@ -25,10 +25,13 @@ from weaksdp import (
     random_unimodular,
     rational,
 )
-from weaksdp.exact import DIGIT_LIMIT, text_ratio
+from weaksdp.exact import DIGIT_LIMIT, mirror, text_ratio, upper_offset
 
 small_ints = st.integers(-30, 30)
-small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+# a denominator q in 1..12, then a numerator in -30q..30q: every fraction in
+# [-30, 30] with a denominator of at most 12, drawn as two integers
+small_fractions = st.integers(1, 12).flatmap(
+    lambda q: st.integers(-30 * q, 30 * q).map(lambda p: Fraction(p, q)))
 
 
 def sym(rows):
@@ -179,6 +182,15 @@ class TestInner:
         assert inner(a, b) == inner(b, a)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_upper_offset_numbers_the_upper_cells_row_by_row(n):
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]  # i <= j, row-major
+    assert [upper_offset(n, i, j) for i, j in cells] == list(range(n * (n + 1) // 2))
+    # the mirror getter reads cell (min(r, s), max(r, s)) for each (r, s) of the square
+    square = [(min(r, s), max(r, s)) for r in range(1, n + 1) for s in range(1, n + 1)]
+    assert list(mirror(n)(cells)) == square
+
+
 class TestCongruence:
     def test_identity_transform(self):
         a = sym([[2, 1], [1, -5]])
@@ -239,6 +251,20 @@ class TestCongruences:
         assert iter(rows) is rows
         assert next(rows) == sym([[1, 0], [0, 1]])
         assert next(rows) == sym([[2, 0], [0, 2]])
+
+    def test_identity_is_read_off_the_stored_form(self, monkeypatch):
+        mats = (sym([[1, 2], [2, 3]]), sym([[Fraction(1, 2), 0], [0, 5]]))
+        g = Matrix.from_rows([[1, -2], [3, Fraction(1, 4)]])
+        # I, then a permutation (n^2 - n zeros) and a shear: only the first is I
+        transforms = (Matrix.identity(2), Matrix.from_rows([[0, 1], [1, 0]]),
+                      Matrix.from_rows([[1, 1], [0, 1]]))
+        want = [reformulated_rows_by_fractions(mats, g, t) for t in transforms]
+
+        def refuse(n):
+            raise AssertionError("congruences built an identity matrix")
+
+        monkeypatch.setattr(Matrix, "identity", refuse)
+        assert [list(congruences(mats, g, t)) for t in transforms] == want
 
     def test_shape_mismatches_raise(self):
         mats = (SymMatrix.identity(2),)

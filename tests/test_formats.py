@@ -84,6 +84,36 @@ class TestValueFormatting:
             "0.66666666666666667"
         )
 
+    def test_no_digit_run_past_the_read_limit(self):
+        # an exact decimal of more than DIGIT_LIMIT decimals is rounded instead
+        assert _decimal_exact(Fraction(1, 2**(DIGIT_LIMIT + 1))) is None
+        assert _decimal_exact(Fraction(1, 2**DIGIT_LIMIT)).endswith("5")
+        # rounding stops at DIGIT_LIMIT decimals; a value too small to show is 0
+        assert _decimal_rounded(Fraction(1, 3 * 10**(DIGIT_LIMIT - 1))) == "0." + "0" * (DIGIT_LIMIT - 1) + "3"
+        assert formats._format_value(-1, 3 * 10**DIGIT_LIMIT) == ("0", True)
+
+
+@pytest.mark.parametrize("value, rounded", [
+    (Fraction(1, 2**14000), True),  # an exact decimal of 14,000 decimals
+    (Fraction(10**4299 + 1, 1024), False),  # 4,296 whole digits and 10 decimals
+    (Fraction(1, 3 * 10**4299), True),  # no exact decimal, below 10^-4299
+], ids=["binary", "whole", "tiny"])
+def test_long_values_export_and_read_back(tmp_path, value, rounded):
+    from weaksdp.cli import main
+
+    bundle = tmp_path / "long.wsdp"
+    write_native(NativeBundle(SdpInstance(1, (SymMatrix.identity(1),), (value,))), bundle)
+    dat, cbf = tmp_path / "long.dat-s", tmp_path / "long.cbf"
+    assert main(["export", str(bundle), "--format", "dat-s", "--out", str(dat)]) == 0
+    assert main(["export", str(bundle), "--format", "cbf", "--out", str(cbf)]) == 0
+    (got,) = read_sdpa(dat).b
+    assert parse_cbf(cbf)["bcoord"] == [(0, -got)]
+    assert ("* lossy" in dat.read_text(), "# lossy" in cbf.read_text()) == (rounded, rounded)
+    if rounded:  # 17 significant digits, or the last of DIGIT_LIMIT decimals
+        assert abs(got - value) <= max(value / 10**16, Fraction(1, 2 * 10**DIGIT_LIMIT))
+    else:
+        assert got == value
+
 
 class TestSdpa:
     def test_minimal_example_layout(self, tmp_path):

@@ -140,3 +140,13 @@ def test_every_cache_is_bounded():
         if (hits := unbounded_caches(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert offences == {}
+
+
+def test_only_exact_defines_the_packed_offset_rule():
+    definers = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("upper_offset", "_upper_offset")
+    )
+    assert definers == ["exact.py"]
