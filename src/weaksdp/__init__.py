@@ -9,7 +9,6 @@ re-derivable by hand.
 from .exact import (
     Matrix,
     Rational,
-    SymBuilder,
     SymMatrix,
     congruence,
     congruence_mismatch,

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .exact import rational, strict_int
+from .exact import check_digit_limit, rational, strict_int
 from .echelon import asymptote_witness, frobenius_norm_squared
 from .certify import WeakCertificate, sieve_detect, verify_weak_infeasibility
 from .generator import DISJOINT_ONLY, OVERLAPPING_ALLOWED, GenConfig, config_json, generate
@@ -191,11 +191,19 @@ def _cmd_witness(args) -> int:
     bundle = read_native(args.path)
     cert = _require_certificate(bundle)
     witness = asymptote_witness(cert.clean, cert.xseq, cert.q_structure, args.eps)
-    print("psd point within tolerance of the clean constraint set:")
-    for row in witness.x_out.to_rows():
-        print("  " + " ".join(str(v) for v in row))
-    print(f"distance bound: |X_delta|^2 = {frobenius_norm_squared(witness.x_delta)} <= eps^2 = {args.eps * args.eps}")
-    print(f"delta = {witness.delta}, multipliers = {[str(g) for g in witness.gammas]}")
+    rows = witness.x_out.to_rows()
+    norm, eps_squared = frobenius_norm_squared(witness.x_delta), args.eps * args.eps
+    values = [v for row in rows for v in row] + [norm, eps_squared, witness.delta, *witness.gammas]
+    try:
+        check_digit_limit([p for v in values for p in v.as_integer_ratio()])
+    except ValueError as exc:
+        print(f"usage error: --eps is too small to print its witness: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    lines = ["psd point within tolerance of the clean constraint set:"]
+    lines += ["  " + " ".join(str(v) for v in row) for row in rows]
+    lines.append(f"distance bound: |X_delta|^2 = {norm} <= eps^2 = {eps_squared}")
+    lines.append(f"delta = {witness.delta}, multipliers = {[str(g) for g in witness.gammas]}")
+    print("\n".join(lines))
     return EXIT_PASS
 
 
@@ -226,21 +234,17 @@ def _cmd_library(args) -> int:
 
 def _cmd_paper_instance(args) -> int:
     if args.name == "me":
-        raw, cert = paper_instances.me_instance()
+        cert = paper_instances.me_instance()[1]
     elif args.name == "large":
         cert = paper_instances.large_certificate()
-        raw = cert.raw
     elif args.name == "3x3":
-        instance = paper_instances.three_by_three(args.alpha)
-        cert = WeakCertificate.from_instance(instance)
-        raw = cert.raw
+        cert = WeakCertificate.from_instance(paper_instances.three_by_three(args.alpha))
     else:
         cert = paper_instances.motzkin_certificate()
-        raw = cert.raw
     report = verify_weak_infeasibility(cert)
     print(report.summary())
     if args.out:
-        write_native(NativeBundle(instance=raw, certificate=cert, label=args.name), args.out)
+        write_native(NativeBundle(instance=cert.raw, certificate=cert, label=args.name), args.out)
         print(f"wrote {args.out}")
     return EXIT_PASS if report.passed else EXIT_FAIL
 

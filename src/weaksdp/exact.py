@@ -15,7 +15,7 @@ column matrix), and `inner_general` is its 1 x k by k x 1 case, one sum of
 products.
 `inner_table(mats, xs)` gives M . X for every M and every X, each X's
 off-diagonal numerators doubled once; `inners` is its one-X case, and
-`inner` and `SymBuilder.inner` are the one-matrix case of that.
+`inner` is the one-matrix case of that.
 `inner_mismatch(mats, xs, targets)` compares the same sums with targets on
 integers and names the first differing product; the closeness check runs on
 it and builds no Fraction.
@@ -37,9 +37,9 @@ the 1-based index sets used for block structures, so a single indexing
 convention runs through structures, matrices and emitted file formats.
 
 Every value is immutable after construction and all operations are pure, so
-the types here are safe to share across threads. ``SymBuilder`` is the one
-mutable scratch type, used while assembling a symmetric matrix; ``freeze()``
-produces the immutable result.
+the types here are safe to share across threads. A symmetric matrix is
+assembled as its packed upper triangle, laid out by `upper_offset`, and
+stored once by the `SymMatrix` constructor.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ CELL_LIMIT = 1_000_000
 that a reader accepts for one instance. Both limits are checked before any
 matrix is allocated, so hostile sizes fail fast and in bounded memory."""
 
+_DIGIT_BOUND = 10**DIGIT_LIMIT
+
 _INTEGER_TEXT = re.compile(r"-?[0-9]+")
 _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -76,6 +78,13 @@ _RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def _check_digits(text: str) -> None:
     if len(text) - text.startswith("-") > DIGIT_LIMIT:
         raise ValueError(f"an integer of more than {DIGIT_LIMIT} digits")
+
+
+def check_digit_limit(ints: Sequence[int]) -> None:
+    """ValueError when an int in `ints` has more than DIGIT_LIMIT digits: no
+    reader takes its text back, so no writer spells it."""
+    if ints and not -_DIGIT_BOUND < min(ints) <= max(ints) < _DIGIT_BOUND:
+        raise ValueError(f"an integer of more than DIGIT_LIMIT = {DIGIT_LIMIT} digits")
 
 
 def strict_int(text: str) -> int:
@@ -335,15 +344,23 @@ class SymMatrix:
     @classmethod
     def diag(cls, values: Sequence) -> "SymMatrix":
         vals = list(values)
-        n = len(vals)
-        return cls(n, [vals[i] if i == j else 0 for i in range(n) for j in range(i, n)])
+        return cls.from_cells(len(vals), {(i, i): v for i, v in enumerate(vals, start=1)})
+
+    @classmethod
+    def from_cells(cls, n: int, cells: dict[tuple[int, int], object]) -> "SymMatrix":
+        """The matrix of order n with each value of `cells` at its 1-based
+        cell (i, j) and at (j, i), and zeros elsewhere."""
+        upper = [0] * (n * (n + 1) // 2)
+        for (i, j), value in cells.items():
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise IndexError(f"entry ({i},{j}) outside order {n} (indices are 1-based)")
+            upper[upper_offset(n, min(i, j), max(i, j))] = value
+        return cls(n, upper)
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "SymMatrix":
         """Symmetric unit matrix: `value` at (i, j) and (j, i), zero elsewhere."""
-        b = SymBuilder(n)
-        b.set(i, j, value)
-        return b.freeze()
+        return cls.from_cells(n, {(i, j): value})
 
     def _num(self, i: int, j: int) -> int:
         """The stored numerator of entry (i, j), 1-based: its sign is the entry's."""
@@ -406,41 +423,6 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix({self.to_rows()!r})"
-
-
-class SymBuilder:
-    """Mutable scratch for assembling a SymMatrix entry by entry (1-based).
-
-    Entries are kept in a flat row-major upper triangle, each as an int or a
-    Fraction, and `freeze` converts them once into the stored form.
-    """
-
-    __slots__ = ("n", "_v")
-
-    def __init__(self, n: int):
-        self.n = n
-        self._v: list = [0] * (n * (n + 1) // 2)
-
-    def _offset(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError("builder index out of range")
-        return upper_offset(self.n, i, j) if i <= j else upper_offset(self.n, j, i)
-
-    def set(self, i: int, j: int, value) -> None:
-        self._v[self._offset(i, j)] = value if type(value) is int else rational(value)
-
-    def get(self, i: int, j: int) -> Fraction:
-        return rational(self._v[self._offset(i, j)])
-
-    def add(self, i: int, j: int, value) -> None:
-        self.set(i, j, self.get(i, j) + rational(value))
-
-    def inner(self, other: "SymBuilder") -> Fraction:
-        """Entrywise trace inner product with another builder of the same order."""
-        return inner(self.freeze(), other.freeze())
-
-    def freeze(self) -> SymMatrix:
-        return SymMatrix(self.n, self._v)
 
 
 def _inner_sums(mats: tuple[SymMatrix, ...], xs: tuple[SymMatrix, ...]) -> list[list[int]]:

@@ -10,7 +10,9 @@ solver-input exports; they are exact whenever every value has a terminating
 decimal expansion (always true for the integer instances the generator emits)
 and flagged as lossy otherwise. All three writers take the text of a matrix
 from `_leaves`, which spells each distinct matrix once. Nothing written here
-contains timestamps, so identical inputs produce identical bytes.
+contains timestamps, so identical inputs produce identical bytes. No writer
+spells an integer of more than DIGIT_LIMIT digits, which no reader takes
+back: it raises ValueError before it opens its file.
 
 The readers only turn text into numbers: integer fields go through
 `exact.strict_int`, each distinct token once per file, and the matrices are
@@ -39,7 +41,7 @@ from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
     CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, mirror, rational, strict_int, text_ratio,
-    upper_offset,
+    check_digit_limit, upper_offset,
 )
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
@@ -157,6 +159,7 @@ def _leaves(mat: Matrix | SymMatrix) -> tuple[str, ...]:
     58: its clean and messy A_i, its X_j, and G and T on either side."""
     den = mat._d
     nums = mat._u if type(mat) is SymMatrix else mat._e
+    check_digit_limit(nums + (den,))
     if den == 1:
         return tuple(map(str, nums))
 
@@ -189,6 +192,7 @@ def _entry_lines(mat: SymMatrix, prefix: str, by_column: bool) -> tuple[list[str
     if den == 1:
         leaves = _leaves(mat)
         return [f"{prefix}{cell} {leaves[p]}" for p, cell in cells if u[p]], False
+    check_digit_limit(u + (den,))
     spelled = [(cell, *_format_value(u[p], den)) for p, cell in cells if u[p]]
     return [f"{prefix}{cell} {text}" for cell, text, _ in spelled], any(r for *_, r in spelled)
 
@@ -209,6 +213,7 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     written. A value without an exact decimal of at most DIGIT_LIMIT
     decimals is rounded (`_format_value`) and the header carries a lossy flag.
     """
+    check_digit_limit([p for v in inst.b for p in v.as_integer_ratio()])
     body: list[str] = []
     lossy = False
     for idx, mat in enumerate(inst.A, start=1):
@@ -416,6 +421,7 @@ def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
     F_i = A_i and shift = -b_i, matching A_i . X = b_i literally. Lower
     triangle coordinates, 0-based indices per the format.
     """
+    check_digit_limit([p for v in inst.b for p in v.as_integer_ratio()])
     lines = ["# feasibility system over one psd variable: A_i . X = b_i"]
     if label:
         lines.append(f"# label: {_comment(label)}")
@@ -481,6 +487,7 @@ def _bundle_doc(bundle: NativeBundle, matrix) -> dict:
     one definition of the schema's keys and their order."""
 
     def instance(inst: SdpInstance) -> dict:
+        check_digit_limit([p for v in inst.b for p in v.as_integer_ratio()])
         return {"n": inst.n, "b": [str(v) for v in inst.b], "matrices": [matrix(a) for a in inst.A]}
 
     def blocks(structure: Structure) -> list[list[int]]:

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .exact import (
-    Matrix, SymMatrix, SymBuilder, congruences, inner, inner_general, inner_table, inners,
+    Matrix, SymMatrix, congruences, inner, inner_general, inner_table, inners, upper_offset,
 )
 from .echelon import (
     SdpInstance,
@@ -236,21 +236,24 @@ def bilinear_solve(
 
 def _draw_echelon(
     rng: SplitMix64, structure: Structure, count: int, entry_range: int
-) -> list[SymBuilder]:
-    """Random echelon-form matrices: positive diagonal on each block, random
-    integers on the earlier-row region, zero elsewhere."""
+) -> list[list]:
+    """Random echelon-form matrices, each as its packed upper triangle:
+    positive diagonal on each block, random integers on the earlier-row
+    region, zero elsewhere."""
     n = structure.n
     out = []
     for idx in range(1, count + 1):
-        builder = SymBuilder(n)
+        upper = []
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 region = cell_region(structure, idx, i, j)
                 if region == "arbitrary":
-                    builder.set(i, j, rng.randint(-entry_range, entry_range))
+                    upper.append(rng.randint(-entry_range, entry_range))
                 elif region == "pivot" and i == j:
-                    builder.set(i, i, rng.randint(1, entry_range))
-        out.append(builder)
+                    upper.append(rng.randint(1, entry_range))
+                else:
+                    upper.append(0)
+        out.append(upper)
     return out
 
 
@@ -260,43 +263,37 @@ def base_equations(
     """Produce (A_1..A_{k+1}) and (X_1..X_{l+1}) satisfying the base pattern.
 
     After free echelon draws, row i of the pattern (i = 2..k+1) is repaired by
-    rewriting the (P_{i-1}, Q_1) blocks of A_i and of X_2..X_{l+1}: the blocks
-    are zeroed, targets are set to minus half the current residual (minus half
-    of residual+1 at the corner), and `bilinear_solve` fills them. Writing a
-    block adds twice its product to the inner product, which lands each
-    equation exactly on 0, or on -1 at the corner. Equations with X_1, and all
-    of row 1, hold automatically because P_1 meets no Q block and Q_1 meets no
-    P block.
+    rewriting the (P_{i-1}, Q_1) blocks of A_i and of X_2..X_{l+1}: the block
+    of A_i is zeroed, targets are set to minus half the residuals of A_i
+    against X_2..X_{l+1} (minus half of residual+1 at the corner), and
+    `bilinear_solve` fills the blocks. Writing a block adds twice its product
+    to the inner product, which lands each equation exactly on 0, or on -1 at
+    the corner. Equations with X_1, and all of row 1, hold automatically
+    because P_1 meets no Q block and Q_1 meets no P block.
     """
-    k, l = cfg.k, cfg.l
+    n, k, l = cfg.n, cfg.k, cfg.l
     rng = SplitMix64(seed)
-    a_builders = _draw_echelon(rng, p_structure, k + 1, cfg.entry_range)
-    x_builders = _draw_echelon(rng, q_structure, l + 1, cfg.entry_range)
+    a_uppers = _draw_echelon(rng, p_structure, k + 1, cfg.entry_range)
+    x_uppers = _draw_echelon(rng, q_structure, l + 1, cfg.entry_range)
     q1 = sorted(q_structure.blocks[0])
     for i in range(2, k + 2):
         prev = sorted(p_structure.blocks[i - 2])
-        a_i = a_builders[i - 1]
-        for r in prev:
-            for c in q1:
-                a_i.set(r, c, 0)
-                for x in x_builders[1:]:
-                    x.set(r, c, 0)
-        targets = []
-        for j in range(2, l + 2):
-            residual = a_i.inner(x_builders[j - 1])
-            if (i, j) == (k + 1, l + 1):
-                targets.append(-(residual + 1) / 2)
-            else:
-                targets.append(-residual / 2)
+        # the (P_{i-1}, Q_1) block row by row; the blocks are disjoint, so no cell is diagonal
+        cells = [upper_offset(n, min(r, c), max(r, c)) for r in prev for c in q1]
+        a_i = a_uppers[i - 1]
+        for p in cells:
+            a_i[p] = 0
+        residuals = inner_table((SymMatrix(n, a_i),), [SymMatrix(n, x) for x in x_uppers[1:]])[0]
+        targets = [-residual / 2 for residual in residuals]
+        if i == k + 1:
+            targets[-1] = -(residuals[-1] + 1) / 2
         m_block, y_blocks = bilinear_solve(
             len(prev), len(q1), tuple(targets), derive_seed(seed, 100 + i), cfg.entry_range
         )
-        for ri, r in enumerate(prev):
-            for ci, c in enumerate(q1):
-                a_i.set(r, c, m_block.at(ri + 1, ci + 1))
-                for j in range(2, l + 2):
-                    x_builders[j - 1].set(r, c, y_blocks[j - 2].at(ri + 1, ci + 1))
-    return tuple(b.freeze() for b in a_builders), tuple(b.freeze() for b in x_builders)
+        for upper, block in zip([a_i] + x_uppers[1:], (m_block,) + y_blocks):
+            for p, value in zip(cells, (v for row in block.to_rows() for v in row)):
+                upper[p] = value
+    return tuple(SymMatrix(n, a) for a in a_uppers), tuple(SymMatrix(n, x) for x in x_uppers)
 
 
 def extend_constraints(

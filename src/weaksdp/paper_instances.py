@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Matrix, SymMatrix, SymBuilder, rational
+from .exact import Matrix, SymMatrix, rational
 from .echelon import SdpInstance, Structure, infer_structure, reformulated
 from .certify import WeakCertificate
 from .generator import WeakInstance
@@ -194,28 +194,14 @@ def motzkin_sos(include_cubics: bool = False) -> tuple[SdpInstance, tuple[SymMat
     ]
     rest = sorted((m for m in groups if m not in set(named)), key=lambda m: (m[0] + m[1], m))
     ordering = named + rest
-    matrices = []
-    b = []
-    for mono in ordering:
-        builder = SymBuilder(dim)
-        for (i, j) in groups[mono]:
-            builder.add(i, j, 1)
-        matrices.append(builder.freeze())
-        b.append(_TARGET_COEFFS.get(mono, _ZERO))
-    inst = SdpInstance(dim, tuple(matrices), tuple(b))
+    matrices = tuple(SymMatrix.from_cells(dim, dict.fromkeys(groups[mono], 1)) for mono in ordering)
+    b = tuple(_TARGET_COEFFS.get(mono, _ZERO) for mono in ordering)
+    inst = SdpInstance(dim, matrices, b)
 
     x1 = SymMatrix.unit(dim, const, const)
-    x2b = SymBuilder(dim)
-    x2b.set(3, 3, 2)
-    x2b.set(4, 4, 2)
-    x2b.set(1, const, -1)
-    x2b.set(2, const, -1)
-    x3b = SymBuilder(dim)
-    for i in (5, 6, 7):
-        x3b.set(i, i, 1)
-    x3b.set(4, 7, -1)
-    x3b.set(3, 6, -1)
-    return inst, (x1, x2b.freeze(), x3b.freeze())
+    x2 = SymMatrix.from_cells(dim, {(3, 3): 2, (4, 4): 2, (1, const): -1, (2, const): -1})
+    x3 = SymMatrix.from_cells(dim, {(5, 5): 1, (6, 6): 1, (7, 7): 1, (4, 7): -1, (3, 6): -1})
+    return inst, (x1, x2, x3)
 
 
 def motzkin_prefix_length(include_cubics: bool = False) -> int:

@@ -10,7 +10,7 @@ import pytest
 import weaksdp
 from weaksdp import NativeBundle, large_instance, read_native, read_sdpa, write_native
 from weaksdp.cli import main
-from weaksdp.exact import ORDER_LIMIT
+from weaksdp.exact import DIGIT_LIMIT, ORDER_LIMIT
 
 
 @pytest.fixture()
@@ -81,6 +81,16 @@ def test_witness_with_exact_tolerance(me_bundle, capsys):
     out = capsys.readouterr().out
     assert "psd point" in out
     assert "<= eps^2 = 1/1000000" in out
+
+
+def test_witness_too_long_to_print_is_usage_error(me_bundle, capsys):
+    # eps^2 has a denominator of 4,401 digits: nothing is printed, not even the header
+    capsys.readouterr()
+    assert main(["witness", str(me_bundle), "--eps", "1/1" + "0" * 2200]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert f"more than DIGIT_LIMIT = {DIGIT_LIMIT} digits" in captured.err
 
 
 def test_export_formats(me_bundle, tmp_path):

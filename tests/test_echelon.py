@@ -11,7 +11,6 @@ from weaksdp import (
     Matrix,
     SdpInstance,
     Structure,
-    SymBuilder,
     SymMatrix,
     asymptote_witness,
     check_infeasibility_cert,
@@ -516,10 +515,7 @@ class TestStrongInfeasibilityCert:
 
         def monomial_of(mat):
             for mono, pairs in groups.items():
-                builder = SymBuilder(8)
-                for (i, j) in pairs:
-                    builder.add(i, j, 1)
-                if builder.freeze() == mat:
+                if SymMatrix.from_cells(8, dict.fromkeys(pairs, 1)) == mat:
                     return mono
             raise AssertionError("constraint is not a monomial-matching row")
 

@@ -12,7 +12,6 @@ from oracles import (
 )
 from weaksdp import (
     Matrix,
-    SymBuilder,
     SymMatrix,
     congruence,
     congruence_mismatch,
@@ -455,15 +454,12 @@ class TestMatrixBasics:
     def test_unit_matrix(self):
         e = SymMatrix.unit(3, 1, 3)
         assert e.at(1, 3) == 1 and e.at(3, 1) == 1 and e.at(1, 1) == 0
-
-    def test_builder_inner_matches_frozen(self):
-        b1 = SymBuilder(3)
-        b1.set(1, 2, 3)
-        b1.set(3, 3, Fraction(1, 2))
-        b2 = SymBuilder(3)
-        b2.set(1, 2, -1)
-        b2.set(3, 3, 4)
-        assert b1.inner(b2) == inner(b1.freeze(), b2.freeze())
+        assert SymMatrix.unit(3, 3, 1, Fraction(-2, 3)) == e.scale(Fraction(-2, 3))
+        assert SymMatrix.from_cells(3, {(1, 3): 2, (2, 1): "1/2", (3, 3): -1}) == sym(
+            [[0, Fraction(1, 2), 2], [Fraction(1, 2), 0, 0], [2, 0, -1]])
+        for i, j in ((0, 1), (1, 4), (4, 4), (-1, 2)):
+            with pytest.raises(IndexError):
+                SymMatrix.unit(3, i, j)
 
     def test_principal_submatrix(self):
         a = sym([[1, 2, 3], [2, 4, 5], [3, 5, 6]])

@@ -115,6 +115,25 @@ def test_long_values_export_and_read_back(tmp_path, value, rounded):
         assert got == value
 
 
+def _write_bundle(inst, path):
+    write_native(NativeBundle(inst), path)
+
+
+@pytest.mark.parametrize("writer", [_write_bundle, write_sdpa, write_cbf],
+                         ids=["native", "sdpa", "cbf"])
+@pytest.mark.parametrize("inst", [
+    SdpInstance(1, (SymMatrix.identity(1),), (10**DIGIT_LIMIT,)),
+    SdpInstance(1, (SymMatrix.diag([-(10**DIGIT_LIMIT)]),), (1,)),
+    SdpInstance(2, (SymMatrix.unit(2, 1, 2, Fraction(1, 10**DIGIT_LIMIT)),), (1,)),
+], ids=["b", "entry", "denominator"])
+def test_writers_refuse_integers_past_the_digit_limit(tmp_path, writer, inst):
+    # 10^DIGIT_LIMIT has one digit too many: no reader would take its text back
+    path = tmp_path / "long.out"
+    with pytest.raises(ValueError, match=f"more than DIGIT_LIMIT = {DIGIT_LIMIT} digits"):
+        writer(inst, path)
+    assert not path.exists()
+
+
 class TestSdpa:
     def test_minimal_example_layout(self, tmp_path):
         raw, _ = me_instance()

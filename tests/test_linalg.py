@@ -12,7 +12,6 @@ from oracles import (
 from weaksdp import (
     Matrix,
     SplitMix64,
-    SymBuilder,
     SymMatrix,
     congruence,
     determinant,
@@ -26,7 +25,16 @@ from weaksdp import (
 )
 from weaksdp.linalg import BorderedElimination
 
-small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+
+def fractions_within(bound, max_denominator):
+    """Every fraction in [-bound, bound] with a denominator of at most
+    `max_denominator`, drawn as two integers: a denominator q, then a
+    numerator in -floor(bound q)..floor(bound q)."""
+    return st.integers(1, max_denominator).flatmap(
+        lambda q: st.integers(-int(bound * q), int(bound * q)).map(lambda p: Fraction(p, q)))
+
+
+small_fractions = fractions_within(20, 8)
 
 
 @st.composite
@@ -39,9 +47,14 @@ def square_matrices(draw, max_order=4):
                                                                        max_size=n * n))))
 
 
-tiny_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-tiny_entries = st.one_of(st.integers(-1, 1).map(Fraction), tiny_fractions)
-couplings = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=4)
+tiny_entries = st.one_of(st.integers(-1, 1).map(Fraction), fractions_within(5, 4))
+# the non-zero tiny entries, drawn without a filter: a numerator p in -5q..5q-1
+# is moved to p + 1 from 0 up, which skips 0 and reaches 5q
+nonzero_tiny_entries = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(1)]),
+    st.integers(1, 4).flatmap(
+        lambda q: st.integers(-5 * q, 5 * q - 1).map(lambda p: Fraction(p + (p >= 0), q))))
+couplings = fractions_within(Fraction(1, 2), 4)
 
 
 @st.composite
@@ -71,19 +84,16 @@ def hollow_residuals(draw):
     q, h = draw(st.integers(0, 3)), draw(st.integers(2, 3))
     n = q + h
     d = draw(st.lists(st.integers(7, 9).map(Fraction), min_size=q, max_size=q))
-    hollow = draw(st.lists(tiny_entries.filter(bool), min_size=h * (h - 1) // 2,
+    hollow = draw(st.lists(nonzero_tiny_entries, min_size=h * (h - 1) // 2,
                            max_size=h * (h - 1) // 2))
-    middle = SymBuilder(n)
-    for i, v in enumerate(d):
-        middle.set(i + 1, i + 1, v)
+    cells = {(i, i): v for i, v in enumerate(d, start=1)}
     pairs = [(r, s) for r in range(q + 1, n + 1) for s in range(r + 1, n + 1)]
-    for (r, s), v in zip(pairs, hollow):
-        middle.set(r, s, v)
+    cells.update(zip(pairs, hollow))
     y = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(q):
         for j in range(q, n):
             y[i][j] = draw(couplings)
-    return congruence(middle.freeze(), Matrix.from_rows(y))
+    return congruence(SymMatrix.from_cells(n, cells), Matrix.from_rows(y))
 
 
 @st.composite
