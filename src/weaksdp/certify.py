@@ -22,7 +22,7 @@ from .echelon import (
     check_not_strong_cert,
     next_block,
 )
-from .linalg import determinant
+from .linalg import determinant, determinant_residue
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,11 @@ class WeakCertificate:
 def check_reformulation(raw: SdpInstance, g: Matrix, t: Matrix, clean: SdpInstance) -> ValidationReport:
     """Exact check that (G, T) turns `raw` into `clean`.
 
-    Requires det G != 0 and det T != 0, then verifies entrywise that
-    clean_b = G raw_b and clean_i = T^T (sum_j g_ij raw_j) T for every i,
-    comparing integer numerators. The report names the first failure:
+    Requires det G != 0 and det T != 0, each decided modulo a prime first:
+    only a zero `determinant_residue` runs the exact `determinant`. Then
+    verifies entrywise that clean_b = G raw_b and
+    clean_i = T^T (sum_j g_ij raw_j) T for every i, comparing integer
+    numerators. The report names the first failure:
     "det G = 0", "det T = 0", "b row i" or "row i entry (r, s)".
     """
     if raw.n != clean.n or raw.m != clean.m:
@@ -93,7 +95,7 @@ def check_reformulation(raw: SdpInstance, g: Matrix, t: Matrix, clean: SdpInstan
     if g.rows != raw.m or g.cols != raw.m or t.rows != raw.n or t.cols != raw.n:
         raise ValueError("reformulation matrices have inconsistent dimensions")
     for name, mat in (("G", g), ("T", t)):
-        if determinant(mat) == 0:
+        if determinant_residue(mat) == 0 and determinant(mat) == 0:
             return ValidationReport(False, detail=f"det {name} = 0")
     for i, (got, want) in enumerate(zip(g.mul_vec(raw.b), clean.b), start=1):
         if got != want:

@@ -23,15 +23,22 @@ it and builds no Fraction.
 the combination and the congruence both on ints; it is the one routine for
 "row-combine, then congruence" (the reformulation, the generator's
 projection and the alternative-system check), and `congruence` is its
-one-row case. Given T = I, as the last two callers and the reformulation of
-a clean bundle do, it yields the combination without the congruence.
-Otherwise the products run on packed ints (Kronecker substitution): each row
-of T is one int with a fixed-width slot per column, wide enough for every
-result entry, so CPython's big-int multiply runs the inner loops and n^2
-slots are read back per row. `congruence_mismatch(mats, g, t, targets)`
-compares the same rows with targets on integer numerators and names the
-first differing entry; the reformulation check runs on it and builds no
-Fraction.
+one-row case. G and T of a certificate are short products of elementary
+matrices, so most of their entries are zero: each row of G uses only its
+non-zero coefficients, and each column of T only its non-zero entries.
+Given T = I, as the last two callers and the reformulation of a clean
+bundle do, it yields the combination without the congruence, built from
+whole matrices, one C-level pass per non-zero coefficient. Otherwise the
+products run on packed ints (Kronecker substitution): each row of T is one
+int with a fixed-width slot per column, wide enough for every result
+entry, so CPython's big-int multiply runs the inner loops, and each result
+row comes out as the bytes of its upper slots, read back in one pass.
+`congruence_mismatch(mats, g, t, targets)` compares the same rows with
+targets on integer numerators and names the first differing entry: a
+target over the rows' denominator is spelled in the same slot encoding and
+its row checked with one `bytes` equality, and a row is unpacked only to
+name its first differing entry or when the target does not fit that
+encoding. The reformulation check runs on it and builds no Fraction.
 Matrix entries are addressed with 1-based indices via ``at(i, j)``, matching
 the 1-based index sets used for block structures, so a single indexing
 convention runs through structures, matrices and emitted file formats.
@@ -39,7 +46,10 @@ convention runs through structures, matrices and emitted file formats.
 Every value is immutable after construction and all operations are pure, so
 the types here are safe to share across threads. A symmetric matrix is
 assembled as its packed upper triangle, laid out by `upper_offset`, and
-stored once by the `SymMatrix` constructor.
+stored once by the `SymMatrix` constructor. `SymMatrix._of_rows` reads the
+rows of a bundle's matrices: a symmetric matrix of integer texts in one
+`map(int, ...)` pass, any other through its entry-by-entry loop, the one
+place that reads ``p/q`` and names a fault.
 """
 
 from __future__ import annotations
@@ -47,8 +57,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, rshift, sub
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -85,6 +96,21 @@ def check_digit_limit(ints: Sequence[int]) -> None:
     reader takes its text back, so no writer spells it."""
     if ints and not -_DIGIT_BOUND < min(ints) <= max(ints) < _DIGIT_BOUND:
         raise ValueError(f"an integer of more than DIGIT_LIMIT = {DIGIT_LIMIT} digits")
+
+
+def check_json_digits(value) -> None:
+    """`check_digit_limit` on every int in `value`, JSON data of dicts (keys
+    and values), lists and tuples: `json.dumps` would spell each one."""
+    ints, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is dict:
+            stack += item.items()
+        elif type(item) in (list, tuple):
+            stack += item
+        elif type(item) is int:
+            ints.append(item)
+    check_digit_limit(ints)
 
 
 def strict_int(text: str) -> int:
@@ -283,6 +309,9 @@ def _square(upper: Sequence, n: int) -> list[list]:
     return list(map(list, zip(*[iter(mirror(n)(upper))] * n)))
 
 
+_INTEGER_CHARS = str.maketrans("", "", "0123456789-")
+
+
 class SymMatrix:
     """Dense exact symmetric matrix of order n.
 
@@ -315,12 +344,28 @@ class SymMatrix:
     @classmethod
     def _of_rows(cls, rows: list[list], parse) -> "SymMatrix":
         """The matrix of square `rows`, each entry read to `(p, q)` by `parse`.
-        Each upper entry is parsed once; a lower entry is parsed only when it
-        differs from its mirror in type or value, so `True` beside `1` is still
-        rejected while `"2/4"` and `"1/2"` read alike."""
+
+        A matrix of integer texts is read in one pass: when every upper entry
+        is a `str` of only ``0-9`` and ``-``, of at most DIGIT_LIMIT
+        characters, and the rows equal their transpose as text, the upper
+        entries go through `int` in one `map`. Any other matrix, or a
+        `ValueError` from `int`, takes the loop, the one place that reads
+        ``p/q``, mixed spellings and JSON integers and names a fault. There
+        each upper entry is parsed once; a lower entry is parsed only when it
+        differs from its mirror in type or value, so `True` beside `1` is
+        still rejected while `"2/4"` and `"1/2"` read alike."""
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
+        upper = list(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
+        try:
+            text = "".join(upper)  # TypeError unless every upper entry is a str
+            if (not text.translate(_INTEGER_CHARS)
+                    and (len(text) <= DIGIT_LIMIT or max(map(len, upper)) <= DIGIT_LIMIT)
+                    and list(zip(*rows)) == list(map(tuple, rows))):  # equal to its transpose
+                return cls._of(n, list(map(int, upper)), 1)
+        except (TypeError, ValueError):
+            pass
         upper = [parse(v) for i, row in enumerate(rows) for v in row[i:]]
         for i in range(n):
             for j in range(i + 1, n):
@@ -499,18 +544,25 @@ def inner_general(m: Matrix, y: Matrix) -> Fraction:
 
 def _congruence_rows(
     mats: Sequence[SymMatrix], g: Matrix, t: Matrix
-) -> Iterator[tuple[list[int], int]]:
-    """Upper-triangle numerators of T^T (sum_j g_ij M_j) T over one common
-    denominator, ``(numerators, den)`` for each row of G in turn.
+) -> tuple[int, int, Iterator]:
+    """The rows T^T (sum_j g_ij M_j) T, one per row of G, as ``(den, size,
+    rows)``: every row is over the common denominator `den`, and `rows`
+    yields each row's upper triangle lazily. Each row of G uses only its
+    non-zero coefficients.
 
-    When T is not the identity, the products run on packed ints (Kronecker
-    substitution): row r of T becomes one int with a w-bit slot per column,
-    so row r of M_j T is one dot product of row r of M_j with the packed
-    rows of T, and row a of the result one dot product of column a of T
-    with the packed rows of C T. The slot width bounds every result entry,
-    n^2 k max|g| max|M| max|T|^2, plus a sign bit, in whole bytes; an offset
-    of half a slot per slot makes every slot non-negative, so each entry is
-    read back exactly as one signed field of the bytes.
+    When T is the identity, `size` is 0 and each row is its list of
+    numerators, the combination built from whole matrices: one C-level pass
+    per non-zero coefficient, so the congruence is skipped.
+
+    Otherwise the products run on packed ints (Kronecker substitution): row
+    r of T becomes one int with a w-bit slot per column, so row r of M_j T is
+    one dot product of row r of M_j with the packed rows of T, and row a of
+    the result one dot product of the non-zero entries of column a of T with
+    the matching packed rows of C T. The slot width bounds every result
+    entry, n^2 k max|g| max|M| max|T|^2, plus a sign bit, in whole bytes:
+    `size` bytes per slot. Half the slot range added to each slot makes it
+    non-negative, so each row is the bytes of its upper entries in that
+    slot encoding, little-endian, and `_unpack` reads it back.
     """
     mats = tuple(mats)
     n = t.rows
@@ -519,43 +571,50 @@ def _congruence_rows(
     if g.cols != len(mats):
         raise ValueError("coefficient count does not match matrix count")
     k = len(mats)
-    half = n * (n + 1) // 2
     dm = lcm(*(mat._d for mat in mats))
-    stacked = [v * (dm // mat._d) for mat in mats for v in mat._u]
+    scaled = [mat._u if mat._d == dm else [v * (dm // mat._d) for v in mat._u] for mat in mats]
     gi, dg = g._e, g._d
+    g_rows = [gi[row * k : (row + 1) * k] for row in range(g.rows)]
     # T = I, read off the stored form: n^2 - n zeros and a diagonal of ones over 1
     if t._d == 1 and t._e.count(0) == n * n - n and t._e[:: n + 1] == (1,) * n:
-        across = [stacked[p::half] for p in range(half)]  # upper entry p of M_1..M_k
-        for row in range(g.rows):
-            coeffs = gi[row * k : (row + 1) * k]
-            yield [sum(map(mul, coeffs, entry)) for entry in across], dm * dg
-        return
+
+        def combinations() -> Iterator[list[int]]:
+            for coeffs in g_rows:
+                acc = [0] * (n * (n + 1) // 2)
+                for c, u in zip(compress(coeffs, coeffs), compress(scaled, coeffs)):
+                    acc = list(map(add, acc, map(mul, u, repeat(c))))
+                yield acc
+
+        return dm * dg, 0, combinations()
     ti, dt = t._e, t._d
-    g_max, m_max, t_max = (max(map(abs, nums), default=0) for nums in (gi, stacked, ti))
-    bound = n * n * k * g_max * m_max * t_max**2
-    size = (bound.bit_length() + 8) // 8  # bytes per slot, the sign bit included
+    g_max, m_max, t_max = (max(map(abs, nums), default=0)
+                           for nums in (gi, chain.from_iterable(scaled), ti))
+    size = (n * n * k * g_max * m_max * t_max**2).bit_length() // 8 + 1  # the sign bit included
     width = 8 * size
-    offset = int.from_bytes(bytes([0] * (size - 1) + [0x80]) * n, "little")
-    packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n])) for r in range(n)]
-    # the packed rows of each M_j T, regrouped so that mt[r] holds row r of every M_j T
-    per_matrix = [
-        [sum(map(mul, line, packed_t)) for line in _square(stacked[j * half : (j + 1) * half], n)]
-        for j in range(k)
-    ]
-    mt = list(zip(*per_matrix))
-    t_columns = [ti[a::n] for a in range(n)]
-    den = dm * dg * dt * dt
-    for row in range(g.rows):
-        coeffs = gi[row * k : (row + 1) * k]
-        ct = [sum(map(mul, coeffs, line)) for line in mt]  # packed rows of C T
-        nums: list[int] = []
-        for a, column in enumerate(t_columns):
-            fields = ((sum(map(mul, column, ct)) + offset) ^ offset).to_bytes(size * n, "little")
-            nums += [
-                int.from_bytes(fields[c : c + size], "little", signed=True)
-                for c in range(a * size, n * size, size)
-            ]
-        yield nums, den
+    packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n]) if v)
+                for r in range(n)]
+    # mt[r] holds the packed row r of every M_j T
+    mt = list(zip(*[[sum(map(mul, line, packed_t)) for line in _square(u, n)] for u in scaled]))
+    t_columns = [(column, [v for v in column if v]) for column in (ti[a::n] for a in range(n))]
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    # result row a keeps slots a..n-1 of its packed sum: the upper triangle
+    shifts, lengths = range(0, width * n, width), range(size * n, 0, -size)
+
+    def rows() -> Iterator[bytes]:
+        for coeffs in g_rows:
+            nonzero = [c for c in coeffs if c]
+            ct = [sum(map(mul, nonzero, compress(line, coeffs))) for line in mt]  # packed rows of C T
+            sums = [sum(map(mul, values, compress(ct, column)), offset) for column, values in t_columns]
+            yield b"".join(map(int.to_bytes, map(rshift, sums, shifts), lengths, repeat("little")))
+
+    return dm * dg * dt * dt, size, rows()
+
+
+def _unpack(data: bytes, size: int) -> list[int]:
+    """The entries of a row of `_congruence_rows` in its slot encoding:
+    `size` bytes each, little-endian, less half the slot range."""
+    fields = map(bytes, zip(*[iter(data)] * size))  # `size` references to one iterator
+    return list(map(sub, map(int.from_bytes, fields, repeat("little")), repeat(1 << (8 * size - 1))))
 
 
 def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
@@ -563,13 +622,18 @@ def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[Sym
 
     The row combination and the congruence both run on the stored ints
     (packed products when T is not the identity, see `_congruence_rows`),
-    and each row is stored as it comes out; no Fraction is built. When T is
-    the identity, each row is its integer combination: the congruence is
-    skipped. Rows are computed lazily, so a caller can stop early. T must be
-    square of the order of the M_j; invertibility is not checked here
-    (callers that need an invertible transform verify the determinant).
+    and each row is stored as it comes out, a packed row unpacked in one
+    `map` pass; no Fraction is built. When T is the identity, each row is
+    its integer combination: the congruence is skipped. Rows are computed
+    lazily, so a caller can stop early. T must be square of the order of the
+    M_j; invertibility is not checked here (callers that need an invertible
+    transform verify the determinant).
     """
-    return (SymMatrix._of(t.rows, nums, den) for nums, den in _congruence_rows(mats, g, t))
+    den, size, rows = _congruence_rows(mats, g, t)
+    n = t.rows
+    if size:
+        return (SymMatrix._of(n, _unpack(data, size), den) for data in rows)
+    return (SymMatrix._of(n, nums, den) for nums in rows)
 
 
 def congruence_mismatch(
@@ -579,18 +643,34 @@ def congruence_mismatch(
     `congruences(mats, g, t)` differs from targets[i], or None if every row
     matches.
 
-    The comparison runs on integers: each target's stored numerators are
-    cross-multiplied with the row's only when the two denominators differ.
-    No Fraction is built.
+    The comparison runs on integers. When T is not the identity, a target
+    over the rows' denominator is spelled in the kernel's slot encoding,
+    each value plus half the slot range through `int.to_bytes`, and its row
+    is checked with one `bytes` equality. A row is unpacked only to name its
+    first differing entry, or when its target has another denominator or a
+    value that does not fit a slot (an `OverflowError`); then the row and
+    the target are compared exactly, their numerators cross-multiplied only
+    when the denominators differ. No Fraction is built.
     """
     targets = tuple(targets)
     if len(targets) != g.rows or any(target.n != t.rows for target in targets):
         raise ValueError("targets must be one matrix of the transform's order per row of G")
-    for i, ((nums, den), target) in enumerate(zip(_congruence_rows(mats, g, t), targets), start=1):
-        want, dw = list(target._u), target._d
+    den, size, rows = _congruence_rows(mats, g, t)
+    bias = 1 << (8 * size - 1) if size else 0
+    for i, (nums, target) in enumerate(zip(rows, targets), start=1):
+        want, dw = target._u, target._d
+        if size:
+            if dw == den:
+                try:
+                    slots = map(add, want, repeat(bias))
+                    if nums == b"".join(map(int.to_bytes, slots, repeat(size), repeat("little"))):
+                        continue
+                except OverflowError:  # a target value outside the slot range
+                    pass
+            nums = _unpack(nums, size)
         if dw != den:
             nums, want = [v * dw for v in nums], [v * den for v in want]
-        if nums != want:
+        if nums != list(want):
             p = next(p for p, (a, b) in enumerate(zip(nums, want)) if a != b)
             n = t.rows
             return (i,) + [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)][p]

@@ -12,12 +12,17 @@ and flagged as lossy otherwise. All three writers take the text of a matrix
 from `_leaves`, which spells each distinct matrix once. Nothing written here
 contains timestamps, so identical inputs produce identical bytes. No writer
 spells an integer of more than DIGIT_LIMIT digits, which no reader takes
-back: it raises ValueError before it opens its file.
+back, in a matrix, a value or a bundle's `generation`: it raises ValueError
+before it opens its file.
 
 The readers only turn text into numbers: integer fields go through
 `exact.strict_int`, each distinct token once per file, and the matrices are
 built by private `SymMatrix` constructors, so the symmetric-rows rule of
-`SymMatrix.from_rows` has one implementation, in `exact.py`. `read_sdpa`
+`SymMatrix.from_rows` has one implementation, in `exact.py`. `read_native`
+reads each symmetric matrix through `SymMatrix._of_rows`: one whose upper
+entries are integer texts equal to their mirrors goes through `int` in one
+pass, and any other through the loop that parses each distinct value once
+per bundle, reads ``p/q`` and names a fault. `read_sdpa`
 finds its header lines from the top and reads every body, valid or not, in
 one pass: one `split()` of the whole body, each field's distinct tokens
 parsed and range-checked once, and each cell placed at its packed offset
@@ -41,7 +46,7 @@ from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
     CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, mirror, rational, strict_int, text_ratio,
-    check_digit_limit, upper_offset,
+    check_digit_limit, check_json_digits, upper_offset,
 )
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
@@ -493,6 +498,7 @@ def _bundle_doc(bundle: NativeBundle, matrix) -> dict:
     def blocks(structure: Structure) -> list[list[int]]:
         return [sorted(block) for block in structure.blocks]
 
+    check_json_digits(bundle.generation)
     cert = bundle.certificate
     return {
         "schema": SCHEMA,

@@ -34,7 +34,8 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .exact import (
-    Matrix, SymMatrix, congruences, inner, inner_general, inner_table, inners, upper_offset,
+    Matrix, SymMatrix, check_json_digits, congruences, inner, inner_general, inner_table, inners,
+    upper_offset,
 )
 from .echelon import (
     SdpInstance,
@@ -98,8 +99,11 @@ class GenConfig:
 
 
 def config_json(cfg: GenConfig) -> dict:
-    """The configuration as plain JSON data, as recorded in bundles and manifests."""
-    return json.loads(json.dumps(asdict(cfg)))
+    """The configuration as plain JSON data, as recorded in bundles and
+    manifests; ValueError for an integer of more than DIGIT_LIMIT digits."""
+    data = asdict(cfg)
+    check_json_digits(data)
+    return json.loads(json.dumps(data))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ and for each probe of `least_definite_shift`, and block by block for
 `BorderedElimination`, which also borders each new block through the steps
 already taken, so that the asymptote witness eliminates each index once
 across its levels. The one product here, `PsdVerdict.reconstruct`, is one
-`congruence` of `exact`.
+`congruence` of `exact`. Apart from both, `determinant_residue` eliminates
+modulo the prime 2^61 - 1, on word-sized residues: a non-zero residue
+proves a determinant non-zero without the exact elimination.
 
 Positive definiteness is decided in two ways. `is_positive_definite`
 reads the verdict of `psd_certify`. Where only yes or no is needed, the
@@ -140,6 +142,39 @@ def determinant(a: Matrix) -> Fraction:
         raise ValueError("determinant requires a square matrix")
     pivot_cols, det, _ = _gauss_jordan(a._num_rows(), a.cols)
     return Fraction(det, a._d**a.rows) if len(pivot_cols) == a.rows else _ZERO
+
+
+PRIME = 2**61 - 1
+"""The prime of `determinant_residue`."""
+
+
+def determinant_residue(a: Matrix) -> int:
+    """The determinant of A's stored numerators modulo PRIME, in 0..PRIME-1.
+
+    Non-zero only if det A != 0, so a caller that needs det A != 0 runs the
+    exact elimination of `determinant` only on a zero residue. Elimination
+    modulo the prime runs on word-sized residues, so its cost does not grow
+    with the digits of A's entries.
+    """
+    if not a.is_square():
+        raise ValueError("determinant requires a square matrix")
+    n = a.rows
+    rows = [[v % PRIME for v in row] for row in a._num_rows()]
+    det = 1
+    for c in range(n):
+        top = next((r for r in range(c, n) if rows[r][c]), None)
+        if top is None:
+            return 0
+        if top != c:
+            rows[c], rows[top] = rows[top], rows[c]
+            det = -det
+        pivot = rows[c]
+        det = det * pivot[c] % PRIME
+        inv = pow(pivot[c], -1, PRIME)
+        for r in range(c + 1, n):
+            if f := rows[r][c] * inv % PRIME:  # only rows with an entry below the pivot change
+                rows[r] = [(x - f * y) % PRIME for x, y in zip(rows[r], pivot)]
+    return det
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -218,6 +218,37 @@ def reformulated_rows_by_fractions(mats, g, t):
     return rows
 
 
+def congruence_mismatch_by_fractions(mats, g, t, targets):
+    """Reference `congruence_mismatch`: the first (i, r, s), r <= s, at which
+    row i of `reformulated_rows_by_fractions` differs from targets[i - 1] in
+    `Fraction` arithmetic, or None."""
+    n = t.rows
+    for i, (row, target) in enumerate(zip(reformulated_rows_by_fractions(mats, g, t), targets), start=1):
+        for r in range(1, n + 1):
+            for s in range(r, n + 1):
+                if row.at(r, s) != target.at(r, s):
+                    return i, r, s
+    return None
+
+
+def sym_of_rows_by_loop(rows, parse):
+    """Reference `SymMatrix._of_rows`: the loop the package ran before its
+    one-pass integer route. Each upper entry is parsed once, a lower entry
+    only when it differs from its mirror in type or value."""
+    from weaksdp import SymMatrix
+
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    upper = [parse(v) for i, row in enumerate(rows) for v in row[i:]]
+    for i in range(n):
+        for j in range(i + 1, n):
+            high, low = rows[i][j], rows[j][i]
+            if (type(low) is not type(high) or low != high) and parse(low) != parse(high):
+                raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
+    return SymMatrix._of_ratios(n, upper)
+
+
 def psd_certify_by_steps(a):
     """Reference pivoted LDL^T decision of a `SymMatrix`: the elimination loop
     the package ran before its shared `_eliminate` step, over the public API.

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     congruence_by_fractions,
+    congruence_mismatch_by_fractions,
     inner_by_fractions,
     matmul_by_fractions,
     reformulated_rows_by_fractions,
@@ -24,7 +25,7 @@ from weaksdp import (
     random_unimodular,
     rational,
 )
-from weaksdp.exact import DIGIT_LIMIT, mirror, text_ratio, upper_offset
+from weaksdp.exact import DIGIT_LIMIT, _congruence_rows, mirror, text_ratio, upper_offset
 
 small_ints = st.integers(-30, 30)
 # a denominator q in 1..12, then a numerator in -30q..30q: every fraction in
@@ -343,6 +344,90 @@ class TestPackedCongruence:
             congruence_mismatch(mats, Matrix.identity(1), Matrix.identity(2), [])
         with pytest.raises(ValueError):
             congruence_mismatch(mats, Matrix.identity(1), Matrix.identity(2), [SymMatrix.identity(3)])
+
+
+nonzero_coefficients = st.tuples(st.integers(1, 4), st.sampled_from([1, -1])).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def elementary_product(draw, order, fractions):
+    """The identity of `order` after 0-4 random elementary row operations: a
+    swap, a row plus c times another, or a row times c, with c a non-zero
+    integer of magnitude at most 4, or with `fractions` such an integer over
+    1-3."""
+    rows = [[Fraction(int(i == j)) for j in range(order)] for i in range(order)]
+    for _ in range(draw(st.integers(0, 4)) if order else 0):
+        kind = draw(st.sampled_from(["swap", "add", "scale"]))
+        i, j = draw(st.integers(0, order - 1)), draw(st.integers(0, order - 1))
+        c = Fraction(draw(nonzero_coefficients), draw(st.integers(1, 3)) if fractions else 1)
+        if kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "add" and i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif kind == "scale":
+            rows[i] = [c * a for a in rows[i]]
+    return Matrix(order, order, tuple(v for row in rows for v in row))
+
+
+@st.composite
+def mismatch_cases(draw):
+    """k symmetric matrices of order 1-5, G and T products of a few elementary
+    operations (G with some rows zeroed, T the identity a third of the time),
+    and as targets the rows of `reformulated_rows_by_fractions` with no entry
+    or one drawn entry (i, r, s) changed, by a small amount or by one far
+    outside any slot."""
+    order, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    mats = draw(sym_matrices(order, k))
+    g = draw(elementary_product(k, True))
+    zero_rows = draw(st.sets(st.integers(0, k - 1)))
+    g = Matrix(k, k, tuple(Fraction(0) if r in zero_rows else v
+                           for r in range(k) for v in g.row(r + 1)))
+    t = Matrix.identity(order)
+    if draw(st.integers(0, 2)):
+        t = draw(elementary_product(order, draw(st.booleans())))
+    targets = reformulated_rows_by_fractions(mats, g, t)
+    if draw(st.booleans()):
+        i, r = draw(st.integers(0, k - 1)), draw(st.integers(1, order))
+        s = draw(st.integers(r, order))
+        delta = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(10**40)]))
+        targets[i] = targets[i].add(SymMatrix.unit(order, r, s, delta))
+    return mats, g, t, targets
+
+
+class TestSparseCongruence:
+    @given(mismatch_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_first_mismatch_matches_the_fraction_oracle(self, case):
+        mats, g, t, targets = case
+        want = congruence_mismatch_by_fractions(mats, g, t, targets)
+        assert congruence_mismatch(mats, g, t, targets) == want
+        assert list(congruences(mats, g, t)) == reformulated_rows_by_fractions(mats, g, t)
+
+    def test_target_outside_the_slot_range(self):
+        mats = (sym([[1, 2, 0], [2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+        g = Matrix.from_rows([[1, 2], [0, 0]])
+        t = Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
+        rows = list(congruences(mats, g, t))
+        half_range = 1 << (8 * _congruence_rows(mats, g, t)[1] - 1)
+        # the first two overflow a slot on either side; -half_range is the lowest slot value
+        for value in (half_range, -half_range - 1, -half_range, 10**40):
+            out = SymMatrix.unit(3, 2, 3, value)
+            assert congruence_mismatch(mats, g, t, [rows[0], out]) == (2, 2, 3), value
+            # an entry that fits a slot, before one that does not, is named first
+            both = rows[0].add(SymMatrix.unit(3, 1, 2)).add(SymMatrix.unit(3, 3, 3, value))
+            assert congruence_mismatch(mats, g, t, [both, rows[1]]) == (1, 1, 2), value
+
+    def test_targets_over_another_denominator_with_zero_coefficients(self):
+        mats = (sym([[1, 3], [3, 5]]), sym([[Fraction(1, 2), 1], [1, 1]]), sym([[2, 0], [0, 2]]))
+        g = Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, Fraction(1, 3), 0]])
+        t = Matrix.from_rows([[1, 0], [1, 1]])
+        want = reformulated_rows_by_fractions(mats, g, t)
+        den = _congruence_rows(mats, g, t)[0]
+        assert [row._d for row in want] == [1, 1, 6] and den == 6  # two rows over another denominator
+        assert congruence_mismatch(mats, g, t, want) is None
+        changed = want[2].add(SymMatrix.unit(2, 2, 2, Fraction(1, 7)))
+        assert congruence_mismatch(mats, g, t, [want[0], want[1], changed]) == (3, 2, 2)
+        assert congruence_mismatch(mats, g, t, [want[0], SymMatrix.unit(2, 1, 2), want[2]]) == (2, 1, 2)
 
 
 class TestInners:

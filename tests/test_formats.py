@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weaksdp
-from oracles import cbf_text_by_entries, read_sdpa_by_lines, sdpa_text_by_entries
+from oracles import cbf_text_by_entries, read_sdpa_by_lines, sdpa_text_by_entries, sym_of_rows_by_loop
 from weaksdp import (
     GenConfig,
     Matrix,
@@ -132,6 +132,120 @@ def test_writers_refuse_integers_past_the_digit_limit(tmp_path, writer, inst):
     with pytest.raises(ValueError, match=f"more than DIGIT_LIMIT = {DIGIT_LIMIT} digits"):
         writer(inst, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("generation", [
+    {"seed": 10**DIGIT_LIMIT},
+    {"config": [1, {"k": -(10**DIGIT_LIMIT)}]},
+    {"seeds": {10**DIGIT_LIMIT: "a key json.dumps would spell"}},
+], ids=["value", "nested", "key"])
+def test_native_writer_refuses_long_integers_in_the_generation(tmp_path, generation):
+    raw, cert = me_instance()
+    path = tmp_path / "me.wsdp"
+    with pytest.raises(ValueError, match=f"more than DIGIT_LIMIT = {DIGIT_LIMIT} digits"):
+        write_native(NativeBundle(raw, cert, generation=generation), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+# texts the one-pass integer route of `SymMatrix._of_rows` must leave to the
+# loop, or read as the loop does; and digit runs at and past DIGIT_LIMIT
+_READER_TEXTS = ("-0", "007", "", "+1", " 1", "1_0", "\u0661", "-", "1/2", "2/4", "-3/6", "1/0")
+_DIGIT_RUNS = ("9" * DIGIT_LIMIT, "-" + "9" * DIGIT_LIMIT, "9" * (DIGIT_LIMIT + 1))
+
+
+def _respelled(token):
+    """The value of `token` spelled otherwise where it has another spelling:
+    a JSON integer as text, an integer text as a fraction, p/q as 2p/2q."""
+    if type(token) is int:
+        return str(token)
+    if type(token) is str and 0 < len(token) < 12 and token.lstrip("-").isascii():
+        p, _, q = token.partition("/")
+        if p.lstrip("-").isdigit() and (q.isdigit() or not q):
+            return f"{2 * int(p)}/{2 * int(q or 1)}"
+    return token
+
+
+@st.composite
+def _token_grids(draw):
+    """Rows for `SymMatrix._of_rows` of order 0-4, one in ten ragged: integer
+    texts, each mirrored below the diagonal by the same text, mostly, or by
+    the same value spelled otherwise or a text of its own; then up to two
+    cells, and their mirrors, hold a p/q, a text of _READER_TEXTS, a JSON
+    integer, `true` or a digit run of _DIGIT_RUNS."""
+    n = draw(st.integers(0, 4))
+    plain = st.integers(-40, 40).map(str)
+    special = st.one_of(
+        st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+        st.sampled_from(_READER_TEXTS),
+        st.integers(-40, 40),
+        st.just(True),
+        st.sampled_from(_DIGIT_RUNS),
+    )
+
+    def mirrored(token, tokens):
+        kind = draw(st.sampled_from(["same"] * 6 + ["respelled", "own"]))
+        return draw(tokens) if kind == "own" else token if kind == "same" else _respelled(token)
+
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = draw(plain)
+            rows[j][i] = mirrored(rows[i][j], plain)
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i, j = sorted((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+        rows[i][j] = draw(special)
+        rows[j][i] = mirrored(rows[i][j], special) if i < j else rows[i][j]
+    if n and draw(st.integers(0, 9)) == 0:
+        rows[-1].pop()
+    return rows
+
+
+def _outcome(read, rows):
+    try:
+        return read(rows, formats._memo_ratio())
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+@given(_token_grids())
+@settings(max_examples=300, deadline=None)
+def test_integer_route_agrees_with_the_loop(rows):
+    assert _outcome(SymMatrix._of_rows, rows) == _outcome(sym_of_rows_by_loop, rows)
+
+
+def test_integer_matrix_is_read_without_the_loop():
+    def refuse(value):
+        raise AssertionError(f"parsed {value!r} one at a time")
+
+    rows = [["-0", "007", "-12"], ["007", "4", "9" * DIGIT_LIMIT], ["-12", "9" * DIGIT_LIMIT, "0"]]
+    assert SymMatrix._of_rows(rows, refuse) == SymMatrix(3, (0, 7, -12, 4, int("9" * DIGIT_LIMIT), 0))
+
+
+@pytest.mark.parametrize("limit, entry, expected", [
+    ("640", "-" + "7" * 1000,
+     "Exceeds the limit (640 digits) for integer string conversion: value has 1000 digits"),
+    ("0", "7" * (DIGIT_LIMIT + 1), f"an integer of more than {DIGIT_LIMIT} digits"),
+], ids=["lower", "off"])
+def test_interpreter_digit_limit_on_a_matrix_entry(tmp_path, limit, entry, expected):
+    # under PYTHONINTMAXSTRDIGITS=640 the one-pass route's `int` refuses 1000
+    # digits, and with the interpreter's limit off it takes no more than
+    # DIGIT_LIMIT; either way the loop names the fault as it always has
+    raw, cert = me_instance()
+    path = tmp_path / "me.wsdp"
+    write_native(NativeBundle(instance=raw, certificate=cert), path)
+    doc = json.loads(path.read_text())
+    rows = doc["instance"]["matrices"][0]
+    rows[0][1] = rows[1][0] = entry
+    path.write_text(json.dumps(doc))
+    script = ("import sys\nfrom weaksdp import read_native\nfrom weaksdp.formats import NativeFormatError\n"
+              "try:\n    read_native(sys.argv[1])\nexcept NativeFormatError as exc:\n"
+              "    print(exc)\nelse:\n    print('accepted')\n")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit,
+               PYTHONPATH=str(Path(weaksdp.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, str(path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("malformed instance in instance: " + expected), run.stdout
 
 
 class TestSdpa:

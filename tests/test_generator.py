@@ -52,6 +52,19 @@ class TestGenConfig:
             GenConfig(n=3, m=3, k=2, l=2, seed=0, structure_overlap_policy="disjoint-only")
 
 
+    def test_config_json_refuses_integers_past_the_digit_limit(self):
+        # 10^4300 has 4301 digits: json.dumps would hit the interpreter's limit
+        from weaksdp.exact import DIGIT_LIMIT
+        from weaksdp.generator import config_json
+
+        for cfg in (GenConfig(n=4, m=3, k=1, l=1, seed=10**DIGIT_LIMIT),
+                    GenConfig(n=4, m=3, k=1, l=1, seed=0, block_size_range=(1, 10**DIGIT_LIMIT))):
+            with pytest.raises(ValueError, match=f"more than DIGIT_LIMIT = {DIGIT_LIMIT} digits"):
+                config_json(cfg)
+        longest = 10**DIGIT_LIMIT - 1
+        assert config_json(GenConfig(n=4, m=3, k=1, l=1, seed=longest))["seed"] == longest
+
+
 class TestChooseStructures:
     def test_required_blocks_nonempty(self):
         p, q = choose_structures(base_cfg())

@@ -11,8 +11,10 @@ from oracles import (
 )
 from weaksdp import (
     Matrix,
+    SdpInstance,
     SplitMix64,
     SymMatrix,
+    check_reformulation,
     congruence,
     determinant,
     inverse,
@@ -20,10 +22,11 @@ from weaksdp import (
     least_definite_shift,
     psd_certify,
     random_unimodular,
+    reformulated,
     schur_complement,
     solve_linear,
 )
-from weaksdp.linalg import BorderedElimination
+from weaksdp.linalg import PRIME, BorderedElimination, determinant_residue
 
 
 def fractions_within(bound, max_denominator):
@@ -225,6 +228,66 @@ class TestDeterminant:
     ])
     def test_row_swaps_and_singular_cases(self, rows, expected):
         assert determinant(Matrix.from_rows(rows)) == expected == determinant_by_cofactors(rows)
+
+
+@st.composite
+def residue_cases(draw):
+    """Square matrices of order 1-6 of three kinds: entries that are small,
+    up to 2^70 or small fractions; rank-deficient products through a smaller
+    inner dimension; and non-singular integer matrices whose determinant is a
+    multiple of PRIME, so singular only modulo the prime: triangular with a
+    diagonal entry PRIME k, times a random unimodular matrix."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["entries", "low rank", "multiple of the prime"]))
+    if kind == "entries":
+        entries = draw(st.sampled_from([st.integers(-2, 2).map(Fraction),
+                                        st.integers(-2**70, 2**70).map(Fraction), small_fractions]))
+        return Matrix(n, n, tuple(draw(st.lists(entries, min_size=n * n, max_size=n * n))))
+    if kind == "low rank":
+        return draw(low_rank_matrices(n, n))
+    k = draw(st.integers(-3, 3).map(lambda v: v if v else 1))
+    at = draw(st.integers(0, n - 1))
+    cells = [[(PRIME * k if i == at else draw(nonzero_tiny_entries).numerator) if i == j
+              else draw(st.integers(-3, 3)) if i < j else 0 for j in range(n)] for i in range(n)]
+    unimodular = random_unimodular(n, draw(st.integers(0, 2**32)), draw(st.integers(0, 6)), 2)
+    return Matrix.from_rows(cells) @ unimodular
+
+
+class TestDeterminantResidue:
+    @given(residue_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_residue_is_the_determinant_of_the_numerators_modulo_the_prime(self, a):
+        residue = determinant_residue(a)
+        assert 0 <= residue < PRIME
+        assert residue == determinant(a) * a._d**a.rows % PRIME
+
+    @given(residue_cases(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_reformulation_verdict_is_the_determinants(self, a, as_transform):
+        # the matrix as T with G = I, or as G with T = I: the reformulation
+        # holds by construction, so it fails exactly on det = 0
+        n = a.rows
+        if as_transform:
+            raw = SdpInstance(n, (SymMatrix.identity(n),), (Fraction(1),))
+            g, t, name = Matrix.identity(1), a, "T"
+        else:
+            raw = SdpInstance(1, tuple(SymMatrix.diag([i]) for i in range(1, n + 1)),
+                              tuple(map(Fraction, range(n))))
+            g, t, name = a, Matrix.identity(1), "G"
+        report = check_reformulation(raw, g, t, reformulated(raw, g, t))
+        assert bool(report) == (determinant(a) != 0)
+        assert report.detail == ("" if report else f"det {name} = 0")
+
+    @pytest.mark.parametrize("rows", [
+        [[PRIME]],
+        [[2 * PRIME, 1], [PRIME, 1]],
+        [[1, 2, 3], [0, PRIME, 5], [0, 0, -1]],
+    ])
+    def test_singular_only_modulo_the_prime(self, rows):
+        a = Matrix.from_rows(rows)
+        assert determinant_residue(a) == 0 and determinant(a) != 0
+        raw = SdpInstance(a.rows, (SymMatrix.identity(a.rows),), (Fraction(1),))
+        assert check_reformulation(raw, Matrix.identity(1), a, reformulated(raw, Matrix.identity(1), a))
 
 
 class TestInverse:
