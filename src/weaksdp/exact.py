@@ -45,11 +45,13 @@ convention runs through structures, matrices and emitted file formats.
 
 Every value is immutable after construction and all operations are pure, so
 the types here are safe to share across threads. A symmetric matrix is
-assembled as its packed upper triangle, laid out by `upper_offset`, and
-stored once by the `SymMatrix` constructor. `SymMatrix._of_rows` reads the
-rows of a bundle's matrices: a symmetric matrix of integer texts in one
-`map(int, ...)` pass, any other through its entry-by-entry loop, the one
-place that reads ``p/q`` and names a fault.
+assembled as its packed upper triangle, laid out by `upper_offset`, stored
+once by the `SymMatrix` constructor, and given back as full rows by
+`square_rows`, the one rows-from-packed rule. `SymMatrix._of_rows` and
+`Matrix._of_rows` read the rows of a bundle's matrices: a matrix of integer
+texts (equal to its transpose, for `SymMatrix`) through `_integer_texts` in
+one `map(int, ...)` pass, any other entry by entry, where ``p/q`` is read
+and a fault named.
 """
 
 from __future__ import annotations
@@ -206,17 +208,27 @@ class Matrix:
         self._e, self._d = _canonical(nums, den)
         return self
 
-    @classmethod
-    def _of_ratios(cls, grid: list[list[tuple[int, int]]]) -> "Matrix":
-        """The matrix of rows of `(p, q)` entries, over the lcm of the q."""
-        ncols = len(grid[0]) if grid else 0
-        if any(len(row) != ncols for row in grid):
+    @staticmethod
+    def _shape(rows: list[list]) -> tuple[int, int]:
+        """The (rows, columns) of `rows`; ValueError unless all have one length."""
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
             raise ValueError("ragged rows")
-        return cls._of(len(grid), ncols, *_over_lcm(v for row in grid for v in row))
+        return len(rows), cols
+
+    @classmethod
+    def _of_rows(cls, rows: list[list], parse) -> "Matrix":
+        """The matrix of `rows`, refused by `_shape` before any entry is
+        read: integer texts through `_integer_texts`, any other entries each
+        read to `(p, q)` by `parse`, over the lcm of the q."""
+        shape = cls._shape(rows)
+        entries = list(chain.from_iterable(rows))
+        nums = _integer_texts(entries)
+        return cls._of(*shape, *(_over_lcm(map(parse, entries)) if nums is None else (nums, 1)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
-        return cls._of_ratios([[_ratio(v) for v in row] for row in rows])
+        return cls._of_rows([list(row) for row in rows], _ratio)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -293,23 +305,43 @@ def upper_offset(n: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n - i + 2) // 2 + (j - i)
 
 
-@lru_cache(maxsize=32)
-def mirror(n: int) -> itemgetter:
+@lru_cache(maxsize=4)
+def _mirror(n: int) -> itemgetter:
     """The getter of the n * n entries of a symmetric matrix of order n >= 2,
-    row by row, from its packed upper triangle."""
-    return itemgetter(*(upper_offset(n, min(i, j), max(i, j))
-                        for i in range(1, n + 1) for j in range(1, n + 1)))
+    row by row, from its packed upper triangle: row r is column r of the rows
+    above it, then its own upper cells. It holds n^2 offsets, 24 MB at
+    ORDER_LIMIT, so only four orders are kept: the library's 5, 10, 20, 40."""
+    rows: list[list[int]] = []
+    for r in range(n):
+        start = upper_offset(n, r + 1, r + 1)
+        rows.append([*map(itemgetter(r), rows), *range(start, start + n - r)])
+    return itemgetter(*chain.from_iterable(rows))
 
 
-def _square(upper: Sequence, n: int) -> list[list]:
-    """The n rows of a symmetric matrix from its packed row-major upper triangle."""
+def square_rows(upper: Sequence, n: int) -> list[list]:
+    """The n rows, new lists, of a symmetric matrix of order n from its
+    packed row-major upper triangle: the one rows-from-packed rule."""
     if n < 2:  # with one index, `itemgetter` returns the bare entry
         return [list(upper)] * n
     # n references to one iterator: zip groups its entries n at a time
-    return list(map(list, zip(*[iter(mirror(n)(upper))] * n)))
+    return list(map(list, zip(*[iter(_mirror(n)(upper))] * n)))
 
 
 _INTEGER_CHARS = str.maketrans("", "", "0123456789-")
+
+
+def _integer_texts(values: list) -> list[int] | None:
+    """The ints of `values` when each is a `str` of only ``0-9`` and ``-``
+    of at most DIGIT_LIMIT characters that `int` reads, in one `map` pass;
+    None otherwise, for the caller's loop to read or refuse entry by entry."""
+    try:
+        text = "".join(values)  # TypeError unless every value is a str
+        if not text.translate(_INTEGER_CHARS) and (
+                len(text) <= DIGIT_LIMIT or max(map(len, values)) <= DIGIT_LIMIT):
+            return list(map(int, values))
+    except (TypeError, ValueError):
+        pass
+    return None
 
 
 class SymMatrix:
@@ -345,28 +377,20 @@ class SymMatrix:
     def _of_rows(cls, rows: list[list], parse) -> "SymMatrix":
         """The matrix of square `rows`, each entry read to `(p, q)` by `parse`.
 
-        A matrix of integer texts is read in one pass: when every upper entry
-        is a `str` of only ``0-9`` and ``-``, of at most DIGIT_LIMIT
-        characters, and the rows equal their transpose as text, the upper
-        entries go through `int` in one `map`. Any other matrix, or a
-        `ValueError` from `int`, takes the loop, the one place that reads
-        ``p/q``, mixed spellings and JSON integers and names a fault. There
-        each upper entry is parsed once; a lower entry is parsed only when it
-        differs from its mirror in type or value, so `True` beside `1` is
-        still rejected while `"2/4"` and `"1/2"` read alike."""
+        When `_integer_texts` reads the upper entries and the rows equal
+        their transpose as text, those ints are the matrix. Any other matrix
+        takes the loop, which reads ``p/q``, mixed spellings and JSON
+        integers and names a fault: each upper entry is parsed once, and a
+        lower entry only when it differs from its mirror in type or value,
+        so `True` beside `1` is rejected while `"2/4"` and `"1/2"` read alike."""
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         upper = list(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
-        try:
-            text = "".join(upper)  # TypeError unless every upper entry is a str
-            if (not text.translate(_INTEGER_CHARS)
-                    and (len(text) <= DIGIT_LIMIT or max(map(len, upper)) <= DIGIT_LIMIT)
-                    and list(zip(*rows)) == list(map(tuple, rows))):  # equal to its transpose
-                return cls._of(n, list(map(int, upper)), 1)
-        except (TypeError, ValueError):
-            pass
-        upper = [parse(v) for i, row in enumerate(rows) for v in row[i:]]
+        nums = _integer_texts(upper)
+        if nums is not None and list(zip(*rows)) == list(map(tuple, rows)):  # equal to its transpose
+            return cls._of(n, nums, 1)
+        upper = list(map(parse, upper))
         for i in range(n):
             for j in range(i + 1, n):
                 high, low = rows[i][j], rows[j][i]
@@ -420,10 +444,10 @@ class SymMatrix:
 
     def _num_rows(self) -> list[list[int]]:
         """The n full rows of stored numerators, over the denominator ``_d``."""
-        return _square(self._u, self.n)
+        return square_rows(self._u, self.n)
 
     def to_rows(self) -> list[list[Fraction]]:
-        return _square([Fraction(v, self._d) for v in self._u], self.n)
+        return square_rows([Fraction(v, self._d) for v in self._u], self.n)
 
     def to_matrix(self) -> Matrix:
         return Matrix._of(self.n, self.n, [v for row in self._num_rows() for v in row], self._d)
@@ -594,7 +618,7 @@ def _congruence_rows(
     packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n]) if v)
                 for r in range(n)]
     # mt[r] holds the packed row r of every M_j T
-    mt = list(zip(*[[sum(map(mul, line, packed_t)) for line in _square(u, n)] for u in scaled]))
+    mt = list(zip(*[[sum(map(mul, line, packed_t)) for line in square_rows(u, n)] for u in scaled]))
     t_columns = [(column, [v for v in column if v]) for column in (ti[a::n] for a in range(n))]
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
     # result row a keeps slots a..n-1 of its packed sum: the upper triangle

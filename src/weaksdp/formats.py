@@ -9,20 +9,25 @@ newline is the reference it matches byte for byte. SDPA and CBF are
 solver-input exports; they are exact whenever every value has a terminating
 decimal expansion (always true for the integer instances the generator emits)
 and flagged as lossy otherwise. All three writers take the text of a matrix
-from `_leaves`, which spells each distinct matrix once. Nothing written here
-contains timestamps, so identical inputs produce identical bytes. No writer
-spells an integer of more than DIGIT_LIMIT digits, which no reader takes
-back, in a matrix, a value or a bundle's `generation`: it raises ValueError
-before it opens its file.
+from `_leaves`, which spells each distinct matrix once, and its rows from
+`exact.square_rows`; SDPA and CBF spell every other value through
+`_format_value`. Nothing written here contains timestamps, so identical
+inputs produce identical bytes. The digit limit is checked where an integer
+is spelled, on the reduced p and q of each value (`_leaves`, `_format_value`
+and the native b) and on a bundle's `generation`: a writer takes every value
+that `read_native` takes, and raises ValueError before it opens its file
+for an integer of more than DIGIT_LIMIT digits, which no reader takes back.
 
 The readers only turn text into numbers: integer fields go through
 `exact.strict_int`, each distinct token once per file, and the matrices are
-built by private `SymMatrix` constructors, so the symmetric-rows rule of
-`SymMatrix.from_rows` has one implementation, in `exact.py`. `read_native`
-reads each symmetric matrix through `SymMatrix._of_rows`: one whose upper
-entries are integer texts equal to their mirrors goes through `int` in one
-pass, and any other through the loop that parses each distinct value once
-per bundle, reads ``p/q`` and names a fault. `read_sdpa`
+built by private `SymMatrix` and `Matrix` constructors, so the
+symmetric-rows rule of `SymMatrix.from_rows` has one implementation, in
+`exact.py`. `read_native` reads each symmetric matrix through
+`SymMatrix._of_rows`, and G and T, once `Matrix._shape` has checked their
+shape, through `Matrix._of_rows`: a matrix of integer texts (each equal to
+its mirror, in a symmetric one) goes through `int` in one pass, and any
+other through the loop that parses each distinct value once per bundle,
+reads ``p/q`` and names a fault. `read_sdpa`
 finds its header lines from the top and reads every body, valid or not, in
 one pass: one `split()` of the whole body, each field's distinct tokens
 parsed and range-checked once, and each cell placed at its packed offset
@@ -38,15 +43,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import floor, gcd, log10
-from operator import add
+from operator import add, floordiv
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
-    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, mirror, rational, strict_int, text_ratio,
-    check_digit_limit, check_json_digits, upper_offset,
+    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, rational, square_rows, strict_int,
+    text_ratio, check_digit_limit, check_json_digits, upper_offset,
 )
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
@@ -73,90 +78,53 @@ def _size_error(n: int, m: int) -> str | None:
     return None
 
 
-def _decimal(sign: str, scaled: int, places: int) -> str:
-    """The text of sign scaled / 10^places, scaled >= 0, with `places`
-    decimals. The whole part and the decimals are spelled apart, so only
-    their own lengths meet the interpreter's limit on int-to-text digits.
-    With places <= 0 there is no point and -places zeros follow scaled."""
-    if places <= 0:
-        return f"{sign}{scaled}" + "0" * -places
-    whole, decimals = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{decimals:0{places}d}"
-
-
-def _decimal_exact(q: Fraction) -> str | None:
-    """Terminating decimal expansion of q, or None when 10-adic digits never
-    end or run past DIGIT_LIMIT decimals.
-
-    Exact iff the denominator factors as 2^a 5^b; integers come out without a
-    decimal point so they re-parse to the identical Fraction.
-    """
-    den = q.denominator
-    a = 0
-    while den % 2 == 0:
-        den //= 2
-        a += 1
-    b = 0
-    while den % 5 == 0:
-        den //= 5
-        b += 1
-    places = max(a, b)
-    if den != 1 or places > DIGIT_LIMIT:
-        return None
-    return _decimal("-" if q < 0 else "", abs(q.numerator) * 10**places // q.denominator, places)
-
-
 _SIGNIFICANT = 17
 """Significant digits of a value that SDPA or CBF cannot spell exactly."""
 
 
-def _decimal_rounded(q: Fraction) -> str:
-    """Plain decimal string of q rounded half up to _SIGNIFICANT significant
-    digits and to at most DIGIT_LIMIT decimals, no exponent; "0" when no
-    digit is left."""
-    if q == 0:
-        return "0"
-    sign = "-" if q < 0 else ""
-    num, den = abs(q.numerator), q.denominator
-
-    def exceeds(mag: int) -> bool:
-        # is 10^mag * den > num, in pure integer arithmetic?
-        return den * 10**mag > num if mag >= 0 else den > num * 10**-mag
-
-    magnitude = floor(log10(num) - log10(den)) + 1  # not below the true one: refined below
-    while exceeds(magnitude):
-        magnitude -= 1
-    # now 10^magnitude <= |q| < 10^(magnitude+1)
-    places = min(_SIGNIFICANT - 1 - magnitude, DIGIT_LIMIT)
-    if places >= 0:
-        scaled = (2 * num * 10**places + den) // (2 * den)
-    else:
-        scaled = (2 * num + den * 10**-places) // (2 * den * 10**-places)
-    return _decimal(sign, scaled, places) if scaled else "0"
-
-
 def _format_value(num: int, den: int) -> tuple[str, bool]:
-    """The text of num / den and whether it is rounded; an integer is `str(num)`.
+    """The SDPA or CBF text of num / den and whether it is rounded.
 
-    A value is exact when its terminating decimal has at most DIGIT_LIMIT
-    decimals, the most `read_sdpa` takes; any other is rounded by
-    `_decimal_rounded`, a value too small to show to "0". When num and den
-    have at most DIGIT_LIMIT digits each, as `read_native` takes them, no
-    digit run of the text is longer than `read_sdpa` reads.
+    The reduced p / q is refused (ValueError) when p or q has more than
+    DIGIT_LIMIT digits: no reader takes such an integer back. A value is
+    exact when q = 2^a 5^b and its max(a, b) decimals are at most
+    DIGIT_LIMIT, the most `read_sdpa` takes, and an integer has no point;
+    any other is rounded half up to _SIGNIFICANT significant digits and to
+    at most DIGIT_LIMIT decimals, with no exponent, and keeps a non-zero
+    digit, as |p / q| >= 1 / q > 10^-DIGIT_LIMIT. The whole part and the
+    decimals are spelled apart, so only their own lengths meet the
+    interpreter's limit on int-to-text digits.
     """
-    if den == 1:
-        return str(num), False
-    q = Fraction(num, den)
-    exact = _decimal_exact(q)
-    if exact is not None:
-        return exact, False
-    return _decimal_rounded(q), True
+    value = Fraction(num, den)
+    num, den = abs(value.numerator), value.denominator
+    check_digit_limit((num, den))
+    rest, twos, fives = den, 0, 0
+    while rest % 2 == 0:
+        rest, twos = rest // 2, twos + 1
+    while rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    places = max(twos, fives)
+    if rest == 1 and places <= DIGIT_LIMIT:
+        scaled, rounded = num * 10**places // den, False
+    else:
+        magnitude = floor(log10(num) - log10(den)) + 1  # not below the true one: refined below
+        while Fraction(10) ** magnitude > abs(value):
+            magnitude -= 1
+        # now 10^magnitude <= |value| < 10^(magnitude+1)
+        places = min(_SIGNIFICANT - 1 - magnitude, DIGIT_LIMIT)
+        scaled, rounded = floor(abs(value) * Fraction(10) ** places + Fraction(1, 2)), True
+    sign = "-" if value < 0 else ""
+    if places <= 0:  # -places zeros follow scaled
+        return f"{sign}{scaled}" + "0" * -places, rounded
+    whole, decimals = divmod(scaled, 10**places)
+    return f"{sign}{whole}.{decimals:0{places}d}", rounded
 
 
 @lru_cache(maxsize=64)
 def _leaves(mat: Matrix | SymMatrix) -> tuple[str, ...]:
     """The `str(Fraction)` text of each stored entry, in storage order: the
     packed upper triangle of a `SymMatrix`, row-major for a `Matrix`.
+    ValueError when a reduced p or q has more than DIGIT_LIMIT digits.
 
     Every writer spells a matrix through here, and hash and `==` are
     structural, so the files of one library pair spell each distinct matrix
@@ -164,15 +132,13 @@ def _leaves(mat: Matrix | SymMatrix) -> tuple[str, ...]:
     58: its clean and messy A_i, its X_j, and G and T on either side."""
     den = mat._d
     nums = mat._u if type(mat) is SymMatrix else mat._e
-    check_digit_limit(nums + (den,))
     if den == 1:
+        check_digit_limit(nums)
         return tuple(map(str, nums))
-
-    def spell(v: int) -> str:
-        g = gcd(v, den)
-        return str(v // g) if g == den else f"{v // g}/{den // g}"
-
-    return tuple(map(spell, nums))
+    divisors = list(map(gcd, nums, repeat(den)))
+    ps, qs = list(map(floordiv, nums, divisors)), list(map(floordiv, repeat(den), divisors))
+    check_digit_limit(ps + qs)
+    return tuple(str(p) if q == 1 else f"{p}/{q}" for p, q in zip(ps, qs))
 
 
 @lru_cache(maxsize=8)
@@ -197,7 +163,6 @@ def _entry_lines(mat: SymMatrix, prefix: str, by_column: bool) -> tuple[list[str
     if den == 1:
         leaves = _leaves(mat)
         return [f"{prefix}{cell} {leaves[p]}" for p, cell in cells if u[p]], False
-    check_digit_limit(u + (den,))
     spelled = [(cell, *_format_value(u[p], den)) for p, cell in cells if u[p]]
     return [f"{prefix}{cell} {text}" for cell, text, _ in spelled], any(r for *_, r in spelled)
 
@@ -218,7 +183,6 @@ def write_sdpa(inst: SdpInstance, path, label: str | None = None) -> None:
     written. A value without an exact decimal of at most DIGIT_LIMIT
     decimals is rounded (`_format_value`) and the header carries a lossy flag.
     """
-    check_digit_limit([p for v in inst.b for p in v.as_integer_ratio()])
     body: list[str] = []
     lossy = False
     for idx, mat in enumerate(inst.A, start=1):
@@ -426,7 +390,6 @@ def write_cbf(inst: SdpInstance, path, label: str | None = None) -> None:
     F_i = A_i and shift = -b_i, matching A_i . X = b_i literally. Lower
     triangle coordinates, 0-based indices per the format.
     """
-    check_digit_limit([p for v in inst.b for p in v.as_integer_ratio()])
     lines = ["# feasibility system over one psd variable: A_i . X = b_i"]
     if label:
         lines.append(f"# label: {_comment(label)}")
@@ -470,21 +433,14 @@ class NativeBundle:
             raise ValueError("certificate does not refer to the bundled instance")
 
 
-def _leaf_rows(mat: Matrix | SymMatrix) -> list[tuple[str, ...]]:
-    """The rows of the matrix's `_leaves`, a `SymMatrix` mirrored below the diagonal."""
+def _leaf_rows(mat: Matrix | SymMatrix) -> list[list[str]]:
+    """The rows of the matrix's `_leaves`, new lists on every call: a
+    `SymMatrix` mirrored below the diagonal by `exact.square_rows`."""
     leaves = _leaves(mat)
     if type(mat) is SymMatrix:
-        count = width = mat.n
-        if width > 1:  # with one index, the getter returns the bare leaf
-            leaves = mirror(width)(leaves)
-    else:
-        count, width = mat.rows, mat.cols
-    return [leaves[r * width:(r + 1) * width] for r in range(count)]
-
-
-def _rows_json(mat: Matrix | SymMatrix) -> list[list[str]]:
-    """The rows of leaf text, new lists on every call."""
-    return list(map(list, _leaf_rows(mat)))
+        return square_rows(leaves, mat.n)
+    width = mat.cols
+    return [list(leaves[r * width:(r + 1) * width]) for r in range(mat.rows)]
 
 
 def _bundle_doc(bundle: NativeBundle, matrix) -> dict:
@@ -519,7 +475,7 @@ def _bundle_doc(bundle: NativeBundle, matrix) -> dict:
 
 
 def bundle_to_json(bundle: NativeBundle) -> dict:
-    return _bundle_doc(bundle, _rows_json)
+    return _bundle_doc(bundle, _leaf_rows)
 
 
 class _MatrixText:
@@ -659,10 +615,10 @@ def read_native(path) -> NativeBundle:
                 raise ValueError(f"x_sequence: {problem}")
 
             def square(key: str, order: int) -> Matrix:
-                mat = Matrix._of_ratios([list(map(parse, row)) for row in _rows(cert_doc[key], key)])
-                if (mat.rows, mat.cols) != (order, order):
-                    raise ValueError(f"{key} must be {order} x {order}, got {mat.rows} x {mat.cols}")
-                return mat
+                rows = _rows(cert_doc[key], key)
+                if (shape := Matrix._shape(rows)) != (order, order):  # before any entry is read
+                    raise ValueError(f"{key} must be {order} x {order}, got {shape[0]} x {shape[1]}")
+                return Matrix._of_rows(rows, parse)
 
             row_ops, transform = square("row_ops", instance.m), square("transform", instance.n)
             xseq = tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse) for rows in x_sequence)

@@ -249,6 +249,19 @@ def sym_of_rows_by_loop(rows, parse):
     return SymMatrix._of_ratios(n, upper)
 
 
+def matrix_of_rows_by_loop(rows, parse):
+    """Reference `Matrix._of_rows`: each entry read to `(p, q)` by `parse` on
+    its own, the route `read_native` took for G and T before the shared
+    integer route, after the ragged-rows check that `_of_rows` makes first.
+    The matrix comes from the public constructor."""
+    from weaksdp import Matrix
+
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged rows")
+    return Matrix(len(rows), cols, [Fraction(*parse(v)) for row in rows for v in row])
+
+
 def psd_certify_by_steps(a):
     """Reference pivoted LDL^T decision of a `SymMatrix`: the elimination loop
     the package ran before its shared `_eliminate` step, over the public API.

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,7 +26,8 @@ from weaksdp import (
     random_unimodular,
     rational,
 )
-from weaksdp.exact import DIGIT_LIMIT, _congruence_rows, mirror, text_ratio, upper_offset
+from weaksdp import exact
+from weaksdp.exact import DIGIT_LIMIT, _congruence_rows, square_rows, text_ratio, upper_offset
 
 small_ints = st.integers(-30, 30)
 # a denominator q in 1..12, then a numerator in -30q..30q: every fraction in
@@ -182,13 +184,33 @@ class TestInner:
         assert inner(a, b) == inner(b, a)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(0, 13))
 def test_upper_offset_numbers_the_upper_cells_row_by_row(n):
     cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]  # i <= j, row-major
     assert [upper_offset(n, i, j) for i, j in cells] == list(range(n * (n + 1) // 2))
-    # the mirror getter reads cell (min(r, s), max(r, s)) for each (r, s) of the square
-    square = [(min(r, s), max(r, s)) for r in range(1, n + 1) for s in range(1, n + 1)]
-    assert list(mirror(n)(cells)) == square
+    # row r of the square holds cell (min(r, s), max(r, s)) at column s
+    square = [[(min(r, s), max(r, s)) for s in range(1, n + 1)] for r in range(1, n + 1)]
+    rows = square_rows(cells, n)
+    assert rows == square and all(type(row) is list for row in rows)
+    assert len({id(row) for row in rows}) == n  # new lists, none shared
+
+
+def test_rows_keep_at_most_four_getters():
+    # a getter holds n^2 offsets; eight orders near 300 leave the last four
+    exact._mirror.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        square_rows([0] * (300 * 301 // 2), 300)
+        one = tracemalloc.get_traced_memory()[0] - base
+        for n in range(301, 308):
+            square_rows([0] * (n * (n + 1) // 2), n)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        exact._mirror.cache_clear()
+    assert one > 300 * 300 * 8  # at least a pointer per offset
+    assert held < 4.5 * one
 
 
 class TestCongruence:
@@ -565,12 +587,22 @@ def assert_canonical(a):
         assert den == 1
 
 
-mixed = st.one_of(small_ints, small_fractions)
+# a value of `small_ints` or of `small_fractions`, as an even choice between
+# the two would draw it: the denominator 1 stands for `small_ints` twelve
+# times out of 24, and each of 1..12 for `small_fractions` once
+mixed_denominators = st.sampled_from((1,) * 12 + tuple(range(1, 13)))
+numerators = {q: st.integers(-30 * q, 30 * q) for q in range(1, 13)}
+nonzero_factors = st.sampled_from([k for k in range(-6, 7) if k])
 
 
-def mixed_lists(size):
-    """`size` entries with mixed signs and denominators in one list."""
-    return st.lists(mixed, min_size=size, max_size=size)
+def draw_mixed(draw, size):
+    """`size` entries with mixed signs and denominators in one list, each a
+    denominator, then a numerator, drawn as integers."""
+    values = []
+    for _ in range(size):
+        q = draw(mixed_denominators)
+        values.append(Fraction(draw(numerators[q]), q))
+    return tuple(values)
 
 
 @st.composite
@@ -579,10 +611,10 @@ def stored_operands(draw):
     general matrix to multiply by, a scalar, and index lists; orders 0-4."""
     n, rows, cols = (draw(st.integers(0, 4)) for _ in range(3))
     half = n * (n + 1) // 2
-    a, b = (SymMatrix(n, tuple(draw(mixed_lists(half)))) for _ in range(2))
-    m, m2 = (Matrix(rows, cols, tuple(draw(mixed_lists(rows * cols)))) for _ in range(2))
-    right = Matrix(cols, 2, tuple(draw(mixed_lists(cols * 2))))
-    c = draw(mixed)
+    a, b = (SymMatrix(n, draw_mixed(draw, half)) for _ in range(2))
+    m, m2 = (Matrix(rows, cols, draw_mixed(draw, rows * cols)) for _ in range(2))
+    right = Matrix(cols, 2, draw_mixed(draw, cols * 2))
+    (c,) = draw_mixed(draw, 1)
     indices = st.lists(st.integers(1, n), max_size=4) if n else st.just([])
     return a, b, m, m2, right, c, draw(indices), draw(indices)
 
@@ -591,7 +623,7 @@ class TestStoredForm:
     """Matrices store integer numerators over one positive denominator that is
     coprime to them, and 1 for a zero matrix; `==` and `hash` read that form."""
 
-    @given(stored_operands(), st.integers(-6, 6).filter(bool))
+    @given(stored_operands(), nonzero_factors)
     @settings(max_examples=150)
     def test_every_constructor_and_operation_is_canonical(self, operands, k):
         a, b, m, m2, right, c, ri, ci = operands
@@ -613,7 +645,7 @@ class TestStoredForm:
         for result in results:
             assert_canonical(result)
 
-    @given(stored_operands(), st.integers(-6, 6).filter(bool))
+    @given(stored_operands(), nonzero_factors)
     @settings(max_examples=150)
     def test_equal_values_from_different_routes_are_equal(self, operands, k):
         a, b, m, m2, _, c, _, _ = operands

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weaksdp
-from oracles import cbf_text_by_entries, read_sdpa_by_lines, sdpa_text_by_entries, sym_of_rows_by_loop
+from oracles import (
+    cbf_text_by_entries, matrix_of_rows_by_loop, read_sdpa_by_lines, sdpa_text_by_entries,
+    sym_of_rows_by_loop,
+)
 from weaksdp import (
     GenConfig,
     Matrix,
@@ -33,7 +36,7 @@ from weaksdp import (
 from weaksdp import formats
 from weaksdp.exact import CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT
 from weaksdp.formats import (
-    NativeFormatError, SdpaFormatError, _decimal_exact, _decimal_rounded, bundle_to_json,
+    NativeFormatError, SdpaFormatError, _format_value, bundle_to_json,
 )
 
 
@@ -72,25 +75,39 @@ def parse_cbf(path):
 
 class TestValueFormatting:
     def test_exact_decimals(self):
-        assert _decimal_exact(Fraction(3)) == "3"
-        assert _decimal_exact(Fraction(-7, 2)) == "-3.5"
-        assert _decimal_exact(Fraction(1, 40)) == "0.025"
-        assert _decimal_exact(Fraction(1, 3)) is None
+        assert _format_value(3, 1) == ("3", False)
+        assert _format_value(-7, 2) == ("-3.5", False)
+        assert _format_value(1, 40) == ("0.025", False)
+        assert _format_value(6, -4) == ("-1.5", False)  # reduced first, sign from the value
+        assert _format_value(1, 3)[1] is True
 
     def test_rounded_decimals(self):
-        assert _decimal_rounded(Fraction(1, 3)) == "0.33333333333333333"
-        assert _decimal_rounded(Fraction(-200, 3)) == "-66.666666666666667"
-        assert Fraction(_decimal_rounded(Fraction(2, 3))) == Fraction(
-            "0.66666666666666667"
-        )
+        assert _format_value(1, 3) == ("0.33333333333333333", True)
+        assert _format_value(-200, 3) == ("-66.666666666666667", True)
+        assert Fraction(_format_value(2, 3)[0]) == Fraction("0.66666666666666667")
 
     def test_no_digit_run_past_the_read_limit(self):
         # an exact decimal of more than DIGIT_LIMIT decimals is rounded instead
-        assert _decimal_exact(Fraction(1, 2**(DIGIT_LIMIT + 1))) is None
-        assert _decimal_exact(Fraction(1, 2**DIGIT_LIMIT)).endswith("5")
-        # rounding stops at DIGIT_LIMIT decimals; a value too small to show is 0
-        assert _decimal_rounded(Fraction(1, 3 * 10**(DIGIT_LIMIT - 1))) == "0." + "0" * (DIGIT_LIMIT - 1) + "3"
-        assert formats._format_value(-1, 3 * 10**DIGIT_LIMIT) == ("0", True)
+        assert _format_value(1, 2**(DIGIT_LIMIT + 1))[1] is True
+        text, rounded = _format_value(1, 2**DIGIT_LIMIT)
+        assert not rounded and text.endswith("5") and len(text) == 2 + DIGIT_LIMIT
+        # rounding stops at DIGIT_LIMIT decimals, where a denominator within
+        # the limit still leaves a digit
+        assert _format_value(1, 3 * 10**(DIGIT_LIMIT - 1)) == ("0." + "0" * (DIGIT_LIMIT - 1) + "3", True)
+
+    @pytest.mark.parametrize("num, den", [
+        (-1, 3 * 10**DIGIT_LIMIT),  # a denominator of DIGIT_LIMIT + 1 digits
+        (10**DIGIT_LIMIT, 1),
+        (10**DIGIT_LIMIT + 1, 2),
+    ], ids=["denominator", "integer", "numerator"])
+    def test_reduced_integers_past_the_limit_are_refused(self, num, den):
+        with pytest.raises(ValueError, match=f"more than DIGIT_LIMIT = {DIGIT_LIMIT} digits"):
+            _format_value(num, den)
+
+    def test_the_limit_applies_to_the_reduced_value(self):
+        # 2 (10^DIGIT_LIMIT - 1) / 2 has a numerator of DIGIT_LIMIT + 1 digits
+        # as given, and DIGIT_LIMIT nines once reduced
+        assert _format_value(-2 * (10**DIGIT_LIMIT - 1), 2) == ("-" + "9" * DIGIT_LIMIT, False)
 
 
 @pytest.mark.parametrize("value, rounded", [
@@ -147,6 +164,38 @@ def test_native_writer_refuses_long_integers_in_the_generation(tmp_path, generat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_native_writer_takes_every_entry_the_reader_takes(tmp_path):
+    # stored over the denominator 2, the second entry's numerator has
+    # DIGIT_LIMIT + 1 digits; spelled, it has DIGIT_LIMIT
+    raw, cert = me_instance()
+    g = Matrix.from_rows([[1, -(10**DIGIT_LIMIT - 1)], [0, Fraction(-1, 2)]])
+    bundle = NativeBundle(raw, replace(cert, row_ops=g))
+    path = tmp_path / "long.wsdp"
+    write_native(bundle, path)
+    assert read_native(path) == bundle
+
+
+@pytest.mark.parametrize("fmt", ["dat-s", "cbf"])
+def test_exports_take_every_entry_the_reader_takes(tmp_path, fmt):
+    # the integer (10^DIGIT_LIMIT - 1) / 3 has DIGIT_LIMIT digits, and 7
+    # times it, its numerator over the matrix's denominator 7, one more
+    from weaksdp.cli import main
+
+    values = Fraction(10**DIGIT_LIMIT - 1, 3), Fraction(1, 7)
+    rows = [[str(values[0]), "1/7"], ["1/7", "0"]]
+    bundle = tmp_path / "long.wsdp"
+    bundle.write_text(json.dumps({"schema": "wsdp/1", "instance": {
+        "n": 2, "b": ["1"], "matrices": [rows]}}))
+    out = tmp_path / f"long.{fmt}"
+    assert main(["export", str(bundle), "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "dat-s":
+        (mat,) = read_sdpa(out).A
+        got = mat.at(1, 1), mat.at(1, 2)
+    else:
+        got = [v for *_, v in parse_cbf(out)["fcoord"]]
+    assert all(abs(g - v) <= v / 10**16 for g, v in zip(got, values, strict=True))
+
+
 # texts the one-pass integer route of `SymMatrix._of_rows` must leave to the
 # loop, or read as the loop does; and digit runs at and past DIGIT_LIMIT
 _READER_TEXTS = ("-0", "007", "", "+1", " 1", "1_0", "\u0661", "-", "1/2", "2/4", "-3/6", "1/0")
@@ -166,13 +215,17 @@ def _respelled(token):
 
 
 @st.composite
-def _token_grids(draw):
+def _token_grids(draw, symmetric=True):
     """Rows for `SymMatrix._of_rows` of order 0-4, one in ten ragged: integer
     texts, each mirrored below the diagonal by the same text, mostly, or by
     the same value spelled otherwise or a text of its own; then up to two
     cells, and their mirrors, hold a p/q, a text of _READER_TEXTS, a JSON
-    integer, `true` or a digit run of _DIGIT_RUNS."""
+    integer, `true` or a digit run of _DIGIT_RUNS. Not `symmetric`, rows for
+    `Matrix._of_rows`: 0-4 rows of 0-4 integer texts each, drawn on their
+    own, then up to two cells hold one of those tokens, and one grid in ten
+    has a last row one cell longer."""
     n = draw(st.integers(0, 4))
+    cols = n if symmetric else draw(st.integers(0, 4))
     plain = st.integers(-40, 40).map(str)
     special = st.one_of(
         st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
@@ -186,6 +239,13 @@ def _token_grids(draw):
         kind = draw(st.sampled_from(["same"] * 6 + ["respelled", "own"]))
         return draw(tokens) if kind == "own" else token if kind == "same" else _respelled(token)
 
+    if not symmetric:
+        rows = [[draw(plain) for _ in range(cols)] for _ in range(n)]
+        for _ in range(draw(st.integers(0, 2)) if n and cols else 0):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, cols - 1))] = draw(special)
+        if n and draw(st.integers(0, 9)) == 0:
+            rows[-1].append(draw(plain))
+        return rows
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -211,6 +271,12 @@ def _outcome(read, rows):
 @settings(max_examples=300, deadline=None)
 def test_integer_route_agrees_with_the_loop(rows):
     assert _outcome(SymMatrix._of_rows, rows) == _outcome(sym_of_rows_by_loop, rows)
+
+
+@given(_token_grids(symmetric=False))
+@settings(max_examples=300, deadline=None)
+def test_general_matrix_route_agrees_with_the_per_entry_route(rows):
+    assert _outcome(Matrix._of_rows, rows) == _outcome(matrix_of_rows_by_loop, rows)
 
 
 def test_integer_matrix_is_read_without_the_loop():
@@ -821,6 +887,26 @@ class TestNative:
         with pytest.raises(NativeFormatError) as err:
             read_native(path)
         assert str(err.value) == f"malformed certificate: {message}"
+
+    def test_certificate_matrix_shape_is_refused_before_any_entry_is_read(self, tmp_path,
+                                                                          monkeypatch):
+        raw, cert = me_instance()
+        path = tmp_path / "me.wsdp"
+        write_native(NativeBundle(instance=raw, certificate=cert), path)
+        doc = json.loads(path.read_text())
+        doc["certificate"]["row_ops"] = [["1/2"] * 3 for _ in range(3)]
+        path.write_text(json.dumps(doc))
+        text_ratio = formats.text_ratio
+
+        def refuse(text):
+            if text == "1/2":
+                raise AssertionError(f"parsed {text!r} before the shape check")
+            return text_ratio(text)
+
+        monkeypatch.setattr(formats, "text_ratio", refuse)
+        with pytest.raises(NativeFormatError) as err:
+            read_native(path)
+        assert str(err.value) == "malformed certificate: row_ops must be 2 x 2, got 3 x 3"
 
     @pytest.mark.parametrize("clean, shape", [
         ({"b": ["0"], "matrices": [[["1", "0"], ["0", "0"]]]}, "m = 1 and n = 2"),
