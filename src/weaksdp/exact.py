@@ -47,11 +47,11 @@ Every value is immutable after construction and all operations are pure, so
 the types here are safe to share across threads. A symmetric matrix is
 assembled as its packed upper triangle, laid out by `upper_offset`, stored
 once by the `SymMatrix` constructor, and given back as full rows by
-`square_rows`, the one rows-from-packed rule. `SymMatrix._of_rows` and
-`Matrix._of_rows` read the rows of a bundle's matrices: a matrix of integer
-texts (equal to its transpose, for `SymMatrix`) through `_integer_texts` in
-one `map(int, ...)` pass, any other entry by entry, where ``p/q`` is read
-and a fault named.
+`square_rows`, the one rows-from-packed rule. `SymMatrix._of_rows` reads the
+rows of a bundle's symmetric matrices: a symmetric matrix of integer texts
+in one `map(int, ...)` pass, any other through its entry-by-entry loop, the
+one place that reads ``p/q`` and names a fault. `Matrix._of_rows` reads G
+and T, and `Matrix.from_rows`, entry by entry after a shape check.
 """
 
 from __future__ import annotations
@@ -219,12 +219,8 @@ class Matrix:
     @classmethod
     def _of_rows(cls, rows: list[list], parse) -> "Matrix":
         """The matrix of `rows`, refused by `_shape` before any entry is
-        read: integer texts through `_integer_texts`, any other entries each
-        read to `(p, q)` by `parse`, over the lcm of the q."""
-        shape = cls._shape(rows)
-        entries = list(chain.from_iterable(rows))
-        nums = _integer_texts(entries)
-        return cls._of(*shape, *(_over_lcm(map(parse, entries)) if nums is None else (nums, 1)))
+        read, each entry read to `(p, q)` by `parse`, over the lcm of the q."""
+        return cls._of(*cls._shape(rows), *_over_lcm(map(parse, chain.from_iterable(rows))))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
@@ -330,20 +326,6 @@ def square_rows(upper: Sequence, n: int) -> list[list]:
 _INTEGER_CHARS = str.maketrans("", "", "0123456789-")
 
 
-def _integer_texts(values: list) -> list[int] | None:
-    """The ints of `values` when each is a `str` of only ``0-9`` and ``-``
-    of at most DIGIT_LIMIT characters that `int` reads, in one `map` pass;
-    None otherwise, for the caller's loop to read or refuse entry by entry."""
-    try:
-        text = "".join(values)  # TypeError unless every value is a str
-        if not text.translate(_INTEGER_CHARS) and (
-                len(text) <= DIGIT_LIMIT or max(map(len, values)) <= DIGIT_LIMIT):
-            return list(map(int, values))
-    except (TypeError, ValueError):
-        pass
-    return None
-
-
 class SymMatrix:
     """Dense exact symmetric matrix of order n.
 
@@ -377,20 +359,28 @@ class SymMatrix:
     def _of_rows(cls, rows: list[list], parse) -> "SymMatrix":
         """The matrix of square `rows`, each entry read to `(p, q)` by `parse`.
 
-        When `_integer_texts` reads the upper entries and the rows equal
-        their transpose as text, those ints are the matrix. Any other matrix
-        takes the loop, which reads ``p/q``, mixed spellings and JSON
-        integers and names a fault: each upper entry is parsed once, and a
-        lower entry only when it differs from its mirror in type or value,
-        so `True` beside `1` is rejected while `"2/4"` and `"1/2"` read alike."""
+        A matrix of integer texts is read in one pass: when every upper entry
+        is a `str` of only ``0-9`` and ``-``, of at most DIGIT_LIMIT
+        characters, and the rows equal their transpose as text, the upper
+        entries go through `int` in one `map`. Any other matrix, or a
+        `ValueError` from `int`, takes the loop, the one place that reads
+        ``p/q``, mixed spellings and JSON integers and names a fault. There
+        each upper entry is parsed once; a lower entry is parsed only when it
+        differs from its mirror in type or value, so `True` beside `1` is
+        still rejected while `"2/4"` and `"1/2"` read alike."""
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         upper = list(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
-        nums = _integer_texts(upper)
-        if nums is not None and list(zip(*rows)) == list(map(tuple, rows)):  # equal to its transpose
-            return cls._of(n, nums, 1)
-        upper = list(map(parse, upper))
+        try:
+            text = "".join(upper)  # TypeError unless every upper entry is a str
+            if (not text.translate(_INTEGER_CHARS)
+                    and (len(text) <= DIGIT_LIMIT or max(map(len, upper)) <= DIGIT_LIMIT)
+                    and list(zip(*rows)) == list(map(tuple, rows))):  # equal to its transpose
+                return cls._of(n, list(map(int, upper)), 1)
+        except (TypeError, ValueError):
+            pass
+        upper = [parse(v) for i, row in enumerate(rows) for v in row[i:]]
         for i in range(n):
             for j in range(i + 1, n):
                 high, low = rows[i][j], rows[j][i]

@@ -23,11 +23,11 @@ The readers only turn text into numbers: integer fields go through
 built by private `SymMatrix` and `Matrix` constructors, so the
 symmetric-rows rule of `SymMatrix.from_rows` has one implementation, in
 `exact.py`. `read_native` reads each symmetric matrix through
-`SymMatrix._of_rows`, and G and T, once `Matrix._shape` has checked their
-shape, through `Matrix._of_rows`: a matrix of integer texts (each equal to
-its mirror, in a symmetric one) goes through `int` in one pass, and any
-other through the loop that parses each distinct value once per bundle,
-reads ``p/q`` and names a fault. `read_sdpa`
+`SymMatrix._of_rows`: a matrix of integer texts, each equal to its mirror,
+goes through `int` in one pass, and any other through the loop that parses
+each distinct value once per bundle, reads ``p/q`` and names a fault. G and
+T, once `Matrix._shape` has checked their shape, go entry by entry through
+`Matrix._of_rows`, with the same per-bundle parser. `read_sdpa`
 finds its header lines from the top and reads every body, valid or not, in
 one pass: one `split()` of the whole body, each field's distinct tokens
 parsed and range-checked once, and each cell placed at its packed offset

@@ -250,10 +250,9 @@ def sym_of_rows_by_loop(rows, parse):
 
 
 def matrix_of_rows_by_loop(rows, parse):
-    """Reference `Matrix._of_rows`: each entry read to `(p, q)` by `parse` on
-    its own, the route `read_native` took for G and T before the shared
-    integer route, after the ragged-rows check that `_of_rows` makes first.
-    The matrix comes from the public constructor."""
+    """Reference `Matrix._of_rows`: the ragged-rows check, then each entry
+    read to `(p, q)` by `parse` on its own, the matrix built by the public
+    constructor rather than over the lcm of the q."""
     from weaksdp import Matrix
 
     cols = len(rows[0]) if rows else 0
