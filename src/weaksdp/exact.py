@@ -5,10 +5,11 @@ All certification arithmetic in this package is exact: scalars are
 point enters any verification path. A matrix stores integer numerators over
 one denominator, kept positive and coprime to the numerators (1 for a zero
 matrix), so ``==`` and ``hash`` compare the stored ints. Only the public
-constructors convert entries, once, over the lcm of their denominators; the
-kernels, the elimination loops, the sign tests and the format readers and
-writers all read the stored ints, and a `Fraction` is built only where the
-API hands one out (`at`, `row`, `to_rows`, `mul_vec`, inner products).
+constructors convert entries, once, over the lcm of their denominators
+(entries that are all `int` are taken as they are, over 1); the kernels,
+the elimination loops, the sign tests and the format readers and writers
+all read the stored ints, and a `Fraction` is built only where the API
+hands one out (`at`, `row`, `to_rows`, `mul_vec`, inner products).
 There are three product kernels, and every product in the package goes
 through one of them. The matrix product `@` also serves `Matrix.mul_vec` (a
 column matrix), and `inner_general` is its 1 x k by k x 1 case, one sum of
@@ -21,14 +22,17 @@ integers and names the first differing product; the closeness check runs on
 it and builds no Fraction.
 `congruences(mats, g, t)` yields the rows T^T (sum_j g_ij M_j) T lazily, with
 the combination and the congruence both on ints; it is the one routine for
-"row-combine, then congruence" (the reformulation, the generator's
-projection and the alternative-system check), and `congruence` is its
-one-row case. G and T of a certificate are short products of elementary
-matrices, so most of their entries are zero: each row of G uses only its
-non-zero coefficients, and each column of T only its non-zero entries.
-Given T = I, as the last two callers and the reformulation of a clean
-bundle do, it yields the combination without the congruence, built from
-whole matrices, one C-level pass per non-zero coefficient. Otherwise the
+"row-combine, then congruence" (the reformulation and the alternative-system
+check), and `congruence` is its one-row case. G and T of a certificate are
+short products of elementary matrices, so most of their entries are zero:
+each row of G uses only its non-zero coefficients, and each column of T
+only its non-zero entries. Given T = I, as the alternative-system check and
+the reformulation of a clean bundle do, it yields the combination without
+the congruence, built by `_combine`, the one combination loop: whole
+matrices, one C-level pass per non-zero coefficient.
+`primitive_combination(coeffs, mats)`, behind the generator's projection,
+is that loop for one row of rational coefficients, over their common
+denominator and divided by the gcd of its entries. Otherwise the
 products run on packed ints (Kronecker substitution): each row of T is one
 int with a fixed-width slot per column, wide enough for every result
 entry, so CPython's big-int multiply runs the inner loops, and each result
@@ -46,12 +50,13 @@ convention runs through structures, matrices and emitted file formats.
 Every value is immutable after construction and all operations are pure, so
 the types here are safe to share across threads. A symmetric matrix is
 assembled as its packed upper triangle, laid out by `upper_offset`, stored
-once by the `SymMatrix` constructor, and given back as full rows by
-`square_rows`, the one rows-from-packed rule. `SymMatrix._of_rows` reads the
-rows of a bundle's symmetric matrices: a symmetric matrix of integer texts
-in one `map(int, ...)` pass, any other through its entry-by-entry loop, the
-one place that reads ``p/q`` and names a fault. `Matrix._of_rows` reads G
-and T, and `Matrix.from_rows`, entry by entry after a shape check.
+once by the `SymMatrix` constructor, and given back as its n^2 entries by
+`square_entries`, the one rows-from-packed rule, or as full rows by
+`square_rows`. `SymMatrix._of_rows` reads the rows of a bundle's symmetric
+matrices: a symmetric matrix of integer texts in one `map(int, ...)` pass,
+any other through its entry-by-entry loop, the one place that reads ``p/q``
+and names a fault. `Matrix._of_rows` reads G and T, and `Matrix.from_rows`,
+entry by entry after a shape check.
 """
 
 from __future__ import annotations
@@ -174,6 +179,15 @@ def _over_lcm(ratios: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
     return [p if q == den else p * (den // q) for p, q in ratios], den
 
 
+def _stored(entries: Sequence) -> tuple[list[int], int]:
+    """The entries given to a public constructor as numerators over one
+    denominator: entries that are all of type `int` over 1 as they are, any
+    others through `_ratio` and `_over_lcm`."""
+    if set(map(type, entries)) <= {int}:
+        return list(entries), 1
+    return _over_lcm(map(_ratio, entries))
+
+
 def _canonical(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     """nums / den (den != 0) with den > 0 and gcd(den, *nums) = 1, so den = 1 for zero."""
     g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
@@ -198,7 +212,7 @@ class Matrix:
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         self.rows, self.cols = rows, cols
-        self._e, self._d = _canonical(*_over_lcm(map(_ratio, entries)))
+        self._e, self._d = _canonical(*_stored(entries))
 
     @classmethod
     def _of(cls, rows: int, cols: int, nums: Sequence[int], den: int) -> "Matrix":
@@ -314,13 +328,18 @@ def _mirror(n: int) -> itemgetter:
     return itemgetter(*chain.from_iterable(rows))
 
 
-def square_rows(upper: Sequence, n: int) -> list[list]:
-    """The n rows, new lists, of a symmetric matrix of order n from its
-    packed row-major upper triangle: the one rows-from-packed rule."""
+def square_entries(upper: Sequence, n: int) -> tuple:
+    """The n^2 entries, row by row, of a symmetric matrix of order n from
+    its packed row-major upper triangle: the one rows-from-packed rule."""
     if n < 2:  # with one index, `itemgetter` returns the bare entry
-        return [list(upper)] * n
+        return tuple(upper)
+    return _mirror(n)(upper)
+
+
+def square_rows(upper: Sequence, n: int) -> list[list]:
+    """The n rows, new lists, of `square_entries`."""
     # n references to one iterator: zip groups its entries n at a time
-    return list(map(list, zip(*[iter(_mirror(n)(upper))] * n)))
+    return list(map(list, zip(*[iter(square_entries(upper, n))] * n)))
 
 
 _INTEGER_CHARS = str.maketrans("", "", "0123456789-")
@@ -340,7 +359,7 @@ class SymMatrix:
         if n < 0 or len(upper) != n * (n + 1) // 2:
             raise ValueError("upper-triangle length does not match order")
         self.n = n
-        self._u, self._d = _canonical(*_over_lcm(map(_ratio, upper)))
+        self._u, self._d = _canonical(*_stored(upper))
 
     @classmethod
     def _of(cls, n: int, nums: Sequence[int], den: int) -> "SymMatrix":
@@ -469,11 +488,6 @@ class SymMatrix:
     def is_zero(self) -> bool:
         return not any(self._u)
 
-    def primitive(self) -> "SymMatrix":
-        """The positive multiple of a non-zero matrix whose entries are coprime integers."""
-        g = gcd(*self._u)
-        return SymMatrix._of(self.n, [v // g for v in self._u], 1)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.n == other.n and self._d == other._d and self._u == other._u
 
@@ -556,6 +570,43 @@ def inner_general(m: Matrix, y: Matrix) -> Fraction:
     return Fraction(sum(map(mul, m._e, y._e)), m._d * y._d)
 
 
+def _combine(coeffs: Sequence[int], nums: Sequence[Sequence[int]], size: int) -> list[int]:
+    """sum_j coeffs[j] nums[j] for integer coefficients and `size` integer
+    numerators per operand: one C-level pass per non-zero coefficient. It is
+    the one combination loop: the T = I rows of `_congruence_rows` and
+    `primitive_combination` are this sum."""
+    acc = [0] * size
+    for c, u in zip(compress(coeffs, coeffs), compress(nums, coeffs)):
+        acc = list(map(add, acc, map(mul, u, repeat(c))))
+    return acc
+
+
+def primitive_combination(coeffs: Sequence, mats: Sequence[SymMatrix]) -> SymMatrix | None:
+    """The positive multiple of sum_j c_j M_j whose entries are coprime
+    integers, or None when the sum is zero.
+
+    The sum is formed as D sum_j c_j M_j on the stored numerators by
+    `_combine`, D the lcm of the denominators of the weights c_j / d_j of
+    the numerators of M_j over their denominator d_j, and then divided by
+    the gcd of its entries. No Fraction is built per entry.
+    """
+    mats = tuple(mats)
+    if len(coeffs) != len(mats):
+        raise ValueError("coefficient count does not match matrix count")
+    orders = {mat.n for mat in mats}
+    if len(orders) > 1:
+        raise ValueError("order mismatch")
+    n = orders.pop() if orders else 0
+    weights = [rational(c) / mat._d for c, mat in zip(coeffs, mats)]
+    scale = lcm(*(w.denominator for w in weights))
+    nums = _combine([w.numerator * (scale // w.denominator) for w in weights],
+                    [mat._u for mat in mats], n * (n + 1) // 2)
+    divisor = gcd(*nums)
+    if not divisor:
+        return None
+    return SymMatrix._of(n, [v // divisor for v in nums], 1)
+
+
 def _congruence_rows(
     mats: Sequence[SymMatrix], g: Matrix, t: Matrix
 ) -> tuple[int, int, Iterator]:
@@ -565,8 +616,8 @@ def _congruence_rows(
     non-zero coefficients.
 
     When T is the identity, `size` is 0 and each row is its list of
-    numerators, the combination built from whole matrices: one C-level pass
-    per non-zero coefficient, so the congruence is skipped.
+    numerators, the combination `_combine` of whole matrices, so the
+    congruence is skipped.
 
     Otherwise the products run on packed ints (Kronecker substitution): row
     r of T becomes one int with a w-bit slot per column, so row r of M_j T is
@@ -591,15 +642,8 @@ def _congruence_rows(
     g_rows = [gi[row * k : (row + 1) * k] for row in range(g.rows)]
     # T = I, read off the stored form: n^2 - n zeros and a diagonal of ones over 1
     if t._d == 1 and t._e.count(0) == n * n - n and t._e[:: n + 1] == (1,) * n:
-
-        def combinations() -> Iterator[list[int]]:
-            for coeffs in g_rows:
-                acc = [0] * (n * (n + 1) // 2)
-                for c, u in zip(compress(coeffs, coeffs), compress(scaled, coeffs)):
-                    acc = list(map(add, acc, map(mul, u, repeat(c))))
-                yield acc
-
-        return dm * dg, 0, combinations()
+        size = n * (n + 1) // 2
+        return dm * dg, 0, (_combine(coeffs, scaled, size) for coeffs in g_rows)
     ti, dt = t._e, t._d
     g_max, m_max, t_max = (max(map(abs, nums), default=0)
                            for nums in (gi, chain.from_iterable(scaled), ti))

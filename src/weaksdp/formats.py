@@ -3,20 +3,24 @@
 The native ``.wsdp`` bundle is the authoritative on-disk form: versioned JSON
 with every rational spelled as an exact ``p/q`` string, round-tripping
 bit-exactly. Its layout is pinned: JSON with indent 1 and one leaf per line.
-`write_native` writes that text by hand, laying each matrix out from its
-stored numerators, and `json.dumps(bundle_to_json(bundle), indent=1)` plus a
-newline is the reference it matches byte for byte. SDPA and CBF are
-solver-input exports; they are exact whenever every value has a terminating
-decimal expansion (always true for the integer instances the generator emits)
-and flagged as lossy otherwise. All three writers take the text of a matrix
-from `_leaves`, which spells each distinct matrix once, and its rows from
-`exact.square_rows`; SDPA and CBF spell every other value through
-`_format_value`. Nothing written here contains timestamps, so identical
-inputs produce identical bytes. The digit limit is checked where an integer
-is spelled, on the reduced p and q of each value (`_leaves`, `_format_value`
-and the native b) and on a bundle's `generation`: a writer takes every value
-that `read_native` takes, and raises ValueError before it opens its file
-for an integer of more than DIGIT_LIMIT digits, which no reader takes back.
+`write_native` writes that text by hand: each matrix is its leaves, n^2 of
+them from `exact.square_entries` for a symmetric matrix, joined row by row
+with the separators of the layout, and `json.dumps(bundle_to_json(bundle),
+indent=1)` plus a newline, built from the rows of `_leaf_rows`, is the
+reference it matches byte for byte. SDPA and CBF are solver-input exports;
+they are exact whenever every value has a terminating decimal expansion
+(always true for the integer instances the generator emits) and flagged as
+lossy otherwise. All three writers take the text of a matrix from
+`_leaves`, which spells each distinct matrix once; SDPA and CBF spell every
+other value through `_format_value`. An SVG picture fills the cached
+template of its order, `_svg_template`, with one colour per cell, each cell
+classified by `cell_region`. Nothing written here contains timestamps, so
+identical inputs produce identical bytes. The digit limit is checked where
+an integer is spelled, on the reduced p and q of each value (`_leaves`,
+`_format_value` and the native b) and on a bundle's `generation`: a writer
+takes every value that `read_native` takes, and raises ValueError before it
+opens its file for an integer of more than DIGIT_LIMIT digits, which no
+reader takes back.
 
 The readers only turn text into numbers: integer fields go through
 `exact.strict_int`, each distinct token once per file, and the matrices are
@@ -50,8 +54,8 @@ from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
-    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, rational, square_rows, strict_int,
-    text_ratio, check_digit_limit, check_json_digits, upper_offset,
+    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, rational, square_entries, square_rows,
+    strict_int, text_ratio, check_digit_limit, check_json_digits, upper_offset,
 )
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
@@ -479,22 +483,34 @@ def bundle_to_json(bundle: NativeBundle) -> dict:
 
 
 class _MatrixText:
-    """A matrix in the document `write_native` lays out: its rows of leaf text."""
+    """A matrix in the document `write_native` lays out."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("mat",)
 
     def __init__(self, mat: Matrix | SymMatrix):
-        self.rows = _leaf_rows(mat)
+        self.mat = mat
 
     def layout(self, indent: str) -> str:
-        # every leaf is ASCII -?[0-9]+(/[0-9]+)?, so no leaf needs escaping
-        if not self.rows:
+        """The text of `json.dumps` of the matrix's rows of leaves nested at
+        `indent`: its `_leaves`, n^2 of them from `exact.square_entries` for
+        a `SymMatrix`, joined row by row with the separators of the layout.
+        Every leaf is ASCII -?[0-9]+(/[0-9]+)?, so no leaf needs escaping."""
+        mat, leaves = self.mat, _leaves(self.mat)
+        if type(mat) is SymMatrix:
+            rows = cols = mat.n
+            leaves = square_entries(leaves, rows)
+        else:
+            rows, cols = mat.rows, mat.cols
+        if not rows:
             return "[]"
         outer = indent + " "
+        if not cols:
+            return "[\n" + ",\n".join([outer + "[]"] * rows) + "\n" + indent + "]"
         leaf = '",\n' + outer + ' "'
-        rows = [f'{outer}[\n{outer} "{leaf.join(row)}"\n{outer}]' if row else outer + "[]"
-                for row in self.rows]
-        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+        row = '"\n' + outer + '],\n' + outer + '[\n' + outer + ' "'
+        # `cols` references to one iterator: zip groups the leaves a row at a time
+        body = row.join([leaf.join(r) for r in zip(*[iter(leaves)] * cols)])
+        return f'[\n{outer}[\n{outer} "{body}"\n{outer}]\n{indent}]'
 
 
 def _holds_matrix(value) -> bool:
@@ -657,13 +673,12 @@ _MARGIN = 4
 _COLORS = {"pivot": "#c23b22", "arbitrary": "#3566a5", "zero": "#ffffff"}
 
 
-@lru_cache(maxsize=8)
-def _block_svg(structure: Structure, idx: int) -> str:
-    """The SVG text of the idx-th member of a sequence with `structure`: it
-    depends on nothing else, so the clean and messy instances of a library
-    pair, which share their structures, render each picture once (a pair has
-    at most 8 pictures, k + 1 and l + 1 of at most 4 each)."""
-    n = structure.n
+@lru_cache(maxsize=4)
+def _svg_template(n: int) -> str:
+    """The SVG text of an n x n grid of cells with a ``%s`` for each cell's
+    colour, row by row. Four orders are kept: the library's 5, 10, 20 and
+    40. A template takes about 94 characters per cell: 94 MB at
+    ORDER_LIMIT, so the cache holds at most about 375 MB."""
     side = 2 * _MARGIN + n * _CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
@@ -671,15 +686,28 @@ def _block_svg(structure: Structure, idx: int) -> str:
     ]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            color = _COLORS[cell_region(structure, idx, i, j)]
             x = _MARGIN + (j - 1) * _CELL
             y = _MARGIN + (i - 1) * _CELL
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{color}" stroke="#999999" stroke-width="1"/>'
+                f'fill="%s" stroke="#999999" stroke-width="1"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+@lru_cache(maxsize=8)
+def _block_svg(structure: Structure, idx: int) -> str:
+    """The SVG text of the idx-th member of a sequence with `structure`: the
+    template of its order filled with the colour of each cell's
+    `cell_region`. It depends on nothing else, so the clean and messy
+    instances of a library pair, which share their structures, render each
+    picture once (a pair has at most 8 pictures, k + 1 and l + 1 of at most
+    4 each)."""
+    n = structure.n
+    cells = range(1, n + 1)
+    return _svg_template(n) % tuple(
+        _COLORS[cell_region(structure, idx, i, j)] for i in cells for j in cells)
 
 
 def render_blocks(
@@ -692,6 +720,8 @@ def render_blocks(
 
     Cells are classified by `cell_region`, the regions the echelon validator
     walks, so a rendering is a faithful picture of the validation regions.
+    Each picture is the template of its order (`_svg_template`, four orders
+    kept: the library's 5, 10, 20 and 40) filled with one colour per cell.
     """
     matrices = tuple(matrices)
     if len(matrices) != len(structure.blocks):

@@ -23,8 +23,9 @@ Stage summary:
   blocks meet no support used before.
 * `extend_constraints` projects random integer symmetric matrices exactly
   onto the orthogonal complement of span{X_1, ..., X_l} and scales each
-  constraint to integer data.
-* `messify` applies the disguise and records it.
+  constraint to integer data, on the stored integer numerators.
+* `messify` applies the disguise and records it, with the inverses of its
+  two matrices, composed while they are drawn.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .exact import (
-    Matrix, SymMatrix, check_json_digits, congruences, inner, inner_general, inner_table, inners,
-    upper_offset,
+    Matrix, SymMatrix, check_json_digits, inner, inner_general, inner_table, inners,
+    primitive_combination, upper_offset,
 )
 from .echelon import (
     SdpInstance,
@@ -45,7 +46,7 @@ from .echelon import (
     check_not_strong_cert,
     reformulated,
 )
-from .linalg import inverse, random_unimodular
+from .linalg import inverse, unimodular_pair
 from .prng import SplitMix64, derive_seed
 
 _ZERO = Fraction(0)
@@ -112,12 +113,17 @@ class Provenance:
 
     `row_ops` (m x m) and `congruence` (n x n) map clean data to the messy
     instance; both are integral with determinant +-1, so the clean form is
-    recovered exactly by their inverses.
+    recovered exactly by their inverses, `row_ops_inverse` and
+    `congruence_inverse`. `messify` composes each inverse while it draws the
+    disguise, and nothing here checks them: build a Provenance only from
+    matrices known to be each other's inverses.
     """
 
     row_ops: Matrix
     congruence: Matrix
     messy: SdpInstance
+    row_ops_inverse: Matrix
+    congruence_inverse: Matrix
 
 
 @dataclass(frozen=True)
@@ -308,32 +314,30 @@ def extend_constraints(
 ) -> tuple[tuple[SymMatrix, ...], tuple[Fraction, ...]]:
     """Draw A_{k+2}..A_m orthogonal to X_1..X_l and assemble the right-hand side.
 
-    Each extra constraint is a random integer symmetric matrix minus its exact
-    projection onto span{X_1..X_l} (coefficients from the Gram system), scaled
-    back to integer entries; its right-hand side is its product with X_{l+1},
-    and the whole constraint is scaled once more so that value is an integer.
+    Each extra constraint is a random integer symmetric matrix C, drawn as
+    its packed upper triangle in one `randints` call, minus its exact
+    projection onto span{X_1..X_l}: C - sum_s c_s X_s, with the coefficients
+    c_s from the Gram system. `exact.primitive_combination` forms that on
+    the stored integer numerators and gives its primitive integer multiple,
+    the constraint. Its right-hand side is its product with X_{l+1}, and the
+    whole constraint is scaled once more so that value is an integer.
     """
     n = cfg.n
     ell = len(xseq) - 1
     span = xseq[:ell]
     # X_1..X_l are independent echelon members, so their Gram matrix is nonsingular
     gram_inverse = inverse(Matrix(ell, ell, tuple(v for row in inner_table(span, span) for v in row)))
-    identity = Matrix.identity(n)
     rng = SplitMix64(seed)
     extras: list[SymMatrix] = []
     b_extras: list[Fraction] = []
     for _ in range(cfg.m - (cfg.k + 1)):
         while True:
             # the upper triangle drawn row by row, as it is stored
-            candidate = SymMatrix(n, [rng.randint(-cfg.entry_range, cfg.entry_range)
-                                      for _ in range(n * (n + 1) // 2)])
-            solution = gram_inverse.mul_vec(inners(span, candidate))
-            # candidate - sum_s coeff_s X_s: one row of coefficients, T = identity
-            coeffs = Matrix(1, ell + 1, (Fraction(1),) + tuple(-c for c in solution))
-            projected = next(congruences((candidate,) + span, coeffs, identity))
-            if not projected.is_zero():
+            candidate = SymMatrix(n, rng.randints(-cfg.entry_range, cfg.entry_range, n * (n + 1) // 2))
+            coeffs = gram_inverse.mul_vec(inners(span, candidate))
+            projected = primitive_combination((1, *(-c for c in coeffs)), (candidate,) + span)
+            if projected is not None:
                 break
-        projected = projected.primitive()
         value = inner(projected, xseq[-1])
         if value.denominator != 1:
             projected = projected.scale(value.denominator)
@@ -348,15 +352,18 @@ def messify(inst: WeakInstance, seed: int, budget: int, magnitude: int) -> WeakI
     """Disguise a clean instance by integral row operations and congruence.
 
     Messy constraint i is T^T (sum_j g_ij A_j) T with right-hand side (G b)_i,
-    where G and T are random unimodular integer matrices; (G, T) and the messy
-    system are recorded so the clean form stays exactly recoverable.
+    where G and T are random unimodular integer matrices; (G, T), their
+    inverses and the messy system are recorded so the clean form stays
+    exactly recoverable. G and T are those of `random_unimodular`, each drawn
+    with its inverse in one loop.
     """
     clean = inst.clean
     rng = SplitMix64(seed)
-    g = random_unimodular(clean.m, rng.next_u64(), budget, magnitude)
-    t = random_unimodular(clean.n, rng.next_u64(), budget, magnitude)
+    g, g_inverse = unimodular_pair(clean.m, rng.next_u64(), budget, magnitude)
+    t, t_inverse = unimodular_pair(clean.n, rng.next_u64(), budget, magnitude)
     messy = reformulated(clean, g, t)
-    return replace(inst, provenance=Provenance(row_ops=g, congruence=t, messy=messy))
+    return replace(inst, provenance=Provenance(
+        row_ops=g, congruence=t, messy=messy, row_ops_inverse=g_inverse, congruence_inverse=t_inverse))
 
 
 def generate(cfg: GenConfig) -> WeakInstance:
@@ -416,5 +423,6 @@ def bad_projection(inst: WeakInstance) -> BadProjectionWitness:
 
 
 def invert_provenance(prov: Provenance) -> tuple[Matrix, Matrix]:
-    """Exact inverses (G^-1, T^-1) recovering the clean system from the messy one."""
-    return inverse(prov.row_ops), inverse(prov.congruence)
+    """Exact inverses (G^-1, T^-1) recovering the clean system from the messy
+    one, as the provenance records them."""
+    return prov.row_ops_inverse, prov.congruence_inverse

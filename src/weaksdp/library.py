@@ -91,10 +91,11 @@ def library_build(root, profile="default") -> dict:
                 if not report.passed:
                     raise RuntimeError(f"library instance failed verification:\n{report.summary()}")
                 name = f"{label}-{kind}-{pair_index:02d}"
+                config = config_json(cfg)  # the bundle and the manifest share it
                 bundle = NativeBundle(
                     instance=instance.raw,
                     certificate=cert,
-                    generation={"seed": seed, "config": config_json(cfg)},
+                    generation={"seed": seed, "config": config},
                     label=name,
                 )
                 native_path = cat_dir / f"{name}.wsdp"
@@ -118,7 +119,7 @@ def library_build(root, profile="default") -> dict:
                     "k": k,
                     "l": l,
                     "seed": seed,
-                    "config": config_json(cfg),
+                    "config": config,
                     "files": {
                         "native": str(native_path.relative_to(root)),
                         "sdpa": str(sdpa_path.relative_to(root)),

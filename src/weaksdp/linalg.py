@@ -29,6 +29,11 @@ integer grid and no verdict is built: in each probe of
 at the first non-positive pivot, so that eliminating every index and
 keeping none tests a whole matrix.
 
+`random_unimodular` is the first of `unimodular_pair`, whose one draw loop
+applies each elementary operation to U and the transpose of its inverse to
+a second grid, so that the disguise's inverse comes with it and no
+elimination runs.
+
 The PSD decision of `psd_certify` is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a
 negative verdict carries an explicit rational vector w with w^T A w < 0. Both
@@ -497,7 +502,21 @@ def random_unimodular(n: int, seed: int, ops_budget: int, magnitude_cap: int) ->
     Applies at most `ops_budget` elementary integer row operations (swaps, row
     negations, additions of integer multiples bounded by `magnitude_cap`) to
     the identity. Deterministic for a given seed; entry growth is bounded by
-    (1 + magnitude_cap)^ops_budget.
+    (1 + magnitude_cap)^ops_budget. `unimodular_pair` draws it, with its
+    inverse.
+    """
+    return unimodular_pair(n, seed, ops_budget, magnitude_cap)[0]
+
+
+def unimodular_pair(n: int, seed: int, ops_budget: int, magnitude_cap: int) -> tuple[Matrix, Matrix]:
+    """(U, U^-1) for the U of `random_unimodular` with the same arguments.
+
+    The draw loop that builds U applies each operation E to the rows of U
+    and the transpose of E^-1 to a second grid, which starts as the identity
+    too. U^-1 is the product of the inverse operations in reverse order, so
+    that grid ends as the transpose of U^-1: a swap and a negation act on
+    both grids alike, and adding c times row j to row i of U subtracts c
+    times row i from row j of the second grid. No elimination runs.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -505,6 +524,7 @@ def random_unimodular(n: int, seed: int, ops_budget: int, magnitude_cap: int) ->
         raise ValueError("ops budget must be >= 0")
     rng = SplitMix64(seed)
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inverse_columns = [row[:] for row in rows]  # the transpose of U^-1, row by row
     kinds = ["negate"]
     if n >= 2:
         kinds.append("swap")
@@ -518,9 +538,11 @@ def random_unimodular(n: int, seed: int, ops_budget: int, magnitude_cap: int) ->
             if j >= i:
                 j += 1
             rows[i], rows[j] = rows[j], rows[i]
+            inverse_columns[i], inverse_columns[j] = inverse_columns[j], inverse_columns[i]
         elif kind == "negate":
             i = rng.randint(0, n - 1)
             rows[i] = [-v for v in rows[i]]
+            inverse_columns[i] = [-v for v in inverse_columns[i]]
         else:
             i = rng.randint(0, n - 1)
             j = rng.randint(0, n - 2)
@@ -528,4 +550,6 @@ def random_unimodular(n: int, seed: int, ops_budget: int, magnitude_cap: int) ->
                 j += 1
             c = rng.nonzero_int(magnitude_cap)
             rows[i] = [v + c * w for v, w in zip(rows[i], rows[j])]
-    return Matrix.from_rows(rows)
+            inverse_columns[j] = [v - c * w for v, w in zip(inverse_columns[j], inverse_columns[i])]
+    return (Matrix._of(n, n, [v for row in rows for v in row], 1),
+            Matrix._of(n, n, [v for column in zip(*inverse_columns) for v in column], 1))

@@ -38,6 +38,14 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
+    def randints(self, lo: int, hi: int, count: int) -> list[int]:
+        """`count` integers in [lo, hi]: the draws of `count` calls of
+        `randint`, in one comprehension."""
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        draw, span = self.next_u64, hi - lo + 1
+        return [lo + draw() % span for _ in range(count)]
+
     def nonzero_int(self, bound: int) -> int:
         """Integer in [-bound, bound] excluding 0; bound must be >= 1."""
         if bound < 1:

@@ -27,7 +27,9 @@ from weaksdp import (
     rational,
 )
 from weaksdp import exact
-from weaksdp.exact import DIGIT_LIMIT, _congruence_rows, square_rows, text_ratio, upper_offset
+from weaksdp.exact import (
+    DIGIT_LIMIT, _congruence_rows, primitive_combination, square_rows, text_ratio, upper_offset,
+)
 
 small_ints = st.integers(-30, 30)
 # a denominator q in 1..12, then a numerator in -30q..30q: every fraction in
@@ -298,6 +300,32 @@ class TestCongruences:
             list(congruences(mats, Matrix.zeros(1, 2), Matrix.identity(2)))
 
 
+class TestPrimitiveCombination:
+    @given(st.integers(0, 4).flatmap(lambda order: st.integers(0, 4).flatmap(
+        lambda k: st.tuples(st.just(order), sym_matrices(order, k), entry_lists(k)))))
+    @settings(max_examples=100)
+    def test_matches_fraction_reference(self, operands):
+        order, mats, coeffs = operands
+        g = Matrix(1, len(mats), tuple(Fraction(v) for v in coeffs))
+        (row,) = reformulated_rows_by_fractions(mats, g, Matrix.identity(order))
+        got = primitive_combination(coeffs, mats)
+        entries = [v for line in row.to_rows() for v in line]
+        if not any(entries):
+            assert got is None
+            return
+        # the coprime integer multiple with a positive scale, by Fractions
+        scale = lcm(*(v.denominator for v in entries))
+        divisor = gcd(*(int(v * scale) for v in entries))
+        assert got.to_rows() == [[v * scale / divisor for v in line] for line in row.to_rows()]
+        assert_canonical(got)
+
+    def test_shape_mismatches_raise(self):
+        with pytest.raises(ValueError):
+            primitive_combination((1,), (SymMatrix.identity(2), SymMatrix.identity(2)))
+        with pytest.raises(ValueError):
+            primitive_combination((1, 1), (SymMatrix.identity(2), SymMatrix.identity(3)))
+
+
 wide_ints = st.integers(-2**200, 2**200)
 wide_entries = st.one_of(wide_ints.map(Fraction), st.builds(Fraction, wide_ints, st.integers(1, 2**200)))
 
@@ -509,7 +537,7 @@ class TestMatrixBasics:
         ([[0, 0], [0, Fraction(-2, 7)]], [[0, 0], [0, -1]]),
     ])
     def test_primitive_is_the_coprime_integer_multiple(self, rows, expected):
-        got = sym(rows).primitive()
+        got = primitive_combination((1,), (sym(rows),))
         assert got == sym(expected)
         assert all(type(v) is Fraction for row in got.to_rows() for v in row)
 
@@ -638,12 +666,23 @@ class TestStoredForm:
         if n:
             results.append(SymMatrix.unit(n, n, 1, c))
         if not a.is_zero():
-            results.append(a.primitive())
+            results.append(primitive_combination((1,), (a,)))
         nums, den = stored(a)
         # the private constructor takes any non-zero denominator, negative too
         results.append(SymMatrix._of(n, [v * k for v in nums], den * k))
         for result in results:
             assert_canonical(result)
+
+    def test_int_entries_are_stored_as_they_are(self):
+        ints = [6, -4, 0, 2, 8, 10]
+        for made, spelled in ((SymMatrix(3, ints), SymMatrix(3, [Fraction(v) for v in ints])),
+                              (Matrix(2, 3, ints), Matrix(2, 3, [str(v) for v in ints]))):
+            assert stored(made) == (tuple(ints), 1) and made == spelled
+        # a bool or a float beside ints still goes through `rational`, which refuses it
+        with pytest.raises(TypeError):
+            SymMatrix(1, [True])
+        with pytest.raises(TypeError):
+            Matrix(1, 2, [1, 1.0])
 
     @given(stored_operands(), nonzero_factors)
     @settings(max_examples=150)
@@ -690,7 +729,7 @@ class TestStoredForm:
             scale = lcm(*(v.denominator for row in ra for v in row))
             ints = [[v * scale for v in row] for row in ra]
             g = gcd(*(int(v) for row in ints for v in row))
-            assert a.primitive().to_rows() == [[v / g for v in row] for row in ints]
+            assert primitive_combination((1,), (a,)).to_rows() == [[v / g for v in row] for row in ints]
 
     @given(stored_operands())
     def test_stored_signs_are_the_entries_signs(self, operands):

@@ -1004,6 +1004,38 @@ class TestNativeLayout:
         raw, me_cert = me_instance()
         assert_reference_bytes(NativeBundle(raw, me_cert, {"nested": {"deeper": []}}), tmp_path / "me.wsdp")
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_reference_for_every_shape(self, tmp_path_factory, data):
+        # symmetric orders 0-6 and general shapes 0-5 x 0-5, 0 x 0, 1 x 1 and
+        # non-square among them, at every depth a matrix takes in a bundle:
+        # instance and X sequence (3), G and T (2), clean instance (4)
+        values = st.integers(1, 6).flatmap(
+            lambda q: st.integers(-40, 40).map(lambda p: Fraction(p, q)))
+
+        def symmetric(n):
+            size = n * (n + 1) // 2
+            return SymMatrix(n, data.draw(st.lists(values, min_size=size, max_size=size)))
+
+        def general():
+            rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+            return Matrix(rows, cols, data.draw(st.lists(values, min_size=rows * cols,
+                                                         max_size=rows * cols)))
+
+        def instance(n):
+            m = data.draw(st.integers(0, 2))
+            return SdpInstance(n, tuple(symmetric(n) for _ in range(m)),
+                               tuple(data.draw(values) for _ in range(m)))
+
+        raw, clean = instance(data.draw(st.integers(0, 6))), instance(data.draw(st.integers(0, 6)))
+        order = data.draw(st.integers(0, 6))
+        cert = WeakCertificate(
+            raw=raw, row_ops=general(), transform=general(), clean=clean, k=0,
+            xseq=tuple(symmetric(order) for _ in range(data.draw(st.integers(1, 2)))),
+            p_structure=Structure(order, ()), q_structure=Structure(order, ((),)),
+        )
+        assert_reference_bytes(NativeBundle(raw, cert), tmp_path_factory.mktemp("layout") / "b.wsdp")
+
     def test_cached_leaves_are_not_shared(self, tmp_path):
         # the writers share each matrix's leaf text; a caller's rows are its own
         instance = generate(GenConfig(n=6, m=4, k=2, l=2, seed=1, messy=True))
@@ -1041,17 +1073,67 @@ class TestRenderBlocks:
         assert body.count('fill="#ffffff"') == 4
 
     def test_cell_colors_match_validator_classification(self, tmp_path):
-        _, cert = me_instance()
-        written = render_blocks(cert.xseq, cert.q_structure, tmp_path, stem="X")
+        structures = [
+            me_instance()[1].q_structure,
+            # order 7: interleaved blocks, index 7 uncovered and an empty trailing
+            # block; the second overlaps the first, as an X side overlaps an A side
+            Structure(7, ({2, 5}, {1, 4, 6}, {3}, ())),
+            Structure(7, ({1, 3}, {2, 5, 6}, ())),
+        ]
         colors = {"pivot": "#c23b22", "arbitrary": "#3566a5", "zero": "#ffffff"}
-        for idx, path in enumerate(written, start=1):
-            rects = [l for l in path.read_text().splitlines() if l.startswith("<rect")]
-            pos = 0
-            for i in range(1, 3):
-                for j in range(1, 3):
-                    region = cell_region(cert.q_structure, idx, i, j)
-                    assert colors[region] in rects[pos]
-                    pos += 1
+        for number, structure in enumerate(structures):
+            n = structure.n
+            matrices = [SymMatrix.zeros(n)] * len(structure.blocks)
+            written = render_blocks(matrices, structure, tmp_path / str(number), stem="X")
+            cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+            for idx, path in enumerate(written, start=1):
+                rects = [l for l in path.read_text().splitlines() if l.startswith("<rect")]
+                assert len(rects) == len(cells)
+                for rect, (i, j) in zip(rects, cells):
+                    assert rect.startswith(f'<rect x="{4 + 18 * (j - 1)}" y="{4 + 18 * (i - 1)}" ')
+                    assert f'fill="{colors[cell_region(structure, idx, i, j)]}"' in rect
+
+    def test_templates_of_four_orders_stay_alive(self, tmp_path):
+        # bundles written and pictures rendered at six orders leave the SVG
+        # templates of the last four alive, and nothing per order from the
+        # native writer; the other caches are emptied before the count
+        import gc
+        import sys
+        import tracemalloc
+        from weaksdp import exact
+
+        def bundle(n):
+            inst = SdpInstance(n, (SymMatrix.identity(n),), (Fraction(1, 3),))
+            cert = WeakCertificate(inst, Matrix.identity(1), Matrix.identity(n), inst, 0,
+                                   (SymMatrix.identity(n),), Structure(n, ()), Structure(n, ((),)))
+            return NativeBundle(inst, cert)
+
+        def work(n):
+            write_native(bundle(n), tmp_path / "b.wsdp")
+            render_blocks([SymMatrix.zeros(n)] * 2, Structure(n, ({1}, ())), tmp_path)
+
+        def clear():
+            for cache in (formats._leaves, formats._block_svg, exact._mirror):
+                cache.cache_clear()
+            gc.collect()
+
+        orders = range(41, 47)
+        work(3)  # anything made once per process is made before the count
+        formats._svg_template.cache_clear()
+        clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in orders:
+                work(n)
+            clear()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = sum(sys.getsizeof(formats._svg_template.__wrapped__(n)) for n in orders[-4:])
+        one_order = sys.getsizeof(formats._svg_template.__wrapped__(orders[0]))
+        assert formats._svg_template.cache_info().currsize == 4
+        assert kept <= retained < kept + one_order // 2
 
     def test_deterministic_output(self, tmp_path):
         _, cert = me_instance()

@@ -6,7 +6,11 @@ import pytest
 from weaksdp import (
     GenConfig,
     Matrix,
+    SdpInstance,
+    Structure,
+    SymMatrix,
     WeakCertificate,
+    WeakInstance,
     bad_projection,
     base_equations,
     bilinear_solve,
@@ -19,6 +23,7 @@ from weaksdp import (
     inner,
     inner_general,
     inner_product_matrix,
+    inverse,
     invert_provenance,
     messify,
     three_by_three,
@@ -179,6 +184,18 @@ class TestExtendConstraints:
             assert all(inner(a, x) == 0 for x in xseq[: cfg.l])
             assert inner(a, xseq[-1]) == b[cfg.k + 1 + offset]
 
+    def test_projections_match_earlier_revision(self, sweep):
+        # sha256 over the extra constraints A_{k+2}..A_m and the right-hand
+        # side b of every sweep config, as stored numerators and denominators,
+        # recorded from an earlier revision that projected through Fractions
+        instances, _ = sweep
+        digest = hashlib.sha256()
+        for cfg, instance, _, _ in instances:
+            extras = instance.clean.A[cfg.k + 1:]
+            stored = ([(a._u, a._d) for a in extras], [v.as_integer_ratio() for v in instance.clean.b])
+            digest.update(f"{stored}\n".encode())
+        assert digest.hexdigest() == "dc26c64c8d4a52a7d8b4b6d7fe79f894480cc38c9c65812176eff2e43d676696"
+
     def test_minimal_m_skips_extension(self):
         cfg = base_cfg(m=3)
         p, q = choose_structures(cfg)
@@ -204,6 +221,25 @@ class TestMessify:
         disguised = messify(instance, seed=4, budget=0, magnitude=2)
         assert disguised.provenance.messy == instance.clean
         assert disguised.provenance.row_ops == Matrix.identity(instance.clean.m)
+
+    def test_recorded_inverses_are_the_inverses(self):
+        # T of order n = 1..8 and G of order m = 9 - n, every budget 0..2(n + m)
+        # and caps 0..3: cap 0 leaves out the add kind, and order 1 the add
+        # and swap kinds. messify reads only the clean system.
+        for n in range(1, 9):
+            m = 9 - n
+            clean = SdpInstance(n, tuple(SymMatrix.identity(n).scale(i) for i in range(1, m + 1)),
+                                (0,) * m)
+            blocks = Structure(n, ({1}, ()))
+            instance = WeakInstance(clean, (SymMatrix.zeros(n),) * 2, blocks, blocks, k=1, l=1)
+            for budget in range(2 * (n + m) + 1):
+                for cap in range(4):
+                    prov = messify(instance, seed=100 * n + 4 * budget + cap, budget=budget,
+                                   magnitude=cap).provenance
+                    g_inv, t_inv = invert_provenance(prov)
+                    assert g_inv == inverse(prov.row_ops) and t_inv == inverse(prov.congruence)
+                    assert prov.row_ops @ g_inv == Matrix.identity(m)
+                    assert prov.congruence @ t_inv == Matrix.identity(n)
 
     def test_roundtrip_through_inverse(self):
         for seed in range(20):

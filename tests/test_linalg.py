@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,12 +30,18 @@ from weaksdp import (
 from weaksdp.linalg import PRIME, BorderedElimination, determinant_residue
 
 
-def fractions_within(bound, max_denominator):
-    """Every fraction in [-bound, bound] with a denominator of at most
+def fractions_between(low, high, max_denominator):
+    """Every fraction in [low, high] with a denominator of at most
     `max_denominator`, drawn as two integers: a denominator q, then a
-    numerator in -floor(bound q)..floor(bound q)."""
+    numerator in ceil(low q)..floor(high q). Every range here holds 0 or 1,
+    so p = 0 or p = q is in it for every q, and no draw fails."""
     return st.integers(1, max_denominator).flatmap(
-        lambda q: st.integers(-int(bound * q), int(bound * q)).map(lambda p: Fraction(p, q)))
+        lambda q: st.integers(ceil(low * q), floor(high * q)).map(lambda p: Fraction(p, q)))
+
+
+def fractions_within(bound, max_denominator):
+    """`fractions_between` of -bound and bound."""
+    return fractions_between(-bound, bound, max_denominator)
 
 
 small_fractions = fractions_within(20, 8)
@@ -474,8 +481,7 @@ def shift_pairs(draw):
     upper = draw(st.lists(small_fractions, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
     pad = Fraction(1, 2 ** draw(st.integers(0, 12)))
     c = SymMatrix(n, tuple(upper)).add(SymMatrix.diag([pad] * n))
-    d = SymMatrix.diag(draw(st.lists(st.fractions(min_value=Fraction(1, 64), max_value=9,
-                                                  max_denominator=64).filter(bool),
+    d = SymMatrix.diag(draw(st.lists(fractions_between(Fraction(1, 64), 9, 64),
                                      min_size=n, max_size=n)))
     return c, d
 
@@ -486,11 +492,11 @@ def very_negative_pairs(draw):
     and small couplings, so that the answer has an exponent in the tens;
     D a positive diagonal."""
     n = draw(st.integers(1, 3))
-    diagonal = [-draw(st.fractions(1, 7, max_denominator=5)) * 2 ** draw(st.integers(10, 40))
+    diagonal = [-draw(fractions_between(1, 7, 5)) * 2 ** draw(st.integers(10, 40))
                 for _ in range(n)]
     c = SymMatrix(n, tuple(diagonal[i] if i == j else draw(small_fractions)
                            for i in range(n) for j in range(i, n)))
-    d = SymMatrix.diag(draw(st.lists(st.fractions(Fraction(1, 16), 9, max_denominator=16),
+    d = SymMatrix.diag(draw(st.lists(fractions_between(Fraction(1, 16), 9, 16),
                                      min_size=n, max_size=n)))
     return c, d
 
@@ -501,9 +507,9 @@ def coupled_pairs(draw):
     2^9: the exponent that makes the diagonal positive is at most 6, and
     there the determinant is still negative, so the diagonal bound is not
     the answer."""
-    a, c = draw(st.fractions(-4, 4, max_denominator=8)), draw(st.fractions(-4, 4, max_denominator=8))
+    a, c = draw(fractions_within(4, 8)), draw(fractions_within(4, 8))
     b = draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 7)) * 2 ** draw(st.integers(9, 30))
-    d = [draw(st.fractions(Fraction(1, 8), 4, max_denominator=8)) for _ in range(2)]
+    d = [draw(fractions_between(Fraction(1, 8), 4, 8)) for _ in range(2)]
     return SymMatrix(2, (a, b, c)), SymMatrix.diag(d)
 
 
@@ -680,3 +686,20 @@ class TestDeterminism:
         rng2 = SplitMix64(42)
         rng3 = SplitMix64(42)
         assert [rng2.randint(0, 9) for _ in range(5)] == [rng3.randint(0, 9) for _ in range(5)]
+
+    @pytest.mark.parametrize("lo, hi, count", [
+        # count 0 draws nothing: [] and the state untouched
+        (-3, 3, 820), (0, 0, 4), (-3, 3, 0), (1, 2**70, 9), (-(2**65), -(2**64), 3),
+    ])
+    def test_randints_are_randint_calls(self, lo, hi, count):
+        bulk, single = SplitMix64(2026), SplitMix64(2026)
+        assert bulk.randints(lo, hi, count) == [single.randint(lo, hi) for _ in range(count)]
+        assert bulk.next_u64() == single.next_u64()  # the same state is left behind
+
+    def test_randints_refuse_an_empty_range_as_randint_does(self):
+        with pytest.raises(ValueError) as single:
+            SplitMix64(2026).randint(3, 2)
+        for count in (0, 1, 5):
+            with pytest.raises(ValueError) as bulk:
+                SplitMix64(2026).randints(3, 2, count)
+            assert str(bulk.value) == str(single.value)
