@@ -21,16 +21,14 @@ from .exact import (
     rational,
 )
 from .linalg import (
-    LinearSolution,
     PsdVerdict,
     determinant,
     inverse,
     is_positive_definite,
     least_definite_shift,
     psd_certify,
-    random_unimodular,
     schur_complement,
-    solve_linear,
+    unimodular_pair,
 )
 from .prng import SplitMix64, derive_seed
 from .echelon import (

@@ -458,19 +458,10 @@ class SymMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return square_rows([Fraction(v, self._d) for v in self._u], self.n)
 
-    def to_matrix(self) -> Matrix:
-        return Matrix._of(self.n, self.n, [v for row in self._num_rows() for v in row], self._d)
-
     def principal(self, indices: Iterable[int]) -> "SymMatrix":
         """Principal submatrix on the given (1-based) indices, in sorted order."""
         idx = sorted(set(indices))
         return SymMatrix._of(len(idx), [self._num(r, c) for k, r in enumerate(idx) for c in idx[k:]], self._d)
-
-    def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> Matrix:
-        """General rectangular block, rows and columns given as 1-based indices."""
-        ri = list(row_idx)
-        ci = list(col_idx)
-        return Matrix._of(len(ri), len(ci), [self._num(r, c) for r in ri for c in ci], self._d)
 
     def add(self, other: "SymMatrix") -> "SymMatrix":
         if self.n != other.n:
@@ -484,9 +475,6 @@ class SymMatrix:
     def scale(self, c) -> "SymMatrix":
         q = rational(c)
         return SymMatrix._of(self.n, [v * q.numerator for v in self._u], self._d * q.denominator)
-
-    def is_zero(self) -> bool:
-        return not any(self._u)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.n == other.n and self._d == other._d and self._u == other._u

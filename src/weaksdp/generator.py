@@ -354,8 +354,8 @@ def messify(inst: WeakInstance, seed: int, budget: int, magnitude: int) -> WeakI
     Messy constraint i is T^T (sum_j g_ij A_j) T with right-hand side (G b)_i,
     where G and T are random unimodular integer matrices; (G, T), their
     inverses and the messy system are recorded so the clean form stays
-    exactly recoverable. G and T are those of `random_unimodular`, each drawn
-    with its inverse in one loop.
+    exactly recoverable. `unimodular_pair` draws each of G and T with its
+    inverse in one loop.
     """
     clean = inst.clean
     rng = SplitMix64(seed)

@@ -32,7 +32,9 @@ keeping none tests a whole matrix.
 `random_unimodular` is the first of `unimodular_pair`, whose one draw loop
 applies each elementary operation to U and the transpose of its inverse to
 a second grid, so that the disguise's inverse comes with it and no
-elimination runs.
+elimination runs. No package path calls `solve_linear` or
+`random_unimodular`, and the package does not export them; they stay only
+while the benchmark's trace list (`perfbench/spans.py`) names them.
 
 The PSD decision of `psd_certify` is a certificate-producing procedure: a positive verdict
 carries an exact pivoted LDL^T factorization that reconstructs the input, a

@@ -182,9 +182,9 @@ def inner_by_fractions(a, b):
 
 def congruence_by_fractions(a, t):
     """Reference T^T A T as a `SymMatrix`, built from `matmul_by_fractions`."""
-    from weaksdp import SymMatrix
+    from weaksdp import Matrix, SymMatrix
 
-    product = matmul_by_fractions(t.transpose(), matmul_by_fractions(a.to_matrix(), t))
+    product = matmul_by_fractions(t.transpose(), matmul_by_fractions(Matrix.from_rows(a.to_rows()), t))
     return SymMatrix.from_rows(product.to_rows())
 
 

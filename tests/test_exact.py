@@ -23,8 +23,8 @@ from weaksdp import (
     inner_table,
     inners,
     inverse,
-    random_unimodular,
     rational,
+    unimodular_pair,
 )
 from weaksdp import exact
 from weaksdp.exact import (
@@ -228,8 +228,10 @@ class TestCongruence:
     @settings(max_examples=60)
     def test_roundtrip_through_exact_inverse(self, upper, seed, budget):
         a = SymMatrix(3, tuple(Fraction(v) for v in upper))
-        t = random_unimodular(3, seed, budget, 3)
-        assert congruence(congruence(a, t), inverse(t)) == a
+        t, t_inverse = unimodular_pair(3, seed, budget, 3)
+        assert t @ t_inverse == t_inverse @ t == Matrix.identity(3)
+        assert t_inverse == inverse(t)
+        assert congruence(congruence(a, t), t_inverse) == a
 
     @given(st.lists(small_ints, min_size=6, max_size=6),
            st.lists(small_ints, min_size=6, max_size=6),
@@ -239,7 +241,8 @@ class TestCongruence:
         # T^T A T . X == A . T X T^T, exactly
         a = SymMatrix(3, tuple(Fraction(v) for v in ua))
         x = SymMatrix(3, tuple(Fraction(v) for v in ux))
-        t = random_unimodular(3, seed, 8, 2)
+        t, t_inverse = unimodular_pair(3, seed, 8, 2)
+        assert t @ t_inverse == t_inverse @ t == Matrix.identity(3)
         assert inner(congruence(a, t), x) == inner(a, congruence(x, t.transpose()))
 
 
@@ -575,7 +578,8 @@ class TestMatrixBasics:
         want = matmul_by_fractions(a, b)
         for j, column in enumerate(columns):
             assert a.mul_vec(column) == tuple(want.at(i + 1, j + 1) for i in range(a.rows))
-        assert inner_general(x.to_matrix(), y.to_matrix()) == inner_by_fractions(x, y)
+        square_x, square_y = Matrix.from_rows(x.to_rows()), Matrix.from_rows(y.to_rows())
+        assert inner_general(square_x, square_y) == inner_by_fractions(x, y)
         gram = matmul_by_fractions(a.transpose(), a)
         assert inner_general(a, a) == sum((gram.at(i, i) for i in range(1, a.cols + 1)), Fraction(0))
         assert type(inner_general(a, a)) is Fraction
@@ -660,12 +664,13 @@ class TestStoredForm:
             a, b, m, m2, SymMatrix.from_rows(a.to_rows()), Matrix.from_rows(m.to_rows()),
             SymMatrix.zeros(n), SymMatrix.identity(n), SymMatrix.diag(a.to_rows()[0] if n else []),
             Matrix.zeros(m.rows, m.cols), Matrix.identity(n), a.scale(c), a.add(b), a.sub(b),
-            a.principal(ri), a.submatrix(ri, ci), a.to_matrix(), m.transpose(), m @ right,
+            a.principal(ri), Matrix(len(ri), len(ci), [a.at(r, s) for r in ri for s in ci]),
+            Matrix.from_rows(a.to_rows()), m.transpose(), m @ right,
             m.scale(c), m + m2, m - m2, congruence(a, Matrix.identity(n).scale(c)),
         ]
         if n:
             results.append(SymMatrix.unit(n, n, 1, c))
-        if not a.is_zero():
+        if a != SymMatrix.zeros(n):
             results.append(primitive_combination((1,), (a,)))
         nums, den = stored(a)
         # the private constructor takes any non-zero denominator, negative too
@@ -709,7 +714,7 @@ class TestStoredForm:
     @given(stored_operands())
     @settings(max_examples=150)
     def test_operations_match_a_fraction_loop(self, operands):
-        a, b, m, m2, _, c, ri, ci = operands
+        a, b, m, m2, _, c, ri, _ = operands
         ra, rb, rm, rm2 = a.to_rows(), b.to_rows(), m.to_rows(), m2.to_rows()
         assert all(type(v) is Fraction for row in ra + rm for v in row)
         assert a.scale(c).to_rows() == [[c * v for v in row] for row in ra]
@@ -719,12 +724,11 @@ class TestStoredForm:
         assert (m + m2).to_rows() == [[u + v for u, v in zip(p, q)] for p, q in zip(rm, rm2)]
         assert (m - m2).to_rows() == [[u - v for u, v in zip(p, q)] for p, q in zip(rm, rm2)]
         assert m.transpose().to_rows() == [[rm[r][s] for r in range(m.rows)] for s in range(m.cols)]
-        assert a.is_zero() == all(v == 0 for row in ra for v in row)
+        assert (a == SymMatrix.zeros(a.n)) == all(v == 0 for row in ra for v in row)
         idx = sorted(set(ri))
         assert a.principal(ri).to_rows() == [[ra[r - 1][s - 1] for s in idx] for r in idx]
-        assert a.submatrix(ri, ci).to_rows() == [[ra[r - 1][s - 1] for s in ci] for r in ri]
         assert [[a.at(i, j) for j in range(1, a.n + 1)] for i in range(1, a.n + 1)] == ra
-        if not a.is_zero():
+        if a != SymMatrix.zeros(a.n):
             # the coprime integer multiple with a positive scale, by Fractions
             scale = lcm(*(v.denominator for row in ra for v in row))
             ints = [[v * scale for v in row] for row in ra]

@@ -1,11 +1,16 @@
 """Module boundaries: no package module reaches into a sibling's private
 names, and the modules above the kernels read no matrix storage. Every cache
-in the package is bounded."""
+in the package is bounded, and every exported function has a caller outside
+the unit tests."""
 
 import ast
+import inspect
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weaksdp"
+import weaksdp
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "weaksdp"
 # the private storage of `Matrix` and `SymMatrix` and its private readers
 STORAGE = {"_u", "_e", "_d", "_num", "_num_rows"}
 # modules that read matrices only through the public API
@@ -150,3 +155,42 @@ def test_only_exact_defines_the_packed_offset_rule():
         and node.name in ("upper_offset", "_upper_offset")
     )
     assert definers == ["exact.py"]
+
+
+# exported functions that are the paper's own entry points, with no caller
+# of their own: each is named here with the reason it stays
+ENTRY_POINTS = {
+    "bad_projection": "the paper's nonclosed linear image of the PSD cone, built on request",
+    "check_strong_infeasibility_cert": "the paper's alternative system, checked for a y given by the user",
+}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """The names `tree` uses as a Name or an Attribute; text in a string or
+    a docstring does not count."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_reference_detector_skips_text():
+    tree = ast.parse(
+        '"""old_helper is gone."""\n'
+        "from weaksdp import determinant\n"
+        "LAYERS = {'linalg': ('old_helper',)}\n"
+        "weaksdp.linalg.inverse(determinant)\n"
+    )
+    assert referenced_names(tree) == {"LAYERS", "weaksdp", "linalg", "inverse", "determinant"}
+
+
+def test_every_export_has_a_non_test_caller():
+    # callers: the package modules, the acceptance tests and the benchmark
+    sources = (sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+               + sorted((ROOT / "perfbench").rglob("*.py")))
+    used = set().union(*(referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in sources))
+    exports = [alias.asname or alias.name
+               for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    functions = [name for name in exports if inspect.isfunction(getattr(weaksdp, name))]
+    assert set(ENTRY_POINTS) <= set(functions)
+    assert [name for name in functions if name not in used and name not in ENTRY_POINTS] == []

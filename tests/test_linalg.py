@@ -22,12 +22,13 @@ from weaksdp import (
     is_positive_definite,
     least_definite_shift,
     psd_certify,
-    random_unimodular,
     reformulated,
     schur_complement,
-    solve_linear,
+    unimodular_pair,
 )
-from weaksdp.linalg import PRIME, BorderedElimination, determinant_residue
+from weaksdp.linalg import (
+    PRIME, BorderedElimination, determinant_residue, random_unimodular, solve_linear,
+)
 
 
 def fractions_between(low, high, max_denominator):
@@ -256,7 +257,7 @@ def residue_cases(draw):
     at = draw(st.integers(0, n - 1))
     cells = [[(PRIME * k if i == at else draw(nonzero_tiny_entries).numerator) if i == j
               else draw(st.integers(-3, 3)) if i < j else 0 for j in range(n)] for i in range(n)]
-    unimodular = random_unimodular(n, draw(st.integers(0, 2**32)), draw(st.integers(0, 6)), 2)
+    unimodular, _ = unimodular_pair(n, draw(st.integers(0, 2**32)), draw(st.integers(0, 6)), 2)
     return Matrix.from_rows(cells) @ unimodular
 
 
@@ -402,9 +403,12 @@ class TestSchurComplement:
     @staticmethod
     def by_inverse(a: SymMatrix, eliminate, keep) -> SymMatrix:
         """A_KK - A_KE inverse(A_EE) A_EK, formed with the general inverse."""
-        a_ke = a.submatrix(keep, eliminate)
-        product = a_ke @ inverse(a.submatrix(eliminate, eliminate)) @ a_ke.transpose()
-        return SymMatrix.from_rows((a.submatrix(keep, keep) - product).to_rows())
+        def block(rows, cols):
+            return Matrix(len(rows), len(cols), [a.at(r, c) for r in rows for c in cols])
+
+        a_ke = block(keep, eliminate)
+        product = a_ke @ inverse(block(eliminate, eliminate)) @ a_ke.transpose()
+        return SymMatrix.from_rows((block(keep, keep) - product).to_rows())
 
     @given(st.lists(small_fractions, min_size=20, max_size=20),
            st.permutations([1, 2, 3, 4, 5]), st.integers(1, 4))
@@ -654,26 +658,34 @@ class TestBorderedElimination:
 
 
 class TestRandomUnimodular:
+    @staticmethod
+    def drawn(n, seed, budget, cap) -> Matrix:
+        """The U of `unimodular_pair`, checked against the U^-1 drawn with it."""
+        u, u_inverse = unimodular_pair(n, seed, budget, cap)
+        assert u @ u_inverse == u_inverse @ u == Matrix.identity(n)
+        return u
+
     def test_zero_budget_is_identity(self):
-        assert random_unimodular(4, 123, 0, 3) == Matrix.identity(4)
+        assert self.drawn(4, 123, 0, 3) == Matrix.identity(4)
 
     def test_determinants_are_unimodular(self):
         for seed in range(100):
-            t = random_unimodular(4, seed, 12, 3)
+            t = self.drawn(4, seed, 12, 3)
             assert determinant(t) in (1, -1)
 
     def test_entry_growth_bound(self):
         budget, cap = 10, 2
         for seed in range(25):
-            t = random_unimodular(3, seed, budget, cap)
+            t = self.drawn(3, seed, budget, cap)
             bound = (1 + cap) ** budget
             assert all(abs(v) <= bound for row in t.to_rows() for v in row)
 
     def test_deterministic(self):
-        assert random_unimodular(5, 42, 20, 2) == random_unimodular(5, 42, 20, 2)
+        assert unimodular_pair(5, 42, 20, 2) == unimodular_pair(5, 42, 20, 2)
+        assert random_unimodular(5, 42, 20, 2) == unimodular_pair(5, 42, 20, 2)[0]
 
     def test_order_one(self):
-        t = random_unimodular(1, 9, 10, 3)
+        t = self.drawn(1, 9, 10, 3)
         assert t.to_rows() in ([[1]], [[-1]])
 
 
