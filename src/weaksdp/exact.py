@@ -30,13 +30,19 @@ only its non-zero entries. Given T = I, as the alternative-system check and
 the reformulation of a clean bundle do, it yields the combination without
 the congruence, built by `_combine`, the one combination loop: whole
 matrices, one C-level pass per non-zero coefficient.
-`primitive_combination(coeffs, mats)`, behind the generator's projection,
-is that loop for one row of rational coefficients, over their common
-denominator and divided by the gcd of its entries. Otherwise the
-products run on packed ints (Kronecker substitution): each row of T is one
-int with a fixed-width slot per column, wide enough for every result
-entry, so CPython's big-int multiply runs the inner loops, and each result
-row comes out as the bytes of its upper slots, read back in one pass.
+`complement_projection(n, span, gram_inverse)`, behind the generator's
+projection, prepares the spanning matrices once and then runs that loop
+once per candidate, on integer coefficients, divided by the gcd of its
+entries. When T is not the identity, the products run on packed ints
+(Kronecker substitution): each row of T is one int with a fixed-width
+slot per column, wide enough for every result entry, so CPython's big-int
+multiply runs the inner loops, and each result row comes out as the bytes
+of its upper slots, read back in one pass.
+`disguise_congruences(mats, g, t)` gives the same rows for the generator's
+disguise, whose T is a short product of elementary operations: it packs
+each cell over all rows of G and applies T with one pass per non-zero of
+T, so its cost grows with nnz(T) n and it returns every row at once. No
+certificate check runs on it.
 `congruence_mismatch(mats, g, t, targets)` compares the same rows with
 targets on integer numerators and names the first differing entry: a
 target over the rows' denominator is spelled in the same slot encoding and
@@ -62,12 +68,13 @@ entry by entry after a shape check.
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, rshift, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -286,8 +293,8 @@ class Matrix:
         return tuple(Fraction(v, product._d) for v in product._e)
 
     def scale(self, c) -> "Matrix":
-        q = rational(c)
-        return Matrix._of(self.rows, self.cols, [v * q.numerator for v in self._e], self._d * q.denominator)
+        p, q = rational(c).as_integer_ratio()
+        return Matrix._of(self.rows, self.cols, [v * p for v in self._e], self._d * q)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -473,8 +480,8 @@ class SymMatrix:
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "SymMatrix":
-        q = rational(c)
-        return SymMatrix._of(self.n, [v * q.numerator for v in self._u], self._d * q.denominator)
+        p, q = rational(c).as_integer_ratio()
+        return SymMatrix._of(self.n, [v * p for v in self._u], self._d * q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymMatrix) and self.n == other.n and self._d == other._d and self._u == other._u
@@ -486,18 +493,27 @@ class SymMatrix:
         return f"SymMatrix({self.to_rows()!r})"
 
 
+@lru_cache(maxsize=4)
+def _doubling(n: int) -> tuple[int, ...]:
+    """The weight of each cell of the packed upper triangle of order n in a
+    trace inner product: 1 on the diagonal and 2 off it, because the upper
+    triangle holds each off-diagonal entry once. A packed X times these
+    weights is its column: one sum of products with a packed M gives M . X.
+    Like `_mirror`, only four orders are kept."""
+    return tuple(1 if j == i else 2 for i in range(n) for j in range(i, n))
+
+
 def _inner_sums(mats: tuple[SymMatrix, ...], xs: tuple[SymMatrix, ...]) -> list[list[int]]:
     """The numerators of M_i . X_j over mats[i]._d xs[j]._d, one row per M
     and one column per X: each entry one sum of products of stored
-    numerators. Each X's off-diagonal numerators are doubled once, because
-    the upper triangle holds each of them once, so a table of m rows and k
-    columns prepares k operands, not m k."""
+    numerators. Each X's off-diagonal numerators are doubled once, in one
+    `map` against `_doubling`, so a table of m rows and k columns prepares k
+    operands, not m k."""
     orders = {a.n for a in mats + xs}
     if len(orders) > 1:
         raise ValueError("order mismatch")
     n = orders.pop() if orders else 0
-    diagonal = {upper_offset(n, i, i) for i in range(1, n + 1)}
-    columns = [[v if p in diagonal else 2 * v for p, v in enumerate(x._u)] for x in xs]
+    columns = [list(map(mul, x._u, _doubling(n))) for x in xs]
     return [[sum(map(mul, mat._u, xi)) for xi in columns] for mat in mats]
 
 
@@ -558,41 +574,76 @@ def inner_general(m: Matrix, y: Matrix) -> Fraction:
     return Fraction(sum(map(mul, m._e, y._e)), m._d * y._d)
 
 
+def _numerators_over_lcm(mats: Sequence[SymMatrix]) -> tuple[int, list[Sequence[int]]]:
+    """The lcm of the denominators of `mats`, and each matrix's stored
+    numerators over it."""
+    den = lcm(*(mat._d for mat in mats))
+    return den, [mat._u if mat._d == den else [v * (den // mat._d) for v in mat._u] for mat in mats]
+
+
 def _combine(coeffs: Sequence[int], nums: Sequence[Sequence[int]], size: int) -> list[int]:
     """sum_j coeffs[j] nums[j] for integer coefficients and `size` integer
     numerators per operand: one C-level pass per non-zero coefficient. It is
-    the one combination loop: the T = I rows of `_congruence_rows` and
-    `primitive_combination` are this sum."""
+    the one combination loop: the T = I rows of `_congruence_rows` and each
+    projection of `complement_projection` are this sum."""
     acc = [0] * size
     for c, u in zip(compress(coeffs, coeffs), compress(nums, coeffs)):
         acc = list(map(add, acc, map(mul, u, repeat(c))))
     return acc
 
 
-def primitive_combination(coeffs: Sequence, mats: Sequence[SymMatrix]) -> SymMatrix | None:
-    """The positive multiple of sum_j c_j M_j whose entries are coprime
-    integers, or None when the sum is zero.
+def complement_projection(
+    n: int, span: Sequence[SymMatrix], gram_inverse: Matrix
+) -> Callable[[Sequence[int]], SymMatrix | None]:
+    """The map from an integer symmetric matrix C of order n, given as its
+    packed upper triangle, to the positive multiple of C - sum_s c_s X_s
+    whose entries are coprime integers, or to None when that is zero: C
+    projected onto the orthogonal complement of span{X_1, ..., X_l}. The
+    coefficients are c = gram_inverse (X_1 . C, ..., X_l . C), so
+    `gram_inverse` must be the inverse of the Gram matrix (X_s . X_t) of
+    `span`.
 
-    The sum is formed as D sum_j c_j M_j on the stored numerators by
-    `_combine`, D the lcm of the denominators of the weights c_j / d_j of
-    the numerators of M_j over their denominator d_j, and then divided by
-    the gcd of its entries. No Fraction is built per entry.
+    Everything that does not depend on C is prepared once: the X_s as
+    numerators over one denominator d, their `_doubling` columns, and the
+    numerators H over D of `gram_inverse`. Then, per C, with r_t the sum of
+    products of C with column t, the coefficients w_s = sum_t H_st r_t are
+    integers, D d^2 C - sum_s w_s d X_s is one `_combine` pass, and it is
+    divided by the gcd of its entries. No Fraction and no matrix is built
+    for C.
     """
-    mats = tuple(mats)
-    if len(coeffs) != len(mats):
-        raise ValueError("coefficient count does not match matrix count")
-    orders = {mat.n for mat in mats}
-    if len(orders) > 1:
+    span = tuple(span)
+    ell = len(span)
+    if (gram_inverse.rows, gram_inverse.cols) != (ell, ell):
+        raise ValueError("the Gram inverse must be l x l for l spanning matrices")
+    if any(x.n != n for x in span):
         raise ValueError("order mismatch")
-    n = orders.pop() if orders else 0
-    weights = [rational(c) / mat._d for c, mat in zip(coeffs, mats)]
-    scale = lcm(*(w.denominator for w in weights))
-    nums = _combine([w.numerator * (scale // w.denominator) for w in weights],
-                    [mat._u for mat in mats], n * (n + 1) // 2)
-    divisor = gcd(*nums)
-    if not divisor:
-        return None
-    return SymMatrix._of(n, [v // divisor for v in nums], 1)
+    size = n * (n + 1) // 2
+    den, basis = _numerators_over_lcm(span)
+    columns = [list(map(mul, nums, _doubling(n))) for nums in basis]
+    weights = [gram_inverse._e[s * ell : (s + 1) * ell] for s in range(ell)]
+    scale = gram_inverse._d * den * den
+
+    def project(upper: Sequence[int]) -> SymMatrix | None:
+        if len(upper) != size:
+            raise ValueError("upper-triangle length does not match order")
+        sums = [sum(map(mul, column, upper)) for column in columns]
+        coeffs = [scale, *(-sum(map(mul, row, sums)) for row in weights)]
+        nums = _combine(coeffs, [upper, *basis], size)
+        divisor = gcd(*nums)
+        if not divisor:
+            return None
+        return SymMatrix._of(n, [v // divisor for v in nums], 1)
+
+    return project
+
+
+def _check_transform(mats: tuple[SymMatrix, ...], g: Matrix, t: Matrix) -> None:
+    """ValueError unless T is square of the order of the M_j and G has one
+    column per M_j."""
+    if not t.is_square() or any(mat.n != t.rows for mat in mats):
+        raise ValueError("transform must be square of the same order")
+    if g.cols != len(mats):
+        raise ValueError("coefficient count does not match matrix count")
 
 
 def _congruence_rows(
@@ -618,14 +669,9 @@ def _congruence_rows(
     slot encoding, little-endian, and `_unpack` reads it back.
     """
     mats = tuple(mats)
-    n = t.rows
-    if not t.is_square() or any(mat.n != n for mat in mats):
-        raise ValueError("transform must be square of the same order")
-    if g.cols != len(mats):
-        raise ValueError("coefficient count does not match matrix count")
-    k = len(mats)
-    dm = lcm(*(mat._d for mat in mats))
-    scaled = [mat._u if mat._d == dm else [v * (dm // mat._d) for v in mat._u] for mat in mats]
+    _check_transform(mats, g, t)
+    n, k = t.rows, len(mats)
+    dm, scaled = _numerators_over_lcm(mats)
     gi, dg = g._e, g._d
     g_rows = [gi[row * k : (row + 1) * k] for row in range(g.rows)]
     # T = I, read off the stored form: n^2 - n zeros and a diagonal of ones over 1
@@ -727,3 +773,67 @@ def congruence(a: SymMatrix, t: Matrix) -> SymMatrix:
     """Congruence transform T^T A T, computed exactly: the one-row case of
     `congruences`."""
     return next(congruences((a,), Matrix.identity(1), t))
+
+
+def _column_pass(pairs: Sequence[tuple[int, int]], vectors: Sequence[Sequence[int]], start: int) -> list[int]:
+    """sum_c v vectors[c][start:] over the (c, v) in `pairs`, the non-zeros
+    of a column of T: one whole-vector pass per non-zero, with no product
+    for a 1."""
+    total = None
+    for c, v in pairs:
+        term = vectors[c][start:]
+        if v != 1:
+            term = map(mul, term, repeat(v))
+        total = list(term) if total is None else list(map(add, total, term))
+    return [0] * (len(vectors[0]) - start) if total is None else total
+
+
+def disguise_congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> list[SymMatrix]:
+    """Row i = T^T (sum_j g_ij M_j) T for every row of G, as `congruences`
+    gives them, for the generator's disguise: a G and T that are short
+    products of elementary operations, so that T has few non-zeros.
+
+    Upper cell p of every row is one packed int, with row i in slot i
+    (Kronecker substitution over the rows of G). Each stored numerator of
+    each M_j is multiplied once, by G's packed column j, which gives the
+    symmetric matrix C of packed cells. T then acts on each side with one
+    whole-column pass per non-zero of T: the rows of T^T C from the rows of
+    C, and the upper part of each column of (T^T C) T from the columns of
+    T^T C. The cells are decoded into rows at the end. The slot width bounds
+    every result entry, max_i sum_j |g_ij| max|M| (max_b sum_c |t_cb|)^2,
+    plus a sign bit, in whole bytes and at least 8, so that a slot of 8
+    bytes is read as a signed 64-bit word with `struct`.
+
+    The cost grows with nnz(T) n, and every row is done before any is
+    returned: a certificate check of an untrusted transform runs on
+    `congruence_mismatch`, whose row-by-row kernel stops at the first
+    failing row and does not slow down on a dense T.
+    """
+    mats = tuple(mats)
+    _check_transform(mats, g, t)
+    n, m, k = t.rows, g.rows, len(mats)
+    dm, scaled = _numerators_over_lcm(mats)
+    gi, ti = g._e, t._e
+    t_columns = [[(c, v) for c, v in enumerate(ti[b::n]) if v] for b in range(n)]
+    g_sum = max((sum(map(abs, gi[i * k : (i + 1) * k])) for i in range(m)), default=0)
+    m_max = max((max(max(u), -min(u)) for u in scaled if u), default=0)
+    t_sum = max((sum(abs(v) for _, v in column) for column in t_columns), default=0)
+    size = max(8, (g_sum * m_max * t_sum**2).bit_length() // 8 + 1)  # the sign bit included
+    width = 8 * size
+    g_columns = [sum(v << (width * i) for i, v in enumerate(gi[j::k]) if v) for j in range(k)]
+    # with no M_j, zip yields no cell, and every cell is 0
+    cells = [sum(map(mul, cell, g_columns)) for cell in zip(*scaled)] or [0] * (n * (n + 1) // 2)
+    rows = square_rows(cells, n)  # C, symmetric: row c is column c
+    left = list(zip(*[_column_pass(column, rows, 0) for column in t_columns]))  # columns of T^T C
+    # row b of the symmetric result from b on is column b of (T^T C) T from b on
+    upper = [v for b, column in enumerate(t_columns) for v in _column_pass(column, left, b)]
+    # adding half the slot range and flipping its bit spells each slot in two's complement
+    half = int.from_bytes((bytes(size - 1) + b"\x80") * m, "little")
+    data = b"".join([((cell + half) ^ half).to_bytes(size * m, "little") for cell in upper])
+    if size == 8:
+        fields = struct.unpack(f"<{len(data) // 8}q", data)
+    else:
+        fields = [int.from_bytes(data[p : p + size], "little", signed=True) for p in range(0, len(data), size)]
+    den = dm * g._d * t._d * t._d
+    # cell p of row i is field p m + i
+    return [SymMatrix._of(n, fields[i::m], den) for i in range(m)]

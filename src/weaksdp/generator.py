@@ -23,9 +23,12 @@ Stage summary:
   blocks meet no support used before.
 * `extend_constraints` projects random integer symmetric matrices exactly
   onto the orthogonal complement of span{X_1, ..., X_l} and scales each
-  constraint to integer data, on the stored integer numerators.
+  constraint to integer data: the Gram inverse is built once per call, and
+  each candidate is projected with integer coefficients.
 * `messify` applies the disguise and records it, with the inverses of its
-  two matrices, composed while they are drawn.
+  two matrices, composed while they are drawn; the disguised constraints
+  come from `exact.disguise_congruences`, whose cost follows the non-zeros
+  of the congruence matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .exact import (
-    Matrix, SymMatrix, check_json_digits, inner, inner_general, inner_table, inners,
-    primitive_combination, upper_offset,
+    Matrix, SymMatrix, check_json_digits, complement_projection, disguise_congruences, inner,
+    inner_general, inner_table, upper_offset,
 )
 from .echelon import (
     SdpInstance,
@@ -44,7 +47,6 @@ from .echelon import (
     cell_region,
     check_infeasibility_cert,
     check_not_strong_cert,
-    reformulated,
 )
 from .linalg import inverse, unimodular_pair
 from .prng import SplitMix64, derive_seed
@@ -317,27 +319,27 @@ def extend_constraints(
     Each extra constraint is a random integer symmetric matrix C, drawn as
     its packed upper triangle in one `randints` call, minus its exact
     projection onto span{X_1..X_l}: C - sum_s c_s X_s, with the coefficients
-    c_s from the Gram system. `exact.primitive_combination` forms that on
-    the stored integer numerators and gives its primitive integer multiple,
-    the constraint. Its right-hand side is its product with X_{l+1}, and the
-    whole constraint is scaled once more so that value is an integer.
+    c_s from the Gram system. The inverse of the Gram matrix of X_1..X_l is
+    built once per call, and `exact.complement_projection` prepares the X_s
+    once with it; each candidate is then projected with integer coefficients
+    in one combination-and-gcd pass, which gives the primitive integer
+    multiple of the projection, the constraint. Its right-hand side is its
+    product with X_{l+1}, and the whole constraint is scaled once more so
+    that value is an integer.
     """
-    n = cfg.n
+    size = cfg.n * (cfg.n + 1) // 2
     ell = len(xseq) - 1
     span = xseq[:ell]
     # X_1..X_l are independent echelon members, so their Gram matrix is nonsingular
     gram_inverse = inverse(Matrix(ell, ell, tuple(v for row in inner_table(span, span) for v in row)))
+    project = complement_projection(cfg.n, span, gram_inverse)
     rng = SplitMix64(seed)
     extras: list[SymMatrix] = []
     b_extras: list[Fraction] = []
     for _ in range(cfg.m - (cfg.k + 1)):
-        while True:
-            # the upper triangle drawn row by row, as it is stored
-            candidate = SymMatrix(n, rng.randints(-cfg.entry_range, cfg.entry_range, n * (n + 1) // 2))
-            coeffs = gram_inverse.mul_vec(inners(span, candidate))
-            projected = primitive_combination((1, *(-c for c in coeffs)), (candidate,) + span)
-            if projected is not None:
-                break
+        # each candidate's upper triangle drawn row by row, as it is stored
+        while (projected := project(rng.randints(-cfg.entry_range, cfg.entry_range, size))) is None:
+            pass
         value = inner(projected, xseq[-1])
         if value.denominator != 1:
             projected = projected.scale(value.denominator)
@@ -355,13 +357,16 @@ def messify(inst: WeakInstance, seed: int, budget: int, magnitude: int) -> WeakI
     where G and T are random unimodular integer matrices; (G, T), their
     inverses and the messy system are recorded so the clean form stays
     exactly recoverable. `unimodular_pair` draws each of G and T with its
-    inverse in one loop.
+    inverse in one loop. G and T are short products of elementary
+    operations, so the messy constraints come from
+    `exact.disguise_congruences`, whose cost follows the non-zeros of T; the
+    messy system equals `echelon.reformulated(clean, G, T)`.
     """
     clean = inst.clean
     rng = SplitMix64(seed)
     g, g_inverse = unimodular_pair(clean.m, rng.next_u64(), budget, magnitude)
     t, t_inverse = unimodular_pair(clean.n, rng.next_u64(), budget, magnitude)
-    messy = reformulated(clean, g, t)
+    messy = SdpInstance(clean.n, tuple(disguise_congruences(clean.A, g, t)), g.mul_vec(clean.b))
     return replace(inst, provenance=Provenance(
         row_ops=g, congruence=t, messy=messy, row_ops_inverse=g_inverse, congruence_inverse=t_inverse))
 

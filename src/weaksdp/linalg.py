@@ -161,7 +161,8 @@ def determinant_residue(a: Matrix) -> int:
     Non-zero only if det A != 0, so a caller that needs det A != 0 runs the
     exact elimination of `determinant` only on a zero residue. Elimination
     modulo the prime runs on word-sized residues, so its cost does not grow
-    with the digits of A's entries.
+    with the digits of A's entries, and each step rewrites only the columns
+    right of its pivot in the rows below it.
     """
     if not a.is_square():
         raise ValueError("determinant requires a square matrix")
@@ -178,9 +179,11 @@ def determinant_residue(a: Matrix) -> int:
         pivot = rows[c]
         det = det * pivot[c] % PRIME
         inv = pow(pivot[c], -1, PRIME)
+        tail = pivot[c + 1 :]
         for r in range(c + 1, n):
             if f := rows[r][c] * inv % PRIME:  # only rows with an entry below the pivot change
-                rows[r] = [(x - f * y) % PRIME for x, y in zip(rows[r], pivot)]
+                # columns 0..c of the rows below are never read again
+                rows[r][c + 1 :] = [(x - f * y) % PRIME for x, y in zip(rows[r][c + 1 :], tail)]
     return det
 
 

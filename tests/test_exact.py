@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     congruence_by_fractions,
     congruence_mismatch_by_fractions,
+    determinant_by_cofactors,
     inner_by_fractions,
     matmul_by_fractions,
     reformulated_rows_by_fractions,
@@ -28,7 +29,8 @@ from weaksdp import (
 )
 from weaksdp import exact
 from weaksdp.exact import (
-    DIGIT_LIMIT, _congruence_rows, primitive_combination, square_rows, text_ratio, upper_offset,
+    DIGIT_LIMIT, _congruence_rows, complement_projection, disguise_congruences, square_rows, text_ratio,
+    upper_offset,
 )
 
 small_ints = st.integers(-30, 30)
@@ -303,30 +305,66 @@ class TestCongruences:
             list(congruences(mats, Matrix.zeros(1, 2), Matrix.identity(2)))
 
 
-class TestPrimitiveCombination:
-    @given(st.integers(0, 4).flatmap(lambda order: st.integers(0, 4).flatmap(
-        lambda k: st.tuples(st.just(order), sym_matrices(order, k), entry_lists(k)))))
+@st.composite
+def projection_cases(draw):
+    """An order 0-4; a span of up to three symmetric matrices of it with
+    mixed denominators, each kept only while the Gram matrix of those kept
+    stays nonsingular; and an integer candidate as a packed upper triangle,
+    drawn freely or, a third of the time, the numerators of a combination of
+    the span, which projects to zero."""
+    order = draw(st.integers(0, 4))
+    span = []
+    for x in draw(sym_matrices(order, draw(st.integers(0, 3)))):
+        grown = span + [x]
+        if determinant_by_cofactors([[inner_by_fractions(a, b) for b in grown] for a in grown]):
+            span.append(x)
+    half = order * (order + 1) // 2
+    if span and not draw(st.integers(0, 2)):
+        combo = SymMatrix.zeros(order)
+        for x, c in zip(span, draw(entry_lists(len(span)))):
+            combo = combo.add(x.scale(c))
+        return order, span, list(stored(combo)[0])
+    return order, span, draw(st.lists(st.integers(-30, 30), min_size=half, max_size=half))
+
+
+def primitive(a):
+    """The coprime integer multiple of `a`: its numerators projected with an empty span."""
+    return complement_projection(a.n, (), Matrix.zeros(0, 0))(stored(a)[0])
+
+
+class TestComplementProjection:
+    @given(projection_cases())
     @settings(max_examples=100)
-    def test_matches_fraction_reference(self, operands):
-        order, mats, coeffs = operands
-        g = Matrix(1, len(mats), tuple(Fraction(v) for v in coeffs))
-        (row,) = reformulated_rows_by_fractions(mats, g, Matrix.identity(order))
-        got = primitive_combination(coeffs, mats)
-        entries = [v for line in row.to_rows() for v in line]
+    def test_matches_fraction_reference(self, case):
+        order, span, upper = case
+        ell = len(span)
+        inverse_gram = inverse(Matrix(ell, ell, tuple(inner(a, b) for a in span for b in span)))
+        got = complement_projection(order, span, inverse_gram)(upper)
+        # C - sum_s c_s X_s, c the Gram inverse times the X_s . C, by Fractions
+        candidate = SymMatrix(order, tuple(upper))
+        coeffs = [sum(h * inner_by_fractions(x, candidate) for h, x in zip(row, span))
+                  for row in inverse_gram.to_rows()]
+        rows = candidate.to_rows()
+        for c, x in zip(coeffs, span):
+            rows = [[v - c * w for v, w in zip(line, other)] for line, other in zip(rows, x.to_rows())]
+        entries = [v for line in rows for v in line]
         if not any(entries):
             assert got is None
             return
         # the coprime integer multiple with a positive scale, by Fractions
         scale = lcm(*(v.denominator for v in entries))
         divisor = gcd(*(int(v * scale) for v in entries))
-        assert got.to_rows() == [[v * scale / divisor for v in line] for line in row.to_rows()]
+        assert got.to_rows() == [[v * scale / divisor for v in line] for line in rows]
+        assert all(inner_by_fractions(got, x) == 0 for x in span)
         assert_canonical(got)
 
     def test_shape_mismatches_raise(self):
         with pytest.raises(ValueError):
-            primitive_combination((1,), (SymMatrix.identity(2), SymMatrix.identity(2)))
+            complement_projection(2, (SymMatrix.identity(2), SymMatrix.identity(2)), Matrix.identity(1))
         with pytest.raises(ValueError):
-            primitive_combination((1, 1), (SymMatrix.identity(2), SymMatrix.identity(3)))
+            complement_projection(2, (SymMatrix.identity(2), SymMatrix.identity(3)), Matrix.identity(2))
+        with pytest.raises(ValueError):
+            complement_projection(2, (SymMatrix.identity(2),), Matrix.identity(1))([1, 0])
 
 
 wide_ints = st.integers(-2**200, 2**200)
@@ -483,6 +521,35 @@ class TestSparseCongruence:
         assert congruence_mismatch(mats, g, t, [want[0], SymMatrix.unit(2, 1, 2), want[2]]) == (2, 1, 2)
 
 
+@st.composite
+def disguise_cases(draw):
+    """k symmetric matrices of order 0-5 and an m x k G with some rows zero,
+    k and m 0-4, all entries small fractions or all up to 2^200 in magnitude,
+    so that a slot spans more than 8 bytes; T a product of a few elementary
+    operations, or a third of the time a matrix of such entries."""
+    order, k, m = draw(st.integers(0, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    values = draw(st.sampled_from([small_fractions, wide_entries]))
+
+    def entries(count):
+        return tuple(draw(st.lists(values, min_size=count, max_size=count)))
+
+    mats = tuple(SymMatrix(order, entries(order * (order + 1) // 2)) for _ in range(k))
+    zero_rows = draw(st.sets(st.integers(0, 3)))
+    coeffs = entries(m * k)
+    g = Matrix(m, k, tuple(0 if r in zero_rows else v for r in range(m) for v in coeffs[r * k : (r + 1) * k]))
+    if draw(st.integers(0, 2)):
+        return mats, g, draw(elementary_product(order, draw(st.booleans())))
+    return mats, g, Matrix(order, order, entries(order * order))
+
+
+class TestDisguiseCongruences:
+    @given(disguise_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_fraction_reference(self, case):
+        mats, g, t = case
+        assert disguise_congruences(mats, g, t) == reformulated_rows_by_fractions(mats, g, t)
+
+
 class TestInners:
     @given(st.integers(0, 4).flatmap(lambda order: st.integers(0, 4).flatmap(
         lambda k: st.tuples(sym_matrices(order, k), sym_matrices(order, 1)))))
@@ -540,7 +607,7 @@ class TestMatrixBasics:
         ([[0, 0], [0, Fraction(-2, 7)]], [[0, 0], [0, -1]]),
     ])
     def test_primitive_is_the_coprime_integer_multiple(self, rows, expected):
-        got = primitive_combination((1,), (sym(rows),))
+        got = primitive(sym(rows))
         assert got == sym(expected)
         assert all(type(v) is Fraction for row in got.to_rows() for v in row)
 
@@ -671,7 +738,7 @@ class TestStoredForm:
         if n:
             results.append(SymMatrix.unit(n, n, 1, c))
         if a != SymMatrix.zeros(n):
-            results.append(primitive_combination((1,), (a,)))
+            results.append(primitive(a))
         nums, den = stored(a)
         # the private constructor takes any non-zero denominator, negative too
         results.append(SymMatrix._of(n, [v * k for v in nums], den * k))
@@ -733,7 +800,7 @@ class TestStoredForm:
             scale = lcm(*(v.denominator for row in ra for v in row))
             ints = [[v * scale for v in row] for row in ra]
             g = gcd(*(int(v) for row in ints for v in row))
-            assert primitive_combination((1,), (a,)).to_rows() == [[v / g for v in row] for row in ints]
+            assert primitive(a).to_rows() == [[v / g for v in row] for row in ints]
 
     @given(stored_operands())
     def test_stored_signs_are_the_entries_signs(self, operands):

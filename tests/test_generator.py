@@ -26,6 +26,7 @@ from weaksdp import (
     inverse,
     invert_provenance,
     messify,
+    reformulated,
     three_by_three,
     verify_weak_infeasibility,
 )
@@ -225,7 +226,8 @@ class TestMessify:
     def test_recorded_inverses_are_the_inverses(self):
         # T of order n = 1..8 and G of order m = 9 - n, every budget 0..2(n + m)
         # and caps 0..3: cap 0 leaves out the add kind, and order 1 the add
-        # and swap kinds. messify reads only the clean system.
+        # and swap kinds. messify reads only the clean system, and its messy
+        # system is the reformulation by the recorded G and T.
         for n in range(1, 9):
             m = 9 - n
             clean = SdpInstance(n, tuple(SymMatrix.identity(n).scale(i) for i in range(1, m + 1)),
@@ -240,6 +242,7 @@ class TestMessify:
                     assert g_inv == inverse(prov.row_ops) and t_inv == inverse(prov.congruence)
                     assert prov.row_ops @ g_inv == Matrix.identity(m)
                     assert prov.congruence @ t_inv == Matrix.identity(n)
+                    assert prov.messy == reformulated(clean, prov.row_ops, prov.congruence)
 
     def test_roundtrip_through_inverse(self):
         for seed in range(20):
@@ -264,8 +267,6 @@ class TestMessify:
         assert replace(messy, provenance=None) == generate(replace(cfg, messy=False))
 
     def test_messy_is_forward_image_of_clean(self):
-        from weaksdp import reformulated
-
         instance = generate(base_cfg(messy=True))
         prov = instance.provenance
         assert reformulated(instance.clean, prov.row_ops, prov.congruence) == prov.messy

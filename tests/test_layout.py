@@ -1,7 +1,7 @@
 """Module boundaries: no package module reaches into a sibling's private
 names, and the modules above the kernels read no matrix storage. Every cache
-in the package is bounded, and every exported function has a caller outside
-the unit tests."""
+in the package is bounded, every exported function has a caller outside the
+unit tests, and only the generator reaches the disguise's congruence."""
 
 import ast
 import inspect
@@ -194,3 +194,12 @@ def test_every_export_has_a_non_test_caller():
     functions = [name for name in exports if inspect.isfunction(getattr(weaksdp, name))]
     assert set(ENTRY_POINTS) <= set(functions)
     assert [name for name in functions if name not in used and name not in ENTRY_POINTS] == []
+
+
+def test_only_the_generator_reaches_the_disguise_congruence():
+    # its cost grows with nnz(T) n and it finishes every row before it
+    # returns one, so no certificate check routes an untrusted transform
+    # through it: the checks run on `congruence_mismatch`
+    users = {path.name for path in PACKAGE.glob("*.py")
+             if "disguise_congruences" in referenced_names(ast.parse(path.read_text(encoding="utf-8")))}
+    assert users - {"exact.py"} == {"generator.py"}

@@ -294,6 +294,7 @@ class TestDeterminantResidue:
     def test_singular_only_modulo_the_prime(self, rows):
         a = Matrix.from_rows(rows)
         assert determinant_residue(a) == 0 and determinant(a) != 0
+        assert determinant_residue(a) == determinant(a) * a._d**a.rows % PRIME
         raw = SdpInstance(a.rows, (SymMatrix.identity(a.rows),), (Fraction(1),))
         assert check_reformulation(raw, Matrix.identity(1), a, reformulated(raw, Matrix.identity(1), a))
 
