@@ -441,5 +441,5 @@ def check_strong_infeasibility_cert(inst: SdpInstance, y: Sequence) -> bool:
         raise ValueError("multiplier length does not match constraint count")
     if sum((yi * bi for yi, bi in zip(ys, inst.b)), _ZERO) != -1:
         return False
-    combo = next(congruences(inst.A, Matrix(1, inst.m, tuple(ys)), Matrix.identity(inst.n)))
+    combo = congruences(inst.A, Matrix(1, inst.m, tuple(ys)), Matrix.identity(inst.n))[0]
     return psd_certify(combo).is_psd

@@ -10,45 +10,30 @@ constructors convert entries, once, over the lcm of their denominators
 the elimination loops, the sign tests and the format readers and writers
 all read the stored ints, and a `Fraction` is built only where the API
 hands one out (`at`, `row`, `to_rows`, `mul_vec`, inner products).
-There are three product kernels, and every product in the package goes
-through one of them. The matrix product `@` also serves `Matrix.mul_vec` (a
-column matrix), and `inner_general` is its 1 x k by k x 1 case, one sum of
-products.
-`inner_table(mats, xs)` gives M . X for every M and every X, each X's
-off-diagonal numerators doubled once; `inners` is its one-X case, and
-`inner` is the one-matrix case of that.
+Every product in the package goes through one of the kernels below. The
+matrix product `@` also serves `Matrix.mul_vec` (a column matrix), and
+`inner_general` is its 1 x k by k x 1 case, one sum of products.
+`inner_table(mats, xs)` gives M . X for every M and every X, each X
+`_doubled` once; `inners` is its one-X case, and `inner` is the one-matrix
+case of that.
 `inner_mismatch(mats, xs, targets)` compares the same sums with targets on
 integers and names the first differing product; the closeness check runs on
 it and builds no Fraction.
-`congruences(mats, g, t)` yields the rows T^T (sum_j g_ij M_j) T lazily, with
-the combination and the congruence both on ints; it is the one routine for
-"row-combine, then congruence" (the reformulation and the alternative-system
-check), and `congruence` is its one-row case. G and T of a certificate are
-short products of elementary matrices, so most of their entries are zero:
-each row of G uses only its non-zero coefficients, and each column of T
-only its non-zero entries. Given T = I, as the alternative-system check and
-the reformulation of a clean bundle do, it yields the combination without
-the congruence, built by `_combine`, the one combination loop: whole
-matrices, one C-level pass per non-zero coefficient.
-`complement_projection(n, span, gram_inverse)`, behind the generator's
-projection, prepares the spanning matrices once and then runs that loop
-once per candidate, on integer coefficients, divided by the gcd of its
-entries. When T is not the identity, the products run on packed ints
-(Kronecker substitution): each row of T is one int with a fixed-width
-slot per column, wide enough for every result entry, so CPython's big-int
-multiply runs the inner loops, and each result row comes out as the bytes
-of its upper slots, read back in one pass.
-`disguise_congruences(mats, g, t)` gives the same rows for the generator's
-disguise, whose T is a short product of elementary operations: it packs
-each cell over all rows of G and applies T with one pass per non-zero of
-T, so its cost grows with nnz(T) n and it returns every row at once. No
-certificate check runs on it.
-`congruence_mismatch(mats, g, t, targets)` compares the same rows with
-targets on integer numerators and names the first differing entry: a
-target over the rows' denominator is spelled in the same slot encoding and
-its row checked with one `bytes` equality, and a row is unpacked only to
-name its first differing entry or when the target does not fit that
-encoding. The reformulation check runs on it and builds no Fraction.
+The rows T^T (sum_j g_ij M_j) T, row combination and then congruence, have
+one kernel per job, both on packed ints (Kronecker substitution) and on
+one shape check (`_operands`), one slot width (`_slot_size`), one
+combination loop (`_combine`) and one two's-complement slot decoder
+(`_slots`).
+`congruences(mats, g, t)` returns every row, for a G and T the package
+built: `echelon.reformulated` (the generator's disguise), the
+alternative-system check and `congruence`, its one-row case. Its cost
+grows with nnz(T) n. `congruence_mismatch(mats, g, t, targets)`, the
+reformulation check of a G and T the package did not build, computes the
+rows one at a time, compares each with its target as bytes in the slot
+encoding and names the first differing entry; given T = I it only
+combines. `complement_projection(n, span, gram_inverse)`, behind the
+generator's projection, runs `_combine` once per candidate, on integer
+coefficients, divided by the gcd of its entries.
 Matrix entries are addressed with 1-based indices via ``at(i, j)``, matching
 the 1-based index sets used for block structures, so a single indexing
 convention runs through structures, matrices and emitted file formats.
@@ -72,8 +57,8 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from math import gcd, lcm
-from operator import add, itemgetter, mul, rshift, sub
+from math import gcd, isfinite, lcm
+from operator import add, itemgetter, mul, rshift, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -112,9 +97,12 @@ def check_digit_limit(ints: Sequence[int]) -> None:
         raise ValueError(f"an integer of more than DIGIT_LIMIT = {DIGIT_LIMIT} digits")
 
 
-def check_json_digits(value) -> None:
+def check_json_numbers(value) -> None:
     """`check_digit_limit` on every int in `value`, JSON data of dicts (keys
-    and values), lists and tuples: `json.dumps` would spell each one."""
+    and values), lists and tuples, which `json.dumps` would spell, and
+    ValueError for a float in it that is not finite, which `json.dumps`
+    would spell ``NaN`` or ``Infinity``: no JSON (RFC 8259) and no reader
+    takes either back."""
     ints, stack = [], [value]
     while stack:
         item = stack.pop()
@@ -124,6 +112,8 @@ def check_json_digits(value) -> None:
             stack += item
         elif type(item) is int:
             ints.append(item)
+        elif type(item) is float and not isfinite(item):
+            raise ValueError(f"a float that is not finite, {item}, is not JSON")
     check_digit_limit(ints)
 
 
@@ -497,23 +487,27 @@ class SymMatrix:
 def _doubling(n: int) -> tuple[int, ...]:
     """The weight of each cell of the packed upper triangle of order n in a
     trace inner product: 1 on the diagonal and 2 off it, because the upper
-    triangle holds each off-diagonal entry once. A packed X times these
-    weights is its column: one sum of products with a packed M gives M . X.
-    Like `_mirror`, only four orders are kept."""
+    triangle holds each off-diagonal entry once. Like `_mirror`, only four
+    orders are kept."""
     return tuple(1 if j == i else 2 for i in range(n) for j in range(i, n))
+
+
+def _doubled(upper: Sequence[int], n: int) -> list[int]:
+    """The packed upper triangle `upper` of order n times the `_doubling`
+    weights: X's column, one sum of products with a packed M gives M . X."""
+    return list(map(mul, upper, _doubling(n)))
 
 
 def _inner_sums(mats: tuple[SymMatrix, ...], xs: tuple[SymMatrix, ...]) -> list[list[int]]:
     """The numerators of M_i . X_j over mats[i]._d xs[j]._d, one row per M
     and one column per X: each entry one sum of products of stored
-    numerators. Each X's off-diagonal numerators are doubled once, in one
-    `map` against `_doubling`, so a table of m rows and k columns prepares k
-    operands, not m k."""
+    numerators. Each X is `_doubled` once, so a table of m rows and k
+    columns prepares k operands, not m k."""
     orders = {a.n for a in mats + xs}
     if len(orders) > 1:
         raise ValueError("order mismatch")
     n = orders.pop() if orders else 0
-    columns = [list(map(mul, x._u, _doubling(n))) for x in xs]
+    columns = [_doubled(x._u, n) for x in xs]
     return [[sum(map(mul, mat._u, xi)) for xi in columns] for mat in mats]
 
 
@@ -581,15 +575,18 @@ def _numerators_over_lcm(mats: Sequence[SymMatrix]) -> tuple[int, list[Sequence[
     return den, [mat._u if mat._d == den else [v * (den // mat._d) for v in mat._u] for mat in mats]
 
 
-def _combine(coeffs: Sequence[int], nums: Sequence[Sequence[int]], size: int) -> list[int]:
-    """sum_j coeffs[j] nums[j] for integer coefficients and `size` integer
-    numerators per operand: one C-level pass per non-zero coefficient. It is
-    the one combination loop: the T = I rows of `_congruence_rows` and each
-    projection of `complement_projection` are this sum."""
-    acc = [0] * size
-    for c, u in zip(compress(coeffs, coeffs), compress(nums, coeffs)):
-        acc = list(map(add, acc, map(mul, u, repeat(c))))
-    return acc
+def _combine(terms: Iterable[tuple[int, Sequence[int]]], size: int) -> list[int]:
+    """sum c u over the (c, u) terms, an integer coefficient c and `size`
+    integers u: one C-level pass per non-zero c, with no product for a 1. It
+    is the one combination loop: each projection of `complement_projection`,
+    the T = I rows of `congruence_mismatch` and both passes of T in
+    `congruences` are this sum."""
+    total = None
+    for c, u in terms:
+        if c:
+            term = u if c == 1 else map(mul, u, repeat(c))
+            total = list(term) if total is None else list(map(add, total, term))
+    return [0] * size if total is None else total
 
 
 def complement_projection(
@@ -604,7 +601,7 @@ def complement_projection(
     `span`.
 
     Everything that does not depend on C is prepared once: the X_s as
-    numerators over one denominator d, their `_doubling` columns, and the
+    numerators over one denominator d, their `_doubled` columns, and the
     numerators H over D of `gram_inverse`. Then, per C, with r_t the sum of
     products of C with column t, the coefficients w_s = sum_t H_st r_t are
     integers, D d^2 C - sum_s w_s d X_s is one `_combine` pass, and it is
@@ -619,7 +616,7 @@ def complement_projection(
         raise ValueError("order mismatch")
     size = n * (n + 1) // 2
     den, basis = _numerators_over_lcm(span)
-    columns = [list(map(mul, nums, _doubling(n))) for nums in basis]
+    columns = [_doubled(nums, n) for nums in basis]
     weights = [gram_inverse._e[s * ell : (s + 1) * ell] for s in range(ell)]
     scale = gram_inverse._d * den * den
 
@@ -628,7 +625,7 @@ def complement_projection(
             raise ValueError("upper-triangle length does not match order")
         sums = [sum(map(mul, column, upper)) for column in columns]
         coeffs = [scale, *(-sum(map(mul, row, sums)) for row in weights)]
-        nums = _combine(coeffs, [upper, *basis], size)
+        nums = _combine(zip(coeffs, [upper, *basis]), size)
         divisor = gcd(*nums)
         if not divisor:
             return None
@@ -637,134 +634,154 @@ def complement_projection(
     return project
 
 
-def _check_transform(mats: tuple[SymMatrix, ...], g: Matrix, t: Matrix) -> None:
-    """ValueError unless T is square of the order of the M_j and G has one
-    column per M_j."""
+def _operands(mats: tuple[SymMatrix, ...], g: Matrix, t: Matrix) -> tuple[int, list[Sequence[int]]]:
+    """What both congruence kernels start from, for the rows
+    T^T (sum_j g_ij M_j) T: the rows' common denominator, and the numerators
+    of the M_j over the lcm of their denominators. ValueError unless T is
+    square of the order of the M_j and G has one column per M_j."""
     if not t.is_square() or any(mat.n != t.rows for mat in mats):
         raise ValueError("transform must be square of the same order")
     if g.cols != len(mats):
         raise ValueError("coefficient count does not match matrix count")
+    dm, scaled = _numerators_over_lcm(mats)
+    return dm * g._d * t._d * t._d, scaled
 
 
-def _congruence_rows(
-    mats: Sequence[SymMatrix], g: Matrix, t: Matrix
-) -> tuple[int, int, Iterator]:
-    """The rows T^T (sum_j g_ij M_j) T, one per row of G, as ``(den, size,
-    rows)``: every row is over the common denominator `den`, and `rows`
-    yields each row's upper triangle lazily. Each row of G uses only its
-    non-zero coefficients.
+def _slot_size(g: Matrix, scaled: Sequence[Sequence[int]], t: Matrix) -> int:
+    """The bytes of a slot that holds every numerator of the rows
+    T^T (sum_j g_ij M_j) T, the M_j given as `scaled` numerators: at most
+    max_i sum_j |g_ij| max|M| (max_b sum_c |t_cb|)^2 in magnitude, over
+    stored numerators, and a sign bit."""
+    n, k = t.rows, g.cols
+    gi, ti = g._e, t._e
+    g_sum = max((sum(map(abs, gi[i * k : (i + 1) * k])) for i in range(g.rows)), default=0)
+    m_max = max((max(max(u), -min(u)) for u in scaled if u), default=0)
+    t_sum = max((sum(map(abs, ti[b::n])) for b in range(n)), default=0)
+    return (g_sum * m_max * t_sum**2).bit_length() // 8 + 1
 
-    When T is the identity, `size` is 0 and each row is its list of
-    numerators, the combination `_combine` of whole matrices, so the
-    congruence is skipped.
 
-    Otherwise the products run on packed ints (Kronecker substitution): row
-    r of T becomes one int with a w-bit slot per column, so row r of M_j T is
-    one dot product of row r of M_j with the packed rows of T, and row a of
-    the result one dot product of the non-zero entries of column a of T with
-    the matching packed rows of C T. The slot width bounds every result
-    entry, n^2 k max|g| max|M| max|T|^2, plus a sign bit, in whole bytes:
-    `size` bytes per slot. Half the slot range added to each slot makes it
-    non-negative, so each row is the bytes of its upper entries in that
-    slot encoding, little-endian, and `_unpack` reads it back.
+def _sign_bits(size: int, count: int) -> int:
+    """The sign bit of each of `count` slots of `size` bytes, little-endian.
+    Added to slot values it makes each slot non-negative; flipped after that,
+    it spells them in two's complement, the encoding `_slots` reads."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def _slots(data: bytes, size: int) -> list[int]:
+    """The integers of `data`, `size` bytes each, little-endian two's
+    complement: the one slot decoder, through `struct` for 8-byte slots."""
+    if size == 8:
+        return list(struct.unpack(f"<{len(data) // 8}q", data))
+    return [int.from_bytes(data[p : p + size], "little", signed=True) for p in range(0, len(data), size)]
+
+
+def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> list[SymMatrix]:
+    """Row i = T^T (sum_j g_ij M_j) T for every row of G, for a G and T that
+    the package built: short products of elementary operations, so that T
+    has few non-zeros. Invertibility is not checked here.
+
+    Upper cell p of every row is one packed int, row i in slot i (Kronecker
+    substitution over the rows of G): each stored numerator of each M_j
+    times G's packed column j gives the symmetric matrix C of packed cells.
+    T then acts on each side with one `_combine` pass per non-zero of T, and
+    the cells are decoded into rows by `_slots`, with the `_slot_size` width
+    but at least 8 bytes, the width `struct` reads. The cost grows
+    with nnz(T) n and every row is done before any is returned, so an
+    untrusted transform is checked by `congruence_mismatch` instead.
     """
     mats = tuple(mats)
-    _check_transform(mats, g, t)
-    n, k = t.rows, len(mats)
-    dm, scaled = _numerators_over_lcm(mats)
-    gi, dg = g._e, g._d
-    g_rows = [gi[row * k : (row + 1) * k] for row in range(g.rows)]
-    # T = I, read off the stored form: n^2 - n zeros and a diagonal of ones over 1
-    if t._d == 1 and t._e.count(0) == n * n - n and t._e[:: n + 1] == (1,) * n:
-        size = n * (n + 1) // 2
-        return dm * dg, 0, (_combine(coeffs, scaled, size) for coeffs in g_rows)
-    ti, dt = t._e, t._d
-    g_max, m_max, t_max = (max(map(abs, nums), default=0)
-                           for nums in (gi, chain.from_iterable(scaled), ti))
-    size = (n * n * k * g_max * m_max * t_max**2).bit_length() // 8 + 1  # the sign bit included
+    den, scaled = _operands(mats, g, t)
+    size = max(8, _slot_size(g, scaled, t))
+    n, m, k = t.rows, g.rows, len(mats)
+    gi, ti = g._e, t._e
     width = 8 * size
-    packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n]) if v)
-                for r in range(n)]
-    # mt[r] holds the packed row r of every M_j T
-    mt = list(zip(*[[sum(map(mul, line, packed_t)) for line in square_rows(u, n)] for u in scaled]))
-    t_columns = [(column, [v for v in column if v]) for column in (ti[a::n] for a in range(n))]
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
-    # result row a keeps slots a..n-1 of its packed sum: the upper triangle
-    shifts, lengths = range(0, width * n, width), range(size * n, 0, -size)
-
-    def rows() -> Iterator[bytes]:
-        for coeffs in g_rows:
-            nonzero = [c for c in coeffs if c]
-            ct = [sum(map(mul, nonzero, compress(line, coeffs))) for line in mt]  # packed rows of C T
-            sums = [sum(map(mul, values, compress(ct, column)), offset) for column, values in t_columns]
-            yield b"".join(map(int.to_bytes, map(rshift, sums, shifts), lengths, repeat("little")))
-
-    return dm * dg * dt * dt, size, rows()
-
-
-def _unpack(data: bytes, size: int) -> list[int]:
-    """The entries of a row of `_congruence_rows` in its slot encoding:
-    `size` bytes each, little-endian, less half the slot range."""
-    fields = map(bytes, zip(*[iter(data)] * size))  # `size` references to one iterator
-    return list(map(sub, map(int.from_bytes, fields, repeat("little")), repeat(1 << (8 * size - 1))))
-
-
-def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> Iterator[SymMatrix]:
-    """Row i = T^T (sum_j g_ij M_j) T for each row of G, yielded one at a time.
-
-    The row combination and the congruence both run on the stored ints
-    (packed products when T is not the identity, see `_congruence_rows`),
-    and each row is stored as it comes out, a packed row unpacked in one
-    `map` pass; no Fraction is built. When T is the identity, each row is
-    its integer combination: the congruence is skipped. Rows are computed
-    lazily, so a caller can stop early. T must be square of the order of the
-    M_j; invertibility is not checked here (callers that need an invertible
-    transform verify the determinant).
-    """
-    den, size, rows = _congruence_rows(mats, g, t)
-    n = t.rows
-    if size:
-        return (SymMatrix._of(n, _unpack(data, size), den) for data in rows)
-    return (SymMatrix._of(n, nums, den) for nums in rows)
+    t_columns = [[(v, c) for c, v in enumerate(ti[b::n]) if v] for b in range(n)]
+    g_columns = [sum(v << (width * i) for i, v in enumerate(gi[j::k]) if v) for j in range(k)]
+    # with no M_j, zip yields no cell, and every cell is 0
+    cells = [sum(map(mul, cell, g_columns)) for cell in zip(*scaled)] or [0] * (n * (n + 1) // 2)
+    rows = square_rows(cells, n)  # C, symmetric: row c is column c
+    left = list(zip(*[_combine([(v, rows[c]) for v, c in column], n) for column in t_columns]))  # columns of T^T C
+    # row b of the symmetric result from b on is column b of (T^T C) T from b on
+    upper = [x for b, column in enumerate(t_columns) for x in _combine([(v, left[c][b:]) for v, c in column], n - b)]
+    half = _sign_bits(size, m)
+    fields = _slots(b"".join([((cell + half) ^ half).to_bytes(size * m, "little") for cell in upper]), size)
+    # cell p of row i is field p m + i
+    return [SymMatrix._of(n, fields[i::m], den) for i in range(m)]
 
 
 def congruence_mismatch(
     mats: Sequence[SymMatrix], g: Matrix, t: Matrix, targets: Sequence[SymMatrix]
 ) -> tuple[int, int, int] | None:
-    """The first (i, r, s), 1-based with r <= s, at which row i of
-    `congruences(mats, g, t)` differs from targets[i], or None if every row
-    matches.
+    """The first (i, r, s), 1-based with r <= s, at which row
+    i = T^T (sum_j g_ij M_j) T differs from targets[i], or None if every row
+    matches: the check of a G and T that the package did not build.
 
-    The comparison runs on integers. When T is not the identity, a target
-    over the rows' denominator is spelled in the kernel's slot encoding,
-    each value plus half the slot range through `int.to_bytes`, and its row
-    is checked with one `bytes` equality. A row is unpacked only to name its
-    first differing entry, or when its target has another denominator or a
-    value that does not fit a slot (an `OverflowError`); then the row and
-    the target are compared exactly, their numerators cross-multiplied only
-    when the denominators differ. No Fraction is built.
+    Rows are computed one at a time, each from the non-zero coefficients of
+    its row of G. Given T = I, read off the stored form, a row is the
+    `_combine` of whole matrices. Otherwise row r of T is packed into one
+    int, a slot of the `_slot_size` width per column (Kronecker
+    substitution), so that row r of M_j T is one dot product with the
+    packed rows of T, and row a of the result one dot product of the
+    non-zeros of column a of T with the packed rows of C T. The `_sign_bits`
+    start each sum, and flipping them spells the row in two's complement.
+
+    A target over the rows' denominator is spelled in the same encoding and
+    checked with one `bytes` equality. A row is decoded by `_slots` only to
+    name its first differing entry, or when its target has another
+    denominator or a value that does not fit a slot (an `OverflowError`);
+    then the numerators are compared, cross-multiplied only when the
+    denominators differ. No Fraction is built.
     """
     targets = tuple(targets)
     if len(targets) != g.rows or any(target.n != t.rows for target in targets):
         raise ValueError("targets must be one matrix of the transform's order per row of G")
-    den, size, rows = _congruence_rows(mats, g, t)
-    bias = 1 << (8 * size - 1) if size else 0
+    mats = tuple(mats)
+    den, scaled = _operands(mats, g, t)
+    n, k = t.rows, len(mats)
+    gi, ti = g._e, t._e
+    g_rows = [gi[row * k : (row + 1) * k] for row in range(g.rows)]
+    # T = I, read off the stored form: n^2 - n zeros and a diagonal of ones over 1
+    packed = not (t._d == 1 and ti.count(0) == n * n - n and ti[:: n + 1] == (1,) * n)
+    if not packed:
+        rows = (_combine(zip(coeffs, scaled), n * (n + 1) // 2) for coeffs in g_rows)
+    else:
+        size = _slot_size(g, scaled, t)
+        width = 8 * size
+        packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n]) if v)
+                    for r in range(n)]
+        # mt[r] holds the packed row r of every M_j T
+        mt = list(zip(*[[sum(map(mul, line, packed_t)) for line in square_rows(u, n)] for u in scaled]))
+        t_columns = [(column, [v for v in column if v]) for column in (ti[a::n] for a in range(n))]
+        half = _sign_bits(size, n)
+        # result row a keeps slots a..n-1 of its packed sum: the upper triangle
+        shifts, lengths = range(0, width * n, width), range(size * n, 0, -size)
+        flips = [half >> shift for shift in shifts]
+
+        def packed_rows() -> Iterator[bytes]:
+            for coeffs in g_rows:
+                nonzero = [c for c in coeffs if c]
+                ct = [sum(map(mul, nonzero, compress(line, coeffs))) for line in mt]  # packed rows of C T
+                sums = [sum(map(mul, values, compress(ct, column)), half) for column, values in t_columns]
+                yield b"".join(map(int.to_bytes, map(xor, map(rshift, sums, shifts), flips),
+                                   lengths, repeat("little")))
+
+        rows = packed_rows()
+        top, signs = 1 << (width - 1), _sign_bits(size, n * (n + 1) // 2)
     for i, (nums, target) in enumerate(zip(rows, targets), start=1):
         want, dw = target._u, target._d
-        if size:
+        if packed:
             if dw == den:
                 try:
-                    slots = map(add, want, repeat(bias))
-                    if nums == b"".join(map(int.to_bytes, slots, repeat(size), repeat("little"))):
+                    data = b"".join(map(int.to_bytes, map(add, want, repeat(top)), repeat(size), repeat("little")))
+                    if nums == (int.from_bytes(data, "little") ^ signs).to_bytes(len(data), "little"):
                         continue
                 except OverflowError:  # a target value outside the slot range
                     pass
-            nums = _unpack(nums, size)
+            nums = _slots(nums, size)
         if dw != den:
             nums, want = [v * dw for v in nums], [v * den for v in want]
         if nums != list(want):
             p = next(p for p, (a, b) in enumerate(zip(nums, want)) if a != b)
-            n = t.rows
             return (i,) + [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)][p]
     return None
 
@@ -772,68 +789,4 @@ def congruence_mismatch(
 def congruence(a: SymMatrix, t: Matrix) -> SymMatrix:
     """Congruence transform T^T A T, computed exactly: the one-row case of
     `congruences`."""
-    return next(congruences((a,), Matrix.identity(1), t))
-
-
-def _column_pass(pairs: Sequence[tuple[int, int]], vectors: Sequence[Sequence[int]], start: int) -> list[int]:
-    """sum_c v vectors[c][start:] over the (c, v) in `pairs`, the non-zeros
-    of a column of T: one whole-vector pass per non-zero, with no product
-    for a 1."""
-    total = None
-    for c, v in pairs:
-        term = vectors[c][start:]
-        if v != 1:
-            term = map(mul, term, repeat(v))
-        total = list(term) if total is None else list(map(add, total, term))
-    return [0] * (len(vectors[0]) - start) if total is None else total
-
-
-def disguise_congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> list[SymMatrix]:
-    """Row i = T^T (sum_j g_ij M_j) T for every row of G, as `congruences`
-    gives them, for the generator's disguise: a G and T that are short
-    products of elementary operations, so that T has few non-zeros.
-
-    Upper cell p of every row is one packed int, with row i in slot i
-    (Kronecker substitution over the rows of G). Each stored numerator of
-    each M_j is multiplied once, by G's packed column j, which gives the
-    symmetric matrix C of packed cells. T then acts on each side with one
-    whole-column pass per non-zero of T: the rows of T^T C from the rows of
-    C, and the upper part of each column of (T^T C) T from the columns of
-    T^T C. The cells are decoded into rows at the end. The slot width bounds
-    every result entry, max_i sum_j |g_ij| max|M| (max_b sum_c |t_cb|)^2,
-    plus a sign bit, in whole bytes and at least 8, so that a slot of 8
-    bytes is read as a signed 64-bit word with `struct`.
-
-    The cost grows with nnz(T) n, and every row is done before any is
-    returned: a certificate check of an untrusted transform runs on
-    `congruence_mismatch`, whose row-by-row kernel stops at the first
-    failing row and does not slow down on a dense T.
-    """
-    mats = tuple(mats)
-    _check_transform(mats, g, t)
-    n, m, k = t.rows, g.rows, len(mats)
-    dm, scaled = _numerators_over_lcm(mats)
-    gi, ti = g._e, t._e
-    t_columns = [[(c, v) for c, v in enumerate(ti[b::n]) if v] for b in range(n)]
-    g_sum = max((sum(map(abs, gi[i * k : (i + 1) * k])) for i in range(m)), default=0)
-    m_max = max((max(max(u), -min(u)) for u in scaled if u), default=0)
-    t_sum = max((sum(abs(v) for _, v in column) for column in t_columns), default=0)
-    size = max(8, (g_sum * m_max * t_sum**2).bit_length() // 8 + 1)  # the sign bit included
-    width = 8 * size
-    g_columns = [sum(v << (width * i) for i, v in enumerate(gi[j::k]) if v) for j in range(k)]
-    # with no M_j, zip yields no cell, and every cell is 0
-    cells = [sum(map(mul, cell, g_columns)) for cell in zip(*scaled)] or [0] * (n * (n + 1) // 2)
-    rows = square_rows(cells, n)  # C, symmetric: row c is column c
-    left = list(zip(*[_column_pass(column, rows, 0) for column in t_columns]))  # columns of T^T C
-    # row b of the symmetric result from b on is column b of (T^T C) T from b on
-    upper = [v for b, column in enumerate(t_columns) for v in _column_pass(column, left, b)]
-    # adding half the slot range and flipping its bit spells each slot in two's complement
-    half = int.from_bytes((bytes(size - 1) + b"\x80") * m, "little")
-    data = b"".join([((cell + half) ^ half).to_bytes(size * m, "little") for cell in upper])
-    if size == 8:
-        fields = struct.unpack(f"<{len(data) // 8}q", data)
-    else:
-        fields = [int.from_bytes(data[p : p + size], "little", signed=True) for p in range(0, len(data), size)]
-    den = dm * g._d * t._d * t._d
-    # cell p of row i is field p m + i
-    return [SymMatrix._of(n, fields[i::m], den) for i in range(m)]
+    return congruences((a,), Matrix.identity(1), t)[0]

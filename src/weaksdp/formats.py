@@ -19,8 +19,10 @@ identical inputs produce identical bytes. The digit limit is checked where
 an integer is spelled, on the reduced p and q of each value (`_leaves`,
 `_format_value` and the native b) and on a bundle's `generation`: a writer
 takes every value that `read_native` takes, and raises ValueError before it
-opens its file for an integer of more than DIGIT_LIMIT digits, which no
-reader takes back.
+opens its file for an integer of more than DIGIT_LIMIT digits, or a
+generation float that is not finite, which no reader takes back.
+`read_native` reads strict JSON: ``NaN``, ``Infinity``, ``-Infinity`` and a
+number that overflows a float, such as ``1e999``, are parse errors.
 
 The readers only turn text into numbers: integer fields go through
 `exact.strict_int`, each distinct token once per file, and the matrices are
@@ -48,14 +50,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice, repeat
-from math import floor, gcd, log10
+from math import floor, gcd, isfinite, log10
 from operator import add, floordiv
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
     CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, rational, square_entries, square_rows,
-    strict_int, text_ratio, check_digit_limit, check_json_digits, upper_offset,
+    strict_int, text_ratio, check_digit_limit, check_json_numbers, upper_offset,
 )
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
@@ -458,7 +460,7 @@ def _bundle_doc(bundle: NativeBundle, matrix) -> dict:
     def blocks(structure: Structure) -> list[list[int]]:
         return [sorted(block) for block in structure.blocks]
 
-    check_json_digits(bundle.generation)
+    check_json_numbers(bundle.generation)
     cert = bundle.certificate
     return {
         "schema": SCHEMA,
@@ -570,6 +572,21 @@ def _json_int(text: str) -> int:
         raise NativeFormatError(f"JSON {exc}") from None
 
 
+def _json_constant(text: str) -> NoReturn:
+    """`NaN`, `Infinity` and `-Infinity`, which `json` reads but JSON (RFC
+    8259) does not have: refused."""
+    raise NativeFormatError(f"JSON has no number {text}")
+
+
+def _json_float(text: str) -> float:
+    """A JSON number with a fraction or an exponent, refused when it reads as
+    an infinite float, as ``1e999`` does."""
+    value = float(text)
+    if not isfinite(value):
+        raise NativeFormatError("a JSON number outside the float range")
+    return value
+
+
 def _list(value, what: str) -> list:
     """`value` if it is a JSON list; a string or an object would otherwise be
     iterated character by character or key by key."""
@@ -606,7 +623,7 @@ def read_native(path) -> NativeBundle:
     except UnicodeDecodeError as exc:
         raise NativeFormatError(f"non-ASCII byte on line {_line_of(exc)}") from None
     try:
-        doc = json.loads(text, parse_int=_json_int)
+        doc = json.loads(text, parse_int=_json_int, parse_float=_json_float, parse_constant=_json_constant)
     except json.JSONDecodeError as exc:
         raise NativeFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError:

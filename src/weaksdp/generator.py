@@ -26,9 +26,10 @@ Stage summary:
   constraint to integer data: the Gram inverse is built once per call, and
   each candidate is projected with integer coefficients.
 * `messify` applies the disguise and records it, with the inverses of its
-  two matrices, composed while they are drawn; the disguised constraints
-  come from `exact.disguise_congruences`, whose cost follows the non-zeros
-  of the congruence matrix.
+  two matrices, composed while they are drawn; the disguised system is
+  `echelon.reformulated` of the clean one, whose constraints come from
+  `exact.congruences`, with a cost that follows the non-zeros of the
+  congruence matrix.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .exact import (
-    Matrix, SymMatrix, check_json_digits, complement_projection, disguise_congruences, inner,
-    inner_general, inner_table, upper_offset,
+    Matrix, SymMatrix, check_json_numbers, complement_projection, inner, inner_general, inner_table,
+    upper_offset,
 )
 from .echelon import (
     SdpInstance,
@@ -47,6 +48,7 @@ from .echelon import (
     cell_region,
     check_infeasibility_cert,
     check_not_strong_cert,
+    reformulated,
 )
 from .linalg import inverse, unimodular_pair
 from .prng import SplitMix64, derive_seed
@@ -105,7 +107,7 @@ def config_json(cfg: GenConfig) -> dict:
     """The configuration as plain JSON data, as recorded in bundles and
     manifests; ValueError for an integer of more than DIGIT_LIMIT digits."""
     data = asdict(cfg)
-    check_json_digits(data)
+    check_json_numbers(data)
     return json.loads(json.dumps(data))
 
 
@@ -357,16 +359,16 @@ def messify(inst: WeakInstance, seed: int, budget: int, magnitude: int) -> WeakI
     where G and T are random unimodular integer matrices; (G, T), their
     inverses and the messy system are recorded so the clean form stays
     exactly recoverable. `unimodular_pair` draws each of G and T with its
-    inverse in one loop. G and T are short products of elementary
-    operations, so the messy constraints come from
-    `exact.disguise_congruences`, whose cost follows the non-zeros of T; the
-    messy system equals `echelon.reformulated(clean, G, T)`.
+    inverse in one loop. The messy system is `echelon.reformulated(clean, G,
+    T)`: G and T are short products of elementary operations, so its
+    constraints come from `exact.congruences`, whose cost follows the
+    non-zeros of T.
     """
     clean = inst.clean
     rng = SplitMix64(seed)
     g, g_inverse = unimodular_pair(clean.m, rng.next_u64(), budget, magnitude)
     t, t_inverse = unimodular_pair(clean.n, rng.next_u64(), budget, magnitude)
-    messy = SdpInstance(clean.n, tuple(disguise_congruences(clean.A, g, t)), g.mul_vec(clean.b))
+    messy = reformulated(clean, g, t)
     return replace(inst, provenance=Provenance(
         row_ops=g, congruence=t, messy=messy, row_ops_inverse=g_inverse, congruence_inverse=t_inverse))
 

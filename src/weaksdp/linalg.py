@@ -17,7 +17,8 @@ and for each probe of `least_definite_shift`, and block by block for
 `BorderedElimination`, which also borders each new block through the steps
 already taken, so that the asymptote witness eliminates each index once
 across its levels. The one product here, `PsdVerdict.reconstruct`, is one
-`congruence` of `exact`. Apart from both, `determinant_residue` eliminates
+`congruence` of `exact`, whose transform, built from the factorization, runs
+through `exact.congruences`. Apart from both, `determinant_residue` eliminates
 modulo the prime 2^61 - 1, on word-sized residues: a non-zero residue
 proves a determinant non-zero without the exact elimination.
 

@@ -178,6 +178,17 @@ def test_string_in_place_of_a_list_is_parse_error(me_bundle, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_json_number_is_parse_error(me_bundle, capsys, literal):
+    # json reads each of them as a float, but none is JSON (RFC 8259)
+    doc = json.loads(me_bundle.read_text())
+    doc["generation"] = {"seed": "@@"}
+    me_bundle.write_text(json.dumps(doc).replace('"@@"', literal))
+    assert main(["verify", str(me_bundle)]) == 3
+    err = capsys.readouterr().err
+    assert "parse error" in err and "Traceback" not in err
+
+
 def test_repeated_block_index_is_parse_error(me_bundle, capsys):
     doc = json.loads(me_bundle.read_text())
     doc["certificate"]["p_blocks"] = [[1, 1], []]

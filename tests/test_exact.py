@@ -29,8 +29,7 @@ from weaksdp import (
 )
 from weaksdp import exact
 from weaksdp.exact import (
-    DIGIT_LIMIT, _congruence_rows, complement_projection, disguise_congruences, square_rows, text_ratio,
-    upper_offset,
+    DIGIT_LIMIT, _operands, _slot_size, complement_projection, square_rows, text_ratio, upper_offset,
 )
 
 small_ints = st.integers(-30, 30)
@@ -248,14 +247,27 @@ class TestCongruence:
         assert inner(congruence(a, t), x) == inner(a, congruence(x, t.transpose()))
 
 
+def assert_mismatch_checks(mats, g, t, want):
+    """`congruence_mismatch` passes the rows `want` and, when they have an
+    entry, names a change of one entry: (1, n) of the last row, so that every
+    row before it is compared first."""
+    assert congruence_mismatch(mats, g, t, want) is None
+    if want and want[-1].n:
+        i, n = len(want), want[-1].n
+        changed = want[:-1] + [want[-1].add(SymMatrix.unit(n, 1, n))]
+        assert congruence_mismatch(mats, g, t, changed) == (i, 1, n)
+
+
 class TestCongruences:
     @given(combination_operands())
     @settings(max_examples=200)
     def test_rows_match_fraction_reference(self, operands):
         mats, g, t = operands
-        rows = list(congruences(mats, g, t))
-        assert rows == reformulated_rows_by_fractions(mats, g, t)
+        rows = congruences(mats, g, t)
+        want = reformulated_rows_by_fractions(mats, g, t)
+        assert rows == want
         assert all(type(v) is Fraction for row in rows for line in row.to_rows() for v in line)
+        assert_mismatch_checks(mats, g, t, want)
 
     @given(st.integers(0, 4).flatmap(lambda order: st.integers(0, 4).flatmap(
         lambda k: st.tuples(sym_matrices(order, k), entry_lists(k)))))
@@ -271,15 +283,8 @@ class TestCongruences:
     def test_zero_row_and_no_rows(self):
         mats = (sym([[1, 2], [2, 3]]), sym([[Fraction(1, 2), 0], [0, 5]]))
         t = Matrix.from_rows([[1, 1], [0, 1]])
-        assert list(congruences(mats, Matrix.zeros(1, 2), t)) == [SymMatrix.zeros(2)]
-        assert list(congruences(mats, Matrix.zeros(0, 2), t)) == []
-
-    def test_rows_are_yielded_lazily(self):
-        mats = (sym([[1, 0], [0, 1]]),)
-        rows = congruences(mats, Matrix.from_rows([[1], [2]]), Matrix.identity(2))
-        assert iter(rows) is rows
-        assert next(rows) == sym([[1, 0], [0, 1]])
-        assert next(rows) == sym([[2, 0], [0, 2]])
+        assert congruences(mats, Matrix.zeros(1, 2), t) == [SymMatrix.zeros(2)]
+        assert congruences(mats, Matrix.zeros(0, 2), t) == []
 
     def test_identity_is_read_off_the_stored_form(self, monkeypatch):
         mats = (sym([[1, 2], [2, 3]]), sym([[Fraction(1, 2), 0], [0, 5]]))
@@ -289,20 +294,25 @@ class TestCongruences:
                       Matrix.from_rows([[1, 1], [0, 1]]))
         want = [reformulated_rows_by_fractions(mats, g, t) for t in transforms]
 
-        def refuse(n):
-            raise AssertionError("congruences built an identity matrix")
+        def refuse(*args):
+            raise AssertionError("congruence_mismatch built an identity matrix or packed T = I")
 
         monkeypatch.setattr(Matrix, "identity", refuse)
-        assert [list(congruences(mats, g, t)) for t in transforms] == want
+        sign_bits = exact._sign_bits
+        for t, rows in zip(transforms, want):
+            # only a transform other than I packs its rows into slots
+            monkeypatch.setattr(exact, "_sign_bits", refuse if t is transforms[0] else sign_bits)
+            assert congruence_mismatch(mats, g, t, rows) is None
+            assert congruence_mismatch(mats, g, t, [rows[0], rows[1].add(SymMatrix.unit(2, 2, 2))]) == (2, 2, 2)
 
     def test_shape_mismatches_raise(self):
         mats = (SymMatrix.identity(2),)
         with pytest.raises(ValueError):
-            list(congruences(mats, Matrix.identity(1), Matrix.identity(3)))
+            congruences(mats, Matrix.identity(1), Matrix.identity(3))
         with pytest.raises(ValueError):
-            list(congruences(mats, Matrix.identity(1), Matrix.zeros(2, 3)))
+            congruences(mats, Matrix.identity(1), Matrix.zeros(2, 3))
         with pytest.raises(ValueError):
-            list(congruences(mats, Matrix.zeros(1, 2), Matrix.identity(2)))
+            congruences(mats, Matrix.zeros(1, 2), Matrix.identity(2))
 
 
 @st.composite
@@ -392,8 +402,8 @@ class TestPackedCongruence:
     def test_wide_entries_match_fraction_reference(self, operands):
         mats, g, t = operands
         want = reformulated_rows_by_fractions(mats, g, t)
-        assert list(congruences(mats, g, t)) == want
-        assert congruence_mismatch(mats, g, t, want) is None
+        assert congruences(mats, g, t) == want
+        assert_mismatch_checks(mats, g, t, want)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 6])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -409,12 +419,27 @@ class TestPackedCongruence:
             t = Matrix(order, order, (Fraction(5),) * (order * order))
             (row,) = congruences(mats, g, t)
             assert set(row.to_rows()[0]) == {sign * order**2 * k * 3 * mag * 25}, bits
+            assert_mismatch_checks(mats, g, t, reformulated_rows_by_fractions(mats, g, t))
+
+    def test_matching_rows_are_not_decoded(self, monkeypatch):
+        # a target over the rows' denominator is compared as bytes in the slot encoding
+        mats = (sym([[1, -2, 0], [-2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+        g = Matrix.from_rows([[1, 2], [-1, 3]])
+        t = Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
+        targets = reformulated_rows_by_fractions(mats, g, t)
+        assert any(v < 0 for row in targets for line in row.to_rows() for v in line)
+
+        def refuse(data, size):
+            raise AssertionError("a matching row was decoded")
+
+        monkeypatch.setattr(exact, "_slots", refuse)
+        assert congruence_mismatch(mats, g, t, targets) is None
 
     def test_mismatch_in_last_entry_of_last_row(self):
         mats = (sym([[1, 2, 0], [2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
         g = Matrix.from_rows([[1, 2], [-1, 3]])
         for t in (Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]]), Matrix.identity(3)):
-            targets = list(congruences(mats, g, t))
+            targets = congruences(mats, g, t)
             targets[-1] = targets[-1].add(SymMatrix.unit(3, 3, 3))
             assert congruence_mismatch(mats, g, t, targets) == (2, 3, 3)
 
@@ -492,14 +517,14 @@ class TestSparseCongruence:
         mats, g, t, targets = case
         want = congruence_mismatch_by_fractions(mats, g, t, targets)
         assert congruence_mismatch(mats, g, t, targets) == want
-        assert list(congruences(mats, g, t)) == reformulated_rows_by_fractions(mats, g, t)
+        assert congruences(mats, g, t) == reformulated_rows_by_fractions(mats, g, t)
 
     def test_target_outside_the_slot_range(self):
         mats = (sym([[1, 2, 0], [2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
         g = Matrix.from_rows([[1, 2], [0, 0]])
         t = Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
-        rows = list(congruences(mats, g, t))
-        half_range = 1 << (8 * _congruence_rows(mats, g, t)[1] - 1)
+        rows = congruences(mats, g, t)
+        half_range = 1 << (8 * _slot_size(g, _operands(mats, g, t)[1], t) - 1)
         # the first two overflow a slot on either side; -half_range is the lowest slot value
         for value in (half_range, -half_range - 1, -half_range, 10**40):
             out = SymMatrix.unit(3, 2, 3, value)
@@ -513,7 +538,7 @@ class TestSparseCongruence:
         g = Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, Fraction(1, 3), 0]])
         t = Matrix.from_rows([[1, 0], [1, 1]])
         want = reformulated_rows_by_fractions(mats, g, t)
-        den = _congruence_rows(mats, g, t)[0]
+        den = _operands(mats, g, t)[0]
         assert [row._d for row in want] == [1, 1, 6] and den == 6  # two rows over another denominator
         assert congruence_mismatch(mats, g, t, want) is None
         changed = want[2].add(SymMatrix.unit(2, 2, 2, Fraction(1, 7)))
@@ -547,7 +572,7 @@ class TestDisguiseCongruences:
     @settings(max_examples=150, deadline=None)
     def test_rows_match_fraction_reference(self, case):
         mats, g, t = case
-        assert disguise_congruences(mats, g, t) == reformulated_rows_by_fractions(mats, g, t)
+        assert congruences(mats, g, t) == reformulated_rows_by_fractions(mats, g, t)
 
 
 class TestInners:

@@ -164,6 +164,53 @@ def test_native_writer_refuses_long_integers_in_the_generation(tmp_path, generat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("generation", [
+    {"seed": float("nan")},
+    {"config": [1, {"weight": float("inf")}]},
+    {"bounds": [0.5, -float("inf")]},
+], ids=["nan", "nested-inf", "minus-inf"])
+def test_native_writer_refuses_non_finite_floats_in_the_generation(tmp_path, generation):
+    # json.dumps would spell them NaN, Infinity and -Infinity, which are not JSON
+    raw, cert = me_instance()
+    path = tmp_path / "me.wsdp"
+    with pytest.raises(ValueError, match="not finite"):
+        write_native(NativeBundle(raw, cert, generation=generation), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _bundle_text_with(doc_edit, literal: str) -> str:
+    """The JSON text of the me bundle after `doc_edit` puts the marker
+    string "@@" somewhere, with the marker spelled as the bare `literal`."""
+    doc = bundle_to_json(NativeBundle(*me_instance(), generation={"seed": 1}))
+    doc_edit(doc)
+    return json.dumps(doc).replace('"@@"', literal)
+
+
+_PLACES = {
+    "generation": lambda doc: doc["generation"].update(seed="@@"),
+    "nested": lambda doc: doc["generation"].update(config=[1, {"weight": "@@"}]),
+    "n": lambda doc: doc["instance"].update(n="@@"),
+    "b": lambda doc: doc["instance"]["b"].__setitem__(0, "@@"),
+}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1E+999", "1.5e400"])
+@pytest.mark.parametrize("place", sorted(_PLACES))
+def test_native_reader_refuses_numbers_outside_json(tmp_path, literal, place):
+    path = tmp_path / "me.wsdp"
+    path.write_text(_bundle_text_with(_PLACES[place], literal))
+    with pytest.raises(NativeFormatError, match="JSON"):
+        read_native(path)
+
+
+def test_native_reader_takes_finite_floats_in_the_generation(tmp_path):
+    path = tmp_path / "me.wsdp"
+    path.write_text(_bundle_text_with(lambda doc: doc["generation"].update(weight="@@"), "-1.5e300"))
+    assert read_native(path).generation == {"seed": 1, "weight": -1.5e300}
+    write_native(read_native(path), path)
+    assert read_native(path).generation == {"seed": 1, "weight": -1.5e300}
+
+
 def test_native_writer_takes_every_entry_the_reader_takes(tmp_path):
     # stored over the denominator 2, the second entry's numerator has
     # DIGIT_LIMIT + 1 digits; spelled, it has DIGIT_LIMIT

@@ -1,7 +1,8 @@
 """Module boundaries: no package module reaches into a sibling's private
 names, and the modules above the kernels read no matrix storage. Every cache
 in the package is bounded, every exported function has a caller outside the
-unit tests, and only the generator reaches the disguise's congruence."""
+unit tests, and the certificate checks reach a transform only through
+`congruence_mismatch`."""
 
 import ast
 import inspect
@@ -196,10 +197,11 @@ def test_every_export_has_a_non_test_caller():
     assert [name for name in functions if name not in used and name not in ENTRY_POINTS] == []
 
 
-def test_only_the_generator_reaches_the_disguise_congruence():
-    # its cost grows with nnz(T) n and it finishes every row before it
-    # returns one, so no certificate check routes an untrusted transform
-    # through it: the checks run on `congruence_mismatch`
-    users = {path.name for path in PACKAGE.glob("*.py")
-             if "disguise_congruences" in referenced_names(ast.parse(path.read_text(encoding="utf-8")))}
-    assert users - {"exact.py"} == {"generator.py"}
+def test_certify_reaches_a_transform_only_through_congruence_mismatch():
+    # `congruences`, and `congruence` and `reformulated` on top of it, cost
+    # nnz(T) n and finish every row before they return one, so the
+    # certificate checks route an untrusted transform through the row-by-row
+    # `congruence_mismatch`, which stops at the first failing row
+    names = referenced_names(ast.parse((PACKAGE / "certify.py").read_text(encoding="utf-8")))
+    assert "congruence_mismatch" in names
+    assert names & {"congruences", "congruence", "reformulated"} == set()
