@@ -19,21 +19,29 @@ case of that.
 `inner_mismatch(mats, xs, targets)` compares the same sums with targets on
 integers and names the first differing product; the closeness check runs on
 it and builds no Fraction.
-The rows T^T (sum_j g_ij M_j) T, row combination and then congruence, have
-one kernel per job, both on packed ints (Kronecker substitution) and on
-one shape check (`_operands`), one slot width (`_slot_size`), one
-combination loop (`_combine`) and one two's-complement slot decoder
-(`_slots`).
-`congruences(mats, g, t)` returns every row, for a G and T the package
-built: `echelon.reformulated` (the generator's disguise), the
-alternative-system check and `congruence`, its one-row case. Its cost
-grows with nnz(T) n. `congruence_mismatch(mats, g, t, targets)`, the
-reformulation check of a G and T the package did not build, computes the
-rows one at a time, compares each with its target as bytes in the slot
-encoding and names the first differing entry; given T = I it only
-combines. `complement_projection(n, span, gram_inverse)`, behind the
-generator's projection, runs `_combine` once per candidate, on integer
-coefficients, divided by the gcd of its entries.
+The rows T^T (sum_j g_ij M_j) T, row combination and then congruence, are
+computed on packed ints (Kronecker substitution) by two kernels: one cell
+kernel (`_cell_fields`: each cell packed over the rows of G, one
+`_combine` pass per non-zero of T), whose cost past the cells grows with
+nnz(T) n, and a packed-rows-of-T kernel (`_packed_t_rows`: one row of G at
+a time), which pays k n^2 multi-slot products, one per entry of each M_j,
+whatever nnz(T) is. Both share one shape check
+(`_operands`), one slot width (`_slot_size`), one combination loop
+(`_combine`) and one two's-complement slot decoder (`_slots`).
+`congruences(mats, g, t)` returns every row from the cell kernel, for a G
+and T the package built: `echelon.reformulated` (the generator's
+disguise), the alternative-system check and `congruence`, its one-row
+case. `congruence_mismatch(mats, g, t, targets)`, the reformulation check
+of a G and T the package did not build, names the first differing entry.
+It picks its kernel from n, m and nnz(T) before any product: T = I only
+combines; a sparse T, 2 nnz(T) <= m n, as in every certificate the
+generator builds (short products of elementary operations), takes the
+cell kernel and compares the rows with their targets in order; a denser T
+packs the rows of T, computes the rows one at a time and compares each
+with its target as bytes in the slot encoding. `complement_projection(n,
+span, gram_inverse)`, behind the generator's projection, runs `_combine`
+once per candidate, on integer coefficients, divided by the gcd of its
+entries.
 Matrix entries are addressed with 1-based indices via ``at(i, j)``, matching
 the 1-based index sets used for block structures, so a single indexing
 convention runs through structures, matrices and emitted file formats.
@@ -667,32 +675,31 @@ def _sign_bits(size: int, count: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
-def _slots(data: bytes, size: int) -> list[int]:
+def _slots(data: bytes, size: int) -> Sequence[int]:
     """The integers of `data`, `size` bytes each, little-endian two's
     complement: the one slot decoder, through `struct` for 8-byte slots."""
     if size == 8:
-        return list(struct.unpack(f"<{len(data) // 8}q", data))
+        return struct.unpack(f"<{len(data) // 8}q", data)
     return [int.from_bytes(data[p : p + size], "little", signed=True) for p in range(0, len(data), size)]
 
 
-def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> list[SymMatrix]:
-    """Row i = T^T (sum_j g_ij M_j) T for every row of G, for a G and T that
-    the package built: short products of elementary operations, so that T
-    has few non-zeros. Invertibility is not checked here.
+def _cell_fields(g: Matrix, scaled: Sequence[Sequence[int]], t: Matrix) -> Sequence[int]:
+    """The upper cells of every row T^T (sum_j g_ij M_j) T, numerators over
+    the rows' denominator, the M_j given as `scaled` numerators: cell p of
+    row i (0-based, m the rows of G) is field p m + i. The one cell kernel,
+    behind `congruences` and the sparse-T check of `congruence_mismatch`.
 
     Upper cell p of every row is one packed int, row i in slot i (Kronecker
     substitution over the rows of G): each stored numerator of each M_j
     times G's packed column j gives the symmetric matrix C of packed cells.
     T then acts on each side with one `_combine` pass per non-zero of T, and
-    the cells are decoded into rows by `_slots`, with the `_slot_size` width
-    but at least 8 bytes, the width `struct` reads. The cost grows
-    with nnz(T) n and every row is done before any is returned, so an
-    untrusted transform is checked by `congruence_mismatch` instead.
+    the cells are decoded by `_slots`, with the `_slot_size` width but at
+    least 8 bytes, the width `struct` reads. The cost is k n(n+1)/2
+    products with the m-slot columns of G, for the cells of C, and about
+    2 nnz(T) n additions of m-slot ints, for all rows of G at once.
     """
-    mats = tuple(mats)
-    den, scaled = _operands(mats, g, t)
     size = max(8, _slot_size(g, scaled, t))
-    n, m, k = t.rows, g.rows, len(mats)
+    n, m, k = t.rows, g.rows, g.cols
     gi, ti = g._e, t._e
     width = 8 * size
     t_columns = [[(v, c) for c, v in enumerate(ti[b::n]) if v] for b in range(n)]
@@ -704,9 +711,57 @@ def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> list[SymMatr
     # row b of the symmetric result from b on is column b of (T^T C) T from b on
     upper = [x for b, column in enumerate(t_columns) for x in _combine([(v, left[c][b:]) for v, c in column], n - b)]
     half = _sign_bits(size, m)
-    fields = _slots(b"".join([((cell + half) ^ half).to_bytes(size * m, "little") for cell in upper]), size)
-    # cell p of row i is field p m + i
+    return _slots(b"".join([((cell + half) ^ half).to_bytes(size * m, "little") for cell in upper]), size)
+
+
+def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> list[SymMatrix]:
+    """Row i = T^T (sum_j g_ij M_j) T for every row of G, for a G and T that
+    the package built: short products of elementary operations, so that T
+    has few non-zeros. Invertibility is not checked here.
+
+    Every row comes from one `_cell_fields` pass, cells packed over the rows
+    of G, whose cost past the cells of C grows with nnz(T) n. Every row is
+    done before any is returned; an untrusted transform is checked by
+    `congruence_mismatch`, which can stop at the first differing row.
+    """
+    mats = tuple(mats)
+    den, scaled = _operands(mats, g, t)
+    n, m = t.rows, g.rows
+    fields = _cell_fields(g, scaled, t)
     return [SymMatrix._of(n, fields[i::m], den) for i in range(m)]
+
+
+def _packed_t_rows(g: Matrix, scaled: Sequence[Sequence[int]], t: Matrix, size: int) -> Iterator[bytes]:
+    """The upper slots of each row T^T (sum_j g_ij M_j) T, one row of G
+    after another, each as bytes in two's complement with `size`-byte
+    slots: the dense-T kernel of `congruence_mismatch`.
+
+    Row r of T is packed into one int, a slot per column (Kronecker
+    substitution), so that row r of M_j T is one dot product with the
+    packed rows of T, done once for all rows. Per row of G, the packed
+    rows of C T come from the non-zero coefficients of that row, and row a
+    of the result is one dot product of the non-zeros of column a of T with
+    them. The `_sign_bits` start each sum, and flipping them spells the row
+    in two's complement. The cost is k n^2 products with the n-slot rows
+    of T, one per entry of each M_j, whatever nnz(T) is, then per row of G
+    n dot products over its non-zero coefficients and nnz(T) products.
+    """
+    n, k = t.rows, g.cols
+    gi, ti = g._e, t._e
+    width = 8 * size
+    packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n]) if v) for r in range(n)]
+    # mt[r] holds the packed row r of every M_j T
+    mt = list(zip(*[[sum(map(mul, line, packed_t)) for line in square_rows(u, n)] for u in scaled]))
+    t_columns = [(column, [v for v in column if v]) for column in (ti[a::n] for a in range(n))]
+    half = _sign_bits(size, n)
+    # result row a keeps slots a..n-1 of its packed sum: the upper triangle
+    shifts, lengths = range(0, width * n, width), range(size * n, 0, -size)
+    flips = [half >> shift for shift in shifts]
+    for coeffs in (gi[i * k : (i + 1) * k] for i in range(g.rows)):
+        nonzero = [c for c in coeffs if c]
+        ct = [sum(map(mul, nonzero, compress(line, coeffs))) for line in mt]  # packed rows of C T
+        sums = [sum(map(mul, values, compress(ct, column)), half) for column, values in t_columns]
+        yield b"".join(map(int.to_bytes, map(xor, map(rshift, sums, shifts), flips), lengths, repeat("little")))
 
 
 def congruence_mismatch(
@@ -716,57 +771,51 @@ def congruence_mismatch(
     i = T^T (sum_j g_ij M_j) T differs from targets[i], or None if every row
     matches: the check of a G and T that the package did not build.
 
-    Rows are computed one at a time, each from the non-zero coefficients of
-    its row of G. Given T = I, read off the stored form, a row is the
-    `_combine` of whole matrices. Otherwise row r of T is packed into one
-    int, a slot of the `_slot_size` width per column (Kronecker
-    substitution), so that row r of M_j T is one dot product with the
-    packed rows of T, and row a of the result one dot product of the
-    non-zeros of column a of T with the packed rows of C T. The `_sign_bits`
-    start each sum, and flipping them spells the row in two's complement.
-
-    A target over the rows' denominator is spelled in the same encoding and
-    checked with one `bytes` equality. A row is decoded by `_slots` only to
-    name its first differing entry, or when its target has another
-    denominator or a value that does not fit a slot (an `OverflowError`);
-    then the numerators are compared, cross-multiplied only when the
-    denominators differ. No Fraction is built.
+    The kernel is chosen from the shape of the input, n, m = the rows of G
+    and nnz(T), before any product:
+    - T = I, read off the stored form: each row is the `_combine` of whole
+      matrices over the non-zero coefficients of its row of G.
+    - A sparse T, 2 nnz(T) <= m n: every row from one `_cell_fields` pass,
+      cells packed over the rows of G, then compared with its target in
+      row order. Past the cells of C, the cell kernel's work grows with
+      nnz(T) n, on ints of m slots; the dense-T kernel's does not shrink
+      with nnz(T). Timed over n = 5-160, m = 2-25 and nnz(T)/n from 2 to
+      n, the cell kernel took 0.26-0.65 of the dense-T time wherever this
+      rule picks it, and the rule never picked the slower kernel
+      (`BENCH_reform_sparse.json`); it leaves some gains near the
+      crossover, about nnz(T) = m n. The certificates the generator
+      builds, short products of elementary operations, have nnz(T)/n of
+      about 1.4-5.5.
+    - A denser T: `_packed_t_rows`, one row at a time, so a differing row
+      ends the check before the later rows are computed. A target over the
+      rows' denominator is spelled in the same slot encoding and checked
+      with one `bytes` equality; a row is decoded by `_slots` only to name
+      its first differing entry, or when its target has another denominator
+      or a value that does not fit a slot (an `OverflowError`).
+    The decoded numerators are compared with the target's in row order,
+    cross-multiplied only when the denominators differ. No Fraction is
+    built.
     """
     targets = tuple(targets)
     if len(targets) != g.rows or any(target.n != t.rows for target in targets):
         raise ValueError("targets must be one matrix of the transform's order per row of G")
     mats = tuple(mats)
     den, scaled = _operands(mats, g, t)
-    n, k = t.rows, len(mats)
+    n, m, k = t.rows, g.rows, len(mats)
     gi, ti = g._e, t._e
-    g_rows = [gi[row * k : (row + 1) * k] for row in range(g.rows)]
+    zeros = ti.count(0)
     # T = I, read off the stored form: n^2 - n zeros and a diagonal of ones over 1
-    packed = not (t._d == 1 and ti.count(0) == n * n - n and ti[:: n + 1] == (1,) * n)
-    if not packed:
-        rows = (_combine(zip(coeffs, scaled), n * (n + 1) // 2) for coeffs in g_rows)
+    packed = False
+    if t._d == 1 and zeros == n * n - n and ti[:: n + 1] == (1,) * n:
+        rows = (_combine(zip(gi[i * k : (i + 1) * k], scaled), n * (n + 1) // 2) for i in range(m))
+    elif 2 * (n * n - zeros) <= m * n:
+        fields = _cell_fields(g, scaled, t)
+        rows = (fields[i::m] for i in range(m))
     else:
+        packed = True
         size = _slot_size(g, scaled, t)
-        width = 8 * size
-        packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n]) if v)
-                    for r in range(n)]
-        # mt[r] holds the packed row r of every M_j T
-        mt = list(zip(*[[sum(map(mul, line, packed_t)) for line in square_rows(u, n)] for u in scaled]))
-        t_columns = [(column, [v for v in column if v]) for column in (ti[a::n] for a in range(n))]
-        half = _sign_bits(size, n)
-        # result row a keeps slots a..n-1 of its packed sum: the upper triangle
-        shifts, lengths = range(0, width * n, width), range(size * n, 0, -size)
-        flips = [half >> shift for shift in shifts]
-
-        def packed_rows() -> Iterator[bytes]:
-            for coeffs in g_rows:
-                nonzero = [c for c in coeffs if c]
-                ct = [sum(map(mul, nonzero, compress(line, coeffs))) for line in mt]  # packed rows of C T
-                sums = [sum(map(mul, values, compress(ct, column)), half) for column, values in t_columns]
-                yield b"".join(map(int.to_bytes, map(xor, map(rshift, sums, shifts), flips),
-                                   lengths, repeat("little")))
-
-        rows = packed_rows()
-        top, signs = 1 << (width - 1), _sign_bits(size, n * (n + 1) // 2)
+        rows = _packed_t_rows(g, scaled, t, size)
+        top, signs = 1 << (8 * size - 1), _sign_bits(size, n * (n + 1) // 2)
     for i, (nums, target) in enumerate(zip(rows, targets), start=1):
         want, dw = target._u, target._d
         if packed:
@@ -779,8 +828,9 @@ def congruence_mismatch(
                     pass
             nums = _slots(nums, size)
         if dw != den:
-            nums, want = [v * dw for v in nums], [v * den for v in want]
-        if nums != list(want):
+            nums, want = tuple(map(mul, nums, repeat(dw))), tuple(map(mul, want, repeat(den)))
+        # `want` is a tuple; tuple() of a tuple is the same object, no copy
+        if tuple(nums) != want:
             p = next(p for p, (a, b) in enumerate(zip(nums, want)) if a != b)
             return (i,) + [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)][p]
     return None

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from oracles import (
     congruence_by_fractions,
@@ -28,6 +28,8 @@ from weaksdp import (
     unimodular_pair,
 )
 from weaksdp import exact
+from weaksdp.certify import WeakCertificate
+from weaksdp.generator import GenConfig, generate
 from weaksdp.exact import (
     DIGIT_LIMIT, _operands, _slot_size, complement_projection, square_rows, text_ratio, upper_offset,
 )
@@ -258,6 +260,24 @@ def assert_mismatch_checks(mats, g, t, want):
         assert congruence_mismatch(mats, g, t, changed) == (i, 1, n)
 
 
+def refuse_kernels(monkeypatch, runs):
+    """Let `congruence_mismatch` run only the kernel named `runs` of
+    `_cell_fields` and `_packed_t_rows`: the other raises."""
+    def refuse(*args):
+        raise AssertionError(f"congruence_mismatch ran a kernel other than {runs}")
+
+    monkeypatch.setattr(exact, ({"_cell_fields", "_packed_t_rows"} - {runs}).pop(), refuse)
+
+
+def spy(kernel, name, taken):
+    """`kernel`, adding `name` to the set `taken` when it is called."""
+    def call(*args):
+        taken.add(name)
+        return kernel(*args)
+
+    return call
+
+
 class TestCongruences:
     @given(combination_operands())
     @settings(max_examples=200)
@@ -295,13 +315,16 @@ class TestCongruences:
         want = [reformulated_rows_by_fractions(mats, g, t) for t in transforms]
 
         def refuse(*args):
-            raise AssertionError("congruence_mismatch built an identity matrix or packed T = I")
+            raise AssertionError("congruence_mismatch built an identity matrix or ran a kernel it should not")
 
         monkeypatch.setattr(Matrix, "identity", refuse)
-        sign_bits = exact._sign_bits
-        for t, rows in zip(transforms, want):
-            # only a transform other than I packs its rows into slots
-            monkeypatch.setattr(exact, "_sign_bits", refuse if t is transforms[0] else sign_bits)
+        kernels = {name: getattr(exact, name) for name in ("_sign_bits", "_cell_fields", "_packed_t_rows")}
+        # I packs nothing; the permutation, 2 nnz(T) = 4 <= m n = 4, takes the cell
+        # kernel, and the shear, 2 nnz(T) = 6, the packed rows of T
+        allowed = (set(), {"_sign_bits", "_cell_fields"}, {"_sign_bits", "_packed_t_rows"})
+        for t, rows, names in zip(transforms, want, allowed):
+            for name, kernel in kernels.items():
+                monkeypatch.setattr(exact, name, kernel if name in names else refuse)
             assert congruence_mismatch(mats, g, t, rows) is None
             assert congruence_mismatch(mats, g, t, [rows[0], rows[1].add(SymMatrix.unit(2, 2, 2))]) == (2, 2, 2)
 
@@ -407,19 +430,37 @@ class TestPackedCongruence:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 6])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_result_attains_the_slot_bound(self, order, sign):
+    def test_result_attains_the_slot_bound(self, order, sign, monkeypatch):
         # every entry of M, G and T has one magnitude and sign, so every result
         # entry is n^2 k |g| |M| |T|^2 exactly, the bound the slot width is sized by;
         # the magnitudes sweep the bound's bit length across several byte boundaries
         k = 2
+        cells = order * (order + 1) // 2
         for bits in range(1, 41):
             mag = 2**bits - 1
-            mats = (SymMatrix(order, (Fraction(sign * mag),) * (order * (order + 1) // 2)),) * k
+            mats = (SymMatrix(order, (Fraction(sign * mag),) * cells),) * k
             g = Matrix(1, k, (Fraction(3),) * k)
             t = Matrix(order, order, (Fraction(5),) * (order * order))
             (row,) = congruences(mats, g, t)
             assert set(row.to_rows()[0]) == {sign * order**2 * k * 3 * mag * 25}, bits
             assert_mismatch_checks(mats, g, t, reformulated_rows_by_fractions(mats, g, t))
+        # four rows of G and a sparse T, 5 on the diagonal and down column 1, take
+        # the cell kernel: entry (1, 1) of every row is k |g| |M| (5 n)^2, the bound;
+        # the sweep crosses the 8-byte minimum slot into wide slots
+        g = Matrix(4, k, (3,) * (4 * k))
+        t = Matrix(order, order, tuple(5 if c == r or c == 0 else 0 for r in range(order) for c in range(order)))
+        refuse_kernels(monkeypatch, "_cell_fields")
+        sizes = set()
+        for bits in range(1, 81, 5):
+            mag = 2**bits - 1
+            mats = (SymMatrix(order, (sign * mag,) * cells),) * k
+            want = reformulated_rows_by_fractions(mats, g, t)
+            bound = k * 3 * mag * (5 * order) ** 2
+            assert max(abs(v) for row in want for v in row._u) == bound
+            assert all(row._u[0] == sign * bound for row in want), bits
+            assert_mismatch_checks(mats, g, t, want)
+            sizes.add(max(8, _slot_size(g, _operands(mats, g, t)[1], t)))
+        assert min(sizes) == 8 and max(sizes) > 9
 
     def test_matching_rows_are_not_decoded(self, monkeypatch):
         # a target over the rows' denominator is compared as bytes in the slot encoding
@@ -487,12 +528,14 @@ def elementary_product(draw, order, fractions):
 
 @st.composite
 def mismatch_cases(draw):
-    """k symmetric matrices of order 1-5, G and T products of a few elementary
-    operations (G with some rows zeroed, T the identity a third of the time),
-    and as targets the rows of `reformulated_rows_by_fractions` with no entry
-    or one drawn entry (i, r, s) changed, by a small amount or by one far
-    outside any slot."""
-    order, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    """k symmetric matrices of order 1-5, k 1-6, G and T products of a few
+    elementary operations (G with some rows zeroed, T the identity a third of
+    the time), and as targets the rows of `reformulated_rows_by_fractions`
+    with no entry or one drawn entry (i, r, s) changed, by a small amount or
+    by one far outside any slot. With up to six rows of G, a T other than I
+    is often sparse enough for the cell kernel, 2 nnz(T) <= k n, and often
+    not."""
+    order, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     mats = draw(sym_matrices(order, k))
     g = draw(elementary_product(k, True))
     zero_rows = draw(st.sets(st.integers(0, k - 1)))
@@ -519,31 +562,85 @@ class TestSparseCongruence:
         assert congruence_mismatch(mats, g, t, targets) == want
         assert congruences(mats, g, t) == reformulated_rows_by_fractions(mats, g, t)
 
-    def test_target_outside_the_slot_range(self):
+    def test_target_outside_the_slot_range(self, monkeypatch):
         mats = (sym([[1, 2, 0], [2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
-        g = Matrix.from_rows([[1, 2], [0, 0]])
-        t = Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
-        rows = congruences(mats, g, t)
-        half_range = 1 << (8 * _slot_size(g, _operands(mats, g, t)[1], t) - 1)
-        # the first two overflow a slot on either side; -half_range is the lowest slot value
-        for value in (half_range, -half_range - 1, -half_range, 10**40):
-            out = SymMatrix.unit(3, 2, 3, value)
-            assert congruence_mismatch(mats, g, t, [rows[0], out]) == (2, 2, 3), value
-            # an entry that fits a slot, before one that does not, is named first
-            both = rows[0].add(SymMatrix.unit(3, 1, 2)).add(SymMatrix.unit(3, 3, 3, value))
-            assert congruence_mismatch(mats, g, t, [both, rows[1]]) == (1, 1, 2), value
+        # two rows of G and five non-zeros of T pack the rows of T; four rows
+        # and a T of four non-zeros take the cell kernel, whose slots are at
+        # least 8 bytes
+        for g, t, runs in ((Matrix.from_rows([[1, 2], [0, 0]]),
+                            Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]]), "_packed_t_rows"),
+                           (Matrix.from_rows([[1, 2], [0, 0], [-1, 1], [3, 0]]),
+                            Matrix.from_rows([[1, 0, 0], [0, 1, -2], [0, 0, 1]]), "_cell_fields")):
+            rows = congruences(mats, g, t)
+            size = _slot_size(g, _operands(mats, g, t)[1], t)
+            half_range = 1 << (8 * (size if runs == "_packed_t_rows" else max(8, size)) - 1)
+            refuse_kernels(monkeypatch, runs)
+            # the first two overflow a slot on either side; -half_range is the lowest slot value
+            for value in (half_range, -half_range - 1, -half_range, 10**40):
+                out = SymMatrix.unit(3, 2, 3, value)
+                assert congruence_mismatch(mats, g, t, [rows[0], out, *rows[2:]]) == (2, 2, 3), value
+                # an entry that fits a slot, before one that does not, is named first
+                both = rows[0].add(SymMatrix.unit(3, 1, 2)).add(SymMatrix.unit(3, 3, 3, value))
+                assert congruence_mismatch(mats, g, t, [both, *rows[1:]]) == (1, 1, 2), value
+                # of two differing rows, the first is named
+                assert congruence_mismatch(mats, g, t, [both, out, *rows[2:]]) == (1, 1, 2), value
+            monkeypatch.undo()
 
-    def test_targets_over_another_denominator_with_zero_coefficients(self):
+    def test_targets_over_another_denominator_with_zero_coefficients(self, monkeypatch):
         mats = (sym([[1, 3], [3, 5]]), sym([[Fraction(1, 2), 1], [1, 1]]), sym([[2, 0], [0, 2]]))
         g = Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, Fraction(1, 3), 0]])
-        t = Matrix.from_rows([[1, 0], [1, 1]])
-        want = reformulated_rows_by_fractions(mats, g, t)
-        den = _operands(mats, g, t)[0]
-        assert [row._d for row in want] == [1, 1, 6] and den == 6  # two rows over another denominator
-        assert congruence_mismatch(mats, g, t, want) is None
-        changed = want[2].add(SymMatrix.unit(2, 2, 2, Fraction(1, 7)))
-        assert congruence_mismatch(mats, g, t, [want[0], want[1], changed]) == (3, 2, 2)
-        assert congruence_mismatch(mats, g, t, [want[0], SymMatrix.unit(2, 1, 2), want[2]]) == (2, 1, 2)
+        # three non-zeros of T, 6 <= m n = 6, take the cell kernel, and four the packed rows of T
+        for t, runs in ((Matrix.from_rows([[1, 0], [1, 1]]), "_cell_fields"),
+                        (Matrix.from_rows([[1, 1], [1, 2]]), "_packed_t_rows")):
+            want = reformulated_rows_by_fractions(mats, g, t)
+            den = _operands(mats, g, t)[0]
+            assert [row._d for row in want] == [1, 1, 6] and den == 6  # two rows over another denominator
+            refuse_kernels(monkeypatch, runs)
+            assert congruence_mismatch(mats, g, t, want) is None
+            changed = want[2].add(SymMatrix.unit(2, 2, 2, Fraction(1, 7)))
+            assert congruence_mismatch(mats, g, t, [want[0], want[1], changed]) == (3, 2, 2)
+            assert congruence_mismatch(mats, g, t, [want[0], SymMatrix.unit(2, 1, 2), want[2]]) == (2, 1, 2)
+            assert congruence_mismatch(mats, g, t, [want[0], SymMatrix.unit(2, 1, 2), changed]) == (2, 1, 2)
+            # a target over another denominator that differs only in a later row is not named early
+            later = want[2].add(SymMatrix.unit(2, 1, 1, Fraction(1, 6)))
+            assert congruence_mismatch(mats, g, t, [want[0], want[1], later]) == (3, 1, 1)
+            monkeypatch.undo()
+
+    def test_the_differential_reaches_both_kernels(self, monkeypatch):
+        # on fixed seeds, `mismatch_cases` sends a T other than I to each kernel
+        for case_seed in (1, 2, 3):
+            taken = set()
+            for name in ("_cell_fields", "_packed_t_rows"):
+                monkeypatch.setattr(exact, name, spy(getattr(exact, name), name, taken))
+
+            @seed(case_seed)
+            @settings(max_examples=40, deadline=None, database=None)
+            @given(mismatch_cases())
+            def run(case):
+                mats, g, t, targets = case
+                assert congruence_mismatch(mats, g, t, targets) == congruence_mismatch_by_fractions(
+                    mats, g, t, targets)
+
+            run()
+            assert taken == {"_cell_fields", "_packed_t_rows"}, case_seed
+            monkeypatch.undo()
+
+    def test_generated_certificate_takes_the_cell_kernel(self, monkeypatch):
+        cert = WeakCertificate.from_instance(generate(GenConfig(n=20, m=15, k=2, l=2, seed=101, messy=True)))
+        g, t = cert.row_ops, cert.transform
+        assert 2 * (t.rows**2 - t._e.count(0)) <= g.rows * t.rows  # nnz(T) of a short product of operations
+        refuse_kernels(monkeypatch, "_cell_fields")
+        assert_mismatch_checks(cert.raw.A, g, t, list(cert.clean.A))
+
+    def test_dense_transform_packs_the_rows_of_t(self, monkeypatch):
+        n = 8
+        mats = (SymMatrix(n, tuple(range(-17, n * (n + 1) // 2 - 17))),
+                SymMatrix(n, tuple((-1) ** p * (p % 7) for p in range(n * (n + 1) // 2))))
+        g = Matrix.from_rows([[1, 2], [-3, 1]])
+        t = Matrix(n, n, tuple((-1) ** (r + c) * (1 + (3 * r + c) % 4) for r in range(n) for c in range(n)))
+        assert 0 not in t._e
+        refuse_kernels(monkeypatch, "_packed_t_rows")
+        assert_mismatch_checks(mats, g, t, reformulated_rows_by_fractions(mats, g, t))
 
 
 @st.composite
