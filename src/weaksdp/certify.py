@@ -87,10 +87,9 @@ def check_reformulation(raw: SdpInstance, g: Matrix, t: Matrix, clean: SdpInstan
     only a zero `determinant_residue` runs the exact `determinant`. Then
     verifies entrywise that clean_b = G raw_b and
     clean_i = T^T (sum_j g_ij raw_j) T for every i, comparing integer
-    numerators, through `congruence_mismatch`: a sparse T, 2 nnz(T) <= m n,
-    as in every certificate the generator builds, takes the cell kernel over
-    all rows of G at once, about half the time of packing the rows of T,
-    which a denser T keeps. The report names the first failure:
+    numerators, through `congruence_mismatch`: T = I only combines, and any
+    other T runs the cell kernel over all rows of G at once, at a cost that
+    grows with nnz(T) n. The report names the first failure:
     "det G = 0", "det T = 0", "b row i" or "row i entry (r, s)".
     """
     if raw.n != clean.n or raw.m != clean.m:

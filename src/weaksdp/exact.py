@@ -19,29 +19,20 @@ case of that.
 `inner_mismatch(mats, xs, targets)` compares the same sums with targets on
 integers and names the first differing product; the closeness check runs on
 it and builds no Fraction.
-The rows T^T (sum_j g_ij M_j) T, row combination and then congruence, are
-computed on packed ints (Kronecker substitution) by two kernels: one cell
-kernel (`_cell_fields`: each cell packed over the rows of G, one
-`_combine` pass per non-zero of T), whose cost past the cells grows with
-nnz(T) n, and a packed-rows-of-T kernel (`_packed_t_rows`: one row of G at
-a time), which pays k n^2 multi-slot products, one per entry of each M_j,
-whatever nnz(T) is. Both share one shape check
-(`_operands`), one slot width (`_slot_size`), one combination loop
-(`_combine`) and one two's-complement slot decoder (`_slots`).
-`congruences(mats, g, t)` returns every row from the cell kernel, for a G
-and T the package built: `echelon.reformulated` (the generator's
-disguise), the alternative-system check and `congruence`, its one-row
-case. `congruence_mismatch(mats, g, t, targets)`, the reformulation check
-of a G and T the package did not build, names the first differing entry.
-It picks its kernel from n, m and nnz(T) before any product: T = I only
-combines; a sparse T, 2 nnz(T) <= m n, as in every certificate the
-generator builds (short products of elementary operations), takes the
-cell kernel and compares the rows with their targets in order; a denser T
-packs the rows of T, computes the rows one at a time and compares each
-with its target as bytes in the slot encoding. `complement_projection(n,
-span, gram_inverse)`, behind the generator's projection, runs `_combine`
-once per candidate, on integer coefficients, divided by the gcd of its
-entries.
+The rows T^T (sum_j g_ij M_j) T, row combination and then congruence, come
+from one producer, `_congruence_rows`, after one shape check (`_operands`).
+T = I, read off the stored form, only combines whole matrices; any other T
+runs the one cell kernel (`_cell_fields`: each cell packed over the rows of
+G by Kronecker substitution, one `_combine` pass per non-zero of T, decoded
+by `_slots`), whose cost past the cells grows with nnz(T) n.
+`congruences(mats, g, t)` wraps each row in a `SymMatrix`: for
+`echelon.reformulated` (the generator's disguise), the alternative-system
+check and `congruence`, its one-row case. `congruence_mismatch(mats, g, t,
+targets)`, the reformulation check of a G and T the package did not build,
+compares each row with its target on integers and names the first
+differing entry. `complement_projection(n, span, gram_inverse)`, behind the
+generator's projection, runs `_combine` once per candidate, on integer
+coefficients, divided by the gcd of its entries.
 Matrix entries are addressed with 1-based indices via ``at(i, j)``, matching
 the 1-based index sets used for block structures, so a single indexing
 convention runs through structures, matrices and emitted file formats.
@@ -64,9 +55,9 @@ import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import gcd, isfinite, lcm
-from operator import add, itemgetter, mul, rshift, xor
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -587,8 +578,8 @@ def _combine(terms: Iterable[tuple[int, Sequence[int]]], size: int) -> list[int]
     """sum c u over the (c, u) terms, an integer coefficient c and `size`
     integers u: one C-level pass per non-zero c, with no product for a 1. It
     is the one combination loop: each projection of `complement_projection`,
-    the T = I rows of `congruence_mismatch` and both passes of T in
-    `congruences` are this sum."""
+    the T = I rows of `_congruence_rows` and both passes of T in
+    `_cell_fields` are this sum."""
     total = None
     for c, u in terms:
         if c:
@@ -643,7 +634,7 @@ def complement_projection(
 
 
 def _operands(mats: tuple[SymMatrix, ...], g: Matrix, t: Matrix) -> tuple[int, list[Sequence[int]]]:
-    """What both congruence kernels start from, for the rows
+    """What `_congruence_rows` starts from, for the rows
     T^T (sum_j g_ij M_j) T: the rows' common denominator, and the numerators
     of the M_j over the lcm of their denominators. ValueError unless T is
     square of the order of the M_j and G has one column per M_j."""
@@ -677,7 +668,8 @@ def _sign_bits(size: int, count: int) -> int:
 
 def _slots(data: bytes, size: int) -> Sequence[int]:
     """The integers of `data`, `size` bytes each, little-endian two's
-    complement: the one slot decoder, through `struct` for 8-byte slots."""
+    complement: the cell kernel's slot decoder, through `struct` for 8-byte
+    slots."""
     if size == 8:
         return struct.unpack(f"<{len(data) // 8}q", data)
     return [int.from_bytes(data[p : p + size], "little", signed=True) for p in range(0, len(data), size)]
@@ -687,7 +679,7 @@ def _cell_fields(g: Matrix, scaled: Sequence[Sequence[int]], t: Matrix) -> Seque
     """The upper cells of every row T^T (sum_j g_ij M_j) T, numerators over
     the rows' denominator, the M_j given as `scaled` numerators: cell p of
     row i (0-based, m the rows of G) is field p m + i. The one cell kernel,
-    behind `congruences` and the sparse-T check of `congruence_mismatch`.
+    behind every row of a T other than I.
 
     Upper cell p of every row is one packed int, row i in slot i (Kronecker
     substitution over the rows of G): each stored numerator of each M_j
@@ -714,54 +706,30 @@ def _cell_fields(g: Matrix, scaled: Sequence[Sequence[int]], t: Matrix) -> Seque
     return _slots(b"".join([((cell + half) ^ half).to_bytes(size * m, "little") for cell in upper]), size)
 
 
-def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> list[SymMatrix]:
-    """Row i = T^T (sum_j g_ij M_j) T for every row of G, for a G and T that
-    the package built: short products of elementary operations, so that T
-    has few non-zeros. Invertibility is not checked here.
-
-    Every row comes from one `_cell_fields` pass, cells packed over the rows
-    of G, whose cost past the cells of C grows with nnz(T) n. Every row is
-    done before any is returned; an untrusted transform is checked by
-    `congruence_mismatch`, which can stop at the first differing row.
-    """
-    mats = tuple(mats)
-    den, scaled = _operands(mats, g, t)
-    n, m = t.rows, g.rows
-    fields = _cell_fields(g, scaled, t)
-    return [SymMatrix._of(n, fields[i::m], den) for i in range(m)]
-
-
-def _packed_t_rows(g: Matrix, scaled: Sequence[Sequence[int]], t: Matrix, size: int) -> Iterator[bytes]:
-    """The upper slots of each row T^T (sum_j g_ij M_j) T, one row of G
-    after another, each as bytes in two's complement with `size`-byte
-    slots: the dense-T kernel of `congruence_mismatch`.
-
-    Row r of T is packed into one int, a slot per column (Kronecker
-    substitution), so that row r of M_j T is one dot product with the
-    packed rows of T, done once for all rows. Per row of G, the packed
-    rows of C T come from the non-zero coefficients of that row, and row a
-    of the result is one dot product of the non-zeros of column a of T with
-    them. The `_sign_bits` start each sum, and flipping them spells the row
-    in two's complement. The cost is k n^2 products with the n-slot rows
-    of T, one per entry of each M_j, whatever nnz(T) is, then per row of G
-    n dot products over its non-zero coefficients and nnz(T) products.
-    """
-    n, k = t.rows, g.cols
+def _congruence_rows(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> tuple[int, Iterator[Sequence[int]]]:
+    """The rows T^T (sum_j g_ij M_j) T as the upper numerators of each row of
+    G in turn, over their one denominator: the one producer behind
+    `congruences` and `congruence_mismatch`. T = I, read off the stored
+    form, only combines: each row is the `_combine` of whole matrices over
+    the non-zero coefficients of its row of G, made when it is read. Any
+    other T takes one `_cell_fields` pass for all rows."""
+    den, scaled = _operands(tuple(mats), g, t)
+    n, m, k = t.rows, g.rows, g.cols
     gi, ti = g._e, t._e
-    width = 8 * size
-    packed_t = [sum(v << (width * c) for c, v in enumerate(ti[r * n : (r + 1) * n]) if v) for r in range(n)]
-    # mt[r] holds the packed row r of every M_j T
-    mt = list(zip(*[[sum(map(mul, line, packed_t)) for line in square_rows(u, n)] for u in scaled]))
-    t_columns = [(column, [v for v in column if v]) for column in (ti[a::n] for a in range(n))]
-    half = _sign_bits(size, n)
-    # result row a keeps slots a..n-1 of its packed sum: the upper triangle
-    shifts, lengths = range(0, width * n, width), range(size * n, 0, -size)
-    flips = [half >> shift for shift in shifts]
-    for coeffs in (gi[i * k : (i + 1) * k] for i in range(g.rows)):
-        nonzero = [c for c in coeffs if c]
-        ct = [sum(map(mul, nonzero, compress(line, coeffs))) for line in mt]  # packed rows of C T
-        sums = [sum(map(mul, values, compress(ct, column)), half) for column, values in t_columns]
-        yield b"".join(map(int.to_bytes, map(xor, map(rshift, sums, shifts), flips), lengths, repeat("little")))
+    # n^2 - n zeros and a diagonal of ones over 1
+    if t._d == 1 and ti.count(0) == n * n - n and ti[:: n + 1] == (1,) * n:
+        return den, (_combine(zip(gi[i * k : (i + 1) * k], scaled), n * (n + 1) // 2) for i in range(m))
+    fields = _cell_fields(g, scaled, t)
+    return den, (fields[i::m] for i in range(m))
+
+
+def congruences(mats: Sequence[SymMatrix], g: Matrix, t: Matrix) -> list[SymMatrix]:
+    """Row i = T^T (sum_j g_ij M_j) T for every row of G, each a `SymMatrix`
+    from `_congruence_rows`. Invertibility is not checked here; an untrusted
+    G and T are checked by `congruence_mismatch`, which builds no matrix.
+    """
+    den, rows = _congruence_rows(mats, g, t)
+    return [SymMatrix._of(t.rows, nums, den) for nums in rows]
 
 
 def congruence_mismatch(
@@ -771,62 +739,17 @@ def congruence_mismatch(
     i = T^T (sum_j g_ij M_j) T differs from targets[i], or None if every row
     matches: the check of a G and T that the package did not build.
 
-    The kernel is chosen from the shape of the input, n, m = the rows of G
-    and nnz(T), before any product:
-    - T = I, read off the stored form: each row is the `_combine` of whole
-      matrices over the non-zero coefficients of its row of G.
-    - A sparse T, 2 nnz(T) <= m n: every row from one `_cell_fields` pass,
-      cells packed over the rows of G, then compared with its target in
-      row order. Past the cells of C, the cell kernel's work grows with
-      nnz(T) n, on ints of m slots; the dense-T kernel's does not shrink
-      with nnz(T). Timed over n = 5-160, m = 2-25 and nnz(T)/n from 2 to
-      n, the cell kernel took 0.26-0.65 of the dense-T time wherever this
-      rule picks it, and the rule never picked the slower kernel
-      (`BENCH_reform_sparse.json`); it leaves some gains near the
-      crossover, about nnz(T) = m n. The certificates the generator
-      builds, short products of elementary operations, have nnz(T)/n of
-      about 1.4-5.5.
-    - A denser T: `_packed_t_rows`, one row at a time, so a differing row
-      ends the check before the later rows are computed. A target over the
-      rows' denominator is spelled in the same slot encoding and checked
-      with one `bytes` equality; a row is decoded by `_slots` only to name
-      its first differing entry, or when its target has another denominator
-      or a value that does not fit a slot (an `OverflowError`).
-    The decoded numerators are compared with the target's in row order,
-    cross-multiplied only when the denominators differ. No Fraction is
-    built.
+    The rows come from `_congruence_rows` and are compared with the
+    target's numerators in row order, cross-multiplied only when the
+    denominators differ. No Fraction and no matrix is built.
     """
     targets = tuple(targets)
     if len(targets) != g.rows or any(target.n != t.rows for target in targets):
         raise ValueError("targets must be one matrix of the transform's order per row of G")
-    mats = tuple(mats)
-    den, scaled = _operands(mats, g, t)
-    n, m, k = t.rows, g.rows, len(mats)
-    gi, ti = g._e, t._e
-    zeros = ti.count(0)
-    # T = I, read off the stored form: n^2 - n zeros and a diagonal of ones over 1
-    packed = False
-    if t._d == 1 and zeros == n * n - n and ti[:: n + 1] == (1,) * n:
-        rows = (_combine(zip(gi[i * k : (i + 1) * k], scaled), n * (n + 1) // 2) for i in range(m))
-    elif 2 * (n * n - zeros) <= m * n:
-        fields = _cell_fields(g, scaled, t)
-        rows = (fields[i::m] for i in range(m))
-    else:
-        packed = True
-        size = _slot_size(g, scaled, t)
-        rows = _packed_t_rows(g, scaled, t, size)
-        top, signs = 1 << (8 * size - 1), _sign_bits(size, n * (n + 1) // 2)
+    n = t.rows
+    den, rows = _congruence_rows(mats, g, t)
     for i, (nums, target) in enumerate(zip(rows, targets), start=1):
         want, dw = target._u, target._d
-        if packed:
-            if dw == den:
-                try:
-                    data = b"".join(map(int.to_bytes, map(add, want, repeat(top)), repeat(size), repeat("little")))
-                    if nums == (int.from_bytes(data, "little") ^ signs).to_bytes(len(data), "little"):
-                        continue
-                except OverflowError:  # a target value outside the slot range
-                    pass
-            nums = _slots(nums, size)
         if dw != den:
             nums, want = tuple(map(mul, nums, repeat(dw))), tuple(map(mul, want, repeat(den)))
         # `want` is a tuple; tuple() of a tuple is the same object, no copy

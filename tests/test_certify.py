@@ -29,6 +29,8 @@ from weaksdp import (
     verify_weak_infeasibility,
 )
 
+from oracles import congruence_mismatch_by_fractions
+
 
 class TestCheckReformulation:
     def test_identity(self):
@@ -261,6 +263,25 @@ class TestCertificateFromInstance:
         cert = motzkin_certificate()
         assert verify_weak_infeasibility(cert).passed
         assert cert.k == 4 and cert.l == 2
+
+    def test_dense_transform_through_the_verifier(self):
+        # a long disguise leaves no zero in T: the whole verifier on a dense T
+        instance = generate(GenConfig(n=8, m=3, k=1, l=2, seed=7, messy=True, mess_budget=200))
+        cert = WeakCertificate.from_instance(instance)
+        assert 0 not in cert.transform._e
+        assert verify_weak_infeasibility(cert).passed
+        rng = SplitMix64(7)
+        for c in range(cert.raw.m):
+            raw = SdpInstance(cert.raw.n, _plus_one(cert.raw.A, rng, c), cert.raw.b)
+            report = verify_weak_infeasibility(replace(cert, raw=raw))
+            (check,) = [check for check in report.checks if not check.passed]
+            i, r, s = congruence_mismatch_by_fractions(raw.A, cert.row_ops, cert.transform, cert.clean.A)
+            assert (check.name, check.detail) == ("reformulation (G, T)", f"row {i} entry ({r}, {s})")
+        # +1 on the last clean entry before the diagonal: every earlier entry is compared first
+        n, m = cert.clean.n, cert.clean.m
+        clean = SdpInstance(n, cert.clean.A[:-1] + (cert.clean.A[-1].add(SymMatrix.unit(n, n - 1, n)),), cert.clean.b)
+        report = check_reformulation(cert.raw, cert.row_ops, cert.transform, clean)
+        assert report.detail == f"row {m} entry ({n - 1}, {n})"
 
 
 def _plus_one(mats, rng, c):

@@ -260,22 +260,17 @@ def assert_mismatch_checks(mats, g, t, want):
         assert congruence_mismatch(mats, g, t, changed) == (i, 1, n)
 
 
-def refuse_kernels(monkeypatch, runs):
-    """Let `congruence_mismatch` run only the kernel named `runs` of
-    `_cell_fields` and `_packed_t_rows`: the other raises."""
-    def refuse(*args):
-        raise AssertionError(f"congruence_mismatch ran a kernel other than {runs}")
+def cell_kernel_runs(monkeypatch):
+    """A list that gains one entry each time `_cell_fields` runs: the
+    kernel of every T other than I."""
+    runs, kernel = [], exact._cell_fields
 
-    monkeypatch.setattr(exact, ({"_cell_fields", "_packed_t_rows"} - {runs}).pop(), refuse)
-
-
-def spy(kernel, name, taken):
-    """`kernel`, adding `name` to the set `taken` when it is called."""
     def call(*args):
-        taken.add(name)
+        runs.append(args)
         return kernel(*args)
 
-    return call
+    monkeypatch.setattr(exact, "_cell_fields", call)
+    return runs
 
 
 class TestCongruences:
@@ -315,16 +310,16 @@ class TestCongruences:
         want = [reformulated_rows_by_fractions(mats, g, t) for t in transforms]
 
         def refuse(*args):
-            raise AssertionError("congruence_mismatch built an identity matrix or ran a kernel it should not")
+            raise AssertionError("the rows were read through an identity matrix or a kernel they should not be")
 
         monkeypatch.setattr(Matrix, "identity", refuse)
-        kernels = {name: getattr(exact, name) for name in ("_sign_bits", "_cell_fields", "_packed_t_rows")}
-        # I packs nothing; the permutation, 2 nnz(T) = 4 <= m n = 4, takes the cell
-        # kernel, and the shear, 2 nnz(T) = 6, the packed rows of T
-        allowed = (set(), {"_sign_bits", "_cell_fields"}, {"_sign_bits", "_packed_t_rows"})
+        kernels = {name: getattr(exact, name) for name in ("_sign_bits", "_cell_fields")}
+        # I packs nothing; the permutation and the shear take the cell kernel
+        allowed = (set(), set(kernels), set(kernels))
         for t, rows, names in zip(transforms, want, allowed):
             for name, kernel in kernels.items():
                 monkeypatch.setattr(exact, name, kernel if name in names else refuse)
+            assert congruences(mats, g, t) == rows
             assert congruence_mismatch(mats, g, t, rows) is None
             assert congruence_mismatch(mats, g, t, [rows[0], rows[1].add(SymMatrix.unit(2, 2, 2))]) == (2, 2, 2)
 
@@ -436,6 +431,7 @@ class TestPackedCongruence:
         # the magnitudes sweep the bound's bit length across several byte boundaries
         k = 2
         cells = order * (order + 1) // 2
+        runs = cell_kernel_runs(monkeypatch)
         for bits in range(1, 41):
             mag = 2**bits - 1
             mats = (SymMatrix(order, (Fraction(sign * mag),) * cells),) * k
@@ -444,12 +440,11 @@ class TestPackedCongruence:
             (row,) = congruences(mats, g, t)
             assert set(row.to_rows()[0]) == {sign * order**2 * k * 3 * mag * 25}, bits
             assert_mismatch_checks(mats, g, t, reformulated_rows_by_fractions(mats, g, t))
-        # four rows of G and a sparse T, 5 on the diagonal and down column 1, take
-        # the cell kernel: entry (1, 1) of every row is k |g| |M| (5 n)^2, the bound;
-        # the sweep crosses the 8-byte minimum slot into wide slots
+        # four rows of G and a sparse T, 5 on the diagonal and down column 1:
+        # entry (1, 1) of every row is k |g| |M| (5 n)^2, the bound; the sweep
+        # crosses the 8-byte minimum slot into wide slots
         g = Matrix(4, k, (3,) * (4 * k))
         t = Matrix(order, order, tuple(5 if c == r or c == 0 else 0 for r in range(order) for c in range(order)))
-        refuse_kernels(monkeypatch, "_cell_fields")
         sizes = set()
         for bits in range(1, 81, 5):
             mag = 2**bits - 1
@@ -461,20 +456,8 @@ class TestPackedCongruence:
             assert_mismatch_checks(mats, g, t, want)
             sizes.add(max(8, _slot_size(g, _operands(mats, g, t)[1], t)))
         assert min(sizes) == 8 and max(sizes) > 9
-
-    def test_matching_rows_are_not_decoded(self, monkeypatch):
-        # a target over the rows' denominator is compared as bytes in the slot encoding
-        mats = (sym([[1, -2, 0], [-2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
-        g = Matrix.from_rows([[1, 2], [-1, 3]])
-        t = Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
-        targets = reformulated_rows_by_fractions(mats, g, t)
-        assert any(v < 0 for row in targets for line in row.to_rows() for v in line)
-
-        def refuse(data, size):
-            raise AssertionError("a matching row was decoded")
-
-        monkeypatch.setattr(exact, "_slots", refuse)
-        assert congruence_mismatch(mats, g, t, targets) is None
+        # no T above is I (at order 1 the first sweep's T is 5): every check ran the cell kernel
+        assert len(runs) == 40 * 3 + 16 * 2
 
     def test_mismatch_in_last_entry_of_last_row(self):
         mats = (sym([[1, 2, 0], [2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
@@ -564,17 +547,14 @@ class TestSparseCongruence:
 
     def test_target_outside_the_slot_range(self, monkeypatch):
         mats = (sym([[1, 2, 0], [2, -3, 4], [0, 4, 5]]), sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
-        # two rows of G and five non-zeros of T pack the rows of T; four rows
-        # and a T of four non-zeros take the cell kernel, whose slots are at
-        # least 8 bytes
-        for g, t, runs in ((Matrix.from_rows([[1, 2], [0, 0]]),
-                            Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]]), "_packed_t_rows"),
-                           (Matrix.from_rows([[1, 2], [0, 0], [-1, 1], [3, 0]]),
-                            Matrix.from_rows([[1, 0, 0], [0, 1, -2], [0, 0, 1]]), "_cell_fields")):
+        # two rows of G and a T of five non-zeros, and four rows and a T of four,
+        # both through the cell kernel, whose slots are at least 8 bytes
+        for g, t in ((Matrix.from_rows([[1, 2], [0, 0]]), Matrix.from_rows([[1, 1, 0], [0, 1, -2], [0, 0, 1]])),
+                     (Matrix.from_rows([[1, 2], [0, 0], [-1, 1], [3, 0]]),
+                      Matrix.from_rows([[1, 0, 0], [0, 1, -2], [0, 0, 1]]))):
             rows = congruences(mats, g, t)
-            size = _slot_size(g, _operands(mats, g, t)[1], t)
-            half_range = 1 << (8 * (size if runs == "_packed_t_rows" else max(8, size)) - 1)
-            refuse_kernels(monkeypatch, runs)
+            half_range = 1 << (8 * max(8, _slot_size(g, _operands(mats, g, t)[1], t)) - 1)
+            runs = cell_kernel_runs(monkeypatch)
             # the first two overflow a slot on either side; -half_range is the lowest slot value
             for value in (half_range, -half_range - 1, -half_range, 10**40):
                 out = SymMatrix.unit(3, 2, 3, value)
@@ -584,18 +564,18 @@ class TestSparseCongruence:
                 assert congruence_mismatch(mats, g, t, [both, *rows[1:]]) == (1, 1, 2), value
                 # of two differing rows, the first is named
                 assert congruence_mismatch(mats, g, t, [both, out, *rows[2:]]) == (1, 1, 2), value
+            assert len(runs) == 12
             monkeypatch.undo()
 
     def test_targets_over_another_denominator_with_zero_coefficients(self, monkeypatch):
         mats = (sym([[1, 3], [3, 5]]), sym([[Fraction(1, 2), 1], [1, 1]]), sym([[2, 0], [0, 2]]))
         g = Matrix.from_rows([[2, 0, 0], [0, 0, 0], [0, Fraction(1, 3), 0]])
-        # three non-zeros of T, 6 <= m n = 6, take the cell kernel, and four the packed rows of T
-        for t, runs in ((Matrix.from_rows([[1, 0], [1, 1]]), "_cell_fields"),
-                        (Matrix.from_rows([[1, 1], [1, 2]]), "_packed_t_rows")):
+        # a shear with three non-zeros and a T with none zero, both through the cell kernel
+        for t in (Matrix.from_rows([[1, 0], [1, 1]]), Matrix.from_rows([[1, 1], [1, 2]])):
             want = reformulated_rows_by_fractions(mats, g, t)
             den = _operands(mats, g, t)[0]
             assert [row._d for row in want] == [1, 1, 6] and den == 6  # two rows over another denominator
-            refuse_kernels(monkeypatch, runs)
+            runs = cell_kernel_runs(monkeypatch)
             assert congruence_mismatch(mats, g, t, want) is None
             changed = want[2].add(SymMatrix.unit(2, 2, 2, Fraction(1, 7)))
             assert congruence_mismatch(mats, g, t, [want[0], want[1], changed]) == (3, 2, 2)
@@ -604,43 +584,47 @@ class TestSparseCongruence:
             # a target over another denominator that differs only in a later row is not named early
             later = want[2].add(SymMatrix.unit(2, 1, 1, Fraction(1, 6)))
             assert congruence_mismatch(mats, g, t, [want[0], want[1], later]) == (3, 1, 1)
+            assert len(runs) == 5
             monkeypatch.undo()
 
-    def test_the_differential_reaches_both_kernels(self, monkeypatch):
-        # on fixed seeds, `mismatch_cases` sends a T other than I to each kernel
+    def test_the_differential_draws_identity_sparse_and_dense_transforms(self):
+        # on fixed seeds, `mismatch_cases` draws T = I, and T on both sides of
+        # 2 nnz(T) = m n, so that the differential keeps covering a dense T
         for case_seed in (1, 2, 3):
-            taken = set()
-            for name in ("_cell_fields", "_packed_t_rows"):
-                monkeypatch.setattr(exact, name, spy(getattr(exact, name), name, taken))
+            kinds = set()
 
             @seed(case_seed)
             @settings(max_examples=40, deadline=None, database=None)
             @given(mismatch_cases())
             def run(case):
                 mats, g, t, targets = case
+                nonzeros = t.rows**2 - t._e.count(0)
+                kinds.add("I" if t == Matrix.identity(t.rows) else
+                          "sparse" if 2 * nonzeros <= g.rows * t.rows else "dense")
                 assert congruence_mismatch(mats, g, t, targets) == congruence_mismatch_by_fractions(
                     mats, g, t, targets)
 
             run()
-            assert taken == {"_cell_fields", "_packed_t_rows"}, case_seed
-            monkeypatch.undo()
+            assert kinds == {"I", "sparse", "dense"}, case_seed
 
     def test_generated_certificate_takes_the_cell_kernel(self, monkeypatch):
         cert = WeakCertificate.from_instance(generate(GenConfig(n=20, m=15, k=2, l=2, seed=101, messy=True)))
         g, t = cert.row_ops, cert.transform
         assert 2 * (t.rows**2 - t._e.count(0)) <= g.rows * t.rows  # nnz(T) of a short product of operations
-        refuse_kernels(monkeypatch, "_cell_fields")
+        runs = cell_kernel_runs(monkeypatch)
         assert_mismatch_checks(cert.raw.A, g, t, list(cert.clean.A))
+        assert len(runs) == 2
 
-    def test_dense_transform_packs_the_rows_of_t(self, monkeypatch):
+    def test_dense_transform_takes_the_cell_kernel(self, monkeypatch):
         n = 8
         mats = (SymMatrix(n, tuple(range(-17, n * (n + 1) // 2 - 17))),
                 SymMatrix(n, tuple((-1) ** p * (p % 7) for p in range(n * (n + 1) // 2))))
         g = Matrix.from_rows([[1, 2], [-3, 1]])
         t = Matrix(n, n, tuple((-1) ** (r + c) * (1 + (3 * r + c) % 4) for r in range(n) for c in range(n)))
         assert 0 not in t._e
-        refuse_kernels(monkeypatch, "_packed_t_rows")
+        runs = cell_kernel_runs(monkeypatch)
         assert_mismatch_checks(mats, g, t, reformulated_rows_by_fractions(mats, g, t))
+        assert len(runs) == 2
 
 
 @st.composite

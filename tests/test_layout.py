@@ -198,10 +198,11 @@ def test_every_export_has_a_non_test_caller():
 
 
 def test_certify_reaches_a_transform_only_through_congruence_mismatch():
-    # `congruences`, and `congruence` and `reformulated` on top of it, cost
-    # nnz(T) n and finish every row before they return one, so the
-    # certificate checks route an untrusted transform through the row-by-row
-    # `congruence_mismatch`, which stops at the first failing row
+    # `congruences`, and `congruence` and `reformulated` on top of it, build
+    # and canonicalise a `SymMatrix` per row, so the certificate checks route
+    # an untrusted transform through `congruence_mismatch`, which compares
+    # the rows' numerators with the targets' on integers; both read T = I
+    # off the stored form
     names = referenced_names(ast.parse((PACKAGE / "certify.py").read_text(encoding="utf-8")))
     assert "congruence_mismatch" in names
     assert names & {"congruences", "congruence", "reformulated"} == set()
