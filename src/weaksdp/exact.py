@@ -6,10 +6,10 @@ point enters any verification path. A matrix stores integer numerators over
 one denominator, kept positive and coprime to the numerators (1 for a zero
 matrix), so ``==`` and ``hash`` compare the stored ints. Only the public
 constructors convert entries, once, over the lcm of their denominators
-(entries that are all `int` are taken as they are, over 1); the kernels,
-the elimination loops, the sign tests and the format readers and writers
-all read the stored ints, and a `Fraction` is built only where the API
-hands one out (`at`, `row`, `to_rows`, `mul_vec`, inner products).
+(`_stored`, below); the kernels, the elimination loops, the sign tests and
+the format readers and writers all read the stored ints, and a `Fraction`
+is built only where the API hands one out (`at`, `row`, `to_rows`,
+`mul_vec`, inner products).
 Every product in the package goes through one of the kernels below. The
 matrix product `@` also serves `Matrix.mul_vec` (a column matrix), and
 `inner_general` is its 1 x k by k x 1 case, one sum of products.
@@ -42,11 +42,11 @@ the types here are safe to share across threads. A symmetric matrix is
 assembled as its packed upper triangle, laid out by `upper_offset`, stored
 once by the `SymMatrix` constructor, and given back as its n^2 entries by
 `square_entries`, the one rows-from-packed rule, or as full rows by
-`square_rows`. `SymMatrix._of_rows` reads the rows of a bundle's symmetric
-matrices: a symmetric matrix of integer texts in one `map(int, ...)` pass,
-any other through its entry-by-entry loop, the one place that reads ``p/q``
-and names a fault. `Matrix._of_rows` reads G and T, and `Matrix.from_rows`,
-entry by entry after a shape check.
+`square_rows`. Every entry a public constructor takes, a bundle's texts
+included, is stored by `_stored`: integer texts in one `map(int, ...)` pass,
+any other entry through `_ratio`, the one place that reads ``p/q`` and names
+a fault. `Matrix.from_rows` checks the shape, and `SymMatrix.from_rows` that
+the rows are square, before any entry is read.
 """
 
 from __future__ import annotations
@@ -175,13 +175,40 @@ def _over_lcm(ratios: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
     return [p if q == den else p * (den // q) for p, q in ratios], den
 
 
+_INTEGER_CHARS = str.maketrans("", "", "0123456789-")
+
+
 def _stored(entries: Sequence) -> tuple[list[int], int]:
     """The entries given to a public constructor as numerators over one
-    denominator: entries that are all of type `int` over 1 as they are, any
-    others through `_ratio` and `_over_lcm`."""
-    if set(map(type, entries)) <= {int}:
-        return list(entries), 1
-    return _over_lcm(map(_ratio, entries))
+    denominator: the one conversion into storage. Integer texts, every entry
+    a `str` of only ``0-9`` and ``-`` and none longer than DIGIT_LIMIT, go
+    through `int` in one `map`; entries that are all of type `int` are taken
+    as they are; both over 1. Any others, or a `ValueError` from that `int`,
+    go one by one through `_ratio`, the one place that reads ``p/q`` and
+    names a fault, each distinct `str` parsed once (only `str` keys: `True`
+    and `1` hash alike), and then `_over_lcm`."""
+    try:
+        if entries and type(entries[0]) is str:
+            text = "".join(entries)  # TypeError unless every entry is a str
+            if not text.translate(_INTEGER_CHARS) and (
+                    len(text) <= DIGIT_LIMIT or max(map(len, entries)) <= DIGIT_LIMIT):
+                return list(map(int, entries)), 1
+        elif set(map(type, entries)) <= {int}:
+            return list(entries), 1
+    # a later entry that is not a str; "", "-" or "1-2"; or an interpreter limit below DIGIT_LIMIT
+    except (TypeError, ValueError):
+        pass
+    parsed: dict[str, tuple[int, int]] = {}
+
+    def ratio(value) -> tuple[int, int]:
+        if type(value) is not str:
+            return _ratio(value)
+        pair = parsed.get(value)
+        if pair is None:
+            pair = parsed[value] = text_ratio(value)
+        return pair
+
+    return _over_lcm(map(ratio, entries))
 
 
 def _canonical(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -227,14 +254,10 @@ class Matrix:
         return len(rows), cols
 
     @classmethod
-    def _of_rows(cls, rows: list[list], parse) -> "Matrix":
-        """The matrix of `rows`, refused by `_shape` before any entry is
-        read, each entry read to `(p, q)` by `parse`, over the lcm of the q."""
-        return cls._of(*cls._shape(rows), *_over_lcm(map(parse, chain.from_iterable(rows))))
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
-        return cls._of_rows([list(row) for row in rows], _ratio)
+        """The matrix of `rows`, refused by `_shape` before any entry is read."""
+        rows = list(map(list, rows))
+        return cls._of(*cls._shape(rows), *_stored(list(chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -338,9 +361,6 @@ def square_rows(upper: Sequence, n: int) -> list[list]:
     return list(map(list, zip(*[iter(square_entries(upper, n))] * n)))
 
 
-_INTEGER_CHARS = str.maketrans("", "", "0123456789-")
-
-
 class SymMatrix:
     """Dense exact symmetric matrix of order n.
 
@@ -371,41 +391,33 @@ class SymMatrix:
         return cls._of(n, *_over_lcm(ratios))
 
     @classmethod
-    def _of_rows(cls, rows: list[list], parse) -> "SymMatrix":
-        """The matrix of square `rows`, each entry read to `(p, q)` by `parse`.
+    def from_rows(cls, rows: Iterable[Iterable]) -> "SymMatrix":
+        """The matrix of square `rows`, its upper entries stored by `_stored`.
 
-        A matrix of integer texts is read in one pass: when every upper entry
-        is a `str` of only ``0-9`` and ``-``, of at most DIGIT_LIMIT
-        characters, and the rows equal their transpose as text, the upper
-        entries go through `int` in one `map`. Any other matrix, or a
-        `ValueError` from `int`, takes the loop, the one place that reads
-        ``p/q``, mixed spellings and JSON integers and names a fault. There
-        each upper entry is parsed once; a lower entry is parsed only when it
-        differs from its mirror in type or value, so `True` beside `1` is
+        Symmetry is checked after every upper entry is read. When the upper
+        entries are all texts and the rows equal their transpose, that
+        comparison is the check. Otherwise a lower entry is parsed only when
+        it differs from its mirror in type or value, so `True` beside `1` is
         still rejected while `"2/4"` and `"1/2"` read alike."""
+        rows = list(map(list, rows))
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         upper = list(chain.from_iterable([row[i:] for i, row in enumerate(rows)]))
         try:
-            text = "".join(upper)  # TypeError unless every upper entry is a str
-            if (not text.translate(_INTEGER_CHARS)
-                    and (len(text) <= DIGIT_LIMIT or max(map(len, upper)) <= DIGIT_LIMIT)
-                    and list(zip(*rows)) == list(map(tuple, rows))):  # equal to its transpose
-                return cls._of(n, list(map(int, upper)), 1)
-        except (TypeError, ValueError):
-            pass
-        upper = [parse(v) for i, row in enumerate(rows) for v in row[i:]]
-        for i in range(n):
-            for j in range(i + 1, n):
-                high, low = rows[i][j], rows[j][i]
-                if (type(low) is not type(high) or low != high) and parse(low) != parse(high):
-                    raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
-        return cls._of_ratios(n, upper)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "SymMatrix":
-        return cls._of_rows([list(row) for row in rows], _ratio)
+            "".join(upper)  # TypeError unless every upper entry is a str
+        except TypeError:
+            mirrored = False
+        else:
+            mirrored = list(map(list, zip(*rows))) == rows
+        nums, den = _stored(upper)
+        if not mirrored:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    high, low = rows[i][j], rows[j][i]
+                    if (type(low) is not type(high) or low != high) and _ratio(low) != _ratio(high):
+                        raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
+        return cls._of(n, nums, den)
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatrix":

@@ -25,21 +25,17 @@ generation float that is not finite, which no reader takes back.
 number that overflows a float, such as ``1e999``, are parse errors.
 
 The readers only turn text into numbers: integer fields go through
-`exact.strict_int`, each distinct token once per file, and the matrices are
-built by private `SymMatrix` and `Matrix` constructors, so the
-symmetric-rows rule of `SymMatrix.from_rows` has one implementation, in
-`exact.py`. `read_native` reads each symmetric matrix through
-`SymMatrix._of_rows`: a matrix of integer texts, each equal to its mirror,
-goes through `int` in one pass, and any other through the loop that parses
-each distinct value once per bundle, reads ``p/q`` and names a fault. G and
-T, once `Matrix._shape` has checked their shape, go entry by entry through
-`Matrix._of_rows`, with the same per-bundle parser. `read_sdpa`
-finds its header lines from the top and reads every body, valid or not, in
-one pass: one `split()` of the whole body, each field's distinct tokens
-parsed and range-checked once, and each cell placed at its packed offset
-by `exact.upper_offset`, which the writers' `_upper_cells` use too. Only
-when that pass refuses a body does a walk over its numbered lines name the
-first faulty line and its fault.
+`exact.strict_int`, each distinct token once per file. `read_native` hands
+the texts of every matrix to `SymMatrix.from_rows` or, once `Matrix._shape`
+has checked the shape of G and T, to `Matrix.from_rows`, and those of b to
+`SdpInstance`, so `exact.py` reads every ``p/q`` and the symmetric-rows
+rule has one implementation. `read_sdpa` finds its three header lines from
+the top, each one integer, and reads every body, valid or not, in one pass:
+one `split()` of the whole body, each field's distinct tokens parsed and
+range-checked once, and each cell placed at its packed offset by
+`exact.upper_offset`, which the writers' `_upper_cells` use too. Only when
+that pass refuses a body does a walk over its numbered lines name the first
+faulty line and its fault.
 """
 
 from __future__ import annotations
@@ -56,8 +52,8 @@ from pathlib import Path
 from typing import Iterator, NoReturn, Sequence
 
 from .exact import (
-    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, rational, square_entries, square_rows,
-    strict_int, text_ratio, check_digit_limit, check_json_numbers, upper_offset,
+    CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT, Matrix, SymMatrix, square_entries, square_rows, strict_int,
+    check_digit_limit, check_json_numbers, upper_offset,
 )
 from .echelon import SdpInstance, Structure, cell_region
 from .certify import WeakCertificate
@@ -346,8 +342,8 @@ def read_sdpa(path) -> SdpInstance:
     matrix number 0 (the objective) must have block number 1 and a cell
     inside the order, and is then dropped.
 
-    The header lines are found from the top, and the body is read in one
-    pass, valid or not. Only when that pass refuses the body does a walk over
+    The three header lines are found from the top, each one integer and
+    nothing else, and the body is read in one pass, valid or not. Only when that pass refuses the body does a walk over
     its numbered lines name the first faulty line and its first fault.
     """
     try:
@@ -362,10 +358,10 @@ def read_sdpa(path) -> SdpInstance:
     m = _sdpa_int(m_text, no_m, "constraint count")
     if m < 0:
         raise SdpaFormatError(f"constraint count must be non-negative, got {m}", no_m)
-    nblocks = _sdpa_int(blk_text.split()[0], no_blk, "block count")
+    nblocks = _sdpa_int(blk_text, no_blk, "block count")
     if nblocks != 1:
         raise SdpaFormatError(f"only single-block files are supported, got {nblocks}", no_blk)
-    n = _sdpa_int(size_text.split()[0], no_size, "block size")
+    n = _sdpa_int(size_text, no_size, "block size")
     if n < 1:
         # a negative size is a diagonal (LP) block, which has no PSD reading
         raise SdpaFormatError(f"block size must be a positive PSD order, got {n}", no_size)
@@ -545,25 +541,6 @@ def write_native(bundle: NativeBundle, path) -> None:
     Path(path).write_text(text + "\n", encoding="ascii")
 
 
-def _memo_ratio():
-    """The `(p, q)` of each value of one bundle, parsing each distinct string once.
-
-    Only `str` values are kept: JSON `true` and `1` hash alike, so a bool
-    must never find a cached entry.
-    """
-    parsed: dict[str, tuple[int, int]] = {}
-
-    def parse(value) -> tuple[int, int]:
-        if not isinstance(value, str):
-            return rational(value).as_integer_ratio()
-        pair = parsed.get(value)
-        if pair is None:
-            pair = parsed[value] = text_ratio(value)
-        return pair
-
-    return parse
-
-
 def _json_int(text: str) -> int:
     """A JSON integer literal, refused past DIGIT_LIMIT digits."""
     try:
@@ -596,22 +573,27 @@ def _list(value, what: str) -> list:
 
 
 def _rows(value, what: str, item: str = "row") -> list[list]:
-    """A list of lists: the rows of a matrix, or the blocks of a structure."""
-    return [_list(row, f"a {item} of {what}") for row in _list(value, what)]
+    """`value` if it is a list of lists: the rows of a matrix, or the blocks
+    of a structure; the first item that is not a list is named."""
+    rows = _list(value, what)
+    if not set(map(type, rows)) <= {list}:
+        for row in rows:
+            _list(row, f"a {item} of {what}")
+    return rows
 
 
-def _parse_instance(doc: dict, where: str, parse) -> SdpInstance:
+def _parse_instance(doc: dict, where: str) -> SdpInstance:
     try:
         n = doc["n"]
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"n must be a positive order, got {n}")
-        b = tuple(Fraction(*parse(v)) for v in _list(doc["b"], "b"))
+        b = _list(doc["b"], "b")
         mats = _list(doc["matrices"], "matrices")
         if (problem := _size_error(n, len(mats))) is not None:
             raise ValueError(problem)
-        matrices = tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse) for rows in mats)
+        matrices = tuple(SymMatrix.from_rows(_rows(rows, "a matrix")) for rows in mats)
         return SdpInstance(n, matrices, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise NativeFormatError(f"malformed instance in {where}: {exc}") from exc
@@ -630,8 +612,7 @@ def read_native(path) -> NativeBundle:
         raise NativeFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise NativeFormatError(f"unsupported schema {doc.get('schema') if isinstance(doc, dict) else None!r}, expected {SCHEMA!r}")
-    parse = _memo_ratio()
-    instance = _parse_instance(doc.get("instance", {}), "instance", parse)
+    instance = _parse_instance(doc.get("instance", {}), "instance")
     cert_doc = doc.get("certificate")
     certificate = None
     if cert_doc is not None:
@@ -639,7 +620,7 @@ def read_native(path) -> NativeBundle:
             k, l = cert_doc["k"], cert_doc["l"]
             if type(k) is not int or type(l) is not int:
                 raise NativeFormatError(f"k and l must be integers, got {k!r} and {l!r}")
-            clean = _parse_instance(cert_doc["clean"], "certificate.clean", parse)
+            clean = _parse_instance(cert_doc["clean"], "certificate.clean")
             if (clean.m, clean.n) != (instance.m, instance.n):
                 raise ValueError(f"clean instance has m = {clean.m} and n = {clean.n}, "
                                  f"expected the raw m = {instance.m} and n = {instance.n}")
@@ -651,10 +632,10 @@ def read_native(path) -> NativeBundle:
                 rows = _rows(cert_doc[key], key)
                 if (shape := Matrix._shape(rows)) != (order, order):  # before any entry is read
                     raise ValueError(f"{key} must be {order} x {order}, got {shape[0]} x {shape[1]}")
-                return Matrix._of_rows(rows, parse)
+                return Matrix.from_rows(rows)
 
             row_ops, transform = square("row_ops", instance.m), square("transform", instance.n)
-            xseq = tuple(SymMatrix._of_rows(_rows(rows, "a matrix"), parse) for rows in x_sequence)
+            xseq = tuple(SymMatrix.from_rows(_rows(rows, "a matrix")) for rows in x_sequence)
             for j, x in enumerate(xseq, start=1):
                 if x.n != clean.n:
                     raise ValueError(f"X_{j} has order {x.n}, expected the clean order {clean.n}")

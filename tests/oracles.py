@@ -232,9 +232,11 @@ def congruence_mismatch_by_fractions(mats, g, t, targets):
 
 
 def sym_of_rows_by_loop(rows, parse):
-    """Reference `SymMatrix._of_rows`: the loop the package ran before its
-    one-pass integer route. Each upper entry is parsed once, a lower entry
-    only when it differs from its mirror in type or value."""
+    """Reference `SymMatrix.from_rows`: the loop the package ran before its
+    one-pass integer route, each entry read to `(p, q)` by `parse`. Each
+    upper entry is parsed once, a lower entry only when it differs from its
+    mirror in type or value, and the matrix is built by the public
+    constructor from Fractions."""
     from weaksdp import SymMatrix
 
     n = len(rows)
@@ -246,11 +248,11 @@ def sym_of_rows_by_loop(rows, parse):
             high, low = rows[i][j], rows[j][i]
             if (type(low) is not type(high) or low != high) and parse(low) != parse(high):
                 raise ValueError(f"not symmetric at ({i + 1},{j + 1})")
-    return SymMatrix._of_ratios(n, upper)
+    return SymMatrix(n, [Fraction(*pq) for pq in upper])
 
 
 def matrix_of_rows_by_loop(rows, parse):
-    """Reference `Matrix._of_rows`: the ragged-rows check, then each entry
+    """Reference `Matrix.from_rows`: the ragged-rows check, then each entry
     read to `(p, q)` by `parse` on its own, the matrix built by the public
     constructor rather than over the lcm of the q."""
     from weaksdp import Matrix
@@ -497,10 +499,10 @@ def read_sdpa_by_lines(path):
     m = integer(m_text, no_m, "constraint count")
     if m < 0:
         raise SdpaFormatError(f"constraint count must be non-negative, got {m}", no_m)
-    blocks = integer(blk_text.split()[0], no_blk, "block count")
+    blocks = integer(blk_text, no_blk, "block count")
     if blocks != 1:
         raise SdpaFormatError(f"only single-block files are supported, got {blocks}", no_blk)
-    n = integer(size_text.split()[0], no_size, "block size")
+    n = integer(size_text, no_size, "block size")
     if n < 1:
         raise SdpaFormatError(f"block size must be a positive PSD order, got {n}", no_size)
     if n > ORDER_LIMIT:

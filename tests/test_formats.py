@@ -5,6 +5,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -28,12 +29,13 @@ from weaksdp import (
     me_instance,
     read_native,
     read_sdpa,
+    rational,
     render_blocks,
     write_cbf,
     write_native,
     write_sdpa,
 )
-from weaksdp import formats
+from weaksdp import exact, formats
 from weaksdp.exact import CELL_LIMIT, DIGIT_LIMIT, ORDER_LIMIT
 from weaksdp.formats import (
     NativeFormatError, SdpaFormatError, _format_value, bundle_to_json,
@@ -243,7 +245,7 @@ def test_exports_take_every_entry_the_reader_takes(tmp_path, fmt):
     assert all(abs(g - v) <= v / 10**16 for g, v in zip(got, values, strict=True))
 
 
-# texts the one-pass integer route of `SymMatrix._of_rows` must leave to the
+# texts the one-pass integer route of `exact._stored` must leave to the
 # loop, or read as the loop does; and digit runs at and past DIGIT_LIMIT
 _READER_TEXTS = ("-0", "007", "", "+1", " 1", "1_0", "\u0661", "-", "1/2", "2/4", "-3/6", "1/0")
 _DIGIT_RUNS = ("9" * DIGIT_LIMIT, "-" + "9" * DIGIT_LIMIT, "9" * (DIGIT_LIMIT + 1))
@@ -263,12 +265,12 @@ def _respelled(token):
 
 @st.composite
 def _token_grids(draw, symmetric=True):
-    """Rows for `SymMatrix._of_rows` of order 0-4, one in ten ragged: integer
+    """Rows for `SymMatrix.from_rows` of order 0-4, one in ten ragged: integer
     texts, each mirrored below the diagonal by the same text, mostly, or by
     the same value spelled otherwise or a text of its own; then up to two
     cells, and their mirrors, hold a p/q, a text of _READER_TEXTS, a JSON
     integer, `true` or a digit run of _DIGIT_RUNS. Not `symmetric`, rows for
-    `Matrix._of_rows`: 0-4 rows of 0-4 integer texts each, drawn on their
+    `Matrix.from_rows`: 0-4 rows of 0-4 integer texts each, drawn on their
     own, then up to two cells hold one of those tokens, and one grid in ten
     has a last row one cell longer."""
     n = draw(st.integers(0, 4))
@@ -307,9 +309,14 @@ def _token_grids(draw, symmetric=True):
     return rows
 
 
+def _public_ratio(value):
+    """The `(p, q)` of one entry through the public `rational` alone."""
+    return rational(value).as_integer_ratio()
+
+
 def _outcome(read, rows):
     try:
-        return read(rows, formats._memo_ratio())
+        return read(rows)
     except Exception as exc:  # the type and message are compared
         return type(exc), str(exc)
 
@@ -317,21 +324,27 @@ def _outcome(read, rows):
 @given(_token_grids())
 @settings(max_examples=300, deadline=None)
 def test_integer_route_agrees_with_the_loop(rows):
-    assert _outcome(SymMatrix._of_rows, rows) == _outcome(sym_of_rows_by_loop, rows)
+    oracle = partial(sym_of_rows_by_loop, parse=_public_ratio)
+    assert _outcome(SymMatrix.from_rows, rows) == _outcome(oracle, rows)
 
 
 @given(_token_grids(symmetric=False))
 @settings(max_examples=300, deadline=None)
 def test_general_matrix_route_agrees_with_the_per_entry_route(rows):
-    assert _outcome(Matrix._of_rows, rows) == _outcome(matrix_of_rows_by_loop, rows)
+    oracle = partial(matrix_of_rows_by_loop, parse=_public_ratio)
+    assert _outcome(Matrix.from_rows, rows) == _outcome(oracle, rows)
 
 
-def test_integer_matrix_is_read_without_the_loop():
+def test_integer_matrix_is_read_without_the_loop(monkeypatch):
     def refuse(value):
         raise AssertionError(f"parsed {value!r} one at a time")
 
+    monkeypatch.setattr(exact, "text_ratio", refuse)
+    monkeypatch.setattr(exact, "_ratio", refuse)
     rows = [["-0", "007", "-12"], ["007", "4", "9" * DIGIT_LIMIT], ["-12", "9" * DIGIT_LIMIT, "0"]]
-    assert SymMatrix._of_rows(rows, refuse) == SymMatrix(3, (0, 7, -12, 4, int("9" * DIGIT_LIMIT), 0))
+    big = int("9" * DIGIT_LIMIT)
+    assert SymMatrix.from_rows(rows) == SymMatrix(3, (0, 7, -12, 4, big, 0))
+    assert Matrix.from_rows(rows[:2]) == Matrix(2, 3, (0, 7, -12, 7, 4, big))
 
 
 @pytest.mark.parametrize("limit, entry, expected", [
@@ -478,6 +491,22 @@ class TestSdpa:
             read_sdpa(path)
         assert err.value.line == line
         assert str(err.value) == f"line {line}: expected integer {what}, got {text!r}"
+
+    @pytest.mark.parametrize("text", ["2 3", "1 1", "1 = nBLOCK"])
+    @pytest.mark.parametrize("line, what", [(2, "block count"), (3, "block size")])
+    def test_header_line_of_more_than_one_integer_rejected(self, tmp_path, text, line, what):
+        # each header line is one integer, as the constraint count on line 1 is:
+        # read by its first token, "1\n1\n2 3" was one block of order 2, the
+        # second block dropped
+        header = ["1", "1"]
+        header[line - 2] = text
+        path = tmp_path / "bad.dat-s"
+        path.write_text(f"1\n{header[0]}\n{header[1]}\n1\n1 1 1 1 1\n")
+        for reader in (read_sdpa, read_sdpa_by_lines):
+            with pytest.raises(SdpaFormatError) as err:
+                reader(path)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: expected integer {what}, got {text!r}"
 
     def test_integer_token_read_in_one_field_is_range_checked_in_another(self, tmp_path):
         # "0" is a valid matrix number (the objective); as a row it is out of range
@@ -943,14 +972,14 @@ class TestNative:
         doc = json.loads(path.read_text())
         doc["certificate"]["row_ops"] = [["1/2"] * 3 for _ in range(3)]
         path.write_text(json.dumps(doc))
-        text_ratio = formats.text_ratio
+        text_ratio = exact.text_ratio
 
         def refuse(text):
             if text == "1/2":
                 raise AssertionError(f"parsed {text!r} before the shape check")
             return text_ratio(text)
 
-        monkeypatch.setattr(formats, "text_ratio", refuse)
+        monkeypatch.setattr(exact, "text_ratio", refuse)
         with pytest.raises(NativeFormatError) as err:
             read_native(path)
         assert str(err.value) == "malformed certificate: row_ops must be 2 x 2, got 3 x 3"

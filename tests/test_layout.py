@@ -206,3 +206,13 @@ def test_certify_reaches_a_transform_only_through_congruence_mismatch():
     names = referenced_names(ast.parse((PACKAGE / "certify.py").read_text(encoding="utf-8")))
     assert "congruence_mismatch" in names
     assert names & {"congruences", "congruence", "reformulated"} == set()
+
+
+def test_formats_hands_every_rational_text_to_exact():
+    # `read_native` passes the texts of its matrices and of b to the public
+    # constructors, so `exact.py` alone reads p/q; `read_sdpa` keeps its own
+    # decimal grammar, `_sdpa_value`
+    tree = ast.parse((PACKAGE / "formats.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert (referenced_names(tree) | imported) & {"text_ratio", "rational", "_ratio"} == set()
