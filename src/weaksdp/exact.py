@@ -169,7 +169,7 @@ def _ratio(value) -> tuple[int, int]:
 
 
 def _over_lcm(ratios: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """The (p, q) pairs as numerators over the lcm of their q: the one conversion into storage."""
+    """The (p, q) pairs as numerators over the lcm of their q."""
     ratios = list(ratios)
     den = lcm(*{q for _, q in ratios})
     return [p if q == den else p * (den // q) for p, q in ratios], den
@@ -195,7 +195,8 @@ def _stored(entries: Sequence) -> tuple[list[int], int]:
                 return list(map(int, entries)), 1
         elif set(map(type, entries)) <= {int}:
             return list(entries), 1
-    # a later entry that is not a str; "", "-" or "1-2"; or an interpreter limit below DIGIT_LIMIT
+    # entries without indexing, such as dict values; a later entry that is not a str;
+    # "", "-" or "1-2"; or an interpreter limit below DIGIT_LIMIT
     except (TypeError, ValueError):
         pass
     parsed: dict[str, tuple[int, int]] = {}

@@ -343,8 +343,9 @@ def read_sdpa(path) -> SdpInstance:
     inside the order, and is then dropped.
 
     The three header lines are found from the top, each one integer and
-    nothing else, and the body is read in one pass, valid or not. Only when that pass refuses the body does a walk over
-    its numbered lines name the first faulty line and its first fault.
+    nothing else, and the body is read in one pass, valid or not. Only when
+    that pass refuses the body does a walk over its numbered lines name the
+    first faulty line and its first fault.
     """
     try:
         lines = Path(path).read_bytes().decode("ascii").splitlines()

@@ -856,6 +856,9 @@ class TestStoredForm:
         for made, spelled in ((SymMatrix(3, ints), SymMatrix(3, [Fraction(v) for v in ints])),
                               (Matrix(2, 3, ints), Matrix(2, 3, [str(v) for v in ints]))):
             assert stored(made) == (tuple(ints), 1) and made == spelled
+        # entries in a sized container without indexing
+        assert SymMatrix(3, dict(enumerate(ints)).values()) == SymMatrix(3, ints)
+        assert Matrix(1, 2, {"1/2": 0, "3": 0}.keys()) == Matrix(1, 2, [Fraction(1, 2), 3])
         # a bool or a float beside ints still goes through `rational`, which refuses it
         with pytest.raises(TypeError):
             SymMatrix(1, [True])

@@ -496,8 +496,7 @@ class TestSdpa:
     @pytest.mark.parametrize("line, what", [(2, "block count"), (3, "block size")])
     def test_header_line_of_more_than_one_integer_rejected(self, tmp_path, text, line, what):
         # each header line is one integer, as the constraint count on line 1 is:
-        # read by its first token, "1\n1\n2 3" was one block of order 2, the
-        # second block dropped
+        # the second size in "2 3" must not be silently dropped
         header = ["1", "1"]
         header[line - 2] = text
         path = tmp_path / "bad.dat-s"
