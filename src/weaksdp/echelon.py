@@ -25,11 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
-    Matrix, SymMatrix, congruences, inner, inner_mismatch, inner_table, inners, rational, upper_offset,
+    Matrix, SymMatrix, congruences, inner, inner_mismatch, inner_table, inners, rational, square_rows,
+    upper_offset,
 )
 from .linalg import BorderedElimination, least_definite_shift, psd_certify, schur_complement
 
@@ -373,8 +376,9 @@ def asymptote_witness(
     eliminated once, and each level brings the rows of P_i through the
     steps taken so far, adds gamma_i D_i and eliminates P_i. Those rows come
     from one running grid, X_{l+1} plus the padding plus gamma_j X_j for
-    j > i, to which each level adds its gamma_i X_i once its pivots pass;
-    x_out is that grid after the last level. A pivot that is not positive
+    j > i, to which each level adds its gamma_i X_i once its pivots pass, in
+    place and only at X_i's non-zero cells, both halves of an off-diagonal
+    one; x_out is the upper half of that grid after the last level. A pivot that is not positive
     (a gamma search that stopped short), or a gamma that is not an
     integer, fails the witness as the self-check would. The certificate
     check compares every A_j . X_i with its target on integers
@@ -399,16 +403,22 @@ def asymptote_witness(
     while len(rest) * q * q > (p * p) << (2 * e):
         e += 1
     delta = Fraction(1, 1 << e) if rest else _ZERO
-    x_delta = SymMatrix._of(n, [int(i == j and i + 1 in rest) for i in range(n) for j in range(i, n)], 1 << e)
+    padding = [0] * (n * (n + 1) // 2)
+    for r in rest:
+        padding[upper_offset(n, r, r)] = 1
+    x_delta = SymMatrix._of(n, padding, 1 << e)
 
     # every sum below runs over one denominator: X_j's numerators times
     # scales[j - 1], and the padding's as den >> e
     den = lcm(x_delta._d, *(x._d for x in xseq))
     scales = [den // x._d for x in xseq]
     # the running grid: X_{l+1} plus the padding, then gamma_j X_j for each level j done
-    base = [[scales[-1] * v for v in row] for row in xseq[-1]._num_rows()]
+    top = xseq[-1]._u if scales[-1] == 1 else list(map(mul, xseq[-1]._u, repeat(scales[-1])))
+    base = square_rows(top, n)
     for r in rest:
         base[r - 1][r - 1] += den >> e
+    # the (row, column) of each packed cell, for the cells at which X_i is not zero
+    cells = [(r, s) for r in range(n) for s in range(r, n)]
     elimination = BorderedElimination(n, den)
     trailing = sorted(set(rest) | structure.blocks[ell])
     elimination.join({r - 1: base[r - 1] for r in trailing})
@@ -417,16 +427,20 @@ def asymptote_witness(
     gammas: list[Fraction] = []  # gamma_l, gamma_{l-1}, ...
     for i in range(ell, 0, -1):
         block = sorted(structure.blocks[i - 1])
-        grid = xseq[i - 1]._num_rows()
+        upper = xseq[i - 1]._u
         gamma = least_definite_shift(elimination.join({r - 1: base[r - 1] for r in block}),
                                      xseq[i - 1].principal(block))
         # the search returns 2^e with e >= 0, and the grid holds integer sums only
         weight = gamma.numerator * scales[i - 1]
-        if gamma.denominator != 1 or not elimination.eliminate([weight * grid[r - 1][r - 1] for r in block]):
+        diagonal = [weight * upper[upper_offset(n, r, r)] for r in block]
+        if gamma.denominator != 1 or not elimination.eliminate(diagonal):
             raise AssertionError(_SELF_CHECK_FAILED)
-        base = [[u + weight * v for u, v in zip(row, line)] for row, line in zip(base, grid)]
+        for (r, s), v in zip(compress(cells, upper), map(mul, compress(upper, upper), repeat(weight))):
+            base[r][s] += v
+            if r != s:
+                base[s][r] += v
         gammas.append(gamma)
-    x_out = SymMatrix._of(n, [v for r, row in enumerate(base) for v in row[r:]], den)
+    x_out = SymMatrix._of(n, list(chain.from_iterable(row[r:] for r, row in enumerate(base))), den)
     try:
         schur_complement(x_out, range(1, n + 1), ())
     except ValueError:

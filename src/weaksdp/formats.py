@@ -297,19 +297,18 @@ def _read_body(lines: list[str], n: int, m: int) -> tuple[SymMatrix, ...]:
     offset = {key: upper_offset(n, *sorted(divmod(key, n + 1))) - size for key in set(keys)}
     bases = list(map(base.__getitem__, mats))
     positions = map(add, bases, map(offset.__getitem__, keys))
-    decimal = "." in spelled  # then every entry is a (num, 10^d) pair
-    if decimal:
-        value_of = {value: _sdpa_value(value, None) for value in distinct}
+    if "." in spelled:  # each value as an integer over 10^d, d the most decimals of any value
+        ratios = {value: _sdpa_value(value, None) for value in distinct}
+        unit = max(q for _, q in ratios.values())
+        value_of = {value: p * (unit // q) for value, (p, q) in ratios.items()}
     else:
-        value_of = dict(zip(distinct, map(int, distinct)))
-    flat = [(0, 1) if decimal else 0] * (m * size)
+        unit, value_of = 1, dict(zip(distinct, map(int, distinct)))
+    flat = [0] * (m * size)
     # a line of the objective has base 0, and `compress` drops it
     for position, value in compress(zip(positions, map(value_of.__getitem__, values)), bases):
         flat[position] = value
-    chunks = [flat[start:start + size] for start in range(0, m * size, size)]
-    if decimal:
-        return tuple(SymMatrix._of_ratios(n, nums) for nums in chunks)
-    return tuple(SymMatrix._of(n, nums, 1) for nums in chunks)
+    matrices = [SymMatrix(n, flat[start:start + size]) for start in range(0, m * size, size)]
+    return tuple(matrices) if unit == 1 else tuple(mat.scale(Fraction(1, unit)) for mat in matrices)
 
 
 def _first_fault(body: Iterator[tuple[int, str]], n: int, m: int) -> NoReturn:

@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .exact import Matrix, SymMatrix, congruence
@@ -432,14 +433,17 @@ def schur_complement(a: SymMatrix, eliminate: Sequence[int], keep: Sequence[int]
     given order) on the principal block over eliminate + keep; every pivot
     must be positive, so success also proves A_EE positive definite. Raises
     ValueError on a non-positive pivot. Row and column t of the result belong
-    to index keep[t].
+    to index keep[t]. The working grid is the principal block's rows, each
+    taken from A's rows by one pick of the indices in that order.
     """
     order = [r - 1 for r in list(eliminate) + list(keep)]
     if any(not 0 <= r < a.n for r in order):
         raise IndexError(f"indices outside order {a.n} (indices are 1-based)")
     size, first = len(order), len(eliminate)
     rows, den = a._num_rows(), a._d
-    w = [[rows[r][s] for s in order] for r in order]
+    # one index would make `itemgetter` return the bare entry, and none cannot build it
+    pick = itemgetter(*order) if size > 1 else lambda row: [row[s] for s in order]
+    w = [list(pick(rows[r])) for r in order]
     done, prev = _positive_pivots(w, first)
     if done < first:
         value = Fraction(w[done][done], prev * den)

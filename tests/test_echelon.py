@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weaksdp import (
     EchelonViolation,
@@ -35,6 +35,7 @@ from weaksdp.paper_instances import motzkin_monomial_groups
 from oracles import (
     closeness_detail_by_fractions,
     echelon_violation_by_fractions,
+    inner_by_fractions,
     inner_mismatch_by_fractions,
     rational_grid,
     search_strong_infeasibility_multiplier,
@@ -299,8 +300,36 @@ def changed_closeness_certificates(draw):
     return SdpInstance(inst.n, a, b), tuple(xs), structure
 
 
+def edge_closeness_case(a_rows, xseq, structure, shift=0):
+    """A closeness case of order len(a_rows[0]) whose b meets every A_r . X_{l+1}
+    (by the oracle), the last value moved by `shift`."""
+    a = tuple(SymMatrix.from_rows(rows) for rows in a_rows)
+    b = [inner_by_fractions(mat, xseq[-1]) for mat in a]
+    b[-1] += shift
+    return SdpInstance(len(a_rows[0]), a, b), xseq, structure
+
+
+# sequences whose X's sit at the edges of the inner kernel, which reads only
+# the non-zero cells of a sparse X: one cell on the diagonal, two cells one of
+# them off it, order 1, an all-zero X and an X with no zero cell
+EDGE_A = ([[0, 1, 2], [1, 5, -1], [2, -1, 3]], [[0, -2, 1], [-2, 1, 4], [1, 4, 7]])
+EDGE_X = (SymMatrix.unit(3, 1, 1, 2), SymMatrix.from_cells(3, {(2, 2): 3, (1, 3): -4}))
+EDGE_CLOSENESS = [
+    edge_closeness_case(EDGE_A, EDGE_X, blocks(3, {1}, {2})),
+    edge_closeness_case(EDGE_A, EDGE_X, blocks(3, {1}, {2}), shift=1),
+    edge_closeness_case(([[0]], [[Fraction(7, 2)]]), (SymMatrix(1, [2]), SymMatrix.zeros(1)), blocks(1, {1}, set())),
+    edge_closeness_case(([[0, 1, 2], [1, 0, 3], [2, 3, 0]],), (
+        SymMatrix.diag([1, 2, 3]), SymMatrix.from_rows([[2, -1, 3], [-1, Fraction(7, 5), 1], [3, 1, -8]])),
+        blocks(3, {1, 2, 3}, set()), shift=Fraction(-1, 5)),
+]
+
+
 class TestClosenessAgainstFractions:
     @given(changed_closeness_certificates())
+    @example(EDGE_CLOSENESS[0])
+    @example(EDGE_CLOSENESS[1])
+    @example(EDGE_CLOSENESS[2])
+    @example(EDGE_CLOSENESS[3])
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_reference(self, case):
         inst, xseq, structure = case

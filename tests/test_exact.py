@@ -3,13 +3,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from oracles import (
     congruence_by_fractions,
     congruence_mismatch_by_fractions,
     determinant_by_cofactors,
     inner_by_fractions,
+    inner_mismatch_by_fractions,
     matmul_by_fractions,
     reformulated_rows_by_fractions,
 )
@@ -21,6 +22,7 @@ from weaksdp import (
     congruences,
     inner,
     inner_general,
+    inner_mismatch,
     inner_table,
     inners,
     inverse,
@@ -656,9 +658,36 @@ class TestDisguiseCongruences:
         assert congruences(mats, g, t) == reformulated_rows_by_fractions(mats, g, t)
 
 
+# X operands at the edges of the inner kernel, which reads only the non-zero
+# cells of a sparse X: none, one on and one off the diagonal, two, an order 1,
+# and no zero cell at all; each with M operands of its order and no zero cell
+EDGE_MATS = (sym([[1, Fraction(-2, 3), 4], [Fraction(-2, 3), 5, 7], [4, 7, Fraction(1, 2)]]),
+             sym([[-3, 1, 1], [1, 2, -6], [1, -6, 9]]))
+EDGE_XS = (SymMatrix.zeros(3), SymMatrix.unit(3, 2, 2, Fraction(5, 3)), SymMatrix.unit(3, 1, 3, -4),
+           SymMatrix.from_cells(3, {(1, 1): 2, (2, 3): Fraction(-1, 4)}),
+           sym([[2, -1, 3], [-1, Fraction(7, 5), 1], [3, 1, -8]]))
+EDGE_MATS_1 = (SymMatrix(1, [Fraction(7, 2)]), SymMatrix(1, [-5]))
+EDGE_XS_1 = (SymMatrix(1, [0]), SymMatrix(1, [Fraction(-3, 4)]))
+
+
+EDGE_SINGLES = [(EDGE_MATS if x.n == 3 else EDGE_MATS_1, (x,)) for x in EDGE_XS + EDGE_XS_1]
+EDGE_GROUPS = [(EDGE_MATS, EDGE_XS), (EDGE_MATS_1, EDGE_XS_1)]
+
+
+def with_examples(cases):
+    """The decorator that gives a test of operands (mats, xs) each of `cases`
+    as an explicit example."""
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
 class TestInners:
     @given(st.integers(0, 4).flatmap(lambda order: st.integers(0, 4).flatmap(
         lambda k: st.tuples(sym_matrices(order, k), sym_matrices(order, 1)))))
+    @with_examples(EDGE_SINGLES)
     @settings(max_examples=100)
     def test_match_fraction_loop(self, operands):
         mats, (x,) = operands
@@ -675,12 +704,20 @@ class TestInnerTable:
     @given(st.integers(0, 4).flatmap(lambda order: st.tuples(
         st.integers(0, 4).flatmap(lambda m: sym_matrices(order, m)),
         st.integers(0, 4).flatmap(lambda k: sym_matrices(order, k)))))
+    @with_examples(EDGE_SINGLES + EDGE_GROUPS)
     @settings(max_examples=100)
     def test_matches_inner_pair_by_pair(self, operands):
         mats, xs = operands
         table = inner_table(mats, xs)
         assert table == tuple(tuple(inner(mat, x) for x in xs) for mat in mats)
+        assert table == tuple(tuple(inner_by_fractions(mat, x) for x in xs) for mat in mats)
         assert all(type(v) is Fraction for row in table for v in row)
+        # the same sums against targets: the oracle's products all match, and
+        # zero targets meet their first non-zero product where the oracle does
+        products = [[inner_by_fractions(mat, x) for mat in mats] for x in xs]
+        zeros = [[0] * len(mats) for _ in xs]
+        assert inner_mismatch(mats, xs, products) is None
+        assert inner_mismatch(mats, xs, zeros) == inner_mismatch_by_fractions(mats, xs, zeros)
 
     def test_generators_are_read_once(self):
         a, x = sym([[1, 2], [2, 3]]), sym([[Fraction(1, 2), 1], [1, 0]])
