@@ -378,11 +378,11 @@ def asymptote_witness(
     from one running grid, X_{l+1} plus the padding plus gamma_j X_j for
     j > i, to which each level adds its gamma_i X_i once its pivots pass, in
     place and only at X_i's non-zero cells, both halves of an off-diagonal
-    one; x_out is the upper half of that grid after the last level. A pivot that is not positive
-    (a gamma search that stopped short), or a gamma that is not an
-    integer, fails the witness as the self-check would. The certificate
-    check compares every A_j . X_i with its target on integers
-    (`inner_mismatch`). Every comparison is an exact rational one. The
+    one; x_out is the upper half of that grid after the last level. A pivot
+    that is not positive (a gamma search that stopped short), or a gamma
+    that is not an integer, fails the witness as the self-check would. The
+    certificate check compares every A_j . X_i with its target on integers
+    (`inner_mismatch`, at the non-zero cells of a sparse X_i). Every comparison is an exact rational one. The
     finished matrix is checked once more: `schur_complement` eliminating
     all n indices finds every pivot positive, so it is positive definite
     and hence PSD (by construction the last level proved the block over P_1
@@ -417,7 +417,7 @@ def asymptote_witness(
     base = square_rows(top, n)
     for r in rest:
         base[r - 1][r - 1] += den >> e
-    # the (row, column) of each packed cell, for the cells at which X_i is not zero
+    # the 0-based (row, column) of each packed cell, to place X_i's non-zero cells
     cells = [(r, s) for r in range(n) for s in range(r, n)]
     elimination = BorderedElimination(n, den)
     trailing = sorted(set(rest) | structure.blocks[ell])
