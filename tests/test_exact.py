@@ -668,8 +668,6 @@ EDGE_XS = (SymMatrix.zeros(3), SymMatrix.unit(3, 2, 2, Fraction(5, 3)), SymMatri
            sym([[2, -1, 3], [-1, Fraction(7, 5), 1], [3, 1, -8]]))
 EDGE_MATS_1 = (SymMatrix(1, [Fraction(7, 2)]), SymMatrix(1, [-5]))
 EDGE_XS_1 = (SymMatrix(1, [0]), SymMatrix(1, [Fraction(-3, 4)]))
-
-
 EDGE_SINGLES = [(EDGE_MATS if x.n == 3 else EDGE_MATS_1, (x,)) for x in EDGE_XS + EDGE_XS_1]
 EDGE_GROUPS = [(EDGE_MATS, EDGE_XS), (EDGE_MATS_1, EDGE_XS_1)]
 
