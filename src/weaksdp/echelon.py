@@ -382,11 +382,12 @@ def asymptote_witness(
     that is not positive (a gamma search that stopped short), or a gamma
     that is not an integer, fails the witness as the self-check would. The
     certificate check compares every A_j . X_i with its target on integers
-    (`inner_mismatch`, at the non-zero cells of a sparse X_i). Every comparison is an exact rational one. The
-    finished matrix is checked once more: `schur_complement` eliminating
-    all n indices finds every pivot positive, so it is positive definite
-    and hence PSD (by construction the last level proved the block over P_1
-    and every other index). No PSD verdict is built here.
+    (`inner_mismatch`, at the non-zero cells of a sparse X_i). Every
+    comparison is an exact rational one. The finished matrix is checked
+    once more: `schur_complement` eliminating all n indices finds every
+    pivot positive, so it is positive definite and hence PSD (by
+    construction the last level proved the block over P_1 and every other
+    index). No PSD verdict is built here.
     """
     eps = rational(eps)
     if eps <= 0:
